@@ -17,7 +17,8 @@ Usage (also ``python -m repro``)::
     repro generate cycle 8                  # emit a family instance
 
 Width-computing commands accept engine options: ``--backend`` selects
-the LP solver (``scipy`` / ``purepython`` / ``auto``), ``--cache-size``
+the LP solver (``auto``, the size-aware default, or the pinned
+``scipy`` / ``purepython``), ``--cache-size``
 bounds the cover-oracle LRU (0 disables caching), and ``--cache-stats``
 prints LP-solve counts and cache hit rates after the command.  They
 also accept pipeline options: ``--preprocess`` selects the reduce/split
@@ -832,15 +833,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+_BACKEND_HELP = (
+    "LP solver backend for cover computations: auto (the default) "
+    "solves bag-sized LPs on the built-in simplex and larger ones on "
+    "scipy-HiGHS; scipy and purepython pin one solver for every LP"
+)
+
+
 def _engine_options() -> argparse.ArgumentParser:
     """Shared ``--backend`` / ``--cache-size`` / ``--cache-stats`` options."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("engine options")
     group.add_argument(
         "--backend",
-        choices=["auto", *engine.available_backends()],
+        choices=engine.available_backends(),
         default=None,
-        help="LP solver backend for cover computations (default: auto)",
+        help=_BACKEND_HELP,
     )
     group.add_argument(
         "--cache-size",
@@ -1268,9 +1276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--backend",
-        choices=["auto", *engine.available_backends()],
+        choices=engine.available_backends(),
         default=None,
-        help="LP solver backend for cover computations (default: auto)",
+        help=_BACKEND_HELP,
     )
     p_worker.set_defaults(func=_cmd_worker)
 

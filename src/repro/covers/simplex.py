@@ -4,11 +4,15 @@ Solves the same problem shape as :func:`repro.covers.linear_program.
 solve_covering_lp` — ``min c·x  s.t.  sum_{j in row} x_j >= 1,
 0 <= x <= ub`` — without scipy/numpy.  Covering instances in this
 library are bag-sized (tens of variables), so a textbook dense tableau
-is plenty.  It serves two roles:
+is plenty: below :data:`~repro.covers.linear_program.SIMPLEX_MAX_CELLS`
+it beats scipy's ``linprog``, whose per-call overhead alone is a few
+milliseconds.  It serves three roles:
 
-* the fallback used by the covers layer when scipy is not installed;
-* the ``"purepython"`` engine backend, giving an independent solver to
-  cross-check the scipy-HiGHS results against (see
+* the solver :func:`~repro.covers.linear_program.solve_covering_lp`
+  (and so the default ``"auto"`` engine backend) uses for bag-sized
+  LPs, and for every LP when scipy is not installed;
+* the pinned ``"purepython"`` engine backend;
+* an independent solver to cross-check HiGHS against (see
   ``tests/test_engine.py``).
 
 Structural variables come first, then one surplus per cover row and one
@@ -23,7 +27,7 @@ from .linear_program import CoveringLPResult
 
 __all__ = ["simplex_covering_lp"]
 
-#: Snap tolerance for solver artifacts, matching the scipy wrapper.
+#: Snap tolerance for solver artifacts, matching the HiGHS path.
 _SOLVER_TOL = 1e-7
 
 _TOL = 1e-9

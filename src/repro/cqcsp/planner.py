@@ -172,12 +172,14 @@ class PlanInfo:
     run at all).  ``from_store`` — a scheduler ran but the persistent
     store answered it (zero exact tasks).  ``tasks_run`` / ``lp_solves``
     — exact engine work of this call (0 on either kind of hit).
+    ``store_write_errors`` — failed write-backs of the plan solve.
     """
 
     cache_hit: bool
     from_store: bool
     tasks_run: int = 0
     lp_solves: int = 0
+    store_write_errors: int = 0
     seconds: float = 0.0
 
 
@@ -342,6 +344,7 @@ class QueryPlanner:
             from_store=plan.from_store,
             tasks_run=run_stats.tasks_run,
             lp_solves=run_stats.lp_solves,
+            store_write_errors=run_stats.store_write_errors,
             seconds=time.perf_counter() - started,
         )
         with self._lock:

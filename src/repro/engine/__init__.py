@@ -7,8 +7,8 @@ Shared infrastructure for every width-search algorithm in the library:
   graph, with frozenset interning;
 * :mod:`repro.engine.oracle` — the :class:`CoverOracle`, an LRU-cached
   fractional/integral cover service keyed on ``(bag, allowed_edges)``
-  over pluggable LP backends (scipy-HiGHS default, pure-Python simplex
-  fallback);
+  over pluggable LP backends (default ``auto``: the built-in simplex for
+  bag-sized LPs, scipy-HiGHS above a size cutoff);
 * :mod:`repro.engine.search` — :class:`CheckSearch`, the generic
   Check(X, k) branch-and-bound skeleton that ``HDSearch``, the GHD
   subedge-augmentation path and the FHD search instantiate.
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backends import (
+    AutoBackend,
     LPBackend,
     PurePythonSimplexBackend,
     ScipyHiGHSBackend,
@@ -53,6 +54,7 @@ __all__ = [
     "CheckSearch",
     "GUESS_STRATEGIES",
     "LPBackend",
+    "AutoBackend",
     "ScipyHiGHSBackend",
     "PurePythonSimplexBackend",
     "register_backend",
@@ -71,8 +73,8 @@ __all__ = [
 class EngineConfig:
     """Process-global engine settings (see :func:`configure`).
 
-    ``backend`` of None means "library default" (scipy when available,
-    else the pure-Python simplex).  ``cache_size`` of 0 disables the
+    ``backend`` of None means "library default" (the size-aware
+    ``"auto"`` backend).  ``cache_size`` of 0 disables the
     cover cache — useful for measuring what the cache buys.
     """
 

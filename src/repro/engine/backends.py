@@ -5,27 +5,42 @@ shape ``min c·x  s.t.  sum_{j in row} x_j >= 1,  0 <= x <= ub``.  The
 engine routes all of them through a backend object so the solver is
 swappable:
 
-* :class:`ScipyHiGHSBackend` — the default when scipy is installed;
-  delegates to :func:`repro.covers.linear_program.solve_covering_lp`
-  (``scipy.optimize.linprog`` with the HiGHS method).
-* :class:`PurePythonSimplexBackend` — the dependency-free two-phase
-  simplex of :mod:`repro.covers.simplex`.  It keeps the library working
-  on slim installs and provides an independent solver to cross-check
-  the scipy results against.
+* :class:`AutoBackend` (``"auto"``) — the default; the size-aware
+  dispatch of :func:`repro.covers.linear_program.solve_covering_lp`:
+  the built-in simplex for bag-sized LPs (at most
+  :data:`~repro.covers.linear_program.SIMPLEX_MAX_CELLS` tableau cells),
+  HiGHS above that, the simplex everywhere when scipy is absent.
+  scipy is imported on the first large LP, so a process that only
+  meets bag-sized LPs never loads it.
+* :class:`ScipyHiGHSBackend` (``"scipy"``) — pinned to
+  ``scipy.optimize.linprog`` with the HiGHS method at every size;
+  registered only when scipy is installed.
+* :class:`PurePythonSimplexBackend` (``"purepython"``) — pinned to the
+  dependency-free two-phase simplex of :mod:`repro.covers.simplex` at
+  every size.
 
-Backends register themselves in a name -> factory registry; the CLI's
-``--backend`` flag and :func:`repro.engine.configure` select by name.
+The two pinned backends are independent references the differential
+tests diff ``auto`` against.  Each backend calls its module function
+directly, so one LP is one backend call.  Backends register themselves
+in a name -> factory registry; the CLI's ``--backend`` flag and
+:func:`repro.engine.configure` select by name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..covers.linear_program import HAVE_SCIPY, CoveringLPResult
+from ..covers.linear_program import (
+    HAVE_SCIPY,
+    CoveringLPResult,
+    highs_covering_lp,
+    solve_covering_lp,
+)
 from ..covers.simplex import simplex_covering_lp
 
 __all__ = [
     "LPBackend",
+    "AutoBackend",
     "ScipyHiGHSBackend",
     "PurePythonSimplexBackend",
     "register_backend",
@@ -74,8 +89,22 @@ class LPBackend:
         raise NotImplementedError
 
 
+class AutoBackend(LPBackend):
+    """Size-aware: the simplex for bag-sized LPs, HiGHS above the cutoff."""
+
+    name = "auto"
+
+    def solve_covering_lp(
+        self, membership, n_vars, costs=None, upper_bounds=None
+    ) -> CoveringLPResult:
+        """Solve the covering LP on the solver its size calls for."""
+        return solve_covering_lp(
+            membership, n_vars, costs=costs, upper_bounds=upper_bounds
+        )
+
+
 class ScipyHiGHSBackend(LPBackend):
-    """scipy.optimize.linprog (HiGHS) via the covers-layer wrapper."""
+    """scipy.optimize.linprog (HiGHS) at every size."""
 
     name = "scipy"
 
@@ -83,9 +112,7 @@ class ScipyHiGHSBackend(LPBackend):
         self, membership, n_vars, costs=None, upper_bounds=None
     ) -> CoveringLPResult:
         """Solve the covering LP with scipy's HiGHS method."""
-        from ..covers.linear_program import solve_covering_lp
-
-        return solve_covering_lp(
+        return highs_covering_lp(
             membership, n_vars, costs=costs, upper_bounds=upper_bounds
         )
 
@@ -133,10 +160,11 @@ def available_backends() -> list[str]:
 
 
 def default_backend_name() -> str:
-    """``"scipy"`` when scipy is importable, else ``"purepython"``."""
-    return "scipy" if HAVE_SCIPY else "purepython"
+    """``"auto"``, the size-aware backend (with or without scipy)."""
+    return "auto"
 
 
+register_backend("auto", AutoBackend)
 register_backend("purepython", PurePythonSimplexBackend)
 if HAVE_SCIPY:
     register_backend("scipy", ScipyHiGHSBackend)

@@ -12,7 +12,8 @@ allowed_edges)`` and a pluggable LP backend, so
   hypergraph* — hit the cache instead of the solver;
 * LP-solve counts and hit rates are observable (CLI ``--cache-stats``,
   benchmark tables);
-* the solver is swappable (scipy-HiGHS default, pure-Python fallback).
+* the solver is swappable (default ``auto``: the pure-Python simplex
+  for bag-sized LPs, scipy-HiGHS above a size cutoff).
 
 Use :func:`oracle_for` to get the shared oracle of a hypergraph under the
 current engine configuration; construct :class:`CoverOracle` directly

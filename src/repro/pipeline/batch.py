@@ -39,6 +39,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections.abc import Mapping
@@ -106,6 +107,8 @@ BATCH_KINDS = tuple(_KIND_TABLE)
 _PENDING = object()
 
 _LAST_BATCH_STATS = None
+
+_LOG = logging.getLogger(__name__)
 
 
 def last_batch_stats():
@@ -322,6 +325,10 @@ class BatchStats:
         the bounds pre-pass and the exact engine for them.
     store_records_appended : int
         Records the batch wrote back to the store during this run.
+    store_write_errors : int
+        Store write-backs that failed with ``OSError`` (each one is
+        logged; the answer is still served, only its persistence is
+        lost).
     prepare_seconds, solve_seconds, stitch_seconds, total_seconds : float
         Wall-clock per stage; ``solve_seconds`` is the drive loop
         (stitching happens inside it on the driver thread and is also
@@ -355,6 +362,7 @@ class BatchStats:
     store_instance_hits: int = 0
     store_blocks_seeded: int = 0
     store_records_appended: int = 0
+    store_write_errors: int = 0
     prepare_seconds: float = 0.0
     solve_seconds: float = 0.0
     stitch_seconds: float = 0.0
@@ -403,6 +411,7 @@ class BatchStats:
             "store_instance_hits": self.store_instance_hits,
             "store_blocks_seeded": self.store_blocks_seeded,
             "store_records_appended": self.store_records_appended,
+            "store_write_errors": self.store_write_errors,
             "prepare_seconds": self.prepare_seconds,
             "solve_seconds": self.solve_seconds,
             "stitch_seconds": self.stitch_seconds,
@@ -448,6 +457,7 @@ class _Instance:
         "store",
         "store_hit",
         "store_seeded",
+        "store_write_errors",
     )
 
     def __init__(self, index: int, request: BatchRequest) -> None:
@@ -466,6 +476,7 @@ class _Instance:
         self.store = None
         self.store_hit = False
         self.store_seeded = set()
+        self.store_write_errors = 0
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -767,7 +778,8 @@ class _Instance:
         """Write one decided block's verdict back to the store.
 
         Idempotent (the store skips existing keys) and best-effort: a
-        full disk must not fail the request that just solved.
+        full disk must not fail the request that just solved, but it is
+        counted and logged (:meth:`_write_failed`).
         """
         store = self.store
         if store is None or self.request.kind == "bounds":
@@ -796,8 +808,8 @@ class _Instance:
                         block_h, self.dkind, self.k, self.solver_mode,
                         self.params, value,
                     )
-        except OSError:  # pragma: no cover - disk trouble is best-effort
-            pass
+        except OSError as exc:
+            self._write_failed(f"block {b}", exc)
 
     def _persist_instance(self, value) -> None:
         """Write the stitched full answer (and oracle exports) back."""
@@ -833,8 +845,15 @@ class _Instance:
                 )
                 if entries:
                     store.put_oracle_entries(block.hypergraph, entries)
-        except OSError:  # pragma: no cover - disk trouble is best-effort
-            pass
+        except OSError as exc:
+            self._write_failed("instance", exc)
+
+    def _write_failed(self, what: str, exc: OSError) -> None:
+        self.store_write_errors += 1
+        _LOG.warning(
+            "result store write failed (%s request %r, %s): %s",
+            self.request.kind, self.request.label, what, exc,
+        )
 
     # -- task generation ----------------------------------------------
     def task_params(self, k: int | None) -> dict:
@@ -1381,6 +1400,9 @@ class BatchScheduler:
         stats.solve_seconds = time.perf_counter() - t_solve
         stats.total_seconds = time.perf_counter() - t_start
         stats.failures = sum(1 for inst in self.instances if inst.failed)
+        stats.store_write_errors = sum(
+            inst.store_write_errors for inst in self.instances
+        )
         if self.store is not None:
             stats.store_records_appended = (
                 self.store.stats.records_appended - store_baseline

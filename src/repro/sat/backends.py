@@ -3,8 +3,8 @@
 The decision procedure behind the SAT width checks is swappable: the
 dependency-free CDCL core in :mod:`repro.sat.solver` is always
 available, and `python-sat`_ (if importable) provides a much faster
-Glucose-based path that is auto-detected exactly like the scipy-HiGHS
-LP backend is for the cover oracle.
+Glucose-based path that is auto-detected, much as the cover oracle's
+default LP backend hands large LPs to scipy-HiGHS when it is installed.
 
 .. _python-sat: https://pysathq.github.io/
 

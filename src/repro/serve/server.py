@@ -119,6 +119,10 @@ class ServerStats:
         concurrent requests this increments once, not K times.
     store_instance_hits, store_blocks_seeded : int
         Store activity summed over all scheduler runs.
+    store_write_errors : int
+        Store write-backs that failed with ``OSError``, summed over all
+        scheduler runs — solve and plan solves alike (the answers were
+        still served; each failure is also logged).
     lp_solves, tasks_run : int
         Engine LP solves and exact check tasks summed over all runs —
         solve requests and plan solves alike; both stay at 0 when a
@@ -147,6 +151,7 @@ class ServerStats:
     solves: int = 0
     store_instance_hits: int = 0
     store_blocks_seeded: int = 0
+    store_write_errors: int = 0
     lp_solves: int = 0
     tasks_run: int = 0
     queries: int = 0
@@ -166,6 +171,7 @@ class ServerStats:
             "solves": self.solves,
             "store_instance_hits": self.store_instance_hits,
             "store_blocks_seeded": self.store_blocks_seeded,
+            "store_write_errors": self.store_write_errors,
             "lp_solves": self.lp_solves,
             "tasks_run": self.tasks_run,
             "queries": self.queries,
@@ -510,6 +516,7 @@ class DecompositionServer:
             self.stats.solves += 1
             self.stats.store_instance_hits += stats.store_instance_hits
             self.stats.store_blocks_seeded += stats.store_blocks_seeded
+            self.stats.store_write_errors += stats.store_write_errors
             self.stats.lp_solves += stats.lp_solves
             self.stats.tasks_run += stats.tasks_run
             if not future.cancelled():
@@ -626,6 +633,7 @@ class DecompositionServer:
         else:
             self.stats.plans_computed += 1
             self.stats.plan_store_hits += 1 if info.from_store else 0
+            self.stats.store_write_errors += info.store_write_errors
             self.stats.lp_solves += info.lp_solves
             self.stats.tasks_run += info.tasks_run
             if not future.cancelled():

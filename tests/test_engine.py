@@ -3,18 +3,27 @@ LP backends agree with each other, and widths are unchanged by the refactor."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.covers import EPS, covered_vertices, fractional_cover_of
+from repro.covers import linear_program, simplex
+from repro.covers.linear_program import HAVE_SCIPY, SIMPLEX_MAX_CELLS
 from repro.engine import (
+    AutoBackend,
     CheckSearch,
     CoverOracle,
     PurePythonSimplexBackend,
     available_backends,
     clear_context_registry,
     configure,
+    default_backend_name,
     engine_config,
     get_backend,
     get_context,
@@ -35,6 +44,36 @@ def hypergraph_and_region(draw):
     vertices = sorted(h.vertices, key=str)
     region = draw(st.sets(st.sampled_from(vertices)))
     return h, frozenset(region)
+
+
+@st.composite
+def covering_lps(draw):
+    """A raw covering LP whose size straddles ``SIMPLEX_MAX_CELLS``.
+
+    Sometimes one row is empty (infeasible) or there are no rows at all
+    (optimum 0); caps below 1 can make a row infeasible too.
+    """
+    n_vars = draw(st.integers(4, 24))
+    capped = draw(st.booleans())
+    fit = SIMPLEX_MAX_CELLS // n_vars - (n_vars if capped else 0)
+    n_rows = draw(st.integers(0, max(2, fit + 3)))
+    member = st.integers(0, n_vars - 1)
+    rows = [
+        sorted(draw(st.sets(member, min_size=1, max_size=n_vars)))
+        for _ in range(n_rows)
+    ]
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n_rows - 1))] = []
+    per_var = st.lists(
+        st.sampled_from([0.5, 0.99, 1.0, 2.0]), min_size=n_vars, max_size=n_vars
+    )
+    costs = draw(st.none() | per_var)
+    caps = draw(per_var) if capped else None
+    return rows, n_vars, costs, caps
+
+
+def lp_cells(rows, n_vars, caps):
+    return (len(rows) + len(caps or ())) * n_vars
 
 
 class TestSearchContext:
@@ -156,38 +195,156 @@ class TestBackends:
     @given(hypergraph_and_region())
     @settings(max_examples=40, deadline=None)
     def test_purepython_simplex_agrees_with_scipy(self, hr):
+        pytest.importorskip("scipy")
         h, bag = hr
         ctx = get_context(h)
-        pure = CoverOracle(ctx, backend="purepython", cache_size=0)
-        scipy_oracle = CoverOracle(ctx, backend="scipy", cache_size=0)
-        a = pure.fractional_cover(bag)
-        b = scipy_oracle.fractional_cover(bag)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert abs(a.weight - b.weight) <= 1e-6
-            assert bag <= covered_vertices(h, a)
+        covers = {
+            name: CoverOracle(ctx, backend=name, cache_size=0).fractional_cover(
+                bag
+            )
+            for name in ("auto", "scipy", "purepython")
+        }
+        ref = covers["scipy"]
+        for name, cover in covers.items():
+            assert (cover is None) == (ref is None), name
+            if cover is not None:
+                assert abs(cover.weight - ref.weight) <= 1e-6, name
+                assert bag <= covered_vertices(h, cover), name
 
     @given(hypergraph_and_region())
     @settings(max_examples=25, deadline=None)
     def test_purepython_capped_agrees_with_scipy(self, hr):
+        pytest.importorskip("scipy")
         h, bag = hr
         ctx = get_context(h)
-        pure = CoverOracle(ctx, backend="purepython", cache_size=0)
-        scipy_oracle = CoverOracle(ctx, backend="scipy", cache_size=0)
-        a = pure.fractional_cover_capped(bag)
-        b = scipy_oracle.fractional_cover_capped(bag)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert abs(a.weight - b.weight) <= 1e-6
+        covers = {
+            name: CoverOracle(
+                ctx, backend=name, cache_size=0
+            ).fractional_cover_capped(bag)
+            for name in ("auto", "scipy", "purepython")
+        }
+        ref = covers["scipy"]
+        for name, cover in covers.items():
+            assert (cover is None) == (ref is None), name
+            if cover is not None:
+                assert abs(cover.weight - ref.weight) <= 1e-6, name
+
+    @given(covering_lps())
+    @settings(max_examples=120, deadline=None)
+    def test_backends_agree_across_the_size_cutoff(self, lp):
+        """auto, scipy and purepython agree on raw covering LPs on both
+        sides of ``SIMPLEX_MAX_CELLS``, capped and uncapped."""
+        rows, n_vars, costs, caps = lp
+        results = {
+            name: get_backend(name).solve_covering_lp(
+                rows, n_vars, costs=costs, upper_bounds=caps
+            )
+            for name in ("auto", "scipy", "purepython")
+            if name in available_backends()  # no scipy on slim installs
+        }
+        ref = results["purepython"]
+        for name, result in results.items():
+            assert result.feasible == ref.feasible, name
+            if not result.feasible:
+                assert result.optimal is None, name
+                continue
+            assert abs(result.optimal - ref.optimal) <= 1e-7, name
+            weights = result.weights
+            assert len(weights) == n_vars
+            for row in rows:
+                assert sum(weights[j] for j in row) >= 1 - 1e-7, name
+            for j, w in enumerate(weights):
+                assert w >= -1e-9, name
+                if caps is not None:
+                    assert w <= caps[j] + 1e-7, name
+        if not rows:
+            assert ref.optimal == 0.0
+        if any(not row for row in rows):
+            assert not ref.feasible
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_auto_dispatches_on_size(self, monkeypatch, capped):
+        """Simplex up to the cutoff, HiGHS above it, and the simplex at
+        every size without scipy.  Both solvers are spied on, HiGHS with
+        a stub, so this runs where scipy is absent too."""
+        calls = []
+        real_simplex = simplex.simplex_covering_lp
+
+        def spy(solver):
+            def solve(membership, n_vars, costs=None, upper_bounds=None):
+                calls.append((solver, lp_cells(membership, n_vars, upper_bounds)))
+                return real_simplex(membership, n_vars, costs, upper_bounds)
+
+            return solve
+
+        monkeypatch.setattr(simplex, "simplex_covering_lp", spy("simplex"))
+        monkeypatch.setattr(linear_program, "highs_covering_lp", spy("highs"))
+        n_vars = 8
+        caps = [1.0] * n_vars if capped else None
+        fit = SIMPLEX_MAX_CELLS // n_vars - (n_vars if capped else 0)
+        auto = get_backend("auto")
+
+        def solve(n_rows):
+            rows = [[i % n_vars, (i + 1) % n_vars] for i in range(n_rows)]
+            result = auto.solve_covering_lp(rows, n_vars, upper_bounds=caps)
+            assert result.feasible
+
+        monkeypatch.setattr(linear_program, "HAVE_SCIPY", True)
+        for n_rows in (1, fit, fit + 1):
+            solve(n_rows)
+        assert [solver for solver, _ in calls] == ["simplex", "simplex", "highs"]
+        assert calls[1][1] <= SIMPLEX_MAX_CELLS < calls[2][1]
+        calls.clear()
+        monkeypatch.setattr(linear_program, "HAVE_SCIPY", False)
+        for n_rows in (fit + 1, 4 * fit):
+            solve(n_rows)
+        assert [solver for solver, _ in calls] == ["simplex", "simplex"]
 
     def test_registry_lists_both_backends(self):
         names = available_backends()
-        assert "purepython" in names and "scipy" in names
+        assert "auto" in names and "purepython" in names
+        assert ("scipy" in names) == HAVE_SCIPY
         assert isinstance(get_backend("purepython"), PurePythonSimplexBackend)
+        assert isinstance(get_backend(), AutoBackend)
+        assert default_backend_name() == "auto"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown LP backend"):
             get_backend("cplex")
+
+
+class TestImportHygiene:
+    SCRIPT = """
+import importlib.util, sys
+import repro, repro.cli, repro.serve
+from repro.algorithms import fractional_hypertree_width_exact
+from repro.hypergraph.generators import cycle
+assert fractional_hypertree_width_exact(cycle(6))[0] == 2.0
+loaded = {"scipy", "numpy"} & set(sys.modules)
+assert not loaded, f"bag-sized fhw loaded {sorted(loaded)}"
+if importlib.util.find_spec("scipy") is not None:
+    from repro.covers.linear_program import SIMPLEX_MAX_CELLS, solve_covering_lp
+    n_rows = SIMPLEX_MAX_CELLS // 8 + 1
+    rows = [[i % 8, (i + 3) % 8] for i in range(n_rows)]
+    assert solve_covering_lp(rows, 8).optimal == 4.0
+    assert {"scipy", "numpy"} <= set(sys.modules), "large LP did not use HiGHS"
+print("ok")
+"""
+
+    def test_bag_sized_lps_never_load_scipy(self):
+        """Importing the package, the CLI and the daemon and solving a
+        small fhw touch neither scipy nor numpy; one LP above the cutoff
+        loads them (when installed)."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestConfiguration:
@@ -256,7 +413,7 @@ class TestWidthsUnchangedAfterRefactor:
         )
 
         results = {}
-        for backend in ("scipy", "purepython"):
+        for backend in ("auto", "scipy", "purepython"):
             clear_context_registry()
             configure(backend=backend)
             try:
@@ -267,7 +424,12 @@ class TestWidthsUnchangedAfterRefactor:
             finally:
                 configure(backend="auto")
                 clear_context_registry()
-        assert results["scipy"] == results["purepython"] == (2, 2.0)
+        assert (
+            results["auto"]
+            == results["scipy"]
+            == results["purepython"]
+            == (2, 2.0)
+        )
 
 
 class TestCheckSearch:

@@ -545,6 +545,35 @@ class TestServeWithStore:
         assert stats["server"]["store_instance_hits"] == len(instances)
 
 
+    def test_failed_store_writes_are_served_and_counted(
+        self, harness, tmp_path
+    ):
+        """A write-back that fails with OSError still answers 200 and
+        shows up in ``GET /stats`` — for solves and plan solves."""
+        h, client = harness(store=tmp_path / "store")
+        append = h.server.store.append
+        armed = []
+
+        def fails_when_armed(*args, **kwargs):
+            if armed:
+                armed.pop()
+                raise OSError("No space left on device")
+            return append(*args, **kwargs)
+
+        h.server.store.append = fails_when_armed
+        armed.append(True)
+        response = client.solve(triangle(), "ghw")
+        assert response["ok"] and response["answer"]["width"] == 2
+        assert client.stats()["server"]["store_write_errors"] == 1
+        # The writes after the failed one landed: the repeat is a hit.
+        assert client.solve(triangle(), "ghw")["from_store"] is True
+
+        armed.append(True)
+        response = client.query(_CHAIN, _DB)
+        assert response["ok"] and response["width"] == 1
+        assert client.stats()["server"]["store_write_errors"] == 2
+
+
 # ----------------------------------------------------------------------
 # Query serving: decompositions as cached plans over the wire
 # ----------------------------------------------------------------------

@@ -453,6 +453,28 @@ class TestStoreServing:
         assert again.ok
         assert again.value[0] == first.value[0]
 
+    def test_failed_writes_are_counted_and_logged(self, tmp_path, caplog):
+        """A full disk costs persistence, never the answer, and never
+        silently: each failed write-back is counted and logged."""
+
+        def full_disk(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        with ResultStore(tmp_path) as store:
+            store.append = full_disk
+            with caplog.at_level("WARNING", logger="repro.pipeline.batch"):
+                (result,), stats = solve_with_store(
+                    store, [BatchRequest(triangle(), "ghw")]
+                )
+            assert len(store) == 0
+        assert result.ok and result.value[0] == 2
+        # One block verdict and one instance record, both lost.
+        assert stats.store_write_errors == 2
+        assert stats.as_dict()["store_write_errors"] == 2
+        failures = [r for r in caplog.records if "store write" in r.message]
+        assert len(failures) == 2
+        assert all("No space left" in r.message for r in failures)
+
     def test_fresh_process_round_trip(self, tmp_path):
         """The acceptance check, cross-process: restart really is free."""
         script = (

@@ -237,6 +237,7 @@ def plan_warm_restart(corpus: str = "full") -> dict:
         cold_work = cold_stats["lp_solves"] + cold_stats["tasks_run"]
         assert cold_work > 0, "cold run should pay solver work for plans"
         assert cold_stats["plan_store_hits"] == 0
+        assert cold_stats["plans_computed"] == unique_plans
 
         # Nothing warm survives in-process: the store is the only
         # state the restarted daemon inherits.

@@ -3,13 +3,15 @@
 This is the paper's motivating application spelled out in code: a CQ of
 ghw k evaluates in time polynomial in ``|D|^k + output`` by (1) finding a
 width-k GHD of the query hypergraph, (2) joining the <= k atoms of each
-node's λ into a node relation, and (3) running Yannakakis over the tree.
+node's λ (and the atoms inside its bag) into a bag relation, projecting
+before joining, and (3) running Yannakakis over the tree.
 The naive baseline joins atoms left-deep and can materialize intermediate
 results exponentially larger than both input and output.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -56,6 +58,10 @@ def atom_relation(database: Mapping[str, Relation], atom: Atom) -> Relation:
         elif term not in first_position:
             first_position[term] = i
             keep_positions.append(i)
+    attrs = tuple(atom.variables[i] for i in keep_positions)
+    if not constants and len(keep_positions) == len(atom.variables):
+        # Distinct variables only: the base rows, renamed.
+        return Relation(str(atom), attrs, base.tuples)
     variable_positions = [
         (i, first_position[term])
         for i, term in enumerate(atom.variables)
@@ -67,7 +73,6 @@ def atom_relation(database: Mapping[str, Relation], atom: Atom) -> Relation:
             continue
         if all(row[i] == row[first] for i, first in variable_positions):
             rows.append(tuple(row[i] for i in keep_positions))
-    attrs = tuple(atom.variables[i] for i in keep_positions)
     return Relation.from_rows(str(atom), attrs, rows)
 
 
@@ -76,30 +81,27 @@ def node_relations_from_ghd(
     database: Mapping[str, Relation],
     decomp: Decomposition,
 ) -> tuple[dict[str, Relation], int]:
-    """One relation per decomposition node: join of its λ-atoms, projected
-    to the bag.  Returns ``(relations, tuples materialized)``.
+    """One relation per decomposition node — π_bag of the join of its
+    λ-atoms and every atom inside the bag — and the tuples materialized.
 
     Requires integral covers (a GHD); each node then joins at most
-    ``width`` atoms, so the per-node cost is ``O(|D|^width)``.
+    ``width`` atoms beyond those inside its bag, so the per-node cost
+    is ``O(|D|^width)``.
     """
     if not decomp.is_integral():
         raise ValueError("CQ evaluation needs an integral (GHD) cover")
+    scopes = {atom: frozenset(atom.variable_names) for atom in query.atoms}
+    relations = {atom: atom_relation(database, atom) for atom in scopes}
+    hosted: set[Atom] = set()
     out: dict[str, Relation] = {}
     cost = 0
     for nid in decomp.node_ids:
         bag = decomp.bag(nid)
-        parts = []
-        for edge_name in sorted(decomp.cover(nid).support):
-            atom = query.atom_for_edge(edge_name)
-            parts.append(atom_relation(database, atom))
-        if parts:
-            joined, intermediate = join_all(parts)
-        else:
-            # An empty λ forces an empty bag; the node's relation is the
-            # 0-ary identity (one empty tuple), neutral under joins.
-            joined, intermediate = Relation.from_rows(nid, (), [()]), 0
-        cost += intermediate
-        uncovered = bag - set(joined.attributes)
+        lam = [
+            query.atom_for_edge(edge_name)
+            for edge_name in sorted(decomp.cover(nid).support)
+        ]
+        uncovered = bag.difference(*(scopes[atom] for atom in lam))
         if uncovered:
             # Condition (3) of a GHD guarantees bag ⊆ B(λ); tripping
             # this means the witness is invalid and silent projection
@@ -108,21 +110,52 @@ def node_relations_from_ghd(
                 f"node {nid}: bag variables {sorted(uncovered)} are not "
                 "covered by the node's λ-atoms (invalid GHD)"
             )
-        keep = [a for a in joined.attributes if a in bag]
-        out[nid] = joined.project(keep)
-    # Every atom must be *enforced*, not just covered: semijoin each atom
-    # into a node whose bag contains its variables (condition (1)
-    # guarantees one exists).  Atoms already in some λ are unaffected.
-    for atom in query.atoms:
-        scope = frozenset(atom.variable_names)
-        host = next(
-            (nid for nid in decomp.node_ids if scope <= decomp.bag(nid)),
-            None,
-        )
-        if host is None:
+        inside = [atom for atom, scope in scopes.items() if scope <= bag]
+        hosted.update(inside)
+        parts = [relations[atom] for atom in dict.fromkeys(lam + inside)]
+        out[nid], built = _join_into_bag(nid, parts, bag)
+        cost += built
+    # Condition (1) of a GHD: every atom is enforced by some bag.
+    for atom in scopes:
+        if atom not in hosted:
             raise ValueError(f"no bag covers atom {atom} (invalid GHD)")
-        out[host] = out[host].semijoin(atom_relation(database, atom))
     return out, cost
+
+
+def _join_into_bag(
+    nid: str, parts: list[Relation], bag: frozenset
+) -> tuple[Relation, int]:
+    """π_bag(⋈ parts) and the tuples built on the way.
+
+    Each part first drops the variables neither in the bag nor shared
+    with another part.  The parts then join smallest-first, each step
+    taking a part that shares a variable with the result (a cross
+    product only when none does) and dropping what no later part needs.
+    """
+    if not parts:
+        # An empty λ forces an empty bag: the 0-ary identity relation.
+        return Relation.from_rows(nid, (), [()]), 0
+    seen = Counter(a for part in parts for a in part.attributes)
+    shared = {a for a, count in seen.items() if count > 1}
+    parts = sorted((_cut(part, bag | shared) for part in parts), key=len)
+    joined = parts.pop(0)
+    cost = len(joined)
+    while parts:
+        attrs = set(joined.attributes)
+        pick = next(
+            (i for i, p in enumerate(parts)
+             if not attrs.isdisjoint(p.attributes)),
+            0,
+        )
+        joined = joined.join(parts.pop(pick))
+        cost += len(joined)
+        joined = _cut(joined, bag.union(*(p.attributes for p in parts)))
+    return joined, cost
+
+
+def _cut(relation: Relation, keep) -> Relation:
+    """π onto the attributes of ``relation`` that lie in ``keep``."""
+    return relation.project([a for a in relation.attributes if a in keep])
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ ghw k evaluates in polynomial time via Yannakakis over the join tree
   same *shape* — same canonical hypergraph, any data — replays the
   stored plan with zero solver tasks and zero LP solves.
 * **execute** — :meth:`QueryPlanner.execute` derives the join tree
-  from the stitched witness (one relation per decomposition node: the
-  join of its λ-atoms projected to the bag; atoms not in any λ are
-  enforced by a semijoin into a covering bag) and runs semijoin
-  reduction + Yannakakis, projecting to the head.
+  from the stitched witness (one relation per decomposition node: π_bag
+  of the join of its λ-atoms and every atom inside the bag, built along
+  shared variables with the projection pushed below the joins — see
+  :func:`~repro.cqcsp.evaluate.node_relations_from_ghd`) and runs
+  semijoin reduction + Yannakakis, projecting to the head.
 
 The plan key has the same dimensions as the store's instance records
 and the serve daemon's coalescing identity — canonical hash × kind ×

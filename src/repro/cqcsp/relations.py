@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 
 
 __all__ = [
@@ -27,6 +29,19 @@ __all__ = [
 _SCALARS = (str, int, float, bool)
 
 
+def _columns(rows, indices: Sequence[int]):
+    """The ``indices`` sub-tuple of every row, built in C.
+
+    ``itemgetter`` yields a bare value for one index and takes no empty
+    index list, hence the two special cases.
+    """
+    if len(indices) == 1:
+        return zip(map(itemgetter(indices[0]), rows))
+    if not indices:
+        return repeat((), len(rows))
+    return map(itemgetter(*indices), rows)
+
+
 @dataclass(frozen=True)
 class Relation:
     """A named relation with a fixed attribute order."""
@@ -38,11 +53,12 @@ class Relation:
     def __post_init__(self) -> None:
         if len(set(self.attributes)) != len(self.attributes):
             raise ValueError(f"duplicate attributes in {self.attributes}")
-        for row in self.tuples:
-            if len(row) != len(self.attributes):
-                raise ValueError(
-                    f"row {row} does not match attributes {self.attributes}"
-                )
+        arity = len(self.attributes)
+        if set(map(len, self.tuples)) - {arity}:
+            row = next(r for r in self.tuples if len(r) != arity)
+            raise ValueError(
+                f"row {row} does not match attributes {self.attributes}"
+            )
 
     @classmethod
     def from_rows(
@@ -70,9 +86,12 @@ class Relation:
         missing = [a for a in attributes if a not in self.attributes]
         if missing:
             raise KeyError(f"unknown attributes {missing}")
+        attributes = tuple(attributes)
+        if attributes == self.attributes:
+            return self
         idx = [self.attributes.index(a) for a in attributes]
-        rows = frozenset(tuple(row[i] for i in idx) for row in self.tuples)
-        return Relation(self.name, tuple(attributes), rows)
+        rows = frozenset(_columns(self.tuples, idx))
+        return Relation(self.name, attributes, rows)
 
     def select_equal(self, attribute: str, value) -> "Relation":
         """σ: rows whose ``attribute`` equals ``value``."""
@@ -98,27 +117,30 @@ class Relation:
             for i, a in enumerate(other.attributes)
             if a not in self.attributes
         ]
-        buckets: dict[tuple, list] = {}
-        for row in other.tuples:
-            key = tuple(row[i] for i in their_idx)
-            buckets.setdefault(key, []).append(row)
-        out = set()
-        for row in self.tuples:
-            key = tuple(row[i] for i in my_idx)
-            for match in buckets.get(key, ()):
-                out.add(row + tuple(match[i] for i in extra))
+        name = f"({self.name}⋈{other.name})"
+        if not extra:
+            return Relation(name, self.attributes, self.semijoin(other).tuples)
+        buckets: dict = {}
+        for key, tail in zip(
+            _columns(other.tuples, their_idx), _columns(other.tuples, extra)
+        ):
+            buckets.setdefault(key, []).append(tail)
+        rows = frozenset(
+            row + tail
+            for row, key in zip(self.tuples, _columns(self.tuples, my_idx))
+            for tail in buckets.get(key, ())
+        )
         attrs = self.attributes + tuple(other.attributes[i] for i in extra)
-        return Relation(f"({self.name}⋈{other.name})", attrs, frozenset(out))
+        return Relation(name, attrs, rows)
 
     def semijoin(self, other: "Relation") -> "Relation":
         """⋉: rows of self with a join partner in other."""
         my_idx, their_idx = self._key_indices(other)
-        keys = {tuple(row[i] for i in their_idx) for row in other.tuples}
-        rows = frozenset(
-            row
-            for row in self.tuples
-            if tuple(row[i] for i in my_idx) in keys
-        )
+        keys = set(_columns(other.tuples, their_idx))
+        hits = map(keys.__contains__, _columns(self.tuples, my_idx))
+        rows = frozenset(compress(self.tuples, hits))
+        if len(rows) == len(self.tuples):
+            return self
         return Relation(self.name, self.attributes, rows)
 
     def is_empty(self) -> bool:

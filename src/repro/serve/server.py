@@ -133,10 +133,11 @@ class ServerStats:
     query_answers : int
         Query requests answered with an answer set (HTTP 200).
     plans_computed : int
-        Plan computations resolved — with K identical concurrent
-        queries this increments once, not K times (they coalesce on
-        the plan key), and an in-memory plan-cache replay still
-        counts as one resolution.
+        Plans solved — scheduler runs that missed the planner's
+        in-memory plan cache (a store hit still counts; an in-memory
+        replay does not).  With K identical concurrent queries of a
+        new shape this increments once, not K times (they coalesce
+        on the plan key).
     plan_store_hits : int
         Plan solves answered by a persistent store record instead of
         running the exact engines (the plan-warm path E24 measures).
@@ -631,7 +632,7 @@ class DecompositionServer:
                 future.set_exception(exc)
                 future.exception()  # consumed here; waiters re-raise a copy
         else:
-            self.stats.plans_computed += 1
+            self.stats.plans_computed += 0 if info.cache_hit else 1
             self.stats.plan_store_hits += 1 if info.from_store else 0
             self.stats.store_write_errors += info.store_write_errors
             self.stats.lp_solves += info.lp_solves

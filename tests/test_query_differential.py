@@ -26,15 +26,20 @@ from repro.cqcsp import (
     QueryPlanner,
     Relation,
     answer_query,
+    atom_relation,
     chain_query,
     cycle_query,
     evaluate_naive,
+    evaluate_with_decomposition,
     hub_relation,
+    join_all,
+    node_relations_from_ghd,
     parse_cq,
     random_graph_relation,
     snowflake_query,
     star_query,
 )
+from repro.decomposition import Decomposition
 
 # ---------------------------------------------------------------------------
 # The reference evaluator: nested-loop backtracking straight from the
@@ -272,7 +277,8 @@ class TestEdgeCases:
 
     def test_subsumed_atom_still_enforced(self):
         # The unary atom's scope sits inside the binary atom's bag, so
-        # it lands in no λ of its own — the semijoin enforcement path.
+        # it lands in no λ of its own and is enforced as a bag-covered
+        # atom of that node.
         database = {
             "r": Relation.from_rows("r", ("a", "b"), [(1, 2), (3, 4)]),
             "s": Relation.from_rows("s", ("a",), [(1,)]),
@@ -430,3 +436,125 @@ class TestStoreRoundTrip:
             assert planner.stats.executions == 2
         finally:
             planner.close()
+
+
+# ---------------------------------------------------------------------------
+# Node builds: every node relation vs join-then-project
+# ---------------------------------------------------------------------------
+
+
+def reference_node_relations(query, database, decomp) -> dict:
+    """π_bag of the left-deep join of λ-atoms ∪ bag-covered atoms."""
+    out = {}
+    for nid in decomp.node_ids:
+        bag = decomp.bag(nid)
+        atoms = [
+            query.atom_for_edge(edge)
+            for edge in sorted(decomp.cover(nid).support)
+        ] + [a for a in query.atoms if set(a.variable_names) <= bag]
+        if not atoms:
+            out[nid] = Relation.from_rows(nid, (), [()])
+            continue
+        joined, _ = join_all([atom_relation(database, a) for a in atoms])
+        out[nid] = joined.project(sorted(bag))
+    return out
+
+
+def assert_node_build_matches(query, database, decomp) -> None:
+    built, _cost = node_relations_from_ghd(query, database, decomp)
+    expected = reference_node_relations(query, database, decomp)
+    assert set(built) == set(decomp.node_ids)
+    for nid, relation in built.items():
+        bag = sorted(decomp.bag(nid))
+        assert sorted(relation.attributes) == bag, nid
+        assert relation.project(bag).tuples == expected[nid].tuples, nid
+    answers = evaluate_with_decomposition(query, database, decomp).answers
+    assert answers.tuples == evaluate_naive(query, database).answers.tuples
+
+
+def _c5_plan() -> Decomposition:
+    """The 5-cycle GHD whose middle λ-atoms share no variable."""
+    return Decomposition.path(
+        [
+            ("n0", {"x1", "x2", "x5"}, {"r#0": 1, "r#3": 1}),
+            ("n1", {"x2", "x3", "x5"}, {"r#1": 1, "r#3": 1}),
+            ("n2", {"x3", "x4", "x5"}, {"r#2": 1, "r#3": 1}),
+        ]
+    )
+
+
+class TestNodeBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(instance=random_instance())
+    def test_random_queries_match_reference(self, instance):
+        query, database = instance
+        decomp = QueryPlanner().plan(query).decomposition
+        assert_node_build_matches(query, database, decomp)
+
+    def test_lambda_atoms_sharing_no_variable(self):
+        database = {"r": random_graph_relation(12, 0.3, seed=4)}
+        assert_node_build_matches(cycle_query(5), database, _c5_plan())
+
+    def test_cross_product_is_not_materialised(self):
+        # Node n1 joins r(x2, x3) with r(x4, x5): joining them before
+        # projecting to the bag builds all len(r)² pairs.
+        database = {"r": random_graph_relation(40, 0.1, seed=8)}
+        _, cost = node_relations_from_ghd(cycle_query(5), database, _c5_plan())
+        assert cost < len(database["r"]) ** 2
+
+    def test_empty_lambda_node(self):
+        database = {"r": Relation.from_rows("r", ("a", "b"), [(1, 2), (2, 2)])}
+        query = parse_cq("q(x) :- r(x, y).")
+        decomp = Decomposition(
+            [("root", {"x", "y"}, {"r#0": 1}), ("leaf", set(), {})],
+            parent={"leaf": "root"},
+        )
+        built, _ = node_relations_from_ghd(query, database, decomp)
+        assert built["leaf"].tuples == frozenset({()})
+        assert_node_build_matches(query, database, decomp)
+
+    def test_repeated_variables_and_constants(self):
+        database = {
+            "r": Relation.from_rows(
+                "r", ("a", "b", "c"), [(1, 1, 2), (2, 2, 2), (3, 4, 2)]
+            ),
+            "s": Relation.from_rows("s", ("a", "b"), [(2, 7), (2, 8), (1, 9)]),
+        }
+        query = parse_cq("q(x, z) :- r(x, x, y), s(y, z), s(2, z).")
+        decomp = QueryPlanner().plan(query).decomposition
+        assert_node_build_matches(query, database, decomp)
+
+    def test_all_constant_atom_never_reaches_the_build(self):
+        with pytest.raises(ValueError, match="no variables"):
+            Atom("r", (Const(1), Const(2)))
+
+    def test_duplicated_atom(self):
+        database = {"r": random_graph_relation(8, 0.4, seed=3)}
+        query = parse_cq("q(x, y) :- r(x, y), r(y, z), r(x, y), r(z, x).")
+        decomp = QueryPlanner().plan(query).decomposition
+        assert_node_build_matches(query, database, decomp)
+
+
+class TestNodeBuildRejectsBrokenGHDs:
+    _DB = {
+        "r": Relation.from_rows("r", ("a", "b"), [(1, 2)]),
+        "s": Relation.from_rows("s", ("a", "b"), [(2, 3)]),
+    }
+    _QUERY = parse_cq("q(x) :- r(x, y), s(y, z).")
+
+    def test_fractional_cover(self):
+        decomp = Decomposition.single_node(
+            {"x", "y", "z"}, {"r#0": 0.5, "s#1": 1}
+        )
+        with pytest.raises(ValueError, match="integral"):
+            node_relations_from_ghd(self._QUERY, self._DB, decomp)
+
+    def test_bag_outside_lambda(self):
+        decomp = Decomposition.single_node({"x", "y", "z"}, {"r#0": 1})
+        with pytest.raises(ValueError, match=r"bag variables \['z'\]"):
+            node_relations_from_ghd(self._QUERY, self._DB, decomp)
+
+    def test_atom_in_no_bag(self):
+        decomp = Decomposition.single_node({"x", "y"}, {"r#0": 1})
+        with pytest.raises(ValueError, match="no bag covers atom s"):
+            node_relations_from_ghd(self._QUERY, self._DB, decomp)

@@ -104,3 +104,68 @@ def test_semijoin_matches_filter_semantics(rows_r, rows_s):
     keys = {b for (b,) in rows_s}
     expected = frozenset(row for row in rows_r if row[1] in keys)
     assert r.semijoin(s).tuples == expected
+
+
+def test_bad_arity_row_names_that_row():
+    with pytest.raises(ValueError, match=r"row \(3,\) does not match"):
+        Relation("r", ("a", "b"), frozenset({(1, 2), (3,), (4, 5)}))
+
+
+def test_join_without_extra_columns_is_a_semijoin():
+    r = rel("r", ["a", "b"], [(1, 2), (2, 3), (4, 4)])
+    s = rel("s", ["b"], [(2,), (4,)])
+    out = r.join(s)
+    assert out.attributes == ("a", "b")
+    assert out.tuples == frozenset({(1, 2), (4, 4)})
+
+
+# Columns of ``r`` in the kernel differentials below; ``s`` picks any
+# subset of them as join keys, so 0, 1 and many key columns all occur.
+_ATTRS = ("a", "b", "c")
+_ROWS3 = st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=12)
+
+
+@given(rows=_ROWS3, keep=st.permutations(_ATTRS), width=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_project_matches_comprehension_semantics(rows, keep, width):
+    keep = keep[:width]
+    idx = [_ATTRS.index(a) for a in keep]
+    out = rel("r", _ATTRS, rows).project(keep)
+    assert out.attributes == tuple(keep)
+    assert out.tuples == frozenset(tuple(row[i] for i in idx) for row in rows)
+
+
+@given(
+    rows_r=_ROWS3,
+    rows_s=st.sets(st.tuples(*[st.integers(0, 2)] * 4), max_size=12),
+    keys=st.permutations(_ATTRS),
+    n_keys=st.integers(0, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_semijoin_and_join_match_comprehension_semantics(
+    rows_r, rows_s, keys, n_keys
+):
+    keys = tuple(keys[:n_keys])
+    s_attrs = keys + ("d",)
+    rows_s = {row[: len(s_attrs)] for row in rows_s}
+    r = rel("r", _ATTRS, rows_r)
+    s = rel("s", s_attrs, rows_s)
+
+    def agree(row_r, row_s):
+        return all(
+            row_r[_ATTRS.index(a)] == row_s[j] for j, a in enumerate(keys)
+        )
+
+    assert r.semijoin(s).tuples == frozenset(
+        row_r
+        for row_r in rows_r
+        if any(agree(row_r, row_s) for row_s in rows_s)
+    )
+    joined = r.join(s)
+    assert joined.attributes == _ATTRS + ("d",)
+    assert joined.tuples == frozenset(
+        row_r + (row_s[-1],)
+        for row_r in rows_r
+        for row_s in rows_s
+        if agree(row_r, row_s)
+    )

@@ -601,6 +601,13 @@ class TestQueryServing:
         assert stats["queries"] == 1 and stats["query_answers"] == 1
         assert stats["plans_computed"] == 1
 
+    def test_plan_cache_replay_is_not_a_plan_computation(self, harness):
+        h, client = harness()
+        client.query(_CHAIN, _DB)
+        replay = client.query(_CHAIN, _DB)
+        assert replay["plan_cached"] is True
+        assert h.server.stats.plans_computed == 1
+
     def test_query_protocol_errors_are_400(self, harness):
         h, client = harness()
         with pytest.raises(ServeError) as excinfo:

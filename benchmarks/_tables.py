@@ -70,11 +70,11 @@ def measure_engine(work, cache_size: int | None = None) -> dict:
 
 
 def emit_pipeline_stats(title: str, stats_by_label: dict) -> None:
-    """One row per labelled :class:`repro.pipeline.PipelineStats`.
+    """One row per labelled :class:`repro.pipeline.BatchStats`.
 
     Reports the reduce/split/solve/stitch pipeline per stage: what the
     reduction removed, how many blocks the split found, task counts and
-    wall-clock per stage.
+    wall-clock per stage (prepare = reduce + split + bounds pre-pass).
     """
     headers = [
         "run",
@@ -83,8 +83,7 @@ def emit_pipeline_stats(title: str, stats_by_label: dict) -> None:
         "blocks",
         "block sizes",
         "tasks",
-        "reduce",
-        "split",
+        "prepare",
         "solve",
         "stitch",
     ]
@@ -96,8 +95,7 @@ def emit_pipeline_stats(title: str, stats_by_label: dict) -> None:
             s.blocks,
             " ".join(f"{v}v/{e}e" for v, e in s.block_sizes) or "-",
             s.tasks_run,
-            f"{s.reduce_seconds * 1000:.2f}ms",
-            f"{s.split_seconds * 1000:.2f}ms",
+            f"{s.prepare_seconds * 1000:.2f}ms",
             f"{s.solve_seconds * 1000:.2f}ms",
             f"{s.stitch_seconds * 1000:.2f}ms",
         )

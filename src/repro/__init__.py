@@ -84,7 +84,6 @@ from .pipeline import (
     BatchResult,
     BatchScheduler,
     BatchStats,
-    PipelineStats,
     WidthSolver,
     solve_many,
     solve_width,
@@ -100,7 +99,6 @@ __version__ = "1.7.0"
 __all__ = [
     "__version__",
     "WidthSolver",
-    "PipelineStats",
     "solve_width",
     "solve_many",
     "BatchRequest",

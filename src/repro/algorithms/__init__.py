@@ -23,6 +23,7 @@ from .fhd import (
     fractional_hypertree_width,
 )
 from .ghd import (
+    GHD_METHODS,
     augmented_hypergraph,
     check_ghd,
     generalized_hypertree_decomposition,
@@ -76,6 +77,7 @@ __all__ = [
     "check_ghd",
     "generalized_hypertree_width",
     "augmented_hypergraph",
+    "GHD_METHODS",
     "fractional_hypertree_decomposition_bounded_degree",
     "check_fhd",
     "fractional_hypertree_width",

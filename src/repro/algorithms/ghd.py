@@ -28,9 +28,11 @@ __all__ = [
     "check_ghd",
     "generalized_hypertree_width",
     "augmented_hypergraph",
+    "GHD_METHODS",
 ]
 
-_METHODS = ("fixpoint", "bip", "bmip", "limit")
+#: Valid ``method=`` arguments of the Check(GHD, k) subedge generators.
+GHD_METHODS = ("fixpoint", "bip", "bmip", "limit")
 
 
 def augmented_hypergraph(
@@ -53,7 +55,7 @@ def augmented_hypergraph(
     elif method == "limit":
         subedges = limit_subedges(hypergraph, **caps)
     else:
-        raise ValueError(f"method must be one of {_METHODS}")
+        raise ValueError(f"method must be one of {GHD_METHODS}")
     return hypergraph.with_edges(subedges)
 
 

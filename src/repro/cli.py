@@ -28,8 +28,8 @@ parallelizes across biconnected blocks and candidate widths,
 ``sat`` for the CNF engine, ``portfolio`` to race both per task),
 ``--bounds`` controls the heuristic bounds pre-pass that seeds the
 k-search (``portfolio`` orderings + clique lower bound by default;
-``clique`` / ``none``), and ``--pipeline-stats`` prints per-stage
-counters and wall-clock.
+``clique`` / ``none``), and ``--pipeline-stats`` prints the run's
+:class:`~repro.pipeline.BatchStats` (per-stage counters and wall-clock).
 
 Hypergraphs are read in the HyperBench text format
 (``e1(a,b,c), e2(b,d).``); formulas in DIMACS CNF.
@@ -922,7 +922,14 @@ def _apply_engine_options(args: argparse.Namespace) -> None:
         )
 
 
-def _print_batch_stats() -> None:
+def _print_pipeline_stats(args: argparse.Namespace) -> None:
+    """Print the last run's :class:`~repro.pipeline.BatchStats`.
+
+    A ``batch`` command and a single width query (a one-request batch)
+    report the same fields.
+    """
+    if not getattr(args, "pipeline_stats", False):
+        return
     from .pipeline import last_batch_stats
 
     stats = last_batch_stats()
@@ -931,8 +938,13 @@ def _print_batch_stats() -> None:
         return
     print("batch stats:")
     summary = stats.as_dict()
-    summary["kinds"] = (
-        ",".join(f"{k}={v}" for k, v in sorted(stats.kinds.items())) or "-"
+    for key in ("kinds", "rule_counts"):
+        summary[key] = (
+            ",".join(f"{k}={v}" for k, v in sorted(summary[key].items()))
+            or "-"
+        )
+    summary["block_sizes"] = (
+        " ".join(f"{v}v/{e}e" for v, e in stats.block_sizes) or "-"
     )
     for key in (
         "requests",
@@ -941,7 +953,11 @@ def _print_batch_stats() -> None:
         "jobs",
         "executor",
         "preprocess",
+        "vertices_removed",
+        "edges_removed",
+        "rule_counts",
         "blocks",
+        "block_sizes",
         "bounds",
         "bounds_ks_pruned",
         "bounds_checks_avoided",
@@ -958,53 +974,9 @@ def _print_batch_stats() -> None:
         "cache_misses",
         "hit_rate",
     ):
-        print(f"  {key:>18}: {summary[key]}")
+        print(f"  {key:>22}: {summary[key]}")
     for stage in ("prepare", "bounds", "solve", "stitch", "total"):
-        print(f"  {stage + '_seconds':>18}: {summary[stage + '_seconds']:.4f}")
-
-
-def _print_pipeline_stats(args: argparse.Namespace) -> None:
-    if not getattr(args, "pipeline_stats", False):
-        return
-    if getattr(args, "func", None) is _cmd_batch:
-        _print_batch_stats()
-        return
-    from .pipeline import last_pipeline_stats
-
-    stats = last_pipeline_stats()
-    if stats is None:
-        print("pipeline stats: no pipeline run recorded")
-        return
-    print("pipeline stats:")
-    summary = stats.as_dict()
-    summary["rule_counts"] = (
-        ",".join(f"{k}={v}" for k, v in sorted(stats.rule_counts.items()))
-        or "-"
-    )
-    summary["block_sizes"] = " ".join(
-        f"{v}v/{e}e" for v, e in stats.block_sizes
-    )
-    for key in (
-        "kind",
-        "preprocess",
-        "jobs",
-        "vertices_removed",
-        "edges_removed",
-        "rule_counts",
-        "blocks",
-        "block_sizes",
-        "bounds",
-        "bounds_ks_pruned",
-        "bounds_checks_avoided",
-        "bounds_blocks_decided",
-        "anytime_width",
-        "tasks_run",
-        "speculative_checks",
-        "tasks_cancelled",
-    ):
-        print(f"  {key:>18}: {summary[key]}")
-    for stage in ("reduce", "split", "bounds", "solve", "stitch"):
-        print(f"  {stage + '_seconds':>18}: {summary[stage + '_seconds']:.4f}")
+        print(f"  {stage + '_seconds':>22}: {summary[stage + '_seconds']:.4f}")
 
 
 def _print_engine_stats(args: argparse.Namespace, baseline: dict) -> None:

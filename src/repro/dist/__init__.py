@@ -12,10 +12,10 @@ The package splits the remote backend along its trust boundary:
   loop, per-worker readers, health polling, least-loaded dispatch with
   per-worker in-flight accounting, requeue-on-death;
 * :mod:`repro.dist.executor` — :class:`RemoteExecutor`, the
-  ``concurrent.futures`` face the schedulers consume unchanged.
+  ``concurrent.futures`` face the batch scheduler consumes unchanged.
 
-Every scheduler reaches the backend the same way:
-``make_pool("remote", jobs)`` wraps the process-wide **default
+The scheduler reaches the backend through
+``make_pool("remote", jobs)``, which wraps the process-wide **default
 registry** (created lazily on first use, listening on
 ``REPRO_WORKER_LISTEN`` or an ephemeral loopback port) in a fresh
 :class:`RemoteExecutor`.  Long-lived owners — ``repro serve``, tests,

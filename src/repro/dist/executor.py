@@ -1,12 +1,11 @@
 """A ``concurrent.futures`` executor backed by the worker fleet.
 
-:class:`RemoteExecutor` implements exactly the surface the batch drive
-loop consumes — ``submit`` / ``wait`` / ``cancel`` on plain
+:class:`RemoteExecutor` implements exactly the surface the pipeline's
+one drive loop consumes — ``submit`` / ``wait`` / ``cancel`` on plain
 :class:`~concurrent.futures.Future` objects — so
-:meth:`BatchScheduler._drive <repro.pipeline.batch.BatchScheduler>`,
-:func:`~repro.pipeline.solve.iterative_width_search` and
-:meth:`BlockScheduler.map <repro.pipeline.solve.BlockScheduler>` run on
-it unchanged, selected by ``executor="remote"``.
+:meth:`BatchScheduler.run <repro.pipeline.batch.BatchScheduler>` (and
+with it every :class:`~repro.pipeline.WidthSolver` query) runs on it
+unchanged, selected by ``executor="remote"``.
 
 Placement and failure semantics:
 
@@ -106,8 +105,8 @@ class RemoteExecutor(Executor):
     def submit(self, fn, /, *args, **kwargs) -> Future:
         """Schedule a call; ``run_block_task`` payloads go to the fleet.
 
-        Anything else runs on the local fallback pool (the drive loops
-        only ever submit ``run_block_task`` here, but the Executor
+        Anything else runs on the local fallback pool (the drive loop
+        only ever submits ``run_block_task`` here, but the Executor
         contract stays total).
         """
         future: Future = Future()
@@ -140,7 +139,7 @@ class RemoteExecutor(Executor):
             self._pump()
         else:
             # Not a block-task payload: run it on the local pool (the
-            # drive loops only ever submit run_block_task here, but the
+            # drive loop only ever submits run_block_task here, but the
             # Executor contract stays total).
             self._run_local(
                 _RemoteTask("", future, ()), fn=fn, args=args, kwargs=kwargs

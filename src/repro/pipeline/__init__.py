@@ -14,15 +14,16 @@ Every width query in the library runs through this package by default:
 * :mod:`repro.pipeline.solve` — per-block solver registry (both the
   branch-and-bound engines and their SAT twins from :mod:`repro.sat`,
   selected per :data:`SOLVER_MODES` and raced in ``"portfolio"`` mode)
-  plus the opt-in ``concurrent.futures`` scheduler (cross-block and
-  cross-k parallelism, ``jobs=N``);
-* :mod:`repro.pipeline.solver` — the :class:`WidthSolver` facade tying
-  the stages together, with per-stage :class:`PipelineStats`;
-* :mod:`repro.pipeline.batch` — batched multi-instance serving:
+  and the worker pools (inline for ``jobs=1``, cross-block and cross-k
+  parallelism for ``jobs=N``);
+* :mod:`repro.pipeline.batch` — the one drive loop:
   :func:`solve_many` / :class:`BatchScheduler` interleave per-block
   tasks of a whole request workload on one shared pool with one warm
   engine-cache domain, with per-request :class:`BatchResult` handles
-  and aggregate :class:`BatchStats`.
+  and one :class:`BatchStats` per run;
+* :mod:`repro.pipeline.solver` — the :class:`WidthSolver` facade, each
+  of whose methods is a one-request batch, plus the reduce/split and
+  stitch halves around the drive loop.
 
 The stitch stage lives in :mod:`repro.decomposition.stitch`, next to the
 other decomposition transformations.
@@ -57,17 +58,13 @@ from .solve import (
     EXECUTORS,
     SOLVER_MODES,
     SOLVERS,
-    BlockScheduler,
     BlockState,
     engines_for,
-    iterative_width_search,
     run_block_task,
 )
 from .solver import (
     PREPROCESS_MODES,
-    PipelineStats,
     WidthSolver,
-    last_pipeline_stats,
     prepare_instance,
     solve_width,
     split_mode_for,
@@ -77,9 +74,7 @@ from .split import SPLIT_MODES, Block, articulation_points, split_instance
 
 __all__ = [
     "WidthSolver",
-    "PipelineStats",
     "solve_width",
-    "last_pipeline_stats",
     "prepare_instance",
     "stitch_instance",
     "split_mode_for",
@@ -103,9 +98,7 @@ __all__ = [
     "articulation_points",
     "Block",
     "SPLIT_MODES",
-    "BlockScheduler",
     "BlockState",
-    "iterative_width_search",
     "run_block_task",
     "SOLVERS",
     "SOLVER_MODES",

@@ -1,10 +1,11 @@
 """Batched multi-instance serving: one scheduler, many width queries.
 
-A served deployment does not answer one hypergraph at a time — it
-answers *workloads* (the paper's evaluation itself runs width checks
-over whole HyperBench corpora).  Calling :class:`~.solver.WidthSolver`
-per instance builds a fresh scheduler and starts from cold engine
-caches on every call.  This module amortizes both:
+This module holds the pipeline's one drive loop,
+:meth:`BatchScheduler.run`: every width query goes through it, a
+:class:`~.solver.WidthSolver` call as a one-request batch.  A served
+deployment does not answer one hypergraph at a time — it answers
+*workloads* (the paper's evaluation itself runs width checks over whole
+HyperBench corpora) — so the loop amortizes across requests:
 
 * :func:`solve_many` / :class:`BatchScheduler` run the reduce and split
   stages for **every** instance up front, then interleave the resulting
@@ -19,13 +20,13 @@ caches on every call.  This module amortizes both:
   the batch progresses — a failing request records its error there and
   never poisons its siblings;
 * stitching is deterministic per instance (driver thread, block order),
-  so batched answers are exactly the single-instance
+  so batched answers are exactly the one-request
   :class:`~.solver.WidthSolver` answers.
 
 Task payloads are the same plain picklable ``(solver, hypergraph,
 params)`` triples as :func:`~.solve.run_block_task`, so the batch runs
-unchanged on thread pools, process pools, and — the ROADMAP's next
-step — remote workers.
+unchanged inline (``jobs=1``), on thread and process pools, and on
+remote workers (:mod:`repro.dist`).
 
 Quickstart::
 
@@ -40,6 +41,7 @@ Quickstart::
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from collections.abc import Mapping
@@ -94,13 +96,22 @@ _KIND_TABLE = {
     "check-hd": ("hd", "check-hd", "check"),
     "check-ghd": ("ghd", "check-ghd", "check"),
     "check-fhd-bd": ("fhd", "check-fhd-bd", "check"),
+    "heuristic-decomposition": ("fhd", "heuristic-decomposition", "oneshot"),
+    "fhw-approximation": ("fhd", "fhw-approximation", "oneshot"),
 }
+
+#: Kinds only :class:`~.solver.WidthSolver` submits: heuristic methods
+#: with no public batch kind, run without the store.
+_INTERNAL_KINDS = ("heuristic-decomposition", "fhw-approximation")
+
+#: Kinds that skip the bounds pre-pass: they *are* heuristics.
+_NO_PREPASS = ("bounds", *_INTERNAL_KINDS)
 
 #: The request kinds :func:`solve_many` accepts.  The width kinds
 #: (``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``, ``"bounds"``)
 #: mirror :func:`~.solver.solve_width`; the ``"check-*"`` kinds answer
 #: Check(X, k) for the ``k`` given in ``params``.
-BATCH_KINDS = tuple(_KIND_TABLE)
+BATCH_KINDS = tuple(k for k in _KIND_TABLE if k not in _INTERNAL_KINDS)
 
 #: Sentinel for a block slot whose task has not finished (None is a
 #: legitimate check verdict, so it cannot mark pending slots).
@@ -118,8 +129,9 @@ def last_batch_stats():
     -------
     BatchStats or None
         Statistics of the last :meth:`BatchScheduler.run` completed in
-        this process (the CLI ``repro batch --pipeline-stats`` reads
-        this), or None when no batch has run yet.
+        this process — a :class:`~.solver.WidthSolver` call included
+        (the CLI ``--pipeline-stats`` reads this) — or None when
+        nothing has run yet.
     """
     return _LAST_BATCH_STATS
 
@@ -221,12 +233,18 @@ class BatchResult:
         for ``bounds``, and ``Decomposition | None`` for check kinds.
     error : Exception or None
         The failure of this request, if any.
+    anytime_width : float or None
+        The width of the bounds pre-pass witnesses stitched together
+        (``max(1, max block upper bounds)``) — a valid, possibly
+        non-optimal answer in hand before any exact check ran — or
+        None when some block had no witness or the pre-pass was off.
     """
 
     index: int
     request: BatchRequest
     value: object = None
     error: Exception | None = None
+    anytime_width: float | None = None
     _resolved: bool = False
 
     @property
@@ -280,16 +298,23 @@ class BatchStats:
         Request count per kind.
     failures : int
         Requests that resolved with an error.
+    vertices_removed, edges_removed : int
+        What the reduce stage removed, summed over requests.
+    rule_counts : dict
+        Reduction rule applications, summed over requests.
     blocks : int
         Total blocks produced by the up-front split stage.
+    block_sizes : list
+        ``(|V|, |E|)`` of every block, request by request.
     tasks_run : int
         Per-block tasks actually executed.
     speculative_checks : int
         Tasks submitted above a block's confirmed-k frontier.
     tasks_cancelled : int
-        Tasks avoided by early rejection or settling: pool futures
-        cancelled before starting plus check-mode blocks never
-        submitted once a sibling block rejected.
+        Tasks avoided by early rejection, settling or racing: pool
+        futures cancelled before starting, check-mode blocks never
+        submitted once a sibling block rejected, and one portfolio
+        loser per raced task that produced an answer.
     tasks_remote : int
         Tasks dispatched to remote workers (``executor="remote"``
         only; includes re-dispatches of requeued tasks).
@@ -314,9 +339,9 @@ class BatchStats:
         Blocks whose clique lower bound met a validated portfolio
         witness (the exact engine never ran for them).
     anytime_answers : int
-        Requests for which the pre-pass held a full witness set — a
-        valid (if possibly non-optimal) answer — before any exact
-        check ran.
+        Requests with a :attr:`BatchResult.anytime_width`: the
+        pre-pass held a full witness set — a valid (if possibly
+        non-optimal) answer — before any exact check ran.
     store_instance_hits : int
         Requests answered entirely from the persistent result store
         (the instance fast path: no prepare, no bounds, no tasks).
@@ -330,7 +355,8 @@ class BatchStats:
         logged; the answer is still served, only its persistence is
         lost).
     prepare_seconds, solve_seconds, stitch_seconds, total_seconds : float
-        Wall-clock per stage; ``solve_seconds`` is the drive loop
+        Wall-clock per stage; ``prepare_seconds`` covers reduce, split
+        and the bounds pre-pass, ``solve_seconds`` is the drive loop
         (stitching happens inside it on the driver thread and is also
         tracked separately), ``total_seconds`` covers the whole run.
     lp_solves, set_cover_solves, cache_hits, cache_misses : int
@@ -345,7 +371,11 @@ class BatchStats:
     preprocess: str = "full"
     kinds: dict = field(default_factory=dict)
     failures: int = 0
+    vertices_removed: int = 0
+    edges_removed: int = 0
+    rule_counts: dict = field(default_factory=dict)
     blocks: int = 0
+    block_sizes: list = field(default_factory=list)
     tasks_run: int = 0
     speculative_checks: int = 0
     tasks_cancelled: int = 0
@@ -394,7 +424,11 @@ class BatchStats:
             "preprocess": self.preprocess,
             "kinds": dict(self.kinds),
             "failures": self.failures,
+            "vertices_removed": self.vertices_removed,
+            "edges_removed": self.edges_removed,
+            "rule_counts": dict(self.rule_counts),
             "blocks": self.blocks,
+            "block_sizes": list(self.block_sizes),
             "tasks_run": self.tasks_run,
             "speculative_checks": self.speculative_checks,
             "tasks_cancelled": self.tasks_cancelled,
@@ -453,7 +487,6 @@ class _Instance:
         "bounds_ks_pruned",
         "bounds_checks_avoided",
         "bounds_blocks_decided",
-        "anytime",
         "store",
         "store_hit",
         "store_seeded",
@@ -472,7 +505,6 @@ class _Instance:
         self.bounds_ks_pruned = 0
         self.bounds_checks_avoided = 0
         self.bounds_blocks_decided = 0
-        self.anytime = False
         self.store = None
         self.store_hit = False
         self.store_seeded = set()
@@ -508,7 +540,6 @@ class _Instance:
         state so only genuinely new blocks reach the bounds pass and
         the exact engines.
         """
-        self.store = store
         request = self.request
         if request.kind not in _KIND_TABLE:
             raise ValueError(
@@ -527,8 +558,18 @@ class _Instance:
         self.dkind, self.solver, self.mode = _KIND_TABLE[request.kind]
         self.solver_mode = mode
         self.engines = engines_for(self.solver, mode)
+        self.store = None if request.kind in _INTERNAL_KINDS else store
         params = dict(request.params or {})
-        if request.kind == "bounds":
+        if self.solver == "check-ghd":
+            # Checked here, once: the SAT twin ignores ``method`` and the
+            # pre-pass may answer without any engine, so an engine-side
+            # check would depend on the mode (and the store would key a
+            # record on the bogus value).
+            from ..algorithms.ghd import GHD_METHODS  # lazy: no cycles
+
+            if params.get("method", "fixpoint") not in GHD_METHODS:
+                raise ValueError(f"method must be one of {GHD_METHODS}")
+        if request.kind in ("bounds", "heuristic-decomposition"):
             cost = params.get("cost", "fractional")
             self.dkind = "fhd" if cost == "fractional" else "ghd"
         self.kmax = params.pop("kmax", None)
@@ -697,18 +738,19 @@ class _Instance:
     def _seed_from_bounds(self, bounds: str) -> None:
         """Run the bounds pre-pass and fold its verdicts into the state.
 
-        Mirrors :class:`~.solver.WidthSolver` exactly: iterative kinds
-        get pre-seeded :class:`~.solve.BlockState` (lower-bound start,
-        witness-capped speculation, instant settling when decided);
-        oneshot exact oracles pre-fill decided blocks; check kinds
-        reject outright when a block's lower bound exceeds k and accept
-        blocks whose validated witness already fits (complete hd/ghd
-        checks without enumeration caps only).  ``"bounds"`` requests
-        skip the pass — they *are* the heuristic.  Blocks already
-        decided by the store are excluded: their verdicts stand, and
-        bounding them again would spend LP solves for nothing.
+        Iterative kinds get pre-seeded :class:`~.solve.BlockState`
+        (lower-bound start, witness-capped speculation, instant
+        settling when decided); oneshot exact oracles pre-fill decided
+        blocks; check kinds reject outright when a block's lower bound
+        exceeds k and accept blocks whose validated witness already
+        fits (complete hd/ghd checks without enumeration caps only).
+        Heuristic kinds (:data:`_NO_PREPASS`) skip the pass.  Blocks
+        already decided by the store are excluded: their verdicts
+        stand, and bounding them again would spend LP solves for
+        nothing.  When every block holds a witness, their stitched
+        width is the request's anytime answer.
         """
-        if bounds == "none" or self.request.kind == "bounds":
+        if bounds == "none" or self.request.kind in _NO_PREPASS:
             return
         if self.rejected:
             return  # store-seeded check rejection: nothing left to bound
@@ -721,13 +763,13 @@ class _Instance:
             if b not in self.store_seeded
         }
         self.bounds_seconds = time.perf_counter() - t0
-        if self.blocks and all(
-            bounds_map[b].witness is not None
-            if b in bounds_map
-            else self._seeded_witness(b)
+        # A block without a witness has an infinite upper bound.
+        uppers = [
+            bounds_map[b].upper if b in bounds_map else self._seeded_width(b)
             for b in range(len(self.blocks))
-        ):
-            self.anytime = True
+        ]
+        if uppers and max(uppers) < math.inf:
+            self.result.anytime_width = max(1.0, *map(float, uppers))
         if self.mode == "iterative":
             for b, bound in bounds_map.items():
                 cap = self.caps[b]
@@ -765,14 +807,15 @@ class _Instance:
                         self.bounds_checks_avoided += 1
                         self._persist_block(i)
 
-    def _seeded_witness(self, b: int) -> bool:
-        """Whether store-seeded block ``b`` carries a usable witness."""
+    def _seeded_width(self, b: int) -> float:
+        """The witness width of store-seeded block ``b`` (inf if none)."""
         if self.mode == "iterative":
-            return self.states[b].witness is not None
+            state = self.states[b]
+            return math.inf if state.witness is None else state.width
         value = self.block_results[b]
         if value is _PENDING or value is None:
-            return False
-        return True
+            return math.inf
+        return value[0] if self.mode == "oneshot" else value.width()
 
     def _persist_block(self, b: int) -> None:
         """Write one decided block's verdict back to the store.
@@ -1001,25 +1044,48 @@ class _Instance:
                 return None
             return self._stitch(self.block_results, self.k + _EPS)
         if self.mode == "iterative":
-            width = max(1, *(s.width for s in self.states))
+            width = max([1, *(s.width for s in self.states)])
             final = self._stitch(
                 [s.witness for s in self.states], width + _EPS
             )
             return width, final
         results = self.block_results
         if kind == "bounds":
-            lower = max(1.0, *(low for low, _u, _d in results))
-            upper = max(1.0, *(up for _l, up, _d in results))
+            lower = max([1.0, *(low for low, _u, _d in results)])
+            upper = max([1.0, *(up for _l, up, _d in results)])
             final = self._stitch(
                 [d for _l, _u, d in results], upper + _EPS
             )
             return lower, final.width(), final
+        if kind == "fhw-approximation":
+            return self._approximation(results)
         if kind == "ghw-exact":
-            width = max(1, *(int(k) for k, _w in results))
-        else:  # fhw
-            width = max(1.0, *(float(k) for k, _w in results))
+            width = max([1, *(int(k) for k, _w in results)])
+        else:  # fhw, heuristic-decomposition
+            width = max([1.0, *(float(k) for k, _w in results)])
         final = self._stitch([w for _k, w in results], width + _EPS)
+        if kind == "heuristic-decomposition":
+            return final.width(), final
         return width, final
+
+    def _approximation(self, results):
+        """Algorithm 4 per block: stitch, or report the worst failure."""
+        from ..algorithms.approx import FHWApproximationResult  # lazy
+
+        failed = [r for r in results if r.failed]
+        worst = max(failed or results, key=lambda r: r.iterations)
+        if failed:
+            return FHWApproximationResult(
+                None, None, iterations=worst.iterations, trace=worst.trace
+            )
+        width = max([1.0, *(r.width for r in results)])
+        final = self._stitch([r.decomposition for r in results], width + _EPS)
+        return FHWApproximationResult(
+            final,
+            final.width(),
+            iterations=worst.iterations,
+            trace=worst.trace,
+        )
 
 
 class BatchScheduler:
@@ -1036,8 +1102,9 @@ class BatchScheduler:
     Parameters
     ----------
     jobs : int, optional
-        Worker count of the shared pool (default 1: one worker, still
-        one shared warm cache domain across the whole batch).
+        Worker count of the shared pool (default 1: with the thread
+        executor every task runs inline on the calling thread, in one
+        shared warm cache domain across the whole batch).
     preprocess : str, optional
         Pipeline preprocess mode applied to every instance (default
         ``"full"``).
@@ -1137,33 +1204,22 @@ class BatchScheduler:
         return instance.result
 
     # ------------------------------------------------------------------
-    def _pool(self):
-        return make_pool(self.executor, self.jobs)
+    def _cancel(self, instance, in_flight, stats, aborts, block=None) -> None:
+        """Cancel an instance's pending pool work; count what it saved.
 
-    def _cancel_instance(self, instance, in_flight, stats, aborts) -> None:
-        """Cancel an instance's pending pool work; count what it saved."""
-        stats.tasks_cancelled += instance.unsubmitted_blocks()
+        With ``block``, only that settled block's speculative higher-k
+        checks; otherwise everything, never-submitted blocks included.
+        """
+        if block is None:
+            stats.tasks_cancelled += instance.unsubmitted_blocks()
         for future, (i, b, k, _e) in list(in_flight.items()):
-            if i != instance.index:
+            if i != instance.index or block not in (None, b):
                 continue
             if future.cancel():
                 stats.tasks_cancelled += 1
             elif future in aborts:
                 # Running SAT engine: tell it to stop and stop tracking
                 # it — its SolveAborted outcome is not a result.
-                del in_flight[future]
-                instance.in_flight.discard((b, k))
-                aborts.pop(future).set()
-                stats.tasks_cancelled += 1
-
-    def _cancel_block(self, instance, block, in_flight, stats, aborts) -> None:
-        """Cancel a settled block's speculative higher-k checks."""
-        for future, (i, b, k, _e) in list(in_flight.items()):
-            if i != instance.index or b != block:
-                continue
-            if future.cancel():
-                stats.tasks_cancelled += 1
-            elif future in aborts:
                 del in_flight[future]
                 instance.in_flight.discard((b, k))
                 aborts.pop(future).set()
@@ -1194,7 +1250,7 @@ class BatchScheduler:
                 stats.stitch_seconds += time.perf_counter() - t0
 
     def _drive(self, stats: BatchStats) -> None:
-        with self._pool() as pool:
+        with make_pool(self.executor, self.jobs) as pool:
             in_flight: dict = {}  # future -> (instance, block, k, engine)
             aborts: dict = {}
             gates: dict = {}  # (instance, block, k) -> first-answer gate
@@ -1298,9 +1354,7 @@ class BatchScheduler:
                         stats.tasks_run += len(inst.engines) if racing else 1
                         if inst.active:
                             inst.fail(exc)
-                            self._cancel_instance(
-                                inst, in_flight, stats, aborts
-                            )
+                            self._cancel(inst, in_flight, stats, aborts)
                         continue
                     if value is RACE_SKIPPED:
                         continue  # gated twin; the sibling's answer is coming
@@ -1324,15 +1378,13 @@ class BatchScheduler:
                         self._cancel_twins(i, b, k, in_flight, aborts)
                     if inst.mode == "check" and inst.rejected:
                         if not was_rejected:
-                            self._cancel_instance(
-                                inst, in_flight, stats, aborts
-                            )
+                            self._cancel(inst, in_flight, stats, aborts)
                     elif (
                         inst.mode == "iterative"
                         and inst.states[b].width is not None
                         and not was_settled
                     ):
-                        self._cancel_block(inst, b, in_flight, stats, aborts)
+                        self._cancel(inst, in_flight, stats, aborts, b)
                 self._finalize_ready(stats)
             collect = getattr(pool, "remote_stats", None)
             if collect is not None:  # executor="remote": fold in fleet counters
@@ -1381,17 +1433,24 @@ class BatchScheduler:
                 )
             except Exception as exc:
                 instance.fail(exc)
-        stats.blocks = sum(
-            len(inst.blocks)
-            for inst in self.instances
-            if inst.blocks is not None
-        )
         for inst in self.instances:
+            if inst.blocks is not None:
+                stats.blocks += len(inst.blocks)
+                stats.block_sizes.extend(
+                    (b.hypergraph.num_vertices, b.hypergraph.num_edges)
+                    for b in inst.blocks
+                )
+                stats.vertices_removed += inst.reduced.vertices_removed
+                stats.edges_removed += inst.reduced.edges_removed
+                for rule, count in inst.reduced.rule_counts.items():
+                    stats.rule_counts[rule] = (
+                        stats.rule_counts.get(rule, 0) + count
+                    )
             stats.bounds_seconds += inst.bounds_seconds
             stats.bounds_ks_pruned += inst.bounds_ks_pruned
             stats.bounds_checks_avoided += inst.bounds_checks_avoided
             stats.bounds_blocks_decided += inst.bounds_blocks_decided
-            stats.anytime_answers += 1 if inst.anytime else 0
+            stats.anytime_answers += inst.result.anytime_width is not None
             stats.store_instance_hits += 1 if inst.store_hit else 0
             stats.store_blocks_seeded += len(inst.store_seeded)
         stats.prepare_seconds = time.perf_counter() - t_start

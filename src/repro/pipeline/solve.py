@@ -1,24 +1,26 @@
-"""Solve layer: run any width algorithm per block, optionally in parallel.
+"""Solve layer: the per-block task registry and its worker pools.
 
-Blocks are independent, and Check(X, k) is monotone in k, so two axes of
-parallelism are available and both are exploited by the flat scheduler
-in :func:`iterative_width_search`:
+Blocks are independent, and Check(X, k) is monotone in k, so a width is
+the smallest accepted k per block.  This module holds what every
+schedule of those checks shares: the solver registry behind the single
+task payload :func:`run_block_task`, the engine selection of
+:data:`SOLVER_MODES` (:func:`engines_for`, :func:`order_engines`), the
+per-block k-search state :class:`BlockState`, and :func:`make_pool`.
+The one drive loop over them is
+:meth:`repro.pipeline.batch.BatchScheduler.run`, which every width
+query goes through (:class:`~repro.pipeline.solver.WidthSolver` submits
+a one-request batch).
 
-* **cross-block** — different blocks' checks run concurrently;
-* **cross-k** — while a block's verdict at k is pending, speculative
-  checks at k+1, k+2, ... fill idle workers; monotonicity makes the
-  smallest accepted k the true width once all smaller ks have failed.
-
-Parallelism is opt-in (``jobs=N``): the default is the plain serial
-loop, identical to the pre-pipeline behaviour.  ``executor="thread"``
-(default) shares the in-process engine caches; ``executor="process"``
-sidesteps the GIL for CPU-bound searches at the cost of per-task pickling
-and cold per-process caches (hypergraphs and decompositions pickle via
-their ``__getstate__``).
+``jobs=1`` with the thread executor runs each task inline on the
+calling thread.  ``jobs=N`` adds cross-block and speculative cross-k
+parallelism: ``executor="thread"`` (default) shares the in-process
+engine caches; ``executor="process"`` sidesteps the GIL for CPU-bound
+searches at the cost of per-task pickling and cold per-process caches
+(hypergraphs and decompositions pickle via their ``__getstate__``).
 
 Task payloads are plain ``(kind, hypergraph, args)`` tuples dispatched
-through the module-level :func:`run_block_task`, so they work on both
-executor types.  Algorithm cores are imported lazily inside it to keep
+through the module-level :func:`run_block_task`, so they work on every
+executor type.  Algorithm cores are imported lazily inside it to keep
 the pipeline package import-cycle free.
 """
 
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import (
-    FIRST_COMPLETED,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    wait,
 )
 from dataclasses import dataclass, field
 
@@ -37,11 +39,8 @@ from ..decomposition import Decomposition
 from ..hypergraph import Hypergraph
 
 __all__ = [
-    "BlockScheduler",
     "BlockState",
     "run_block_task",
-    "race_block_task",
-    "iterative_width_search",
     "make_pool",
     "engines_for",
     "order_engines",
@@ -51,7 +50,7 @@ __all__ = [
     "CAP_MESSAGES",
 ]
 
-#: Valid worker-pool types for every scheduler in the pipeline.
+#: Valid worker-pool types of the pipeline's scheduler.
 #: ``"thread"`` shares the in-process engine caches, ``"process"``
 #: sidesteps the GIL, and ``"remote"`` dispatches the same task
 #: payloads to a TCP worker fleet (see :mod:`repro.dist`).
@@ -61,9 +60,7 @@ EXECUTORS = ("thread", "process", "remote")
 #: only, SAT only, or a per-task race between the two.
 SOLVER_MODES = ("bb", "sat", "portfolio")
 
-#: Cap-exhaustion error templates per width-search entry point, shared
-#: by ``WidthSolver`` and the batch scheduler so the two report byte-
-#: identical errors for the same query.
+#: Cap-exhaustion error templates per width-search kind.
 CAP_MESSAGES = {
     "hw": "no HD of width <= {cap} found (cap too small?)",
     "ghw": "no GHD of width <= {cap} found (cap too small?)",
@@ -82,7 +79,8 @@ def make_pool(executor: str, jobs: int):
         :mod:`repro.dist`, falling back to a local thread pool while
         no worker is registered).
     jobs : int
-        Worker count (coerced to at least 1).
+        Worker count (coerced to at least 1).  One thread worker is
+        no worker at all: each task runs inline on the caller.
 
     Returns
     -------
@@ -104,8 +102,26 @@ def make_pool(executor: str, jobs: int):
         from ..dist import RemoteExecutor, get_registry
 
         return RemoteExecutor(get_registry(), jobs=jobs)
+    if executor == "thread" and jobs == 1:
+        return _InlineExecutor()
     cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
     return cls(max_workers=jobs)
+
+
+class _InlineExecutor(Executor):
+    """A one-worker pool that runs each task on the caller, at submit.
+
+    The returned future is already done (an exception lands in it, as
+    on a pool), so the drive loop treats it like any other future.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 def _check_hd(hypergraph: Hypergraph, k: int, **params):
@@ -265,7 +281,7 @@ def order_engines(
 
 #: Sentinel a gated racing twin returns when its sibling already
 #: answered before the twin started (see :func:`run_gated_block_task`).
-#: Schedulers must skip it without recording.
+#: The scheduler skips it without recording.
 RACE_SKIPPED = object()
 
 
@@ -293,40 +309,13 @@ def run_gated_block_task(
     return result
 
 
-def race_block_task(
-    engines: tuple[str, ...], hypergraph: Hypergraph, params: dict
-):
-    """Race one block task's engines on a single-slot pool.
-
-    Used by the serial scheduler paths in ``solver="portfolio"`` mode
-    (the parallel paths race on their own pools instead).  On one slot
-    the race degenerates into its prediction: the engine
-    :func:`order_engines` puts first runs to completion, and the gated
-    twin is dequeued-and-skipped (or cancelled before starting).  True
-    concurrent racing needs ``jobs > 1``.
-    """
-    engines = order_engines(tuple(engines), hypergraph)
-    if len(engines) == 1:
-        return run_block_task(engines[0], hypergraph, params)
-    gate = threading.Event()
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        futures = [
-            pool.submit(run_gated_block_task, gate, engine, hypergraph, params)
-            for engine in engines
-        ]
-        return futures[0].result()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
     """Execute one per-block solve (module-level, so it pickles).
 
     This is the single task-payload contract of the whole solve layer:
     a ``(solver, hypergraph, params)`` triple of plain picklable values,
-    so the same payload runs on a thread pool, a process pool, or (the
-    ROADMAP's distributed item) a remote worker.
+    so the same payload runs inline, on a thread pool, a process pool,
+    or a remote worker (:mod:`repro.dist`).
 
     Parameters
     ----------
@@ -354,183 +343,13 @@ def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
 
 
 @dataclass
-class BlockScheduler:
-    """Serial or pooled execution of per-block tasks, with counters.
-
-    ``tasks_cancelled`` counts portfolio losers: exactly one per raced
-    ``(block, k)`` task that produced an answer, however the loser was
-    stopped (dequeued before starting, aborted cooperatively, or simply
-    discarded).
-    """
-
-    jobs: int = 1
-    executor: str = "thread"
-    tasks_run: int = 0
-    speculative_checks: int = 0
-    tasks_cancelled: int = 0
-
-    def __post_init__(self) -> None:
-        self.jobs = max(1, int(self.jobs or 1))
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}; got {self.executor!r}"
-            )
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this scheduler runs tasks on a worker pool."""
-        return self.jobs > 1
-
-    def _pool(self):
-        return make_pool(self.executor, self.jobs)
-
-    def map(
-        self,
-        task_specs: list[tuple[str, Hypergraph, dict]],
-        stop_on_none: bool = False,
-        engines: tuple[str, ...] | None = None,
-    ) -> list:
-        """Run ``run_block_task`` over the specs; ordered results.
-
-        With ``stop_on_none`` (check-style queries: one rejecting block
-        decides the whole answer) remaining tasks are skipped/cancelled
-        once any task returns None; their slots stay None.
-
-        ``engines`` (from :func:`engines_for`) overrides each spec's
-        solver; with more than one engine, every spec is raced and the
-        first verdict per spec wins (``solver="portfolio"``).
-        """
-        if engines is not None and len(engines) > 1:
-            return self._map_racing(task_specs, stop_on_none, tuple(engines))
-        if engines:
-            task_specs = [
-                (engines[0], hypergraph, params)
-                for (_solver, hypergraph, params) in task_specs
-            ]
-        if not self.parallel or len(task_specs) <= 1:
-            results: list = []
-            for spec in task_specs:
-                self.tasks_run += 1
-                result = run_block_task(*spec)
-                results.append(result)
-                if stop_on_none and result is None:
-                    results.extend([None] * (len(task_specs) - len(results)))
-                    break
-            return results
-        self.tasks_run += len(task_specs)
-        with self._pool() as pool:
-            futures = [pool.submit(run_block_task, *spec) for spec in task_specs]
-            if not stop_on_none:
-                return [f.result() for f in futures]
-            pending = set(futures)
-            rejected = False
-            while pending and not rejected:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                rejected = any(f.result() is None for f in done)
-            for f in pending:
-                f.cancel()
-            return [
-                f.result() if f.done() and not f.cancelled() else None
-                for f in futures
-            ]
-
-    def _map_racing(
-        self,
-        task_specs: list[tuple[str, Hypergraph, dict]],
-        stop_on_none: bool,
-        engines: tuple[str, ...],
-    ) -> list:
-        """Portfolio variant of :meth:`map`: race every spec's engines."""
-        if not self.parallel or len(task_specs) <= 1:
-            results: list = []
-            for _solver, hypergraph, params in task_specs:
-                self.tasks_run += len(engines)
-                result = race_block_task(engines, hypergraph, params)
-                self.tasks_cancelled += len(engines) - 1
-                results.append(result)
-                if stop_on_none and result is None:
-                    results.extend([None] * (len(task_specs) - len(results)))
-                    break
-            return results
-        self.tasks_run += len(task_specs) * len(engines)
-        with self._pool() as pool:
-            in_flight: dict = {}
-            aborts: dict = {}
-            gates: dict = {}
-            threaded = self.executor == "thread"
-            # Two passes: every spec's predicted winner enters the FIFO
-            # queue before any twin, so workers spread across specs
-            # instead of racing the same one; gates let late-dequeued
-            # twins skip once their sibling answered.
-            submissions = []
-            for index, (_solver, hypergraph, params) in enumerate(task_specs):
-                ordered = order_engines(engines, hypergraph)
-                for rank, engine in enumerate(ordered):
-                    submissions.append((rank, index, engine, hypergraph, params))
-            submissions.sort(key=lambda s: s[0])
-            for _rank, index, engine, hypergraph, params in submissions:
-                task_params = params
-                if engine in _ABORTABLE and threaded:
-                    event = threading.Event()
-                    task_params = {**params, "abort": event}
-                if threaded:
-                    gate = gates.setdefault(index, threading.Event())
-                    future = pool.submit(
-                        run_gated_block_task,
-                        gate,
-                        engine,
-                        hypergraph,
-                        task_params,
-                    )
-                else:
-                    future = pool.submit(
-                        run_block_task, engine, hypergraph, task_params
-                    )
-                in_flight[future] = index
-                if engine in _ABORTABLE and threaded:
-                    aborts[future] = event
-            results = [None] * len(task_specs)
-            settled = [False] * len(task_specs)
-            rejected = False
-            while in_flight and not all(settled) and not rejected:
-                done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = in_flight.pop(future)
-                    if settled[index]:
-                        continue  # the raced twin already answered
-                    value = future.result()
-                    if value is RACE_SKIPPED:
-                        continue  # gated twin; the sibling's answer is coming
-                    results[index] = value
-                    settled[index] = True
-                    self.tasks_cancelled += len(engines) - 1
-                    for twin in [
-                        f for f, i in in_flight.items() if i == index
-                    ]:
-                        del in_flight[twin]
-                        twin.cancel()
-                        event = aborts.pop(twin, None)
-                        if event is not None:
-                            event.set()
-                    if stop_on_none and results[index] is None:
-                        rejected = True
-            for future in in_flight:
-                future.cancel()
-                event = aborts.get(future)
-                if event is not None:
-                    event.set()
-            return results
-
-
-@dataclass
 class BlockState:
-    """Width-search progress of one block (or one batched query unit).
+    """Width-search progress of one block of a batched width query.
 
     Tracks the Check(X, k) verdicts seen so far for a single block and
     settles on the true width once monotonicity allows: the smallest
     accepted k is the width as soon as every smaller k has been
-    rejected.  Shared by :func:`iterative_width_search` (one instance)
-    and the batch scheduler in :mod:`repro.pipeline.batch` (many).
+    rejected.
 
     Attributes
     ----------
@@ -570,7 +389,7 @@ class BlockState:
         """The smallest accepted k so far, or None.
 
         By monotonicity no check above this k is ever useful, so
-        schedulers cap their speculation at ``best_accepted() - 1``
+        the scheduler caps their speculation at ``best_accepted() - 1``
         (see :meth:`ceiling`).
         """
         accepted = [k for k, v in self.results.items() if v is not None]
@@ -580,203 +399,8 @@ class BlockState:
         """The largest k still worth checking under ``cap``.
 
         ``cap`` when nothing is accepted yet; one below the smallest
-        accepted k otherwise — both schedulers bound their speculative
+        accepted k otherwise — the scheduler bounds its speculative
         submissions with this.
         """
         accepted = self.best_accepted()
         return cap if accepted is None else min(cap, accepted - 1)
-
-
-#: Backwards-compatible private alias (pre-batch name).
-_BlockState = BlockState
-
-
-def iterative_width_search(
-    solver: str,
-    hypergraphs: list[Hypergraph],
-    caps: list[int],
-    scheduler: BlockScheduler,
-    params: dict | None = None,
-    cap_message: str = "no decomposition of width <= {cap} found (cap too small?)",
-    engines: tuple[str, ...] | None = None,
-    states: list[BlockState] | None = None,
-) -> list[tuple[int, Decomposition]]:
-    """Smallest accepted k per block, via a check-style solver.
-
-    Serial when the scheduler is (the classic k = 1, 2, ... loop per
-    block); otherwise a single flat pool interleaves cross-block and
-    speculative cross-k checks.  Both paths honour pre-seeded
-    ``states`` identically: the k-loop starts at the first unconfirmed
-    k, never runs a k the seed already settled, and skips the exact
-    engine entirely for states the seed decided.
-
-    Parameters
-    ----------
-    solver : str
-        A check-style key of :data:`SOLVERS` (returns None on reject).
-    hypergraphs : list of Hypergraph
-        One entry per block.
-    caps : list of int
-        Largest k to try per block (``|E(block)|`` always suffices).
-    scheduler : BlockScheduler
-        Supplies the worker pool and accumulates task counters.
-    params : dict, optional
-        Extra keyword arguments passed to every check.
-    cap_message : str, optional
-        ``ValueError`` text when a block exhausts its cap; ``{cap}``
-        is substituted.
-    engines : tuple of str, optional
-        Override from :func:`engines_for`; more than one engine races
-        every ``(block, k)`` task and counts one cancelled loser per
-        settled task (``solver="portfolio"``).
-    states : list of BlockState, optional
-        Pre-seeded per-block search states (one per block, from
-        :func:`repro.pipeline.bounds.seeded_block_state`); fresh states
-        when omitted.  Seeded rejections below a lower bound are never
-        re-checked, a seeded witness caps speculation via
-        ``BlockState.ceiling``, and already-settled states run zero
-        exact checks.
-
-    Returns
-    -------
-    list of (int, Decomposition)
-        Per block, the smallest accepted k and its witness, in input
-        order.
-
-    Raises
-    ------
-    ValueError
-        When some block rejects every k up to its cap.
-    """
-    params = dict(params or {})
-    if engines is None:
-        engines = (solver,)
-    engines = tuple(engines)
-    racing = len(engines) > 1
-    if not racing:
-        solver = engines[0]
-    if states is None:
-        states = [BlockState() for _ in hypergraphs]
-
-    if not scheduler.parallel:
-        for state, hypergraph, cap in zip(states, hypergraphs, caps):
-            state.settle()
-            while state.width is None:
-                k = state.next_k_unconfirmed()
-                if k > state.ceiling(cap):
-                    raise ValueError(cap_message.format(cap=cap))
-                scheduler.tasks_run += len(engines)
-                if racing:
-                    witness = race_block_task(
-                        engines, hypergraph, {"k": k, **params}
-                    )
-                    scheduler.tasks_cancelled += len(engines) - 1
-                else:
-                    witness = run_block_task(
-                        solver, hypergraph, {"k": k, **params}
-                    )
-                state.results[k] = witness
-                state.settle()
-        return [(state.width, state.witness) for state in states]
-
-    with scheduler._pool() as pool:
-        in_flight: dict = {}  # future -> (block, k, engine)
-        aborts: dict = {}
-
-        def submittable():
-            """(block, k) pairs worth starting, nearest-k first."""
-            pairs = []
-            for i, state in enumerate(states):
-                if state.width is not None:
-                    continue
-                base = state.next_k_unconfirmed()
-                ceiling = state.ceiling(caps[i])
-                k = state.next_k
-                while k <= ceiling and len(pairs) < scheduler.jobs:
-                    if k not in state.results and not any(
-                        key[:2] == (i, k) for key in in_flight.values()
-                    ):
-                        pairs.append((k - base, i, k))
-                    k += 1
-            pairs.sort()
-            return [(i, k) for (_d, i, k) in pairs]
-
-        def cancel_twins(i: int, k: int) -> None:
-            for twin in [
-                f for f, key in in_flight.items() if key[:2] == (i, k)
-            ]:
-                del in_flight[twin]
-                twin.cancel()
-                event = aborts.pop(twin, None)
-                if event is not None:
-                    event.set()
-
-        gates: dict = {}  # (block, k) -> first-answer gate
-        threaded = scheduler.executor == "thread"
-        while any(state.width is None for state in states):
-            # Collect the round's submissions, then enqueue predicted
-            # winners before any twin so workers spread across tasks.
-            round_subs = []
-            for i, k in submittable():
-                if len(in_flight) >= scheduler.jobs * len(engines):
-                    break
-                for rank, engine in enumerate(
-                    order_engines(engines, hypergraphs[i])
-                ):
-                    round_subs.append((rank, i, k, engine))
-                states[i].next_k = max(states[i].next_k, k + 1)
-                scheduler.tasks_run += len(engines)
-                if k > states[i].next_k_unconfirmed():
-                    scheduler.speculative_checks += 1
-            round_subs.sort(key=lambda s: s[0])
-            for _rank, i, k, engine in round_subs:
-                task_params = {"k": k, **params}
-                if racing and engine in _ABORTABLE and threaded:
-                    event = threading.Event()
-                    task_params["abort"] = event
-                if racing and threaded:
-                    gate = gates.setdefault((i, k), threading.Event())
-                    future = pool.submit(
-                        run_gated_block_task,
-                        gate,
-                        engine,
-                        hypergraphs[i],
-                        task_params,
-                    )
-                else:
-                    future = pool.submit(
-                        run_block_task, engine, hypergraphs[i], task_params
-                    )
-                in_flight[future] = (i, k, engine)
-                if "abort" in task_params:
-                    aborts[future] = task_params["abort"]
-            if not in_flight:
-                # Everything submittable is exhausted but some block is
-                # unsettled: its cap ran out with rejections everywhere.
-                failed = [
-                    caps[i]
-                    for i, state in enumerate(states)
-                    if state.width is None
-                ]
-                raise ValueError(cap_message.format(cap=min(failed)))
-            done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future not in in_flight:
-                    continue  # twin of a task settled earlier this batch
-                i, k, _engine = in_flight.pop(future)
-                if k in states[i].results:
-                    continue
-                value = future.result()
-                if value is RACE_SKIPPED:
-                    continue  # gated twin; the sibling's answer is coming
-                states[i].results[k] = value
-                if racing:
-                    scheduler.tasks_cancelled += len(engines) - 1
-                    cancel_twins(i, k)
-                states[i].settle()
-        for future in in_flight:
-            future.cancel()
-            event = aborts.get(future)
-            if event is not None:
-                event.set()
-    return [(state.width, state.witness) for state in states]

@@ -1,20 +1,25 @@
 """The ``WidthSolver`` facade: reduce → split → solve → stitch.
 
 Every public width entry point of the library routes through this class
-(``preprocess="none"`` is the escape hatch back to the raw algorithms).
-A query runs in four stages, each timed and counted in
-:class:`PipelineStats`:
+(``preprocess="none"`` is the escape hatch back to the raw algorithms),
+and every :class:`WidthSolver` method is a one-request run of the batch
+scheduler in :mod:`repro.pipeline.batch`, the pipeline's one drive
+loop.  A query runs in four stages, timed and counted in its
+:class:`~repro.pipeline.batch.BatchStats`:
 
 1. **reduce** — kind-safe simplification rules with undo records
    (:mod:`repro.pipeline.reduce`);
 2. **split** — biconnected blocks of the primal graph for ghw/fhw,
    connected components for hw (:mod:`repro.pipeline.split`);
-3. **solve** — any registered per-block algorithm, serially or on a
+3. **solve** — any registered per-block algorithm, inline or on a
    thread/process pool with cross-block and cross-k speculation
    (:mod:`repro.pipeline.solve`);
 4. **stitch** — per-block witnesses joined along the block-cut forest
    and reduction undos replayed (:mod:`repro.decomposition.stitch`),
    then re-validated against the *original* hypergraph.
+
+This module keeps the two halves around the drive loop,
+:func:`prepare_instance` (reduce + split) and :func:`stitch_instance`.
 
 The stitched width is ``max(1, max over blocks)``: every width measure
 is >= 1 on a non-empty hypergraph and re-attached degree-1 leaves cost
@@ -24,9 +29,6 @@ property tests in ``tests/test_pipeline.py`` pin this agreement.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 from ..decomposition import (
     Decomposition,
     replay_reductions,
@@ -34,22 +36,14 @@ from ..decomposition import (
     validate,
 )
 from ..hypergraph import Hypergraph
-from .bounds import BOUNDS_MODES, BlockBounds, compute_block_bounds, seeded_block_state
+from .bounds import BOUNDS_MODES
 from .reduce import ReducedInstance, reduce_instance
-from .solve import (
-    CAP_MESSAGES,
-    SOLVER_MODES,
-    BlockScheduler,
-    engines_for,
-    iterative_width_search,
-)
+from .solve import SOLVER_MODES
 from .split import Block, split_instance
 
 __all__ = [
     "WidthSolver",
-    "PipelineStats",
     "solve_width",
-    "last_pipeline_stats",
     "prepare_instance",
     "stitch_instance",
     "split_mode_for",
@@ -60,23 +54,6 @@ __all__ = [
 #: The CLI ``--preprocess`` flag and the README document exactly this
 #: tuple (``tests/test_docs.py`` pins the agreement).
 PREPROCESS_MODES = ("full", "reduce", "split", "none")
-
-#: The stats of the most recent pipeline run in this process, for
-#: callers (CLI ``--pipeline-stats``, benchmark tables) that go through
-#: the plain entry-point functions rather than holding a WidthSolver.
-_LAST_STATS = None
-
-
-def last_pipeline_stats():
-    """The :class:`PipelineStats` of the most recent run, or None.
-
-    Returns
-    -------
-    PipelineStats or None
-        Statistics of the last :class:`WidthSolver` query completed in
-        this process, or None when no pipeline run has happened yet.
-    """
-    return _LAST_STATS
 
 _EPS = 1e-9
 
@@ -108,9 +85,8 @@ def prepare_instance(
 ) -> tuple[ReducedInstance, list[Block]]:
     """Run the reduce and split stages for one instance.
 
-    This is the front half of the pipeline, shared by
-    :class:`WidthSolver` (one instance per call) and the batch scheduler
-    in :mod:`repro.pipeline.batch` (all instances up front).
+    This is the front half of the pipeline, run by the batch scheduler
+    in :mod:`repro.pipeline.batch` for every instance up front.
 
     Parameters
     ----------
@@ -155,8 +131,8 @@ def stitch_instance(
 ) -> Decomposition:
     """Join per-block witnesses and lift them back to the original.
 
-    The back half of the pipeline, shared by :class:`WidthSolver` and
-    the batch scheduler: re-root and join the block decompositions
+    The back half of the pipeline, run by the batch scheduler per
+    instance: re-root and join the block decompositions
     along the block-cut forest, replay the reduction undo records, and
     re-validate the result against the *original* hypergraph, so
     soundness never rests on the reduce/split layers being right.
@@ -197,75 +173,14 @@ def stitch_instance(
     return final
 
 
-@dataclass
-class PipelineStats:
-    """Per-stage statistics of one pipeline run."""
-
-    kind: str = ""
-    preprocess: str = "full"
-    jobs: int = 1
-    reduce_seconds: float = 0.0
-    split_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    stitch_seconds: float = 0.0
-    vertices_before: int = 0
-    edges_before: int = 0
-    vertices_removed: int = 0
-    edges_removed: int = 0
-    rule_counts: dict = field(default_factory=dict)
-    blocks: int = 1
-    block_sizes: list = field(default_factory=list)  # (|V|, |E|) per block
-    tasks_run: int = 0
-    speculative_checks: int = 0
-    tasks_cancelled: int = 0
-    bounds: str = "none"
-    bounds_seconds: float = 0.0
-    bounds_ks_pruned: int = 0
-    bounds_checks_avoided: int = 0
-    bounds_blocks_decided: int = 0
-    anytime_width: float | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock summed over the pipeline stages (incl. bounds)."""
-        return (
-            self.reduce_seconds
-            + self.split_seconds
-            + self.bounds_seconds
-            + self.solve_seconds
-            + self.stitch_seconds
-        )
-
-    def as_dict(self) -> dict:
-        """The statistics as a JSON-ready dictionary."""
-        return {
-            "kind": self.kind,
-            "preprocess": self.preprocess,
-            "jobs": self.jobs,
-            "vertices_removed": self.vertices_removed,
-            "edges_removed": self.edges_removed,
-            "rule_counts": dict(self.rule_counts),
-            "blocks": self.blocks,
-            "block_sizes": list(self.block_sizes),
-            "tasks_run": self.tasks_run,
-            "speculative_checks": self.speculative_checks,
-            "tasks_cancelled": self.tasks_cancelled,
-            "bounds": self.bounds,
-            "bounds_ks_pruned": self.bounds_ks_pruned,
-            "bounds_checks_avoided": self.bounds_checks_avoided,
-            "bounds_blocks_decided": self.bounds_blocks_decided,
-            "anytime_width": self.anytime_width,
-            "reduce_seconds": self.reduce_seconds,
-            "split_seconds": self.split_seconds,
-            "bounds_seconds": self.bounds_seconds,
-            "solve_seconds": self.solve_seconds,
-            "stitch_seconds": self.stitch_seconds,
-            "total_seconds": self.total_seconds,
-        }
-
-
 class WidthSolver:
     """One hypergraph, every width query, one preprocessing discipline.
+
+    Every method is a one-request :class:`~.batch.BatchScheduler` run
+    with this solver's settings: it submits one
+    :class:`~.batch.BatchRequest`, keeps the run's
+    :class:`~.batch.BatchStats` in ``last_stats`` and returns the
+    request's value (re-raising its error).
 
     Parameters
     ----------
@@ -277,10 +192,11 @@ class WidthSolver:
         pre-pipeline behaviour).
     jobs:
         Worker count for cross-block / cross-k parallelism (None or 1 =
-        serial).
+        serial, on the calling thread).
     executor:
-        ``"thread"`` (default; shares engine caches) or ``"process"``
-        (GIL-free, cold caches per worker).
+        ``"thread"`` (default; shares engine caches), ``"process"``
+        (GIL-free, cold caches per worker) or ``"remote"`` (the
+        :mod:`repro.dist` worker fleet).
     solver:
         Engine-selection mode for the Check(X, k) queries, one of
         :data:`repro.pipeline.solve.SOLVER_MODES`: ``"bb"`` (default,
@@ -320,174 +236,35 @@ class WidthSolver:
         self.executor = executor
         self.solver = solver
         self.bounds = bounds
-        self.last_stats: PipelineStats | None = None
+        self.last_stats = None
 
-    # ------------------------------------------------------------------
-    # Stage plumbing
-    # ------------------------------------------------------------------
-    def _prepare(
-        self, kind: str
-    ) -> tuple[ReducedInstance, list[Block], BlockScheduler, PipelineStats]:
-        stats = PipelineStats(
-            kind=kind,
-            preprocess=self.preprocess,
+    def _run(self, kind: str, params: dict):
+        """Answer one request of ``kind`` as a one-request batch."""
+        from .batch import BatchRequest, BatchScheduler  # lazy: no cycle
+
+        scheduler = BatchScheduler(
             jobs=self.jobs,
-            vertices_before=self.hypergraph.num_vertices,
-            edges_before=self.hypergraph.num_edges,
+            preprocess=self.preprocess,
+            executor=self.executor,
+            solver=self.solver,
+            bounds=self.bounds,
         )
-        t0 = time.perf_counter()
-        if self.preprocess in ("full", "reduce"):
-            reduced = reduce_instance(self.hypergraph, kind=kind)
-        else:
-            reduced = ReducedInstance(self.hypergraph, self.hypergraph)
-        t1 = time.perf_counter()
-        blocks = split_instance(
-            reduced.hypergraph, split_mode_for(kind, self.preprocess)
-        )
-        t2 = time.perf_counter()
-        stats.reduce_seconds = t1 - t0
-        stats.split_seconds = t2 - t1
-        stats.vertices_removed = reduced.vertices_removed
-        stats.edges_removed = reduced.edges_removed
-        stats.rule_counts = dict(reduced.rule_counts)
-        stats.blocks = len(blocks)
-        stats.block_sizes = [
-            (b.hypergraph.num_vertices, b.hypergraph.num_edges) for b in blocks
-        ]
-        scheduler = BlockScheduler(jobs=self.jobs, executor=self.executor)
-        return reduced, blocks, scheduler, stats
-
-    def _stitch(
-        self,
-        reduced: ReducedInstance,
-        blocks: list[Block],
-        witnesses: list[Decomposition],
-        stats: PipelineStats,
-        kind: str,
-        width: float | None,
-    ) -> Decomposition:
-        t0 = time.perf_counter()
-        final = stitch_instance(
-            self.hypergraph, reduced, blocks, witnesses, kind, width
-        )
-        stats.stitch_seconds = time.perf_counter() - t0
-        return final
-
-    def _finish(self, stats: PipelineStats, scheduler: BlockScheduler) -> None:
-        global _LAST_STATS
-        stats.tasks_run = scheduler.tasks_run
-        stats.speculative_checks = scheduler.speculative_checks
-        stats.tasks_cancelled = scheduler.tasks_cancelled
-        self.last_stats = stats
-        _LAST_STATS = stats
-
-    def _solve_each(
-        self,
-        solver: str,
-        blocks: list[Block],
-        scheduler: BlockScheduler,
-        stats: PipelineStats,
-        params: dict,
-        stop_on_none: bool = False,
-        engines: tuple[str, ...] | None = None,
-    ) -> list:
-        t0 = time.perf_counter()
-        results = scheduler.map(
-            [(solver, block.hypergraph, dict(params)) for block in blocks],
-            stop_on_none=stop_on_none,
-            engines=engines,
-        )
-        stats.solve_seconds += time.perf_counter() - t0
-        return results
-
-    def _bounds_pass(
-        self, kind: str, blocks: list[Block], stats: PipelineStats
-    ) -> list[BlockBounds] | None:
-        """Bound every block before the exact stage; None in mode "none".
-
-        Fills the bounds fields of ``stats``, including the **anytime
-        answer**: when every block produced a portfolio witness, their
-        stitched width (``max(1, max block uppers)``) is available as
-        ``stats.anytime_width`` before any exact check runs.
-        """
-        stats.bounds = self.bounds
-        if self.bounds == "none":
-            return None
-        t0 = time.perf_counter()
-        bounds_list = [
-            compute_block_bounds(block.hypergraph, kind, mode=self.bounds)
-            for block in blocks
-        ]
-        stats.bounds_seconds = time.perf_counter() - t0
-        if bounds_list and all(b.witness is not None for b in bounds_list):
-            stats.anytime_width = max(1.0, *(b.upper for b in bounds_list))
-        return bounds_list
+        result = scheduler.submit(BatchRequest(self.hypergraph, kind, params))
+        self.last_stats = scheduler.run()
+        return result.unwrap()
 
     # ------------------------------------------------------------------
     # Check(X, k) queries
     # ------------------------------------------------------------------
-    def _check(
-        self, kind: str, solver: str, k, params: dict
-    ) -> Decomposition | None:
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        witnesses: list = [None] * len(blocks)
-        pending = list(range(len(blocks)))
-        if bounds_list is not None:
-            if any(b.lower > k + _EPS for b in bounds_list):
-                # Some block's width provably exceeds k: reject without
-                # a single exact solve.
-                stats.bounds_checks_avoided += len(blocks)
-                self._finish(stats, scheduler)
-                return None
-            # A validated portfolio witness at width <= k answers a
-            # block's check outright.  Restricted to the complete
-            # checks (hd/ghd without enumeration caps): the capped and
-            # bounded-degree variants may *intentionally* reject
-            # instances a better witness would accept, and the pre-pass
-            # must never change an answer.
-            if kind in ("hd", "ghd") and set(params) <= {"method"}:
-                pending = []
-                for i, b in enumerate(bounds_list):
-                    if b.witness is not None and b.upper <= k + _EPS:
-                        witnesses[i] = b.witness
-                        stats.bounds_checks_avoided += 1
-                    else:
-                        pending.append(i)
-        if pending:
-            solved = self._solve_each(
-                solver,
-                [blocks[i] for i in pending],
-                scheduler,
-                stats,
-                {"k": k, **params},
-                stop_on_none=True,  # one rejecting block decides the answer
-                engines=engines_for(solver, self.solver),
-            )
-            for i, witness in zip(pending, solved):
-                witnesses[i] = witness
-        if any(w is None for w in witnesses):
-            self._finish(stats, scheduler)
-            return None
-        final = self._stitch(
-            reduced, blocks, witnesses, stats, kind, width=k + _EPS
-        )
-        self._finish(stats, scheduler)
-        return final
-
     def hypertree_decomposition(self, k: int) -> Decomposition | None:
         """Check(HD, k) with preprocessing; None when hw(H) > k."""
-        if k < 1:
-            raise ValueError("width bound k must be >= 1")
-        return self._check("hd", "check-hd", k, {})
+        return self._run("check-hd", {"k": k})
 
     def generalized_hypertree_decomposition(
         self, k: int, method: str = "fixpoint", **caps
     ) -> Decomposition | None:
         """Check(GHD, k) with preprocessing; None when ghw(H) > k."""
-        return self._check(
-            "ghd", "check-ghd", k, {"method": method, **caps}
-        )
+        return self._run("check-ghd", {"k": k, "method": method, **caps})
 
     def fractional_hypertree_decomposition_bounded_degree(
         self, k: float, d: int | None = None, **caps
@@ -499,140 +276,41 @@ class WidthSolver:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        params: dict = dict(caps)
         if d is not None:
-            params["d"] = d
-        return self._check("fhd", "check-fhd-bd", k, params)
+            caps["d"] = d
+        return self._run("check-fhd-bd", {"k": k, **caps})
 
     # ------------------------------------------------------------------
     # Width searches (iterate k per block)
     # ------------------------------------------------------------------
-    def _iterative_width(
-        self,
-        kind: str,
-        solver: str,
-        kmax: int | None,
-        params: dict,
-        cap_message: str,
-    ) -> tuple[int, Decomposition]:
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        caps = [
-            block.hypergraph.num_edges if kmax is None else kmax
-            for block in blocks
-        ]
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        states = None
-        if bounds_list is not None:
-            states = [
-                seeded_block_state(b, cap)
-                for b, cap in zip(bounds_list, caps)
-            ]
-            for b, cap, state in zip(bounds_list, caps, states):
-                below = min(b.lower_k - 1, cap)
-                stats.bounds_ks_pruned += max(0, below)
-                stats.bounds_checks_avoided += max(0, below)
-                if b.upper_k is not None and b.upper_k <= cap:
-                    stats.bounds_ks_pruned += cap - b.upper_k + 1
-                if state.width is not None:
-                    stats.bounds_blocks_decided += 1
-                    stats.bounds_checks_avoided += 1
-        t0 = time.perf_counter()
-        results = iterative_width_search(
-            solver,
-            [block.hypergraph for block in blocks],
-            caps,
-            scheduler,
-            params=params,
-            cap_message=cap_message,
-            engines=engines_for(solver, self.solver),
-            states=states,
-        )
-        stats.solve_seconds = time.perf_counter() - t0
-        width = max(1, *(k for k, _w in results)) if results else 1
-        final = self._stitch(
-            reduced,
-            blocks,
-            [witness for _k, witness in results],
-            stats,
-            kind,
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return width, final
-
     def hypertree_width(self, kmax: int | None = None) -> tuple[int, Decomposition]:
         """``hw(H)`` with a validated witness HD."""
-        return self._iterative_width(
-            "hd", "check-hd", kmax, {}, CAP_MESSAGES["hw"]
-        )
+        return self._run("hw", {"kmax": kmax})
 
     def generalized_hypertree_width(
         self, kmax: int | None = None, method: str = "fixpoint", **caps
     ) -> tuple[int, Decomposition]:
         """``ghw(H)`` with a validated witness GHD."""
-        return self._iterative_width(
-            "ghd",
-            "check-ghd",
-            kmax,
-            {"method": method, **caps},
-            CAP_MESSAGES["ghw"],
-        )
+        return self._run("ghw", {"kmax": kmax, "method": method, **caps})
 
     # ------------------------------------------------------------------
     # Exact elimination oracles (per-block 2^n DP)
     # ------------------------------------------------------------------
-    def _exact_width(
-        self, kind: str, solver: str, cast, vertex_limit: int | None
-    ) -> tuple[int | float, Decomposition]:
-        """Shared driver of the per-block exact elimination oracles.
-
-        Blocks the bounds pre-pass *decided* (clique lower bound meets
-        a validated portfolio witness) skip the 2^n DP entirely — the
-        witness is already optimal for that block.
-        """
-        params = {} if vertex_limit is None else {"vertex_limit": vertex_limit}
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        results: list = [None] * len(blocks)
-        pending = list(range(len(blocks)))
-        if bounds_list is not None:
-            pending = []
-            for i, b in enumerate(bounds_list):
-                if b.decided:
-                    results[i] = (b.upper, b.witness)
-                    stats.bounds_blocks_decided += 1
-                    stats.bounds_checks_avoided += 1
-                else:
-                    pending.append(i)
-        if pending:
-            solved = self._solve_each(
-                solver, [blocks[i] for i in pending], scheduler, stats, params
-            )
-            for i, result in zip(pending, solved):
-                results[i] = result
-        width = max(cast(1), *(cast(k) for k, _w in results)) if results else cast(1)
-        final = self._stitch(
-            reduced,
-            blocks,
-            [w for _k, w in results],
-            stats,
-            kind,
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return width, final
-
     def generalized_hypertree_width_exact(
         self, vertex_limit: int | None = None
     ) -> tuple[int, Decomposition]:
-        """Exact ``ghw(H)``; the 2^n limit applies *per block*."""
-        return self._exact_width("ghd", "ghw-exact", int, vertex_limit)
+        """Exact ``ghw(H)``; the 2^n limit applies *per block*.
+
+        Blocks the bounds pre-pass *decided* (clique lower bound meets
+        a validated portfolio witness) skip the 2^n DP entirely.
+        """
+        return self._run("ghw-exact", _limit(vertex_limit))
 
     def fractional_hypertree_width_exact(
         self, vertex_limit: int | None = None
     ) -> tuple[float, Decomposition]:
         """Exact ``fhw(H)``; the 2^n limit applies *per block*."""
-        return self._exact_width("fhd", "fhw-exact", float, vertex_limit)
+        return self._run("fhw", _limit(vertex_limit))
 
     # ------------------------------------------------------------------
     # Heuristic and approximation drivers
@@ -641,26 +319,9 @@ class WidthSolver:
         self, cost: str = "fractional", ordering: str = "min-fill"
     ) -> tuple[float, Decomposition]:
         """Per-block heuristic elimination decomposition, stitched."""
-        kind = "fhd" if cost == "fractional" else "ghd"
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        results = self._solve_each(
-            "heuristic-decomposition",
-            blocks,
-            scheduler,
-            stats,
-            {"cost": cost, "ordering": ordering},
+        return self._run(
+            "heuristic-decomposition", {"cost": cost, "ordering": ordering}
         )
-        width = max(1.0, *(float(w) for w, _d in results)) if results else 1.0
-        final = self._stitch(
-            reduced,
-            blocks,
-            [d for _w, d in results],
-            stats,
-            kind,
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return final.width(), final
 
     def width_bounds(
         self, cost: str = "fractional"
@@ -671,23 +332,7 @@ class WidthSolver:
         is width-preserving, so this stays sound); the stitched witness
         achieves the upper bound.
         """
-        kind = "fhd" if cost == "fractional" else "ghd"
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        results = self._solve_each(
-            "heuristic-bounds", blocks, scheduler, stats, {"cost": cost}
-        )
-        lower = max(1.0, *(low for low, _u, _d in results)) if results else 1.0
-        upper = max(1.0, *(up for _l, up, _d in results)) if results else 1.0
-        final = self._stitch(
-            reduced,
-            blocks,
-            [d for _l, _u, d in results],
-            stats,
-            kind,
-            width=upper + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return lower, final.width(), final
+        return self._run("bounds", {"cost": cost})
 
     def fhw_approximation(self, K: float, eps: float, find_fhd=None):
         """Algorithm 4 (the PTAAS of Theorem 6.20), run per block.
@@ -697,40 +342,15 @@ class WidthSolver:
         widths) < fhw(H) + ε`` whenever ``fhw(H) <= K``.  A custom
         ``find_fhd`` receives *block* hypergraphs.
         """
-        from ..algorithms.approx import FHWApproximationResult
-
-        reduced, blocks, scheduler, stats = self._prepare("fhd")
         params: dict = {"K": K, "eps": eps}
         if find_fhd is not None:
             params["find_fhd"] = find_fhd
-        results = self._solve_each(
-            "fhw-approximation", blocks, scheduler, stats, params
-        )
-        if any(r.failed for r in results):
-            self._finish(stats, scheduler)
-            worst_failed = max(
-                (r for r in results if r.failed), key=lambda r: r.iterations
-            )
-            return FHWApproximationResult(
-                None,
-                None,
-                iterations=worst_failed.iterations,
-                trace=worst_failed.trace,
-            )
-        worst = max(results, key=lambda r: r.iterations)
-        width = max(1.0, *(r.width for r in results))
-        final = self._stitch(
-            reduced,
-            blocks,
-            [r.decomposition for r in results],
-            stats,
-            "fhd",
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return FHWApproximationResult(
-            final, final.width(), iterations=worst.iterations, trace=worst.trace
-        )
+        return self._run("fhw-approximation", params)
+
+
+def _limit(vertex_limit: int | None) -> dict:
+    """Oracle params: the solver's own default limit unless one is given."""
+    return {} if vertex_limit is None else {"vertex_limit": vertex_limit}
 
 
 def solve_width(

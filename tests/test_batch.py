@@ -304,3 +304,67 @@ class TestSchedulerBehaviour:
             "check-ghd",
             "check-fhd-bd",
         }
+
+
+class TestGhdMethodValidation:
+    """A bad GHD ``method`` is rejected the same way in every mode,
+    before any engine runs (and before the store could key on it)."""
+
+    @pytest.mark.parametrize("kind", ["ghw", "check-ghd"])
+    @pytest.mark.parametrize("solver", ["bb", "sat", "portfolio"])
+    @pytest.mark.parametrize("bounds", ["portfolio", "none"])
+    def test_bad_method_rejected_in_every_mode(self, kind, solver, bounds):
+        params = {"method": "zzz"}
+        if kind == "check-ghd":
+            params["k"] = 2
+        (result,) = solve_many(
+            [BatchRequest(cycle(8), kind, params, solver=solver)],
+            bounds=bounds,
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"method must be one of \('fixpoint', 'bip', 'bmip', 'limit'\)",
+        ):
+            result.unwrap()
+        assert last_batch_stats().tasks_run == 0
+
+
+class TestInlineSerial:
+    """``jobs=1`` runs every task on the calling thread, with no pool."""
+
+    def test_jobs1_runs_on_the_caller(self, monkeypatch):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.pipeline import batch, solve
+
+        threads = []
+        original = solve.run_block_task
+
+        def spy(solver, hypergraph, params):
+            threads.append(threading.get_ident())
+            return original(solver, hypergraph, params)
+
+        monkeypatch.setattr(batch, "run_block_task", spy)
+        monkeypatch.setattr(solve, "run_block_task", spy)
+        pools = []
+        init = ThreadPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+
+        scheduler = BatchScheduler(jobs=1, bounds="none")
+        scheduler.submit((triangle_cascade(3), "ghw"))
+        scheduler.submit((cycle(6), "check-hd", {"k": 1}))
+        scheduler.run()
+        assert scheduler.last_stats.tasks_run == len(threads) > 0
+        threads_before = len(threads)
+        for mode in ("bb", "portfolio"):
+            solver = WidthSolver(clique(4), solver=mode, bounds="none")
+            assert solver.hypertree_width()[0] == 2
+        assert len(threads) > threads_before
+        assert set(threads) == {threading.get_ident()}
+        assert pools == []

@@ -126,7 +126,9 @@ class TestNoExactChecksWhenDecided:
         stats = solver.last_stats
         assert stats.tasks_run == 0
         assert stats.bounds_blocks_decided == 3
-        assert stats.anytime_width == 2.0
+        assert stats.anytime_answers == 1
+        (result,) = solve_many([(h, "ghw")])
+        assert result.anytime_width == 2.0
 
     def test_serial_and_parallel_prune_identically(self):
         # Satellite: the --jobs 1 path honours the same seeding as the

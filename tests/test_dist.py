@@ -38,8 +38,8 @@ from repro.dist.protocol import (
     send_message,
 )
 from repro.hypergraph.generators import clique, cycle, grid
-from repro.pipeline import EXECUTORS, last_batch_stats, solve_many
-from repro.pipeline.solve import BlockScheduler, run_block_task
+from repro.pipeline import EXECUTORS, WidthSolver, last_batch_stats, solve_many
+from repro.pipeline.solve import run_block_task
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +227,12 @@ class TestRemoteSolve:
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_remote > 0
 
-    def test_iterative_width_search_on_remote_pool(self, fleet):
-        scheduler = BlockScheduler(jobs=2, executor="remote")
-        (result,) = solve_many([(cycle(5), "ghw")], jobs=2, executor="remote")
-        assert result.value[0] == 2
-        assert scheduler.executor == "remote"
+    def test_widthsolver_on_remote_pool(self, fleet):
+        solver = WidthSolver(cycle(5), jobs=2, executor="remote")
+        width, _d = solver.generalized_hypertree_width()
+        assert width == 2
+        assert solver.last_stats.executor == "remote"
+        assert solver.last_stats.tasks_remote > 0
 
 
 class TestRemoteExecutorUnit:
@@ -484,9 +485,9 @@ class TestExecutorValidation:
         for name in EXECUTORS:
             assert name in str(err.value)
 
-    def test_block_scheduler_message_lists_all_executors(self):
+    def test_widthsolver_message_lists_all_executors(self):
         with pytest.raises(ValueError) as err:
-            BlockScheduler(jobs=2, executor="zzz")
+            WidthSolver(cycle(4), jobs=2, executor="zzz").hypertree_width()
         for name in EXECUTORS:
             assert name in str(err.value)
 

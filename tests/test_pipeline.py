@@ -220,7 +220,7 @@ class TestWidthSolver:
         stats = solver.last_stats
         assert stats.blocks == 3
         assert stats.block_sizes == [(3, 3)] * 3
-        assert stats.kind == "ghd"
+        assert stats.kinds == {"ghw": 1}
 
     def test_parallel_matches_serial(self):
         h = triangle_cascade(3)
@@ -323,10 +323,11 @@ class TestPortfolio:
         assert width == 3
         assert is_hd(h, d, width=3)
         stats = solver.last_stats
-        # Two futures per raced task; at most one cancellation per
-        # task, and every recorded task (at least k = 1..3) has one.
+        # Two futures per raced task, and every recorded task (at least
+        # k = 1..3) has exactly one loser.  Settling the block may also
+        # cancel queued speculative futures: at most jobs x engines.
         assert stats.tasks_run % 2 == 0
-        assert 3 <= stats.tasks_cancelled <= stats.tasks_run // 2
+        assert 3 <= stats.tasks_cancelled <= stats.tasks_run // 2 + 3 * 2
 
     def test_portfolio_identical_to_each_engine_alone_e07(self):
         """The E07 scaling instance: widths and check verdicts agree

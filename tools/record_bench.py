@@ -8,9 +8,9 @@ benchmark workloads in-process and writes one JSON file per benchmark:
 * ``BENCH_E12.json``  — the PTAAS guarantees (per-instance widths,
   gaps, iteration counts) and the engine-cache LP-solve reduction;
 * ``BENCH_E19b.json`` — batched serving vs one-at-a-time (answer
-  parity, scheduler counters, speedup); ``--only e19r`` rewrites it
-  with an extra ``remote`` section comparing ``executor="remote"``
-  (a two-worker loopback TCP fleet) against the local executors;
+  parity, scheduler counters, speedup), with a ``remote`` section
+  (E19r) comparing ``executor="remote"`` (a two-worker loopback TCP
+  fleet) against the local executors;
 * ``BENCH_E21.json``  — the solver-portfolio race (per-mode wall
   clocks and the portfolio-vs-best-pure speedup), when
   ``--only e21`` is requested (slower; not in the default set);
@@ -90,14 +90,19 @@ def record_e12() -> dict:
     }
 
 
-def record_e19b(jobs: int = 2) -> dict:
-    """The E19b serving comparison: counters plus the headline speedup."""
-    from bench_e19_batch_serving import compare
+def record_e19b(jobs: int = 2, remote_jobs: int = 4, workers: int = 2) -> dict:
+    """The E19b serving comparison and its E19r remote section.
+
+    Counters plus the headline speedup, then the remote-executor
+    comparison: fleet counters (deterministic up to scheduling) and
+    the thread/process/remote wall-clocks.
+    """
+    from bench_e19_batch_serving import compare, compare_remote
 
     requests, (seq_seconds, seq_engine), (batch_seconds, stats) = compare(
         jobs=jobs
     )
-    return {
+    payload = {
         "benchmark": "E19b",
         "title": "batched multi-instance serving vs one-at-a-time",
         "metrics": {
@@ -119,23 +124,13 @@ def record_e19b(jobs: int = 2) -> dict:
             "speedup": round(seq_seconds / batch_seconds, 2),
         },
     }
-
-
-def record_e19r(jobs: int = 4, workers: int = 2) -> dict:
-    """E19b plus the E19r remote-executor comparison, one payload.
-
-    Writes the same ``BENCH_E19b.json`` as ``--only e19b`` with an
-    extra ``remote`` section: fleet counters (deterministic up to
-    scheduling) and the thread/process/remote wall-clocks.
-    """
-    from bench_e19_batch_serving import compare_remote
-
-    payload = record_e19b()
-    requests, timings, stats = compare_remote(jobs=jobs, workers=workers)
+    requests, timings, stats = compare_remote(
+        jobs=remote_jobs, workers=workers
+    )
     thread_seconds, process_seconds, remote_seconds = timings
     payload["metrics"]["remote"] = {
         "requests": len(requests),
-        "jobs": jobs,
+        "jobs": remote_jobs,
         "workers": workers,
         "tasks_remote": stats.tasks_remote,
         "tasks_local_fallback": stats.tasks_local_fallback,
@@ -209,7 +204,6 @@ def record_e24() -> dict:
 RECORDERS = {
     "e12": ("BENCH_E12.json", record_e12),
     "e19b": ("BENCH_E19b.json", record_e19b),
-    "e19r": ("BENCH_E19b.json", record_e19r),
     "e21": ("BENCH_E21.json", record_e21),
     "e22": ("BENCH_E22.json", record_e22),
     "e23": ("BENCH_E23.json", record_e23),

@@ -214,184 +214,112 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_database(path) -> dict:
-    """Parse a relations JSON file into a name → ``Relation`` mapping.
+def _resolve(entry, path_key: str, payload_key: str, base: Path, load):
+    """Replace the path field ``path_key`` by the wire field it stands
+    for: ``entry[payload_key] = load(base / entry[path_key])``.
 
-    The file is ``{"relations": {name: {"attributes": [...], "rows":
-    [[...], ...]}}}`` — the same per-relation encoding the ``POST
-    /query`` wire uses.  Raises ``ValueError`` on anything malformed,
-    with the file path in the message.
+    Exactly one of the two keys must be present.
     """
-    from .cqcsp import relation_from_payload
-
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read data file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    if not isinstance(entry, dict):
+        raise ValueError(f"must be an object; got {entry!r}")
+    if (path_key in entry) == (payload_key in entry):
         raise ValueError(
-            f"data file {path} is not valid JSON: {exc}"
-        ) from exc
-    relations = raw.get("relations") if isinstance(raw, dict) else None
-    if not isinstance(relations, dict) or not relations:
-        raise ValueError(
-            f'data file {path} must be a JSON object with a non-empty '
-            '"relations" object'
+            f'needs exactly one of "{payload_key}" or "{path_key}"'
         )
-    database = {}
-    for name, payload in relations.items():
-        try:
-            database[name] = relation_from_payload(name, payload)
-        except ValueError as exc:
-            raise ValueError(f"data file {path}: {exc}") from exc
-    return database
-
-
-_QUERY_MANIFEST_FIELDS = ("data", "file", "label", "query", "solver")
-
-
-def _load_query_manifest(path: str) -> list:
-    """Parse a query-workload manifest into ``(query, database, label,
-    solver)`` tuples.
-
-    The manifest is JSON: either a list of entries or an object with a
-    ``"queries"`` list.  Each entry is ``{"query": "q(x) :- r(x, y).",
-    "data": "db.json", "label": "...", "solver": "sat"}`` — ``data``
-    required, plus exactly one of ``query`` (inline CQ text) or
-    ``file`` (a file containing it).  Relative paths resolve against
-    the manifest's own directory.  Unknown keys are a loud
-    configuration error (exit 2), never a silently dropped field.
-    """
-    from .cqcsp import parse_cq
-
-    manifest_path = Path(path)
+    entry = dict(entry)
+    if path_key not in entry:
+        return entry
+    ref = entry.pop(path_key)
+    if not isinstance(ref, str):
+        raise ValueError(f'needs a "{path_key}" string (a path); got {ref!r}')
+    path = base / ref
     try:
-        raw = json.loads(manifest_path.read_text())
+        entry[payload_key] = load(path)
     except OSError as exc:
-        raise ValueError(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest is not valid JSON: {exc}") from exc
-    entries = raw.get("queries") if isinstance(raw, dict) else raw
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc!r}") from exc
+    return entry
+
+
+class _UsageError(Exception):
+    """A configuration error: :func:`main` prints it and exits 2."""
+
+
+def _decode_manifest(path: str, key: str, decode) -> list:
+    """Decode every entry of a JSON manifest — a list of entries or an
+    object with a ``key`` list — as ``decode(entry, manifest_dir)``.
+
+    Any ``ValueError`` (the wire codec's ``ProtocolError`` included)
+    becomes a :class:`_UsageError` prefixed with ``manifest entry i:``.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise _UsageError(f"cannot read manifest: {exc}") from exc
+    except ValueError as exc:
+        raise _UsageError(f"manifest is not valid JSON: {exc}") from exc
+    entries = raw.get(key) if isinstance(raw, dict) else raw
     if not isinstance(entries, list):
-        raise ValueError(
+        raise _UsageError(
             "manifest must be a JSON list of entries or an object "
-            'with a "queries" list'
+            f'with a "{key}" list'
         )
-    jobs = []
+    base = Path(path).parent
+    decoded = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(
-                f"manifest entry {i} must be an object; got {entry!r}"
-            )
-        for key in entry:
-            if key not in _QUERY_MANIFEST_FIELDS:
-                raise ValueError(
-                    f"manifest entry {i} has unknown key {key!r}; "
-                    f"valid fields: {', '.join(_QUERY_MANIFEST_FIELDS)}"
-                )
-        has_query = isinstance(entry.get("query"), str)
-        has_file = isinstance(entry.get("file"), str)
-        if has_query == has_file:
-            raise ValueError(
-                f'manifest entry {i} needs exactly one of "query" '
-                '(inline CQ text) or "file" (a file containing it)'
-            )
-        if has_query:
-            text = entry["query"]
-        else:
-            file_path = Path(entry["file"])
-            if not file_path.is_absolute():
-                file_path = manifest_path.parent / file_path
-            try:
-                text = file_path.read_text()
-            except OSError as exc:
-                raise ValueError(
-                    f"manifest entry {i}: cannot read {file_path}: {exc}"
-                ) from exc
         try:
-            query = parse_cq(text)
+            decoded.append(decode(entry, base))
         except ValueError as exc:
-            raise ValueError(
-                f"manifest entry {i}: cannot parse query: {exc}"
-            ) from exc
-        if not isinstance(entry.get("data"), str):
-            raise ValueError(
-                f'manifest entry {i} needs a "data" string '
-                "(relations JSON file)"
-            )
-        data_path = Path(entry["data"])
-        if not data_path.is_absolute():
-            data_path = manifest_path.parent / data_path
-        try:
-            database = _load_database(data_path)
-        except ValueError as exc:
-            raise ValueError(f"manifest entry {i}: {exc}") from exc
-        solver = entry.get("solver")
-        if solver is not None and solver not in SOLVER_MODES:
-            raise ValueError(
-                f"manifest entry {i} has unknown solver {solver!r}; "
-                f"choose from {', '.join(SOLVER_MODES)}"
-            )
-        label = entry.get("label")
-        if label is not None and not isinstance(label, str):
-            raise ValueError(f"manifest entry {i}: label must be a string")
-        jobs.append((query, database, label or query.name, solver))
-    return jobs
+            raise _UsageError(f"manifest entry {i}: {exc}") from exc
+    return decoded
 
 
-def _query_result_dict(label, result, info) -> dict:
-    """JSON-ready summary of one answered query."""
-    from .cqcsp import relation_to_payload
+def _query_job(entry, base: Path) -> tuple:
+    """One ``/query`` payload with path fields: ``"file"`` for
+    ``"query"``, ``"data"`` for ``"relations"``, plus the CLI-only
+    ``"solver"``; decodes to ``(query, database, label, solver)``."""
+    from .serve.protocol import query_request_from_payload
 
-    return {
-        "label": label,
-        "ok": True,
-        "width": result.plan.width,
-        "satisfied": result.satisfied,
-        "cost": result.cost,
-        "answers": relation_to_payload(result.answers),
-        "plan_cached": info.cache_hit,
-        "plan_from_store": info.from_store,
-    }
+    entry = _resolve(entry, "file", "query", base, Path.read_text)
+    entry = _resolve(
+        entry, "data", "relations", base,
+        lambda path: json.loads(path.read_text())["relations"],
+    )
+    solver = entry.pop("solver", None)
+    if solver is not None and solver not in SOLVER_MODES:
+        raise ValueError(
+            f"solver must be one of {', '.join(SOLVER_MODES)}; "
+            f"got {solver!r}"
+        )
+    query, database, label = query_request_from_payload(entry)
+    return query, database, label or query.name, solver
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Answer CQs via decomposition plans (single query or manifest)."""
-    from .cqcsp import QueryPlanner, parse_cq
+    from .cqcsp import QueryPlanner
+    from .serve.protocol import query_answer_payload
 
     if args.manifest is not None:
         if args.query is not None or args.data is not None:
-            print(
+            raise _UsageError(
                 "repro query: give either QUERY --data FILE or "
-                "--manifest FILE, not both",
-                file=sys.stderr,
+                "--manifest FILE, not both"
             )
-            return 2
-        try:
-            jobs = _load_query_manifest(args.manifest)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        jobs = _decode_manifest(args.manifest, "queries", _query_job)
+    elif args.query is None or args.data is None:
+        raise _UsageError(
+            "repro query: QUERY and --data FILE are required "
+            "(or use --manifest FILE)"
+        )
     else:
-        if args.query is None or args.data is None:
-            print(
-                "repro query: QUERY and --data FILE are required "
-                "(or use --manifest FILE)",
-                file=sys.stderr,
-            )
-            return 2
-        text = args.query
-        spec = Path(text)
         try:
-            if spec.is_file():
-                text = spec.read_text()
-            query = parse_cq(text)
-            database = _load_database(args.data)
+            source = "file" if Path(args.query).is_file() else "query"
+            entry = {source: args.query, "data": args.data}
+            jobs = [_query_job(entry, Path())]
         except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        jobs = [(query, database, query.name, None)]
+            raise _UsageError(str(exc)) from exc
 
     default_solver = getattr(args, "solver", None) or "bb"
     options = {
@@ -424,7 +352,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     {"label": label, "ok": False, "error": str(exc)}
                 )
             else:
-                outcomes.append(_query_result_dict(label, result, info))
+                outcomes.append({
+                    "label": label,
+                    "ok": True,
+                    **query_answer_payload(result),
+                    "plan_cached": info.cache_hit,
+                    "plan_from_store": info.from_store,
+                })
     finally:
         for planner in planners.values():
             planner.close()
@@ -464,99 +398,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _load_manifest(path: str) -> list:
-    """Parse a batch manifest into a list of ``BatchRequest`` objects.
+def _batch_request(entry, base: Path):
+    """One ``/solve`` payload whose ``"file"`` (a ``.hg`` path) may
+    stand in for ``"hypergraph"``; a bare string is ``{"file": ...}``."""
+    from .serve.protocol import hypergraph_to_payload, request_from_payload
 
-    The manifest is JSON: either a list of entries or an object with a
-    ``"requests"`` list.  Each entry is ``{"file": "q.hg", "kind":
-    "ghw", "params": {...}, "label": "...", "solver": "portfolio"}``
-    (``file`` required; a bare string is shorthand for ``{"file":
-    ...}``; ``solver`` optionally overrides the batch-wide ``--solver``
-    mode for that entry).  Relative paths resolve against the
-    manifest's own directory.
-
-    An ``executor`` key is validated against
-    :data:`~repro.pipeline.solve.EXECUTORS` but otherwise ignored —
-    the worker pool is batch-wide (``--executor``), so per-entry
-    overrides cannot exist; rejecting unknown names keeps a typo a
-    loud configuration error instead of a silently dropped key.
-
-    Raises ``ValueError`` on a structurally invalid manifest, an
-    unknown ``solver`` or ``executor`` name, or an
-    unreadable/unparseable instance
-    file — configuration errors abort the command; per-request *solve*
-    errors (unknown kind, bad params) are reported per request instead.
-    """
-    from .pipeline import BatchRequest
-
-    manifest_path = Path(path)
-    try:
-        raw = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest is not valid JSON: {exc}") from exc
-    entries = raw.get("requests") if isinstance(raw, dict) else raw
-    if not isinstance(entries, list):
-        raise ValueError(
-            "manifest must be a JSON list of entries or an object "
-            'with a "requests" list'
-        )
-    requests = []
-    for i, entry in enumerate(entries):
-        if isinstance(entry, str):
-            entry = {"file": entry}
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("file"), str)
-        ):
-            raise ValueError(
-                f'manifest entry {i} needs a "file" string; got {entry!r}'
-            )
-        file_path = Path(entry["file"])
-        if not file_path.is_absolute():
-            file_path = manifest_path.parent / file_path
-        try:
-            hypergraph = parse_hyperbench(
-                file_path.read_text(), name=file_path.stem
-            )
-        except OSError as exc:
-            raise ValueError(
-                f"manifest entry {i}: cannot read {file_path}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ValueError(
-                f"manifest entry {i}: cannot parse {file_path}: {exc}"
-            ) from exc
-        solver = entry.get("solver")
-        if solver is not None and solver not in SOLVER_MODES:
-            raise ValueError(
-                f"manifest entry {i} has unknown solver {solver!r}; "
-                f"choose from {', '.join(SOLVER_MODES)}"
-            )
-        executor = entry.get("executor")
-        if executor is not None and executor not in EXECUTORS:
-            raise ValueError(
-                f"manifest entry {i} has unknown executor {executor!r}; "
-                f"choose from {', '.join(EXECUTORS)}"
-            )
-        try:
-            requests.append(
-                BatchRequest(
-                    hypergraph,
-                    kind=entry.get("kind", "ghw"),
-                    params=dict(entry.get("params") or {}),
-                    label=entry.get("label") or file_path.stem,
-                    solver=solver,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            # e.g. params that are not a mapping — a configuration
-            # problem of the manifest, not of the solver.
-            raise ValueError(
-                f"manifest entry {i} is invalid: {exc}"
-            ) from exc
-    return requests
+    if isinstance(entry, str):
+        entry = {"file": entry}
+    entry = _resolve(
+        entry, "file", "hypergraph", base,
+        lambda path: hypergraph_to_payload(_load(path)),
+    )
+    return request_from_payload(entry)
 
 
 def _format_batch_result(result) -> str:
@@ -599,11 +452,7 @@ def _batch_result_dict(result) -> dict:
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .pipeline import last_batch_stats, solve_many
 
-    try:
-        requests = _load_manifest(args.manifest)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    requests = _decode_manifest(args.manifest, "requests", _batch_request)
     if args.executor == "remote":
         from .dist import get_registry
 
@@ -615,12 +464,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
         wanted = getattr(args, "wait_workers", 0) or 0
         if wanted and not registry.wait_for_workers(wanted):
-            print(
+            raise _UsageError(
                 f"repro batch: timed out waiting for {wanted} workers "
-                f"({registry.worker_count()} connected)",
-                file=sys.stderr,
+                f"({registry.worker_count()} connected)"
             )
-            return 2
     results = solve_many(
         requests,
         jobs=args.jobs,
@@ -732,11 +579,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     from .pipeline import last_batch_stats, solve_many
     from .store import ResultStore
 
-    try:
-        requests = _load_manifest(args.manifest)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    requests = _decode_manifest(args.manifest, "requests", _batch_request)
     with ResultStore(args.store_dir, fsync=args.fsync) as store:
         results = solve_many(
             requests,
@@ -1057,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
             "persists — repeated query shapes replay it with zero "
             "solver work.  Single mode takes CQ text (or a file "
             "containing it) plus --data; --manifest runs a JSON "
-            "workload of {query|file, data, label, solver} entries."
+            "workload of /query payloads ({query|file, relations|data, "
+            "label, solver} entries)."
         ),
         parents=[engine_options],
     )
@@ -1314,6 +1158,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _print_engine_stats(args, baseline)
         _print_pipeline_stats(args)
+    except _UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     finally:
         config.backend, config.cache_size = previous
     return code

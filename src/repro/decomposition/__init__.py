@@ -3,6 +3,7 @@
 
 from .base import Decomposition, DecompositionNode
 from .io import (
+    decomposition_from_dict,
     decomposition_from_json,
     decomposition_to_dot,
     decomposition_to_json,
@@ -44,6 +45,7 @@ __all__ = [
     "Decomposition",
     "decomposition_to_json",
     "decomposition_from_json",
+    "decomposition_from_dict",
     "decomposition_to_dot",
     "DecompositionNode",
     "violations",

@@ -2,8 +2,10 @@
 
 The package splits the remote backend along its trust boundary:
 
-* :mod:`repro.dist.protocol` — length-prefixed, CRC-checked pickle
-  framing (the ``RPW1`` twin of the store log's ``RPS1`` discipline);
+* :mod:`repro.dist.protocol` — length-prefixed, CRC-checked JSON
+  framing (the ``RPW2`` twin of the store log's ``RPS1`` discipline;
+  the objects inside a frame use the :mod:`repro.serve.protocol`
+  codec, so nothing a peer sends can execute code on decode);
 * :mod:`repro.dist.worker` — the ``repro worker`` process: dials back
   to the driver, runs :func:`~repro.pipeline.solve.run_block_task`
   payloads on a local pool, honors cooperative cancellation, and

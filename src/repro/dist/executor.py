@@ -9,10 +9,12 @@ unchanged, selected by ``executor="remote"``.
 
 Placement and failure semantics:
 
-* ``run_block_task`` payloads queue on the driver and dispatch through
+* ``run_block_task`` payloads queue on the driver as JSON task frames
+  and dispatch through
   :meth:`WorkerRegistry.dispatch <repro.dist.registry.WorkerRegistry>`
   (least-loaded worker with a free slot) as capacity allows; anything
-  else ``submit`` receives runs on a local thread pool.
+  else — or a task that cannot travel as JSON — runs on a local thread
+  pool.  A result frame that does not decode fails its task's future.
 * A remote future never enters RUNNING — it resolves straight from
   PENDING — so ``Future.cancel()`` always succeeds before completion,
   exactly like cancelling a queued pool task.  The cancellation is
@@ -34,12 +36,19 @@ batch.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import threading
 from collections import deque
 from concurrent.futures import Executor, Future, InvalidStateError
 
 from ..pipeline.solve import run_block_task
+from ..serve.protocol import (
+    ProtocolError,
+    answer_from_payload,
+    hypergraph_to_payload,
+)
+from ..store import params_fingerprint
 
 __all__ = ["RemoteExecutor"]
 
@@ -47,15 +56,48 @@ _EXECUTOR_IDS = itertools.count(1)
 
 
 class _RemoteTask:
-    """One submitted ``run_block_task`` payload and its future."""
+    """One submitted ``run_block_task`` payload, its frame and future."""
 
-    __slots__ = ("task_id", "future", "args", "dispatched")
+    __slots__ = ("task_id", "future", "args", "frame", "dispatched")
 
-    def __init__(self, task_id: str, future: Future, args: tuple):
+    def __init__(self, task_id: str, future: Future, args: tuple, frame=None):
         self.task_id = task_id
         self.future = future
         self.args = args
+        self.frame = frame
         self.dispatched = False
+
+
+def _task_frame(task_id: str, solver: str, hypergraph, params: dict):
+    """The JSON task frame of a block task, or None if it cannot travel:
+    bags come back as vertex-name strings, so a block whose names
+    collide under ``str`` stays local, as do params that are not JSON."""
+    if len({str(v) for v in hypergraph.vertices}) < len(hypergraph.vertices):
+        return None
+    if params_fingerprint(params) == "!opaque":
+        return None
+    return {
+        "type": "task",
+        "task": task_id,
+        "solver": solver,
+        "hypergraph": hypergraph_to_payload(hypergraph),
+        "params": params,
+    }
+
+
+def _remote_error(payload) -> Exception:
+    """Rebuild a worker's ``{"type", "message"}`` error: a builtin
+    exception class by name, else a ``RuntimeError`` naming it."""
+    if not isinstance(payload, dict):
+        payload = {"message": payload}
+    name, message = str(payload.get("type")), payload.get("message")
+    cls = getattr(builtins, name, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        try:
+            return cls(message)
+        except Exception:  # a builtin with a richer constructor
+            pass
+    return RuntimeError(f"remote task failed: {name}: {message}")
 
 
 class RemoteExecutor(Executor):
@@ -115,9 +157,12 @@ class RemoteExecutor(Executor):
                 raise RuntimeError(
                     "cannot schedule new futures after shutdown"
                 )
+        task_id = f"t{self._eid}-{next(self._counter)}"
+        frame = None
         if fn is run_block_task and not kwargs and len(args) == 3:
-            task_id = f"t{self._eid}-{next(self._counter)}"
-            task = _RemoteTask(task_id, future, args)
+            frame = _task_frame(task_id, *args)
+        if frame is not None:
+            task = _RemoteTask(task_id, future, args, frame)
             with self._lock:
                 self._tasks[task_id] = task
                 self._queue.append(task_id)
@@ -141,9 +186,7 @@ class RemoteExecutor(Executor):
             # Not a block-task payload: run it on the local pool (the
             # drive loop only ever submits run_block_task here, but the
             # Executor contract stays total).
-            self._run_local(
-                _RemoteTask("", future, ()), fn=fn, args=args, kwargs=kwargs
-            )
+            self._run_local(_RemoteTask("", future, args), fn, kwargs)
         return future
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
@@ -233,18 +276,7 @@ class RemoteExecutor(Executor):
             if task is None or task.future.cancelled():
                 progressed = True
                 continue
-            solver, hypergraph, params = task.args
-            conn = self.registry.dispatch(
-                task_id,
-                self,
-                {
-                    "type": "task",
-                    "task": task_id,
-                    "solver": solver,
-                    "hypergraph": hypergraph,
-                    "params": params,
-                },
-            )
+            conn = self.registry.dispatch(task_id, self, task.frame)
             if conn is not None:
                 with self._lock:
                     task.dispatched = True
@@ -278,7 +310,7 @@ class RemoteExecutor(Executor):
                 )
             return self._local
 
-    def _run_local(self, task: _RemoteTask, fn=None, args=None, kwargs=None):
+    def _run_local(self, task: _RemoteTask, fn=run_block_task, kwargs=None):
         pool = self._ensure_local()
         with self._lock:
             self.tasks_local += 1
@@ -293,10 +325,7 @@ class RemoteExecutor(Executor):
                 self._forget(task.task_id)
                 return
             try:
-                if fn is None:
-                    value = run_block_task(*task.args)
-                else:
-                    value = fn(*args, **(kwargs or {}))
+                value = fn(*task.args, **(kwargs or {}))
             except BaseException as exc:
                 self._forget(task.task_id)
                 task.future.set_exception(exc)
@@ -325,14 +354,14 @@ class RemoteExecutor(Executor):
             return
         try:
             if kind == "result":
-                future.set_result(payload)
+                solver, hypergraph, _params = task.args
+                try:
+                    value = answer_from_payload(solver, payload, hypergraph)
+                    future.set_result(value)
+                except ProtocolError as exc:
+                    future.set_exception(exc)
             elif kind == "error":
-                exc = (
-                    payload
-                    if isinstance(payload, BaseException)
-                    else RuntimeError(f"remote task failed: {payload!r}")
-                )
-                future.set_exception(exc)
+                future.set_exception(_remote_error(payload))
             elif kind == "cancelled" and not future.cancelled():
                 # The cancel normally originates here (the future is
                 # already cancelled); resolve it if it somehow is not.

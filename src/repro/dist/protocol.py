@@ -5,44 +5,47 @@ result-store log (:mod:`repro.store.log`) — length-prefixed, CRC-checked,
 refuse-absurd-lengths::
 
     frame   := MAGIC(4) | length(4, big-endian) | crc32(4) | payload
-    payload := pickle (protocol :data:`pickle.HIGHEST_PROTOCOL`)
+    payload := UTF-8 JSON object
 
-The payload is a plain dict with a ``"type"`` tag.  Messages a worker
+The payload is a JSON object with a ``"type"`` tag.  Messages a worker
 sends to the driver:
 
 * ``{"type": "hello", "jobs": N, "pid": P}`` — registration, first
   frame on the connection;
 * ``{"type": "heartbeat", "in_flight": N, "executed": N}`` — liveness
   (periodic, and in reply to every ``ping``);
-* ``{"type": "result", "task": id, "value": ...}`` — a finished task;
-* ``{"type": "error", "task": id, "error": Exception}`` — a failed one;
+* ``{"type": "result", "task": id, "value": {...}}`` — a finished
+  task, its value in the store's instance schema
+  (:func:`repro.serve.protocol.answer_payload` keyed by the solver);
+* ``{"type": "error", "task": id, "error": {"type", "message"}}`` — a
+  failed one, named by its exception class;
 * ``{"type": "cancelled", "task": id}`` — a task dequeued before it
   started, in reply to ``cancel``;
 * ``{"type": "bye"}`` — clean goodbye (idle auto-shutdown).
 
 Messages the driver sends to a worker:
 
-* ``{"type": "task", "task": id, "solver": s, "hypergraph": h,
+* ``{"type": "task", "task": id, "solver": s, "hypergraph": {...},
   "params": {...}}`` — one :func:`~repro.pipeline.solve.run_block_task`
-  payload;
+  payload, the block in the
+  :func:`~repro.serve.protocol.hypergraph_to_payload` shape;
 * ``{"type": "cancel", "task": id}`` — dequeue the task, or set its
   cooperative abort event if it is already running;
 * ``{"type": "ping"}`` — liveness probe (answered by a heartbeat);
 * ``{"type": "shutdown"}`` — drain and exit.
 
-Unlike the store log, both frame directions carry *pickles*, because
-task payloads are live :class:`~repro.hypergraph.Hypergraph` objects
-and results are live decompositions.  Pickle over a socket is code
-execution by design, so the transport is for **trusted networks only**
-— loopback fleets and private cluster links, exactly like a process
-pool's pipes.  The framing still protects against every *accidental*
-failure mode: torn writes, truncation and bit rot all fail the CRC and
-surface as a :class:`ProtocolError` instead of a garbage unpickle.
+Both directions carry JSON, like the store log, so nothing a peer
+sends is decoded by a mechanism that can execute code; the codec of
+every object inside a frame is :mod:`repro.serve.protocol`.  The
+framing protects against the accidental failure modes: torn writes,
+truncation and bit rot all fail the CRC and surface as a
+:class:`ProtocolError`.  The magic names the payload encoding, so a
+peer of another version fails the magic check rather than a decode.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 import socket
 import struct
 import zlib
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 #: Per-frame header: magic, payload length, payload CRC32.
-MAGIC = b"RPW1"
+MAGIC = b"RPW2"
 _HEADER = struct.Struct(">4sII")
 
 #: Refuse absurd frame sizes (a corrupt length field would otherwise
@@ -69,19 +72,19 @@ class ProtocolError(ConnectionError):
     """A structurally invalid frame: bad magic, length or CRC.
 
     The connection is unusable after this — there is no way to resync
-    a pickle stream mid-frame — so both sides drop it on sight.
+    a byte stream mid-frame — so both sides drop it on sight.
     """
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
-    """Pickle ``message`` and write it as one frame.
+    """Encode ``message`` as JSON and write it as one frame.
 
-    Pickling happens before any byte hits the socket, so an unpicklable
-    message (raising ``pickle.PicklingError`` / ``TypeError``) never
+    Encoding happens before any byte hits the socket, so a message that
+    is not plain JSON (raising ``TypeError`` / ``ValueError``) never
     leaves a torn frame behind; callers may catch and retry with a
     simpler payload.  Socket failures propagate as ``OSError``.
     """
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -113,13 +116,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def recv_message(sock: socket.socket) -> dict | None:
-    """Read one frame; the unpickled message, or None on clean EOF.
+    """Read one frame; the decoded message, or None on clean EOF.
 
     Raises
     ------
     ProtocolError
         On bad magic, an impossible length, a CRC mismatch, a torn
-        frame, or a payload that does not unpickle to a dict.
+        frame, or a payload that is not a UTF-8 JSON object.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -133,9 +136,9 @@ def recv_message(sock: socket.socket) -> dict | None:
     if payload is None or zlib.crc32(payload) != crc:
         raise ProtocolError("frame CRC mismatch")
     try:
-        message = pickle.loads(payload)
-    except Exception as exc:  # unpickling is all-or-nothing
-        raise ProtocolError(f"frame payload does not unpickle: {exc}")
+        message = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, deep nesting
+        raise ProtocolError(f"frame payload is not JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload is {type(message).__name__}, expected dict"

@@ -241,7 +241,8 @@ class WorkerRegistry:
             hello = recv_message(sock)
         except (ProtocolError, OSError):
             hello = None
-        if not isinstance(hello, dict) or hello.get("type") != "hello":
+        jobs = hello.get("jobs", 1) if isinstance(hello, dict) else None
+        if type(jobs) is not int or hello.get("type") != "hello":
             try:
                 sock.close()
             except OSError:
@@ -251,7 +252,7 @@ class WorkerRegistry:
             wid=next(self._ids),
             sock=sock,
             addr=addr,
-            jobs=hello.get("jobs", 1),
+            jobs=jobs,
             pid=hello.get("pid"),
         )
         with self._joined:
@@ -274,8 +275,8 @@ class WorkerRegistry:
                     break
                 conn.last_seen = time.monotonic()
                 kind = message.get("type")
-                if kind in ("result", "error", "cancelled"):
-                    task_id = message.get("task")
+                task_id = message.get("task")
+                if isinstance(task_id, str) and kind in ("result", "error", "cancelled"):
                     with self._lock:
                         route = self._routes.pop(task_id, None)
                         conn.in_flight.discard(task_id)

@@ -5,9 +5,10 @@ A worker is the inverse of a server: it *dials back* to the driver's
 announces its capacity in a ``hello`` frame, and then executes whatever
 ``task`` frames arrive on a local thread pool — each one the same plain
 :func:`~repro.pipeline.solve.run_block_task` payload a thread or
-process pool would run.  All scheduling intelligence (the settle
-protocol, bounds seeding, store write-back, failure isolation) stays on
-the driver; a worker is deliberately as dumb as a pool thread.
+process pool would run, in the JSON codec of :mod:`repro.serve.protocol`.
+All scheduling intelligence (the settle protocol, bounds seeding, store
+write-back, failure isolation) stays on the driver; a worker is
+deliberately as dumb as a pool thread.
 
 Lifecycle::
 
@@ -26,7 +27,8 @@ discarded on arrival.
 
 Every task produces exactly one reply frame (``result``, ``error`` or
 ``cancelled``) unless the worker dies — the registry's invariant for
-in-flight accounting and requeue-on-death.
+in-flight accounting and requeue-on-death — a task frame that does not
+decode included.
 """
 
 from __future__ import annotations
@@ -39,9 +41,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..pipeline.solve import _ABORTABLE, run_block_task
+from ..serve.protocol import answer_payload, hypergraph_from_payload
 from .protocol import ProtocolError, recv_message, send_message
 
 __all__ = ["WorkerClient", "spawn_worker"]
+
+
+def _error_reply(task_id, exc: BaseException) -> dict:
+    """The ``error`` frame of a failed task: its exception, by name."""
+    return {
+        "type": "error",
+        "task": task_id,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
 
 
 class _ActiveTask:
@@ -131,30 +143,24 @@ class WorkerClient:
     def _execute(self, task_id: str, solver: str, hypergraph, params: dict):
         try:
             value = self._runner(solver, hypergraph, params)
-            reply = {"type": "result", "task": task_id, "value": value}
+            reply = {
+                "type": "result",
+                "task": task_id,
+                "value": answer_payload(solver, value),
+            }
         except BaseException as exc:  # one reply per task, whatever happens
-            reply = {"type": "error", "task": task_id, "error": exc}
+            reply = _error_reply(task_id, exc)
         with self._lock:
             self._active.pop(task_id, None)
             self._executed += 1
             self._last_active = time.monotonic()
         try:
             self._send(reply)
-        except (ProtocolError, TypeError, AttributeError, ValueError):
-            # The value or exception does not pickle: degrade to a
-            # plain error the driver can always decode.
-            fallback = reply.get("error", reply.get("value"))
+        except (ProtocolError, TypeError, ValueError) as exc:
+            # The value is not plain JSON (or exceeds the frame limit):
+            # degrade to an error the driver can always decode.
             try:
-                self._send(
-                    {
-                        "type": "error",
-                        "task": task_id,
-                        "error": RuntimeError(
-                            f"unpicklable task outcome: "
-                            f"{type(fallback).__name__}: {fallback!r:.200}"
-                        ),
-                    }
-                )
+                self._send(_error_reply(task_id, exc))
             except OSError:
                 pass
         except OSError:
@@ -163,7 +169,16 @@ class WorkerClient:
     def _start_task(self, pool: ThreadPoolExecutor, message: dict) -> None:
         task_id = message.get("task")
         solver = message.get("solver")
-        params = dict(message.get("params") or {})
+        params = message.get("params") or {}
+        try:
+            if not (isinstance(task_id, str) and isinstance(solver, str)
+                    and isinstance(params, dict)):
+                raise ValueError("task frame needs string task/solver, dict params")
+            hypergraph = hypergraph_from_payload(message.get("hypergraph"))
+        except ValueError as exc:
+            self._send(_error_reply(task_id, exc))
+            return
+        params = dict(params)
         abort = None
         if solver in _ABORTABLE and "abort" not in params:
             abort = threading.Event()
@@ -175,7 +190,7 @@ class WorkerClient:
             self._last_active = time.monotonic()
             self._active[task_id] = state
             state.future = pool.submit(
-                self._execute, task_id, solver, message.get("hypergraph"), params
+                self._execute, task_id, solver, hypergraph, params
             )
 
     def _cancel_task(self, task_id: str) -> None:
@@ -276,8 +291,8 @@ class WorkerClient:
                 kind = message.get("type")
                 if kind == "task":
                     self._start_task(pool, message)
-                elif kind == "cancel":
-                    self._cancel_task(message.get("task"))
+                elif kind == "cancel" and isinstance(message.get("task"), str):
+                    self._cancel_task(message["task"])
                 elif kind == "ping":
                     self._send_heartbeat()
                 elif kind == "shutdown":

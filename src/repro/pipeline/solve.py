@@ -16,7 +16,9 @@ calling thread.  ``jobs=N`` adds cross-block and speculative cross-k
 parallelism: ``executor="thread"`` (default) shares the in-process
 engine caches; ``executor="process"`` sidesteps the GIL for CPU-bound
 searches at the cost of per-task pickling and cold per-process caches
-(hypergraphs and decompositions pickle via their ``__getstate__``).
+(hypergraphs and decompositions pickle via their ``__getstate__``; the
+pool's pipes never leave the process tree).  ``executor="remote"``
+ships the same payloads to workers as JSON, never as pickles.
 
 Task payloads are plain ``(kind, hypergraph, args)`` tuples dispatched
 through the module-level :func:`run_block_task`, so they work on every
@@ -310,12 +312,13 @@ def run_gated_block_task(
 
 
 def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
-    """Execute one per-block solve (module-level, so it pickles).
+    """Execute one per-block solve (module-level, so a process pool
+    can pickle it).
 
     This is the single task-payload contract of the whole solve layer:
-    a ``(solver, hypergraph, params)`` triple of plain picklable values,
-    so the same payload runs inline, on a thread pool, a process pool,
-    or a remote worker (:mod:`repro.dist`).
+    a ``(solver, hypergraph, params)`` triple of plain values, so the
+    same payload runs inline, on a thread pool, a process pool, or a
+    remote worker (:mod:`repro.dist`, which sends it as JSON).
 
     Parameters
     ----------

@@ -1,7 +1,8 @@
-"""Wire protocol of the ``repro serve`` daemon.
+"""The one JSON codec for hypergraphs, requests and answers: HTTP
+bodies, CLI manifests and remote-worker frames (:mod:`repro.dist`).
 
-Everything on the wire is JSON over HTTP/1.1 — no dependency beyond
-the standard library on either side.  A solve request posts::
+Everything is plain JSON — no dependency beyond the standard library,
+and no decoder that can execute code.  A solve request posts::
 
     {"hypergraph": {"edges": {"ab": ["a", "b"], ...},
                     "vertices": [...],          # optional isolated ones
@@ -16,7 +17,8 @@ instance records (:mod:`repro.store`): ``{"width", "witness"}`` for
 width kinds, ``{"accepted", "witness"}`` for check kinds and
 ``{"lower", "width", "witness"}`` for bounds — so a response can be
 re-validated client-side with
-:func:`repro.store.checked_witness` if desired.
+:func:`repro.store.checked_witness` if desired.  A worker's block-task
+result uses the same schema, keyed by its solver name.
 
 :func:`request_key` is the coalescing identity: two requests with the
 same canonical hypergraph hash, kind, effective solver mode and
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 from ..cqcsp import parse_cq, relation_from_payload
 from ..cqcsp.planner import plan_key
+from ..decomposition.io import decomposition_from_dict
 from ..hypergraph import Hypergraph
-from ..pipeline.batch import _KIND_TABLE, BATCH_KINDS, BatchRequest
+from ..pipeline.batch import BATCH_KINDS, BatchRequest
 from ..pipeline.solve import SOLVER_MODES
 from ..store import params_fingerprint
 
@@ -54,6 +57,7 @@ __all__ = [
     "request_to_payload",
     "request_key",
     "answer_payload",
+    "answer_from_payload",
     "query_request_from_payload",
     "query_key",
     "query_answer_payload",
@@ -114,24 +118,34 @@ def hypergraph_from_payload(obj) -> Hypergraph:
         raise ProtocolError(str(exc)) from exc
 
 
-def request_from_payload(obj) -> BatchRequest:
-    """Decode one solve request; raises :class:`ProtocolError`."""
+def _check_fields(obj, fields: tuple) -> None:
+    """Reject a non-object body or one with fields outside ``fields``."""
     if not isinstance(obj, dict):
         raise ProtocolError("request body must be a JSON object")
-    unknown = set(obj) - {"hypergraph", "kind", "params", "solver", "label"}
+    unknown = set(obj) - set(fields)
     if unknown:
-        raise ProtocolError(f"unknown request fields: {sorted(unknown)}")
+        raise ProtocolError(
+            f"unknown request fields: {sorted(unknown)}; "
+            f"valid fields: {', '.join(fields)}"
+        )
+
+
+def request_from_payload(obj) -> BatchRequest:
+    """Decode one solve request; raises :class:`ProtocolError`."""
+    _check_fields(obj, ("hypergraph", "kind", "label", "params", "solver"))
     hypergraph = hypergraph_from_payload(obj.get("hypergraph"))
     kind = obj.get("kind", "ghw")
     if kind not in BATCH_KINDS:
-        raise ProtocolError(f"kind must be one of {BATCH_KINDS}; got {kind!r}")
+        raise ProtocolError(
+            f"kind must be one of {', '.join(BATCH_KINDS)}; got {kind!r}"
+        )
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object")
     solver = obj.get("solver")
     if solver is not None and solver not in SOLVER_MODES:
         raise ProtocolError(
-            f"solver must be one of {SOLVER_MODES}; got {solver!r}"
+            f"solver must be one of {', '.join(SOLVER_MODES)}; got {solver!r}"
         )
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
@@ -180,11 +194,7 @@ def query_request_from_payload(obj) -> tuple:
     fields, an unparseable CQ, or malformed relations — before any
     planning or execution happens.
     """
-    if not isinstance(obj, dict):
-        raise ProtocolError("request body must be a JSON object")
-    unknown = set(obj) - {"query", "relations", "label"}
-    if unknown:
-        raise ProtocolError(f"unknown request fields: {sorted(unknown)}")
+    _check_fields(obj, ("label", "query", "relations"))
     text = obj.get("query")
     if not isinstance(text, str):
         raise ProtocolError("'query' must be a CQ string")
@@ -242,20 +252,82 @@ def query_answer_payload(result) -> dict:
     }
 
 
+def _answer_shape(kind: str) -> str:
+    """The answer schema of a batch kind or a block-task solver name."""
+    if kind.startswith(("check-", "sat-check-")):
+        return "check"
+    if kind in ("bounds", "heuristic-bounds"):
+        return "bounds"
+    return "approximation" if kind == "fhw-approximation" else "width"
+
+
 def answer_payload(kind: str, value) -> dict:
-    """Encode a resolved batch value in the store's instance schema."""
-    mode = _KIND_TABLE[kind][2]
-    if mode == "check":
+    """Encode a resolved value in the store's instance schema.
+
+    ``kind`` is a batch kind or a :data:`~repro.pipeline.solve.SOLVERS`
+    name; ``fhw-approximation`` encodes the fields of its result.
+    """
+    shape = _answer_shape(kind)
+    if shape == "check":
         return {
             "accepted": value is not None,
             "witness": None if value is None else value.as_dict(),
         }
-    if kind == "bounds":
+    if shape == "bounds":
         lower, width, witness = value
         return {
             "lower": float(lower),
             "width": float(width),
             "witness": witness.as_dict(),
         }
+    if shape == "approximation":
+        found = value.decomposition
+        return {
+            "decomposition": None if found is None else found.as_dict(),
+            "width": value.width,
+            "iterations": value.iterations,
+            "trace": value.trace,
+        }
     width, witness = value
     return {"width": width, "witness": witness.as_dict()}
+
+
+def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
+    """Decode an :func:`answer_payload`; :class:`ProtocolError` if bad.
+
+    Witness bags map back through ``hypergraph``'s ``{str(v): v}``
+    table, so an int-vertex hypergraph gets int bags back.
+    """
+    from ..algorithms.approx import FHWApproximationResult  # lazy
+
+    vertices = {str(v): v for v in hypergraph.vertices}
+
+    def number(key, nullable=False):
+        value = payload[key]
+        if type(value) not in (int, float) and not (nullable and value is None):
+            raise ValueError(f"{key!r} is not a number")
+        return value
+
+    def witness(key, nullable=False):
+        found = payload[key]
+        if nullable and found is None:
+            return None
+        return decomposition_from_dict(found, vertices)
+
+    shape = _answer_shape(kind)
+    try:
+        if shape == "check":
+            return witness("witness") if payload["accepted"] is True else None
+        if shape == "bounds":
+            return number("lower"), number("width"), witness("witness")
+        if shape == "approximation":
+            trace = [(float(a), float(b), c is True) for a, b, c in payload["trace"]]
+            return FHWApproximationResult(
+                witness("decomposition", nullable=True),
+                number("width", nullable=True),
+                int(number("iterations")),
+                trace,
+            )
+        return number("width"), witness("witness")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed {kind} answer: {exc}") from None

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..decomposition import Decomposition, validate
-from ..decomposition.io import decomposition_from_json
+from ..decomposition.io import decomposition_from_dict
 from ..hypergraph import Hypergraph
 
 __all__ = [
@@ -106,10 +106,8 @@ def checked_witness(
     shape, wrong hypergraph, wrong kind, width too large — degrades to
     a cache miss by returning None.
     """
-    if not isinstance(payload, dict):
-        return None
     try:
-        decomposition = decomposition_from_json(json.dumps(payload))
+        decomposition = decomposition_from_dict(payload)
         validate(hypergraph, decomposition, kind=kind, width=width)
     except (ValueError, KeyError, TypeError, AttributeError):
         return None

@@ -223,7 +223,7 @@ class TestBatch:
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([
-            {"file": "c4.hg", "kind": "zzz"},
+            {"file": "c4.hg", "kind": "ghw", "params": {"method": "zzz"}},
             {"file": "c4.hg", "kind": "ghw"},
         ]))
         assert main(["batch", str(manifest)]) == 1
@@ -231,6 +231,13 @@ class TestBatch:
         assert "ERROR" in out
         assert "ghw(c4) = 2" in out  # sibling still answered
         assert "1 failed" in out
+        # An unknown kind fails to decode: a manifest error, exit 2.
+        badkind = tmp_path / "badkind.json"
+        badkind.write_text(json.dumps([{"file": "c4.hg", "kind": "zzz"}]))
+        assert main(["batch", str(badkind)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest entry 0: kind must be one of" in err
+        assert "'zzz'" in err
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -262,7 +269,7 @@ class TestBatch:
         badparams = tmp_path / "badparams.json"
         badparams.write_text(json.dumps([{"file": "c4.hg", "params": "zz"}]))
         assert main(["batch", str(badparams)]) == 2
-        assert "entry 0 is invalid" in capsys.readouterr().err
+        assert "entry 0: 'params' must be an object" in capsys.readouterr().err
         # params: null is tolerated (treated as no params)
         nullparams = tmp_path / "nullparams.json"
         nullparams.write_text(json.dumps([{"file": "c4.hg", "params": None}]))
@@ -279,7 +286,8 @@ class TestBatch:
         )
         assert main(["batch", str(badsolver)]) == 2
         err = capsys.readouterr().err
-        assert "entry 0 has unknown solver 'cplex'" in err
+        assert "entry 0: solver must be one of" in err
+        assert "got 'cplex'" in err
         assert "bb, sat, portfolio" in err
         # The batch-wide flag is argparse-validated: same exit code.
         good = tmp_path / "good.json"
@@ -289,9 +297,9 @@ class TestBatch:
         assert excinfo.value.code == 2
 
     def test_unknown_executor_key_exits_2(self, tmp_path, capsys):
-        """An unknown per-entry "executor" is a configuration error:
-        exit 2 with a clean message, nothing solved — the same contract
-        as an unknown per-entry "solver"."""
+        """A per-entry "executor" is an unknown request field (the pool
+        is batch-wide): exit 2 with a clean message, nothing solved —
+        the same contract as an unknown per-entry "solver"."""
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         badexec = tmp_path / "badexec.json"
         badexec.write_text(
@@ -299,22 +307,30 @@ class TestBatch:
         )
         assert main(["batch", str(badexec)]) == 2
         err = capsys.readouterr().err
-        assert "entry 0 has unknown executor 'mpi'" in err
-        assert "thread, process, remote" in err
-        # A known value passes validation (the pool is batch-wide, so
-        # the key is otherwise ignored).
-        okexec = tmp_path / "okexec.json"
-        okexec.write_text(
-            json.dumps([{"file": "c4.hg", "executor": "thread"}])
-        )
-        assert main(["batch", str(okexec)]) == 0
-        assert "ghw(c4) = 2" in capsys.readouterr().out
+        assert "entry 0: unknown request fields: ['executor']" in err
+        assert "valid fields: hypergraph, kind, label, params, solver" in err
         # The batch-wide flag is argparse-validated: same exit code.
         good = tmp_path / "good.json"
         good.write_text(json.dumps([{"file": "c4.hg"}]))
         with pytest.raises(SystemExit) as excinfo:
             main(["batch", str(good), "--executor", "mpi"])
         assert excinfo.value.code == 2
+
+    def test_entries_are_solve_payloads(self, tmp_path, capsys):
+        """An entry may inline the /solve "hypergraph" instead of a
+        "file" path, but not give both."""
+        (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
+        inline = {"edges": {"ab": ["a", "b"], "bc": ["b", "c"], "ca": ["c", "a"]}}
+        manifest = tmp_path / "inline.json"
+        manifest.write_text(json.dumps([
+            {"hypergraph": inline, "kind": "fhw", "label": "tri"},
+        ]))
+        assert main(["batch", str(manifest)]) == 0
+        assert "fhw(tri) = 1.5" in capsys.readouterr().out
+        both = tmp_path / "both.json"
+        both.write_text(json.dumps([{"file": "c4.hg", "hypergraph": inline}]))
+        assert main(["batch", str(both)]) == 2
+        assert 'exactly one of "hypergraph" or "file"' in capsys.readouterr().err
 
     def test_worker_bad_endpoint_exits_2(self, capsys):
         assert main(["worker", "--connect", "no-port-here"]) == 2
@@ -442,6 +458,16 @@ class TestQueryCommand:
         assert [r["label"] for r in data["results"]] == ["hop2", "any"]
         assert all(r["ok"] for r in data["results"])
 
+    def test_manifest_entries_are_query_payloads(self, db_file, capsys, tmp_path):
+        """Inline "relations" stand in for a "data" file."""
+        manifest = tmp_path / "inline.json"
+        manifest.write_text(json.dumps([
+            {"query": self._CHAIN, "relations": self._DB["relations"]},
+        ]))
+        assert main(["query", "--manifest", str(manifest), "--json"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["answers"]["rows"] == [[1, 3], [2, 4]]
+
     def test_manifest_unknown_key_exits_2_naming_fields(
         self, db_file, tmp_path, capsys
     ):
@@ -451,8 +477,8 @@ class TestQueryCommand:
         ]))
         assert main(["query", "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
-        assert "entry 0 has unknown key 'qery'" in err
-        assert "valid fields: data, file, label, query, solver" in err
+        assert "entry 0: unknown request fields: ['qery']" in err
+        assert "valid fields: label, query, relations" in err
 
     def test_manifest_needs_exactly_one_of_query_or_file(
         self, db_file, tmp_path, capsys
@@ -475,7 +501,6 @@ class TestQueryCommand:
         ]))
         assert main(["query", "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
-        assert "unknown solver 'cplex'" in err
-        assert "bb, sat, portfolio" in err
+        assert "solver must be one of bb, sat, portfolio; got 'cplex'" in err
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.decomposition import (
     Decomposition,
+    decomposition_from_dict,
     decomposition_from_json,
     decomposition_to_dot,
     decomposition_to_json,
@@ -50,6 +51,38 @@ class TestJSON:
             decomposition_from_json(
                 '{"root": "a", "parent": {}, "nodes": {"a": {}}}'
             )
+
+    def test_non_object_nodes_rejected(self):
+        with pytest.raises(ValueError, match="must be objects"):
+            decomposition_from_json('{"root": "n0", "nodes": [], "parent": {}}')
+
+    def test_non_string_bag_vertices_rejected(self):
+        with pytest.raises(ValueError, match="list of strings"):
+            decomposition_from_json(
+                '{"root": "a", "parent": {},'
+                ' "nodes": {"a": {"bag": [[1]], "cover": {}}}}'
+            )
+
+    def test_string_bag_not_split_into_characters(self):
+        with pytest.raises(ValueError, match="list of strings"):
+            decomposition_from_json(
+                '{"root": "a", "parent": {},'
+                ' "nodes": {"a": {"bag": "ab", "cover": {"e": 1}}}}'
+            )
+
+    def test_non_numeric_weight_rejected(self):
+        with pytest.raises(ValueError, match="must be numbers"):
+            decomposition_from_dict(
+                {"root": "a", "parent": {},
+                 "nodes": {"a": {"bag": ["x"], "cover": {"e": "1"}}}}
+            )
+
+    def test_bags_map_back_to_vertex_objects(self):
+        d = Decomposition.single_node([1, 2], {"e": 1.0})
+        back = decomposition_from_dict(d.as_dict(), {"1": 1, "2": 2})
+        assert back.bag("root") == frozenset({1, 2})
+        with pytest.raises(ValueError, match="bad vertex"):
+            decomposition_from_dict(d.as_dict(), {"1": 1})
 
 
 class TestDOT:

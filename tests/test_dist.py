@@ -1,6 +1,6 @@
 """Tests for the remote executor stack (``repro.dist``).
 
-Covers the RPW1 wire protocol, registry/executor scheduling against
+Covers the RPW2 (JSON) wire protocol, registry/executor scheduling against
 loopback workers (in-process for speed, real subprocesses where the
 boundary matters), fault injection (killed workers requeue, zero
 requests lost), cancellation propagation across the wire, idle
@@ -9,6 +9,7 @@ auto-shutdown, and the zero-worker local-fallback degradation.
 
 from __future__ import annotations
 
+import json
 import pickle
 import socket
 import struct
@@ -37,9 +38,16 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
+from repro.decomposition import validate
+from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid
 from repro.pipeline import EXECUTORS, WidthSolver, last_batch_stats, solve_many
 from repro.pipeline.solve import run_block_task
+from repro.serve.protocol import (
+    answer_from_payload,
+    answer_payload,
+    hypergraph_to_payload,
+)
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +79,7 @@ class TestProtocol:
     def test_truncated_frame_raises(self):
         a, b = self._pair()
         try:
-            payload = pickle.dumps({"type": "ping"})
+            payload = json.dumps({"type": "ping"}).encode()
             frame = struct.pack(
                 ">4sII", MAGIC, len(payload), zlib.crc32(payload)
             )
@@ -85,7 +93,7 @@ class TestProtocol:
     def test_bad_magic_raises(self):
         a, b = self._pair()
         try:
-            payload = pickle.dumps({"type": "ping"})
+            payload = json.dumps({"type": "ping"}).encode()
             a.sendall(
                 struct.pack(">4sII", b"XXXX", len(payload), zlib.crc32(payload))
                 + payload
@@ -99,7 +107,7 @@ class TestProtocol:
     def test_corrupt_crc_raises(self):
         a, b = self._pair()
         try:
-            payload = pickle.dumps({"type": "ping"})
+            payload = json.dumps({"type": "ping"}).encode()
             a.sendall(
                 struct.pack(
                     ">4sII", MAGIC, len(payload), zlib.crc32(payload) ^ 0xFF
@@ -116,7 +124,7 @@ class TestProtocol:
         a, b = self._pair()
         try:
             with pytest.raises(ProtocolError, match="exceeds the"):
-                send_message(a, {"blob": b"x" * (MAX_FRAME_BYTES + 1)})
+                send_message(a, {"blob": "x" * (MAX_FRAME_BYTES + 1)})
         finally:
             a.close()
             b.close()
@@ -299,6 +307,140 @@ class TestRemoteExecutorUnit:
             executor.shutdown(wait=False)
             registry.close()
             thread.join(timeout=5.0)
+
+
+class TestJsonWire:
+    """Tasks and results cross the wire as JSON, with no parity loss."""
+
+    INT_TRIANGLE = Hypergraph({"a": [1, 2], "b": [2, 3], "c": [3, 1]})
+
+    def test_int_vertices_match_thread_executor(self, empty_registry):
+        _client, thread = _thread_worker(empty_registry, jobs=1)
+        assert empty_registry.wait_for_workers(1, timeout=10.0)
+        requests = [
+            (h, kind)
+            for h in (self.INT_TRIANGLE, cycle(5))
+            for kind in ("ghw", "fhw", "bounds")
+        ]
+        baseline = solve_many(requests, bounds="none", executor="thread")
+        remote = solve_many(requests, bounds="none", executor="remote")
+        stats = last_batch_stats()
+        assert stats.tasks_remote > 0
+        assert stats.tasks_local_fallback == 0
+        assert all(r.ok for r in remote), [r.error for r in remote]
+        assert [r.value[:-1] for r in remote] == [
+            r.value[:-1] for r in baseline
+        ]
+        for (h, kind), result in zip(requests, remote):
+            witness = result.value[-1]
+            validate(h, witness, kind="ghd" if kind == "ghw" else "fhd",
+                     width=witness.width() + 1e-9)
+            if h is self.INT_TRIANGLE:
+                assert all(
+                    isinstance(v, int)
+                    for nid in witness.node_ids
+                    for v in witness.bag(nid)
+                )
+
+    @pytest.mark.parametrize(
+        "solver, params",
+        [
+            ("check-hd", {"k": 2}),
+            ("check-ghd", {"k": 1}),
+            ("check-fhd-bd", {"k": 2}),
+            ("sat-check-ghd", {"k": 2}),
+            ("ghw-exact", {}),
+            ("fhw-exact", {}),
+            ("heuristic-bounds", {}),
+            ("heuristic-decomposition", {}),
+            ("fhw-approximation", {"K": 3.0, "eps": 0.5}),
+        ],
+    )
+    def test_every_solver_answer_round_trips(self, solver, params):
+        h = self.INT_TRIANGLE
+        value = run_block_task(solver, h, params)
+        wire = json.loads(json.dumps(answer_payload(solver, value)))
+        back = answer_from_payload(solver, wire, h)
+        assert answer_payload(solver, back) == answer_payload(solver, value)
+
+    def test_colliding_vertex_names_run_locally(self, empty_registry):
+        _client, thread = _thread_worker(empty_registry, jobs=1)
+        assert empty_registry.wait_for_workers(1, timeout=10.0)
+        h = Hypergraph({"a": [1, "1"], "b": ["1", 2], "c": [2, 1]})
+        (result,) = solve_many([h], bounds="none", executor="remote")
+        assert result.ok and result.value[0] == 2
+        stats = last_batch_stats()
+        assert stats.tasks_remote == 0
+        assert stats.tasks_local_fallback > 0
+
+    def test_bad_task_frame_gets_an_error_reply(self):
+        server = socket.create_server(("127.0.0.1", 0))
+        client = WorkerClient(
+            *server.getsockname()[:2], jobs=1, idle_timeout=None
+        )
+        thread = threading.Thread(target=client.run, daemon=True)
+        thread.start()
+        conn, _addr = server.accept()
+        try:
+            assert recv_message(conn)["type"] == "hello"
+            task = {"type": "task", "solver": "check-ghd", "params": {"k": 2}}
+            send_message(conn, {**task, "task": "t1", "hypergraph": []})
+            reply = _next_reply(conn)
+            assert reply["type"] == "error" and reply["task"] == "t1"
+            assert reply["error"]["type"] == "ProtocolError"
+            # The connection survives: a good frame is still answered.
+            good = hypergraph_to_payload(cycle(4))
+            send_message(conn, {**task, "task": "t2", "hypergraph": good})
+            reply = _next_reply(conn)
+            assert reply["type"] == "result" and reply["task"] == "t2"
+            assert reply["value"]["accepted"] is True
+            send_message(conn, {"type": "shutdown"})
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            conn.close()
+            server.close()
+
+    def test_bad_result_frame_fails_the_future(self, empty_registry):
+        sock = socket.create_connection(
+            (empty_registry.host, empty_registry.port)
+        )
+        executor = RemoteExecutor(empty_registry, jobs=1)
+        try:
+            send_message(sock, {"type": "hello", "jobs": 1, "pid": 0})
+            assert empty_registry.wait_for_workers(1, timeout=10.0)
+            future = executor.submit(
+                run_block_task, "ghw-exact", cycle(4), {}
+            )
+            task = _next_reply(sock)
+            assert task["type"] == "task"
+            bad = {"width": "two", "witness": None}
+            send_message(
+                sock, {"type": "result", "task": task["task"], "value": bad}
+            )
+            with pytest.raises(ValueError, match="malformed ghw-exact"):
+                future.result(timeout=10.0)
+            assert empty_registry.worker_count() == 1
+        finally:
+            executor.shutdown(wait=False)
+            sock.close()
+
+    def test_no_pickle_in_dist(self):
+        import pathlib
+
+        import repro.dist
+
+        package = pathlib.Path(repro.dist.__file__).parent
+        for path in package.glob("*.py"):
+            assert "import pickle" not in path.read_text(), path.name
+
+
+def _next_reply(sock):
+    """The next frame that is not a heartbeat or ping."""
+    while True:
+        message = recv_message(sock)
+        if message["type"] not in ("heartbeat", "ping"):
+            return message
 
 
 # ----------------------------------------------------------------------

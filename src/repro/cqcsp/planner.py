@@ -38,7 +38,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..decomposition import Decomposition
 from ..hypergraph import Hypergraph
@@ -218,14 +218,7 @@ class PlannerStats:
 
     def as_dict(self) -> dict:
         """The counters as a JSON-ready dictionary."""
-        return {
-            "plans": self.plans,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_store_hits": self.plan_store_hits,
-            "executions": self.executions,
-            "tasks_run": self.tasks_run,
-            "lp_solves": self.lp_solves,
-        }
+        return asdict(self)
 
 
 class QueryPlanner:

@@ -15,8 +15,8 @@ sends to the driver:
 * ``{"type": "heartbeat", "in_flight": N, "executed": N}`` — liveness
   (periodic, and in reply to every ``ping``);
 * ``{"type": "result", "task": id, "value": {...}}`` — a finished
-  task, its value in the store's instance schema
-  (:func:`repro.serve.protocol.answer_payload` keyed by the solver);
+  task, its value in the store's answer schema
+  (:func:`repro.store.answer_payload` keyed by the solver);
 * ``{"type": "error", "task": id, "error": {"type", "message"}}`` — a
   failed one, named by its exception class;
 * ``{"type": "cancelled", "task": id}`` — a task dequeued before it

@@ -5,7 +5,8 @@ A worker is the inverse of a server: it *dials back* to the driver's
 announces its capacity in a ``hello`` frame, and then executes whatever
 ``task`` frames arrive on a local thread pool — each one the same plain
 :func:`~repro.pipeline.solve.run_block_task` payload a thread or
-process pool would run, in the JSON codec of :mod:`repro.serve.protocol`.
+process pool would run, in the JSON codec of :mod:`repro.serve.protocol`
+(results in the answer schema of :mod:`repro.store`).
 All scheduling intelligence (the settle protocol, bounds seeding, store
 write-back, failure isolation) stays on the driver; a worker is
 deliberately as dumb as a pool thread.
@@ -41,7 +42,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..pipeline.solve import _ABORTABLE, run_block_task
-from ..serve.protocol import answer_payload, hypergraph_from_payload
+from ..serve.protocol import hypergraph_from_payload
+from ..store import answer_payload
 from .protocol import ProtocolError, recv_message, send_message
 
 __all__ = ["WorkerClient", "spawn_worker"]

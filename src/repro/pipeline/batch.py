@@ -49,7 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 from ..hypergraph import Hypergraph
-from ..store import ResultStore, checked_witness
+from ..store import ResultStore
 from .bounds import BOUNDS_MODES, compute_block_bounds, seeded_block_state
 from .solve import (
     _ABORTABLE,
@@ -616,57 +616,13 @@ class _Instance:
         if store is None:
             return False
         request = self.request
-        value = store.get_instance(
-            request.hypergraph, request.kind, self.solver_mode, request.params
+        hit = store.get_instance(
+            request.hypergraph, request.kind, self.solver_mode,
+            request.params, self.dkind, self.k,
         )
-        if not isinstance(value, dict):
+        if hit is None:
             return False
-        h = request.hypergraph
-        answer = None
-        if self.mode == "check":
-            if not value.get("accepted"):
-                # Rejections have no witness to re-validate; they are
-                # served as trusted *self-authored* data: CRC-protected
-                # against corruption and keyed by the collision-resistant
-                # canonical hash, but a deliberately tampered log could
-                # forge one (delete the store to recompute from scratch).
-                answer = (None,)
-            else:
-                witness = checked_witness(
-                    h, value.get("witness"), self.dkind,
-                    width=float(self.k) + _EPS,
-                )
-                if witness is not None:
-                    answer = (witness,)
-        elif request.kind == "bounds":
-            lower, width = value.get("lower"), value.get("width")
-            if isinstance(lower, (int, float)) and isinstance(
-                width, (int, float)
-            ):
-                witness = checked_witness(
-                    h, value.get("witness"), self.dkind,
-                    width=float(width) + _EPS,
-                )
-                if witness is not None:
-                    # The witness is re-validated but the stored lower
-                    # bound cannot be; clamp it to the witness width so a
-                    # bad record can never yield lower > upper.
-                    lower = min(float(lower), witness.width())
-                    answer = ((lower, witness.width(), witness),)
-        else:
-            width = value.get("width")
-            if isinstance(width, (int, float)) and width >= 1 - _EPS:
-                witness = checked_witness(
-                    h, value.get("witness"), self.dkind,
-                    width=float(width) + _EPS,
-                )
-                if witness is not None:
-                    if request.kind in ("hw", "ghw", "ghw-exact"):
-                        width = int(width)
-                    answer = ((width, witness),)
-        if answer is None:
-            return False
-        self.result._resolve(answer[0])
+        self.result._resolve(hit[0])
         self.finalized = True
         self.store_hit = True
         return True
@@ -839,10 +795,9 @@ class _Instance:
             elif self.mode == "oneshot":
                 value = self.block_results[b]
                 if value is not _PENDING:
-                    width, witness = value
                     store.put_block_exact(
                         block_h, self.dkind, self.solver_mode, self.params,
-                        float(width), witness,
+                        *value,
                     )
             else:
                 value = self.block_results[b]
@@ -861,24 +816,9 @@ class _Instance:
             return
         request = self.request
         try:
-            if self.mode == "check":
-                payload = {
-                    "accepted": value is not None,
-                    "witness": None if value is None else value.as_dict(),
-                }
-            elif request.kind == "bounds":
-                lower, width, witness = value
-                payload = {
-                    "lower": float(lower),
-                    "width": float(width),
-                    "witness": witness.as_dict(),
-                }
-            else:
-                width, witness = value
-                payload = {"width": width, "witness": witness.as_dict()}
             store.put_instance(
                 request.hypergraph, request.kind, self.solver_mode,
-                request.params, payload,
+                request.params, value,
             )
             from ..engine.oracle import oracle_for  # lazy: no cycles
 

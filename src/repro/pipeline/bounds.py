@@ -217,7 +217,6 @@ def seeded_block_state(bounds: BlockBounds | None, cap: int) -> BlockState:
     lower_k = bounds.lower_k
     for k in range(1, min(lower_k, cap + 2)):
         state.results[k] = None
-    state.next_k = lower_k
     upper_k = bounds.upper_k
     if upper_k is not None and lower_k <= upper_k <= cap:
         state.results[upper_k] = bounds.witness

@@ -356,8 +356,6 @@ class BlockState:
 
     Attributes
     ----------
-    next_k : int
-        The next candidate k to submit speculatively.
     results : dict
         Map ``k -> Decomposition | None`` of finished checks.
     width : int or None
@@ -366,7 +364,6 @@ class BlockState:
         The witness decomposition at ``width``, once settled.
     """
 
-    next_k: int = 1
     results: dict = field(default_factory=dict)  # k -> Decomposition | None
     width: int | None = None
     witness: Decomposition | None = None

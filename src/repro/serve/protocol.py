@@ -12,13 +12,14 @@ and no decoder that can execute code.  A solve request posts::
      "solver": "sat",                           # optional mode override
      "label": "q17"}                            # optional display name
 
-and receives the same answer encoding the persistent store uses for
-instance records (:mod:`repro.store`): ``{"width", "witness"}`` for
-width kinds, ``{"accepted", "witness"}`` for check kinds and
-``{"lower", "width", "witness"}`` for bounds — so a response can be
-re-validated client-side with
+and receives an answer in the schema :mod:`repro.store` owns
+(:func:`repro.store.answer_payload`, also the encoding of its records:
+width and witness, a check verdict and witness, or bounds and witness)
+— so a response can be re-validated client-side with
 :func:`repro.store.checked_witness` if desired.  A worker's block-task
-result uses the same schema, keyed by its solver name.
+result uses the same schema, keyed by its solver name, and decodes
+through the store's decoder (:func:`answer_from_payload` here re-raises
+its errors as :class:`ProtocolError`).
 
 :func:`request_key` is the coalescing identity: two requests with the
 same canonical hypergraph hash, kind, effective solver mode and
@@ -41,13 +42,13 @@ never the answers.
 
 from __future__ import annotations
 
+from .. import store
 from ..cqcsp import parse_cq, relation_from_payload
 from ..cqcsp.planner import plan_key
-from ..decomposition.io import decomposition_from_dict
 from ..hypergraph import Hypergraph
 from ..pipeline.batch import BATCH_KINDS, BatchRequest
 from ..pipeline.solve import SOLVER_MODES
-from ..store import params_fingerprint
+from ..store import answer_payload, params_fingerprint
 
 __all__ = [
     "ProtocolError",
@@ -252,82 +253,9 @@ def query_answer_payload(result) -> dict:
     }
 
 
-def _answer_shape(kind: str) -> str:
-    """The answer schema of a batch kind or a block-task solver name."""
-    if kind.startswith(("check-", "sat-check-")):
-        return "check"
-    if kind in ("bounds", "heuristic-bounds"):
-        return "bounds"
-    return "approximation" if kind == "fhw-approximation" else "width"
-
-
-def answer_payload(kind: str, value) -> dict:
-    """Encode a resolved value in the store's instance schema.
-
-    ``kind`` is a batch kind or a :data:`~repro.pipeline.solve.SOLVERS`
-    name; ``fhw-approximation`` encodes the fields of its result.
-    """
-    shape = _answer_shape(kind)
-    if shape == "check":
-        return {
-            "accepted": value is not None,
-            "witness": None if value is None else value.as_dict(),
-        }
-    if shape == "bounds":
-        lower, width, witness = value
-        return {
-            "lower": float(lower),
-            "width": float(width),
-            "witness": witness.as_dict(),
-        }
-    if shape == "approximation":
-        found = value.decomposition
-        return {
-            "decomposition": None if found is None else found.as_dict(),
-            "width": value.width,
-            "iterations": value.iterations,
-            "trace": value.trace,
-        }
-    width, witness = value
-    return {"width": width, "witness": witness.as_dict()}
-
-
 def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
-    """Decode an :func:`answer_payload`; :class:`ProtocolError` if bad.
-
-    Witness bags map back through ``hypergraph``'s ``{str(v): v}``
-    table, so an int-vertex hypergraph gets int bags back.
-    """
-    from ..algorithms.approx import FHWApproximationResult  # lazy
-
-    vertices = {str(v): v for v in hypergraph.vertices}
-
-    def number(key, nullable=False):
-        value = payload[key]
-        if type(value) not in (int, float) and not (nullable and value is None):
-            raise ValueError(f"{key!r} is not a number")
-        return value
-
-    def witness(key, nullable=False):
-        found = payload[key]
-        if nullable and found is None:
-            return None
-        return decomposition_from_dict(found, vertices)
-
-    shape = _answer_shape(kind)
+    """The store's answer decoder, raising :class:`ProtocolError` if bad."""
     try:
-        if shape == "check":
-            return witness("witness") if payload["accepted"] is True else None
-        if shape == "bounds":
-            return number("lower"), number("width"), witness("witness")
-        if shape == "approximation":
-            trace = [(float(a), float(b), c is True) for a, b, c in payload["trace"]]
-            return FHWApproximationResult(
-                witness("decomposition", nullable=True),
-                number("width", nullable=True),
-                int(number("iterations")),
-                trace,
-            )
-        return number("width"), witness("witness")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"malformed {kind} answer: {exc}") from None
+        return store.answer_from_payload(kind, payload, hypergraph)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None

@@ -47,15 +47,14 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..cqcsp.planner import QueryPlanner
 from ..pipeline.batch import BatchScheduler
 from ..pipeline.solve import EXECUTORS
-from ..store import ResultStore
+from ..store import ResultStore, answer_payload
 from .protocol import (
     ProtocolError,
-    answer_payload,
     query_answer_payload,
     query_key,
     query_request_from_payload,
@@ -88,7 +87,7 @@ DEFAULT_READ_TIMEOUT = 30.0
 
 
 class _BadRequest(Exception):
-    """A request refused while reading it; carries the HTTP status."""
+    """A request refused before it runs; carries the HTTP status."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -162,24 +161,7 @@ class ServerStats:
 
     def as_dict(self) -> dict:
         """The counters as a JSON-ready dictionary."""
-        return {
-            "requests": self.requests,
-            "answers": self.answers,
-            "errors": self.errors,
-            "coalesced": self.coalesced,
-            "rejected_busy": self.rejected_busy,
-            "rejected_draining": self.rejected_draining,
-            "solves": self.solves,
-            "store_instance_hits": self.store_instance_hits,
-            "store_blocks_seeded": self.store_blocks_seeded,
-            "store_write_errors": self.store_write_errors,
-            "lp_solves": self.lp_solves,
-            "tasks_run": self.tasks_run,
-            "queries": self.queries,
-            "query_answers": self.query_answers,
-            "plans_computed": self.plans_computed,
-            "plan_store_hits": self.plan_store_hits,
-        }
+        return asdict(self)
 
 
 class DecompositionServer:
@@ -418,9 +400,12 @@ class DecompositionServer:
                 payload = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return 400, {"error": f"request body is not JSON: {exc}"}
-            if path == "/solve":
-                return await self._solve(payload)
-            return await self._query(payload)
+            try:
+                if path == "/solve":
+                    return await self._solve(payload)
+                return await self._query(payload)
+            except _BadRequest as exc:  # refused at admission
+                return exc.status, {"error": str(exc)}
         return 404, {"error": f"unknown path {path!r}"}
 
     def _stats_payload(self) -> dict:
@@ -455,6 +440,41 @@ class DecompositionServer:
         }
 
     # ------------------------------------------------------------------
+    # Admission: one path for /solve and /query
+    # ------------------------------------------------------------------
+    def _admit(self, key, fold, compute, *args) -> tuple:
+        """Join computation ``key`` or admit ``compute(*args)`` as it.
+
+        Returns ``(future, coalesced)``, or raises :class:`_BadRequest`
+        (503 draining, 429 full).  ``fold`` counts the result into the
+        endpoint's stats once and returns the value waiters receive.
+        """
+        future = self._pending.get(key)
+        if future is not None:
+            self.stats.coalesced += 1
+            return future, True
+        if self._draining:
+            self.stats.rejected_draining += 1
+            raise _BadRequest(503, "server is draining")
+        if len(self._pending) >= self.max_in_flight + self.max_queue:
+            self.stats.rejected_busy += 1
+            raise _BadRequest(429, "too many computations in flight")
+        task = asyncio.get_running_loop().create_task(
+            self._run_pending(key, fold, compute, args)
+        )
+        self._pending[key] = task
+        return task, False
+
+    async def _run_pending(self, key, fold, compute, args):
+        """Run one admitted computation; its task is what waiters share."""
+        loop = asyncio.get_running_loop()
+        try:
+            result = await loop.run_in_executor(self._executor, compute, *args)
+            return fold(result)
+        finally:
+            self._pending.pop(key, None)
+
+    # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     async def _solve(self, payload) -> tuple[int, dict]:
@@ -463,27 +483,12 @@ class DecompositionServer:
             request = request_from_payload(payload)
         except ProtocolError as exc:
             return 400, {"error": str(exc)}
-        key = request_key(request, self.solver)
-        future = self._pending.get(key)
-        coalesced = future is not None
-        if coalesced:
-            self.stats.coalesced += 1
-        else:
-            if self._draining:
-                self.stats.rejected_draining += 1
-                return 503, {"error": "server is draining"}
-            if len(self._pending) >= self.max_in_flight + self.max_queue:
-                self.stats.rejected_busy += 1
-                return 429, {"error": "too many computations in flight"}
-            future = asyncio.get_running_loop().create_future()
-            self._pending[key] = future
-            asyncio.get_running_loop().create_task(
-                self._run_pending(key, request, future)
-            )
+        future, coalesced = self._admit(
+            request_key(request, self.solver),
+            self._fold_solve, self._run_batch, request,
+        )
         try:
             answer, from_store = await asyncio.shield(future)
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:
             self.stats.errors += 1
             return 422, {
@@ -502,30 +507,16 @@ class DecompositionServer:
             "from_store": from_store,
         }
 
-    async def _run_pending(self, key, request, future) -> None:
-        """Execute one admitted computation and resolve its future."""
-        loop = asyncio.get_running_loop()
-        try:
-            answer, stats = await loop.run_in_executor(
-                self._executor, self._run_batch, request
-            )
-        except Exception as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                future.exception()  # consumed here; waiters re-raise a copy
-        else:
-            self.stats.solves += 1
-            self.stats.store_instance_hits += stats.store_instance_hits
-            self.stats.store_blocks_seeded += stats.store_blocks_seeded
-            self.stats.store_write_errors += stats.store_write_errors
-            self.stats.lp_solves += stats.lp_solves
-            self.stats.tasks_run += stats.tasks_run
-            if not future.cancelled():
-                future.set_result(
-                    (answer, stats.store_instance_hits > 0)
-                )
-        finally:
-            self._pending.pop(key, None)
+    def _fold_solve(self, result) -> tuple:
+        """Count one scheduler run; waiters get ``(answer, from_store)``."""
+        answer, stats = result
+        self.stats.solves += 1
+        self.stats.store_instance_hits += stats.store_instance_hits
+        self.stats.store_blocks_seeded += stats.store_blocks_seeded
+        self.stats.store_write_errors += stats.store_write_errors
+        self.stats.lp_solves += stats.lp_solves
+        self.stats.tasks_run += stats.tasks_run
+        return answer, stats.store_instance_hits > 0
 
     def _run_batch(self, request):
         """One scheduler run for one computation (worker thread).
@@ -568,36 +559,14 @@ class DecompositionServer:
         except ProtocolError as exc:
             return 400, {"error": str(exc)}
         label = label or query.name
-        key = query_key(query, self.solver)
-        future = self._pending.get(key)
-        coalesced = future is not None
-        if coalesced:
-            self.stats.coalesced += 1
-        else:
-            if self._draining:
-                self.stats.rejected_draining += 1
-                return 503, {"error": "server is draining"}
-            if len(self._pending) >= self.max_in_flight + self.max_queue:
-                self.stats.rejected_busy += 1
-                return 429, {"error": "too many computations in flight"}
-            future = asyncio.get_running_loop().create_future()
-            self._pending[key] = future
-            asyncio.get_running_loop().create_task(
-                self._run_pending_plan(key, query, future)
-            )
+        future, coalesced = self._admit(
+            query_key(query, self.solver),
+            self._fold_plan, self._run_plan, query,
+        )
+        stage = "plan"
         try:
             plan, info = await asyncio.shield(future)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self.stats.errors += 1
-            return 422, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "label": label,
-                "stage": "plan",
-                "coalesced": coalesced,
-            }
-        try:
+            stage = "execute"
             answer = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._run_query, query, plan, database
             )
@@ -606,7 +575,7 @@ class DecompositionServer:
             return 422, {
                 "error": f"{type(exc).__name__}: {exc}",
                 "label": label,
-                "stage": "execute",
+                "stage": stage,
                 "coalesced": coalesced,
             }
         self.stats.query_answers += 1
@@ -620,27 +589,15 @@ class DecompositionServer:
         response.update(answer)
         return 200, response
 
-    async def _run_pending_plan(self, key, query, future) -> None:
-        """Resolve one admitted plan computation (mirrors _run_pending)."""
-        loop = asyncio.get_running_loop()
-        try:
-            plan, info = await loop.run_in_executor(
-                self._executor, self._run_plan, query
-            )
-        except Exception as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                future.exception()  # consumed here; waiters re-raise a copy
-        else:
-            self.stats.plans_computed += 0 if info.cache_hit else 1
-            self.stats.plan_store_hits += 1 if info.from_store else 0
-            self.stats.store_write_errors += info.store_write_errors
-            self.stats.lp_solves += info.lp_solves
-            self.stats.tasks_run += info.tasks_run
-            if not future.cancelled():
-                future.set_result((plan, info))
-        finally:
-            self._pending.pop(key, None)
+    def _fold_plan(self, result) -> tuple:
+        """Count one plan resolution; waiters get ``(plan, info)``."""
+        _plan, info = result
+        self.stats.plans_computed += 0 if info.cache_hit else 1
+        self.stats.plan_store_hits += 1 if info.from_store else 0
+        self.stats.store_write_errors += info.store_write_errors
+        self.stats.lp_solves += info.lp_solves
+        self.stats.tasks_run += info.tasks_run
+        return result
 
     def _run_plan(self, query):
         """One plan resolution for one query shape (worker thread).

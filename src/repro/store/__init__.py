@@ -19,13 +19,18 @@ still dies with the process.  This package spills them to disk:
   the ``repro serve`` daemon answers repeat requests from it with zero
   LP solves and zero exact Check tasks (benchmark E23).
 
-The log format and record vocabulary live in :mod:`repro.store.log`.
+It owns the answer schema (:func:`answer_payload`,
+:func:`answer_from_payload`) of every record, HTTP answer and worker
+result; the log format and record vocabulary live in
+:mod:`repro.store.log`.
 """
 
 from .log import (
     STORE_FILENAME,
     ResultStore,
     StoreStats,
+    answer_from_payload,
+    answer_payload,
     checked_witness,
     params_fingerprint,
 )
@@ -33,6 +38,8 @@ from .log import (
 __all__ = [
     "ResultStore",
     "StoreStats",
+    "answer_payload",
+    "answer_from_payload",
     "checked_witness",
     "params_fingerprint",
     "STORE_FILENAME",

@@ -17,7 +17,9 @@ and the next append truncates the file back to the good prefix before
 writing.  A writer killed between ``write`` and ``fsync`` therefore
 costs at most the unsynced suffix — recomputation, never corruption.
 
-Record vocabulary (all keys start with a type tag):
+Record vocabulary (all keys start with a type tag; every value but the
+oracle export is an :func:`answer_payload`, read back through
+:func:`answer_from_payload` and :func:`checked_witness`):
 
 * ``("block", hhash, kind, solver, params_fp)`` — a settled iterative
   block: ``{"width": k, "witness": {...}}``.  Implies every ``k' < k``
@@ -32,10 +34,10 @@ Record vocabulary (all keys start with a type tag):
   hypergraph (see :meth:`repro.engine.oracle.CoverOracle.export_entries`).
 
 Witness payloads use the stable JSON schema of
-:mod:`repro.decomposition.io`; bag vertices are stringified there, so
-round trips are exact for string-vertex hypergraphs (the serving
-formats) and safely *miss* — witness validation fails — for exotic
-vertex types.
+:mod:`repro.decomposition.io`; bag vertices are stringified there and
+map back through the hypergraph's ``{str(v): v}`` table, so int-vertex
+hypergraphs round-trip too.  The canonical hash tags vertex types, so
+a bag mapped to the wrong vertices fails validation: a miss.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..decomposition import Decomposition, validate
@@ -54,6 +56,8 @@ from ..hypergraph import Hypergraph
 __all__ = [
     "ResultStore",
     "StoreStats",
+    "answer_payload",
+    "answer_from_payload",
     "checked_witness",
     "params_fingerprint",
     "STORE_FILENAME",
@@ -94,24 +98,117 @@ def params_fingerprint(params: dict | None) -> str:
 
 def checked_witness(
     hypergraph: Hypergraph,
-    payload: dict | None,
+    payload: dict | Decomposition | None,
     kind: str,
     width: float | None = None,
 ) -> Decomposition | None:
     """Deserialize and re-validate a stored witness, or None.
 
-    The store is untrusted input: a witness only counts if it parses
-    *and* validates as a ``kind`` decomposition of ``hypergraph``
-    (within ``width``, when given).  Any failure — malformed JSON
-    shape, wrong hypergraph, wrong kind, width too large — degrades to
-    a cache miss by returning None.
+    The store is untrusted input: a witness (an ``as_dict()`` payload
+    or a decoded one) only counts if it parses *and* validates as a
+    ``kind`` decomposition of ``hypergraph`` (within ``width``, when
+    given).  Any failure — malformed JSON shape, wrong hypergraph,
+    wrong kind, width too large — degrades to a cache miss by
+    returning None.
     """
     try:
-        decomposition = decomposition_from_dict(payload)
-        validate(hypergraph, decomposition, kind=kind, width=width)
+        if not isinstance(payload, Decomposition):
+            vertices = {str(v): v for v in hypergraph.vertices}
+            payload = decomposition_from_dict(payload, vertices)
+        validate(hypergraph, payload, kind=kind, width=width)
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
-    return decomposition
+    return payload
+
+
+def _answer_shape(kind: str) -> str:
+    """The answer schema of a batch kind, a block-task solver name or a
+    record tag."""
+    if kind.startswith(("check", "sat-check-")):
+        return "check"
+    if kind in ("bounds", "heuristic-bounds"):
+        return "bounds"
+    return "approximation" if kind == "fhw-approximation" else "width"
+
+
+def answer_payload(kind: str, value) -> dict:
+    """Encode a resolved value in the store's answer schema.
+
+    ``kind`` is a batch kind, a :data:`~repro.pipeline.solve.SOLVERS`
+    name or a record tag; ``fhw-approximation`` encodes the fields of
+    its result.
+    """
+    shape = _answer_shape(kind)
+    if shape == "check":
+        return {
+            "accepted": value is not None,
+            "witness": None if value is None else value.as_dict(),
+        }
+    if shape == "bounds":
+        lower, width, witness = value
+        return {
+            "lower": float(lower),
+            "width": float(width),
+            "witness": witness.as_dict(),
+        }
+    if shape == "approximation":
+        found = value.decomposition
+        return {
+            "decomposition": None if found is None else found.as_dict(),
+            "width": value.width,
+            "iterations": value.iterations,
+            "trace": value.trace,
+        }
+    width, witness = value
+    return {"width": width, "witness": witness.as_dict()}
+
+
+def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
+    """Decode an :func:`answer_payload`; ``ValueError`` if malformed.
+
+    ``accepted`` must be a JSON boolean and every number an int or float
+    (not a bool).  Witness bags map back through ``hypergraph``'s
+    ``{str(v): v}`` table; they are not validated here.
+    """
+    vertices = {str(v): v for v in hypergraph.vertices}
+
+    def number(value, nullable=False):
+        if type(value) not in (int, float) and not (nullable and value is None):
+            raise ValueError(f"{value!r} is not a number")
+        return value
+
+    def witness(key, nullable=False):
+        found = payload[key]
+        if nullable and found is None:
+            return None
+        return decomposition_from_dict(found, vertices)
+
+    shape = _answer_shape(kind)
+    try:
+        if shape == "check":
+            accepted = payload["accepted"]
+            if type(accepted) is not bool:
+                raise ValueError(f"{accepted!r} is not a boolean")
+            return witness("witness") if accepted else None
+        if shape == "bounds":
+            lower, width = number(payload["lower"]), number(payload["width"])
+            return lower, width, witness("witness")
+        if shape == "approximation":
+            from ..algorithms.approx import FHWApproximationResult  # lazy
+
+            trace = [
+                (float(number(a)), float(number(b)), c is True)
+                for a, b, c in payload["trace"]
+            ]
+            return FHWApproximationResult(
+                witness("decomposition", nullable=True),
+                number(payload["width"], nullable=True),
+                int(number(payload["iterations"])),
+                trace,
+            )
+        return number(payload["width"]), witness("witness")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} answer: {exc}") from None
 
 
 @dataclass
@@ -145,14 +242,7 @@ class StoreStats:
 
     def as_dict(self) -> dict:
         """The counters as a JSON-ready dictionary."""
-        return {
-            "records_loaded": self.records_loaded,
-            "records_skipped": self.records_skipped,
-            "records_appended": self.records_appended,
-            "bytes_valid": self.bytes_valid,
-            "bytes_skipped": self.bytes_skipped,
-            "entries": self.entries,
-        }
+        return asdict(self)
 
 
 class ResultStore:
@@ -293,8 +383,41 @@ class ResultStore:
     # Typed records
     # ------------------------------------------------------------------
     @staticmethod
-    def _knorm(k) -> float:
-        return round(float(k), 9)
+    def _key(tag: str, hypergraph: Hypergraph, *dims, params) -> tuple:
+        fp = params_fingerprint(params)
+        return (tag, hypergraph.canonical_hash(), *dims, fp)
+
+    def _put(self, key: tuple, kind: str, value) -> None:
+        if key[-1] != "!opaque":
+            self.append(key, answer_payload(kind, value))
+
+    def _answer(
+        self, key: tuple, hypergraph: Hypergraph, kind: str, dkind: str, k=None
+    ) -> tuple | None:
+        """The ``kind`` answer at ``key`` as ``(value,)``, or None.
+
+        Its witness must re-validate as a ``dkind`` decomposition of
+        ``hypergraph`` within ``k`` (check kinds) or its stored width.
+        A rejection has no witness: it is trusted *self-authored* data,
+        CRC-protected and keyed by the collision-resistant canonical
+        hash, though a deliberately tampered log could forge one
+        (delete the store to recompute from scratch).
+        """
+        try:
+            value = answer_from_payload(kind, self._index[key], hypergraph)
+        except (KeyError, ValueError):
+            return None
+        if _answer_shape(kind) == "check":
+            if value is None:
+                return (None,)
+            bound, witness = k, value
+        else:
+            bound, witness = value[-2:]
+        if bound < 1 - _EPS or checked_witness(
+            hypergraph, witness, dkind, width=float(bound) + _EPS
+        ) is None:
+            return None
+        return (value,)
 
     def put_block(
         self,
@@ -306,13 +429,8 @@ class ResultStore:
         witness: Decomposition,
     ) -> None:
         """Persist a settled iterative block: its width and witness."""
-        fp = params_fingerprint(params)
-        if fp == "!opaque":
-            return
-        self.append(
-            ("block", hypergraph.canonical_hash(), kind, solver, fp),
-            {"width": int(width), "witness": witness.as_dict()},
-        )
+        key = self._key("block", hypergraph, kind, solver, params=params)
+        self._put(key, "block", (int(width), witness))
 
     def get_block(
         self,
@@ -322,24 +440,9 @@ class ResultStore:
         params: dict | None,
     ) -> tuple[int, Decomposition] | None:
         """A validated ``(width, witness)`` for the block, or None."""
-        value = self.get(
-            (
-                "block",
-                hypergraph.canonical_hash(),
-                kind,
-                solver,
-                params_fingerprint(params),
-            )
-        )
-        if not isinstance(value, dict):
-            return None
-        width = value.get("width")
-        if not isinstance(width, int) or width < 1:
-            return None
-        witness = checked_witness(
-            hypergraph, value.get("witness"), kind, width=width + _EPS
-        )
-        return None if witness is None else (width, witness)
+        key = self._key("block", hypergraph, kind, solver, params=params)
+        hit = self._answer(key, hypergraph, "block", kind)
+        return hit[0] if hit and isinstance(hit[0][0], int) else None
 
     def put_block_exact(
         self,
@@ -351,13 +454,8 @@ class ResultStore:
         witness: Decomposition,
     ) -> None:
         """Persist a oneshot exact-oracle block result."""
-        fp = params_fingerprint(params)
-        if fp == "!opaque":
-            return
-        self.append(
-            ("block-exact", hypergraph.canonical_hash(), kind, solver, fp),
-            {"width": float(width), "witness": witness.as_dict()},
-        )
+        key = self._key("block-exact", hypergraph, kind, solver, params=params)
+        self._put(key, "block-exact", (float(width), witness))
 
     def get_block_exact(
         self,
@@ -367,24 +465,9 @@ class ResultStore:
         params: dict | None,
     ) -> tuple[float, Decomposition] | None:
         """A validated oneshot ``(width, witness)``, or None."""
-        value = self.get(
-            (
-                "block-exact",
-                hypergraph.canonical_hash(),
-                kind,
-                solver,
-                params_fingerprint(params),
-            )
-        )
-        if not isinstance(value, dict):
-            return None
-        width = value.get("width")
-        if not isinstance(width, (int, float)) or width < 1 - _EPS:
-            return None
-        witness = checked_witness(
-            hypergraph, value.get("witness"), kind, width=float(width) + _EPS
-        )
-        return None if witness is None else (float(width), witness)
+        key = self._key("block-exact", hypergraph, kind, solver, params=params)
+        hit = self._answer(key, hypergraph, "block-exact", kind)
+        return None if hit is None else (float(hit[0][0]), hit[0][1])
 
     def put_check(
         self,
@@ -396,23 +479,9 @@ class ResultStore:
         witness: Decomposition | None,
     ) -> None:
         """Persist one Check(X, k) verdict (None witness = rejected)."""
-        fp = params_fingerprint(params)
-        if fp == "!opaque":
-            return
-        self.append(
-            (
-                "check",
-                hypergraph.canonical_hash(),
-                kind,
-                self._knorm(k),
-                solver,
-                fp,
-            ),
-            {
-                "accepted": witness is not None,
-                "witness": None if witness is None else witness.as_dict(),
-            },
-        )
+        k = round(float(k), 9)
+        key = self._key("check", hypergraph, kind, k, solver, params=params)
+        self._put(key, "check", witness)
 
     def get_check(
         self,
@@ -428,24 +497,10 @@ class ResultStore:
         miss (never trust the log); a *rejected* record needs no
         witness and is returned as ``(False, None)``.
         """
-        value = self.get(
-            (
-                "check",
-                hypergraph.canonical_hash(),
-                kind,
-                self._knorm(k),
-                solver,
-                params_fingerprint(params),
-            )
-        )
-        if not isinstance(value, dict):
-            return None
-        if not value.get("accepted"):
-            return (False, None)
-        witness = checked_witness(
-            hypergraph, value.get("witness"), kind, width=float(k) + _EPS
-        )
-        return None if witness is None else (True, witness)
+        k = round(float(k), 9)
+        key = self._key("check", hypergraph, kind, k, solver, params=params)
+        hit = self._answer(key, hypergraph, "check", kind, k)
+        return None if hit is None else (hit[0] is not None, hit[0])
 
     def put_instance(
         self,
@@ -453,16 +508,13 @@ class ResultStore:
         request_kind: str,
         solver: str,
         params: dict | None,
-        value: dict,
+        value,
     ) -> None:
-        """Persist a full request answer (the serve layer's fast path)."""
-        fp = params_fingerprint(params)
-        if fp == "!opaque":
-            return
-        self.append(
-            ("instance", hypergraph.canonical_hash(), request_kind, solver, fp),
-            value,
+        """Persist a request's resolved value (the serve layer's fast path)."""
+        key = self._key(
+            "instance", hypergraph, request_kind, solver, params=params
         )
+        self._put(key, request_kind, value)
 
     def get_instance(
         self,
@@ -470,21 +522,31 @@ class ResultStore:
         request_kind: str,
         solver: str,
         params: dict | None,
-    ) -> dict | None:
-        """The raw stored answer for a full request, or None.
+        dkind: str,
+        k=None,
+    ) -> tuple | None:
+        """A request's re-validated value as ``(value,)``, or None.
 
-        Witness re-validation is the caller's job (the serve layer
-        validates against the request's own hypergraph and kind).
+        A check rejection is ``(None,)``, never confused with a miss.
+        The witness validates as a ``dkind`` decomposition (within
+        ``k`` for check kinds); hw/ghw/ghw-exact widths are ints, and a
+        bounds lower bound is clamped to the witness width.
         """
-        return self.get(
-            (
-                "instance",
-                hypergraph.canonical_hash(),
-                request_kind,
-                solver,
-                params_fingerprint(params),
-            )
+        key = self._key(
+            "instance", hypergraph, request_kind, solver, params=params
         )
+        hit = self._answer(key, hypergraph, request_kind, dkind, k)
+        shape = _answer_shape(request_kind)
+        if hit is None or shape == "check":
+            return hit
+        if shape == "bounds":
+            lower, _width, witness = hit[0]
+            upper = witness.width()
+            return ((min(float(lower), upper), upper, witness),)
+        width, witness = hit[0]
+        if request_kind in ("hw", "ghw", "ghw-exact"):
+            width = int(width)
+        return ((width, witness),)
 
     def put_oracle_entries(
         self, hypergraph: Hypergraph, entries: list

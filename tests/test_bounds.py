@@ -91,12 +91,12 @@ class TestBlockBounds:
 class TestSeededBlockState:
     def test_none_bounds_gives_fresh_state(self):
         state = seeded_block_state(None, cap=5)
-        assert state.next_k == 1 and state.width is None
+        assert state.next_k_unconfirmed() == 1 and state.width is None
 
     def test_lower_bound_seeds_rejections(self):
         b = BlockBounds(kind="ghd", lower=3.0)
         state = seeded_block_state(b, cap=6)
-        assert state.next_k == 3
+        assert state.next_k_unconfirmed() == 3
         assert state.results[1] is None and state.results[2] is None
         assert state.width is None
 

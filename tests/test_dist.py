@@ -425,6 +425,30 @@ class TestJsonWire:
             executor.shutdown(wait=False)
             sock.close()
 
+    def test_non_boolean_verdict_frame_fails_the_future(self, empty_registry):
+        """``"accepted": "yes"`` is malformed, not an unvalidated "no"."""
+        sock = socket.create_connection(
+            (empty_registry.host, empty_registry.port)
+        )
+        executor = RemoteExecutor(empty_registry, jobs=1)
+        try:
+            send_message(sock, {"type": "hello", "jobs": 1, "pid": 0})
+            assert empty_registry.wait_for_workers(1, timeout=10.0)
+            future = executor.submit(
+                run_block_task, "check-ghd", cycle(4), {"k": 2}
+            )
+            task = _next_reply(sock)
+            assert task["type"] == "task"
+            bad = {"accepted": "yes", "witness": None}
+            send_message(
+                sock, {"type": "result", "task": task["task"], "value": bad}
+            )
+            with pytest.raises(ValueError, match="malformed check-ghd"):
+                future.result(timeout=10.0)
+        finally:
+            executor.shutdown(wait=False)
+            sock.close()
+
     def test_no_pickle_in_dist(self):
         import pathlib
 

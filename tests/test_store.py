@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.decomposition import validate
 from repro.engine.oracle import CoverOracle
 from repro.hypergraph import Hypergraph
 from repro.pipeline import BatchRequest, solve_many
@@ -312,11 +313,36 @@ class TestTypedRecords:
             assert store.get_check(h, "ghd", 1, "bb", None) == (False, None)
             assert store.get_check(h, "ghd", 3, "bb", None) is None
 
+    def test_check_non_boolean_verdict_is_a_miss(self, tmp_path):
+        """``accepted`` is a JSON boolean or the record is malformed."""
+        h = triangle()
+        (acc,) = solve_many([BatchRequest(h, "check-ghd", {"k": 2})])
+        with ResultStore(tmp_path) as store:
+            store.append(
+                ("check", h.canonical_hash(), "ghd", 2.0, "bb", "{}"),
+                {"accepted": "no", "witness": acc.value.as_dict()},
+            )
+            assert store.get_check(h, "ghd", 2, "bb", None) is None
+
+    def test_block_boolean_width_is_a_miss(self, tmp_path):
+        """A bool is not a width, even where it would validate as 1."""
+        h = path4()
+        (result,) = solve_many([BatchRequest(h, "ghw")])
+        width, witness = result.value
+        assert width == 1
+        with ResultStore(tmp_path) as store:
+            store.append(
+                ("block", h.canonical_hash(), "ghd", "bb", "{}"),
+                {"width": True, "witness": witness.as_dict()},
+            )
+            assert store.get_block(h, "ghd", "bb", None) is None
+
     def test_opaque_params_never_persisted(self, tmp_path):
         h = triangle()
+        (result,) = solve_many([BatchRequest(h, "ghw")])
         with ResultStore(tmp_path) as store:
             store.put_instance(
-                h, "ghw", "bb", {"fn": lambda: None}, {"width": 2}
+                h, "ghw", "bb", {"fn": lambda: None}, result.value
             )
             assert len(store) == 0
 
@@ -453,6 +479,37 @@ class TestStoreServing:
         assert again.ok
         assert again.value[0] == first.value[0]
 
+    def test_boolean_width_instance_record_is_a_miss(self, tmp_path):
+        h = path4()
+        with ResultStore(tmp_path / "a") as store:
+            (first,), _ = solve_with_store(store, [BatchRequest(h, "ghw")])
+            (key,) = [k for k in store._index if k[0] == "instance"]
+        assert first.value[0] == 1
+        with ResultStore(tmp_path / "b") as store:
+            store.append(
+                key, {"width": True, "witness": first.value[1].as_dict()}
+            )
+            (again,), stats = solve_with_store(store, [BatchRequest(h, "ghw")])
+        assert stats.store_instance_hits == 0
+        assert again.ok and again.value[0] == 1
+
+    def test_int_vertex_instance_hits_the_store(self, tmp_path):
+        """Bags round-trip through the hypergraph's ``{str(v): v}`` table."""
+        h = Hypergraph({"a": [1, 2], "b": [2, 3]})
+        request = BatchRequest(h, "ghw")
+        with ResultStore(tmp_path) as store:
+            (first,), _ = solve_with_store(store, [request])
+            (second,), stats = solve_with_store(store, [request])
+        assert stats.store_instance_hits == 1
+        width, witness = second.value
+        assert width == first.value[0] == 1
+        assert all(
+            isinstance(v, int)
+            for nid in witness.node_ids
+            for v in witness.bag(nid)
+        )
+        validate(h, witness, kind="ghd", width=width)
+
     def test_failed_writes_are_counted_and_logged(self, tmp_path, caplog):
         """A full disk costs persistence, never the answer, and never
         silently: each failed write-back is counted and logged."""
@@ -537,3 +594,24 @@ class TestStoreServing:
         if witness is not None:
             # Served witnesses passed checked_witness on the way out.
             assert witness.width() <= first.value[0] + 1e-6
+
+
+# ----------------------------------------------------------------------
+# The perf harness's patch points
+# ----------------------------------------------------------------------
+class TestTracerHooks:
+    def test_every_layer_is_patchable(self):
+        """``perfbench/tracer.py`` wraps store lookups, re-validation
+        and every other layer by name; a renamed one would silently
+        drop out of the per-layer metrics."""
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = [%r, %r]\n"
+            "from tracer import Recorder, install\n"
+            "print(json.dumps(install(Recorder())))\n"
+        ) % (str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -23,13 +23,17 @@ through hooks:
 * :meth:`guess_order` — the guess-ordering strategy (named strategies in
   :data:`GUESS_STRATEGIES`).
 
+Guesses are enumerated on int vertex masks by a depth-first search that
+cuts every prefix which can no longer cover the frontier (det-k-decomp's
+guided λ-search, Gottlob & Samer, JEA 2009), in ``combinations()``
+order, so witnesses and ``states_explored`` match a plain enumeration.
+
 ``HDSearch`` (and through it the GHD subedge-augmentation path) and
 ``StrictFHDSearch`` are thin instantiations in the algorithms layer.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Hashable
 
 from ..covers import FractionalCover
@@ -103,6 +107,8 @@ class CheckSearch:
         self._order = GUESS_STRATEGIES[guess_strategy]
         self._memo: dict[Hashable, tuple | None] = {}
         self._edge_names = sorted(hypergraph.edge_names)
+        self._bit = {v: 1 << i for i, v in enumerate(hypergraph.vertices)}
+        self._masks = {e: self._mask(hypergraph.edge(e)) for e in self._edge_names}
         self.states_explored = 0
 
     # -- hooks ---------------------------------------------------------
@@ -145,38 +151,66 @@ class CheckSearch:
         """``V(R) ∩ ⋃ edges(C_r)``: the parent-cover part seen by C_r."""
         return self.context.frontier(component, parent_cover)
 
-    def _candidate_edges(
-        self, component: frozenset, frontier: frozenset
-    ) -> list[str]:
+    def _mask(self, vertex_set) -> int:
+        """The vertex set as an int with bit ``i`` set for vertex ``i``."""
+        bit = self._bit
+        return sum(bit[v] for v in vertex_set)
+
+    def _candidate_edges(self, relevant: int) -> list[str]:
         """Edges that can usefully appear in S: those meeting C_r ∪ frontier.
 
         Normal-form decompositions never need cover edges disjoint from
         the bag, and bags live inside ``B_r ∪ C_r`` — see module docs.
         """
-        hg = self.hypergraph
-        relevant = component | frontier
-        return [e for e in self._edge_names if hg.edge(e) & relevant]
+        masks = self._masks
+        return [e for e in self._edge_names if masks[e] & relevant]
 
     def _guesses(
         self, component: frozenset, frontier: frozenset, parent_cover: frozenset
     ):
-        """All admissible covers S for this state, strategy-ordered."""
+        """All admissible covers S for this state, strategy-ordered.
+
+        Size by size, a depth-first search picks increasing candidate
+        indices, so it visits index tuples in the lexicographic order of
+        ``combinations(candidates, size)``.  A prefix with union mask
+        ``covered`` and ``slots`` edges still to pick is cut when
+        ``rest = frontier & ~covered`` cannot be finished: with one slot
+        left the next edge must contain ``rest``; otherwise when
+        ``max_{j >= start} |m_j & rest| * slots < |rest|``.  A cut drops
+        only tuples that fail ``frontier <= V(S)``, so the tuples that
+        pass it and ``V(S) ∩ C_r ≠ ∅`` come out in the old order, and
+        only they are interned and unioned.
+        """
         ctx = self.context
-        target = component | frontier
+        fmask, cmask = self._mask(frontier), self._mask(component)
         candidates = self.guess_order(
-            self._candidate_edges(component, frontier), target
+            self._candidate_edges(fmask | cmask), component | frontier
         )
+        masks = [self._masks[e] for e in candidates]
+        n = len(masks)
+
+        def extend(start: int, slots: int, covered: int, picked: tuple):
+            rest = fmask & ~covered
+            if slots == 1:
+                for j in range(start, n):
+                    if not rest & ~masks[j] and (covered | masks[j]) & cmask:
+                        yield picked + (candidates[j],)
+                return
+            need = rest.bit_count()
+            if need and need > slots * max(
+                ((m & rest).bit_count() for m in masks[start:]), default=0
+            ):
+                return
+            for j in range(start, n - slots + 1):
+                yield from extend(
+                    j + 1, slots - 1, covered | masks[j], picked + (candidates[j],)
+                )
+
         for size in range(1, self.max_cover_size() + 1):
-            for combo in combinations(candidates, size):
-                cover = ctx.intern(frozenset(combo))
-                covered = ctx.vertices_of(cover)
-                if not frontier <= covered:
-                    continue
-                if not covered & component:
-                    continue
-                if not self.admissible(cover, component, frontier, parent_cover):
-                    continue
-                yield cover, covered
+            for picked in extend(0, size, 0, ()):
+                cover = ctx.intern(frozenset(picked))
+                if self.admissible(cover, component, frontier, parent_cover):
+                    yield cover, ctx.vertices_of(cover)
 
     def _solve(self, component: frozenset, parent_cover: frozenset) -> bool:
         frontier = self._frontier(component, parent_cover)

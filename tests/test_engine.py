@@ -6,16 +6,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.covers import EPS, covered_vertices, fractional_cover_of
 from repro.covers import linear_program, simplex
 from repro.covers.linear_program import HAVE_SCIPY, SIMPLEX_MAX_CELLS
 from repro.engine import (
+    GUESS_STRATEGIES,
     AutoBackend,
     CheckSearch,
     CoverOracle,
@@ -458,3 +460,75 @@ class TestCheckSearch:
         assert second.context is first.context
         second.run()
         assert get_context(grid33).stats["hits"] > warm
+
+
+def reference_guesses(search, component, frontier, parent_cover):
+    """The plain enumerator: every ``combinations()`` tuple, then filters."""
+    hg, ctx = search.hypergraph, search.context
+    target = component | frontier
+    candidates = search.guess_order(
+        [e for e in sorted(hg.edge_names) if hg.edge(e) & target], target
+    )
+    guesses = []
+    for size in range(1, search.max_cover_size() + 1):
+        for combo in combinations(candidates, size):
+            cover = ctx.intern(frozenset(combo))
+            covered = ctx.vertices_of(cover)
+            if not frontier <= covered or not covered & component:
+                continue
+            if search.admissible(cover, component, frontier, parent_cover):
+                guesses.append((cover, covered))
+    return guesses
+
+
+class TestGuessEnumeration:
+    """The pruned enumerator yields the reference guesses, in order."""
+
+    @staticmethod
+    def assert_matches_reference(search):
+        states = []
+        enumerate_guesses = search._guesses
+
+        def recording(*state):
+            states.append(state)
+            return enumerate_guesses(*state)
+
+        search._guesses = recording
+        witness = search.run()
+        assert states
+        for state in states:
+            assert list(enumerate_guesses(*state)) == reference_guesses(
+                search, *state
+            )
+        return witness
+
+    @given(
+        hypergraphs(max_vertices=10, max_edges=10, max_edge_size=5),
+        st.integers(1, 3),
+        st.sampled_from(sorted(GUESS_STRATEGIES)),
+    )
+    # The cut's max runs over the candidate at ``start`` too.
+    @example(
+        Hypergraph({"a": ["u"], "b": ["v"], "c": ["u", "v"], "d": ["v", "w"]}),
+        3,
+        "lexicographic",
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hd_search(self, h, k, strategy):
+        from repro.algorithms import HDSearch
+
+        self.assert_matches_reference(HDSearch(h, k, guess_strategy=strategy))
+
+    @given(hypergraphs(max_vertices=6, max_edges=6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_strict_fhd_search(self, h, k):
+        from repro.algorithms import StrictFHDSearch
+
+        self.assert_matches_reference(StrictFHDSearch(h, float(k), max_support=k))
+
+    def test_exhaustive_no(self, k5):
+        from repro.algorithms import HDSearch
+
+        search = HDSearch(k5, 2)
+        assert self.assert_matches_reference(search) is None
+        assert search.states_explored > 1

@@ -28,7 +28,11 @@ benchmark workloads in-process and writes one JSON file per benchmark:
 
 Each file separates ``metrics`` (deterministic counters — meaningful to
 diff across commits) from ``timings`` (wall-clock — machine-dependent,
-informational).  Regenerate after perf-relevant changes::
+informational).  Child-component order follows frozenset iteration, so
+witness numbering and search counters depend on the string hash seed;
+the recorder therefore re-executes itself under ``PYTHONHASHSEED=0``
+and stamps ``"hash_seed": 0`` into every file.  Regenerate after
+perf-relevant changes::
 
     python tools/record_bench.py            # E12 + E19b
     python tools/record_bench.py --only e21 # the portfolio race
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -213,6 +218,9 @@ RECORDERS = {
 #: E21–E24 run multi-phase comparisons, so they are opt-in.
 DEFAULT = ("e12", "e19b")
 
+#: The string hash seed every baseline is recorded under.
+HASH_SEED = "0"
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -223,9 +231,14 @@ def main(argv: list[str] | None = None) -> int:
         help="record just these benchmarks (repeatable; default: e12 e19b)",
     )
     args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        env = {**os.environ, "PYTHONHASHSEED": HASH_SEED}
+        cli = sys.argv[1:] if argv is None else argv
+        os.execve(sys.executable, [sys.executable, __file__, *cli], env)
     for key in args.only or DEFAULT:
         path, recorder = RECORDERS[key]
         payload = recorder()
+        payload["hash_seed"] = int(HASH_SEED)
         target = ROOT / path
         target.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {target.relative_to(ROOT)}")

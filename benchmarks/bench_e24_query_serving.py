@@ -23,9 +23,14 @@ the single-plan coalescing window.
 
 Corpora:
 
-* **full** — star/chain/cycle/snowflake/Boolean-chain shapes over a
-  random graph plus a hub-and-spoke graph, each request repeated 3x.
+* **full** — star/chain/cycle/snowflake/Boolean-chain/biclique shapes
+  over a random graph plus a hub-and-spoke graph, each request
+  repeated 3x.
 * **smoke** — fewer shapes and repeats for CI, same assertions.
+
+The ``K_{3,3}`` biclique is the shape whose cold plan costs solver
+work: the bounds pre-pass decides every other shape's ghw, but leaves
+the biclique's open at [2, 3], so it runs one exact task.
 
 Run ``python benchmarks/bench_e24_query_serving.py`` for the full
 workload, or ``--corpus smoke`` for the CI check.
@@ -41,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from _tables import emit
 
 from repro import engine
-from repro.cqcsp import relation_to_payload
+from repro.cqcsp import Atom, ConjunctiveQuery, relation_to_payload
 from repro.cqcsp.workloads import (
     chain_query,
     cycle_query,
@@ -68,6 +73,14 @@ _STAT_KEYS = (
 )
 
 
+def biclique_query(m: int, n: int) -> ConjunctiveQuery:
+    """``q(a0) :- r(ai, bj)`` for all i < m, j < n: the ``K_{m,n}`` shape."""
+    atoms = tuple(
+        Atom("r", (f"a{i}", f"b{j}")) for i in range(m) for j in range(n)
+    )
+    return ConjunctiveQuery(("a0",), atoms, name=f"biclique{m}x{n}")
+
+
 def build_trace(corpus: str = "full") -> list[tuple]:
     """A repeat-heavy ``(label, query_text, relations)`` query trace.
 
@@ -84,6 +97,7 @@ def build_trace(corpus: str = "full") -> list[tuple]:
             ("cycle4", cycle_query(4)),
             ("snowflake2x2", snowflake_query(2, 2)),
             ("bool-chain3", chain_query(3, boolean=True)),
+            ("biclique3x3", biclique_query(3, 3)),
         ]
         repeats = 3
     elif corpus == "smoke":
@@ -93,6 +107,7 @@ def build_trace(corpus: str = "full") -> list[tuple]:
             ("star3", star_query(3)),
             ("chain3", chain_query(3)),
             ("cycle4", cycle_query(4)),
+            ("biclique3x3", biclique_query(3, 3)),
         ]
         repeats = 2
     else:

@@ -35,7 +35,9 @@ from .heuristics import (
     heuristic_decomposition,
     min_degree_ordering,
     min_fill_ordering,
+    minor_width_lower_bound,
     width_bounds,
+    width_lower_bound,
 )
 from .report import WidthReport, width_report
 from .separators import (
@@ -64,6 +66,8 @@ __all__ = [
     "min_fill_ordering",
     "heuristic_decomposition",
     "clique_lower_bound",
+    "minor_width_lower_bound",
+    "width_lower_bound",
     "width_bounds",
     "balanced_separator",
     "is_balanced_separator",

@@ -22,6 +22,7 @@ contains it (Lemma 2.8).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable
 
@@ -73,12 +74,23 @@ def width_by_elimination(
     hypergraph: Hypergraph,
     bag_cost: Callable[[frozenset], float],
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    upper: float | None = None,
 ) -> tuple[float, list[Vertex]]:
     """Minimum over orderings of the max bag cost, plus a witness ordering.
 
     ``bag_cost`` maps a bag (frozenset of vertices) to its cost; it must
     be monotone under set inclusion for the result to be the true width.
     Raises for hypergraphs above ``vertex_limit`` vertices (2^n DP).
+
+    ``upper`` — a known achievable width, e.g. a validated heuristic
+    witness — caps the DP: a prefix costing more than ``upper`` is
+    dropped, and so is a bag B with ``|B| > upper · max_e |e ∩ B|``
+    without calling ``bag_cost`` (no edge cover of B weighs less than
+    ``|B| / max_e |e ∩ B|``, so ``upper`` requires ``bag_cost`` to be an
+    edge cover weight: ρ or ρ*).  Every prefix of an optimal ordering
+    stays within the cap, so the width and ordering are those of the
+    uncapped DP; when the cap is below the width (nothing survives),
+    the DP reruns uncapped.
     """
     n = hypergraph.num_vertices
     if n == 0:
@@ -88,9 +100,24 @@ def width_by_elimination(
             f"{n} vertices exceeds the exact-DP limit {vertex_limit}; "
             "raise vertex_limit explicitly if you really want to wait"
         )
+    if upper is not None:
+        width, ordering = _eliminate_all(hypergraph, bag_cost, upper + EPS)
+        if width < math.inf:
+            return width, ordering
+    return _eliminate_all(hypergraph, bag_cost, math.inf)
+
+
+def _eliminate_all(
+    hypergraph: Hypergraph,
+    bag_cost: Callable[[frozenset], float],
+    cap: float,
+) -> tuple[float, list[Vertex]]:
+    """The subset DP of :func:`width_by_elimination`, costs above ``cap``
+    counted as infinite (``math.inf``: uncapped)."""
     vertices = sorted(hypergraph.vertices, key=str)
-    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
     adjacency = hypergraph.primal_graph()
+    edges = list(hypergraph.edges.values())
 
     # Per-run memo: the DP revisits the same bag across many masks, and
     # bag_cost may be arbitrarily expensive (an LP or set-cover solve).
@@ -101,7 +128,12 @@ def width_by_elimination(
 
     def cached_cost(bag: frozenset) -> float:
         if bag not in cost_cache:
-            cost_cache[bag] = bag_cost(bag)
+            if cap < math.inf and len(bag) > cap * max(
+                len(e & bag) for e in edges
+            ):
+                cost_cache[bag] = math.inf
+            else:
+                cost_cache[bag] = bag_cost(bag)
         return cost_cache[bag]
 
     # best[mask] = minimal possible max-bag-cost of eliminating exactly the
@@ -117,14 +149,14 @@ def width_by_elimination(
 
     for size in range(1, n + 1):
         for mask in masks_by_size[size]:
-            best_cost = float("inf")
+            best_cost = math.inf
             best_vertex = -1
             for vi in range(n):
                 bit = 1 << vi
                 if not mask & bit:
                     continue
                 prev = mask & ~bit
-                prev_cost = best.get(prev, float("inf"))
+                prev_cost = best.get(prev, math.inf)
                 if prev_cost >= best_cost:
                     continue
                 eliminated = frozenset(
@@ -132,12 +164,14 @@ def width_by_elimination(
                 )
                 bag = _reachable_bag(adjacency, eliminated, vertices[vi])
                 total = max(prev_cost, cached_cost(bag))
-                if total < best_cost - EPS:
+                if total < best_cost - EPS and total <= cap:
                     best_cost = total
                     best_vertex = vi
             best[mask] = best_cost
             choice[mask] = best_vertex
 
+    if best[full] == math.inf:
+        return math.inf, []
     ordering: list[Vertex] = []
     mask = full
     while mask:
@@ -184,9 +218,15 @@ def decomposition_from_ordering(
 
 
 def _generalized_hypertree_width_exact_direct(
-    hypergraph: Hypergraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
+    hypergraph: Hypergraph,
+    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    upper: float | None = None,
 ) -> tuple[int, Decomposition]:
-    """Exact ghw on the raw hypergraph (no preprocessing pipeline)."""
+    """Exact ghw on the raw hypergraph (no preprocessing pipeline).
+
+    ``upper`` (a known achievable ghw) caps the DP; see
+    :func:`width_by_elimination`.
+    """
     oracle = oracle_for(hypergraph)
 
     def cost(bag: frozenset) -> float:
@@ -194,7 +234,9 @@ def _generalized_hypertree_width_exact_direct(
         assert cover is not None  # bags consist of non-isolated vertices
         return cover.weight
 
-    width, ordering = width_by_elimination(hypergraph, cost, vertex_limit)
+    width, ordering = width_by_elimination(
+        hypergraph, cost, vertex_limit, upper
+    )
 
     def cover_for_bag(bag: frozenset) -> FractionalCover:
         cover = oracle.integral_cover(bag)
@@ -234,9 +276,15 @@ def generalized_hypertree_width_exact(
 
 
 def _fractional_hypertree_width_exact_direct(
-    hypergraph: Hypergraph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
+    hypergraph: Hypergraph,
+    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    upper: float | None = None,
 ) -> tuple[float, Decomposition]:
-    """Exact fhw on the raw hypergraph (no preprocessing pipeline)."""
+    """Exact fhw on the raw hypergraph (no preprocessing pipeline).
+
+    ``upper`` (a known achievable fhw) caps the DP; see
+    :func:`width_by_elimination`.
+    """
     oracle = oracle_for(hypergraph)
 
     def cost(bag: frozenset) -> float:
@@ -244,7 +292,9 @@ def _fractional_hypertree_width_exact_direct(
         assert cover is not None
         return cover.weight
 
-    width, ordering = width_by_elimination(hypergraph, cost, vertex_limit)
+    width, ordering = width_by_elimination(
+        hypergraph, cost, vertex_limit, upper
+    )
 
     def cover_for_bag(bag: frozenset) -> FractionalCover:
         cover = oracle.fractional_cover(bag)

@@ -21,19 +21,28 @@ paper's own experiments in [23]) pair exact methods with elimination
   every clique of the primal graph must fit in one bag, so
   ``fhw(H) >= max_C ρ*_H(C)`` over cliques C (greedily grown cliques
   give a cheap, sound bound);
+* :func:`minor_width_lower_bound` — the minor-min-width treewidth lower
+  bound (Gogate & Dechter 2004): every GHD/FHD is a tree decomposition
+  of the primal graph, so some bag holds ``tw + 1`` vertices, and an
+  edge covers at most ``r`` (the rank) of them — that bag costs at
+  least ``(tw + 1) / r``;
+* :func:`width_lower_bound` — the combined lower bound every consumer
+  reports: clique cover ∨ (minor-width + 1) / r, rounded up for the
+  integral measures;
 * :func:`width_bounds` — the sandwich (lower, upper) a practical system
   reports when exactness is out of reach.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Iterator
 
 from ..covers import FractionalCover
 from ..decomposition import Decomposition, validate
 from ..engine import CoverOracle, oracle_for
-from ..hypergraph import Hypergraph, Vertex
+from ..hypergraph import Hypergraph, Vertex, rank
 from ._pipeline import via_pipeline
 from .elimination import decomposition_from_ordering
 
@@ -44,6 +53,8 @@ __all__ = [
     "evaluate_ordering",
     "heuristic_decomposition",
     "clique_lower_bound",
+    "minor_width_lower_bound",
+    "width_lower_bound",
     "width_bounds",
     "DEFAULT_RESTARTS",
 ]
@@ -270,18 +281,79 @@ def clique_lower_bound(
     return best
 
 
+def minor_width_lower_bound(hypergraph: Hypergraph) -> int:
+    """The minor-min-width lower bound on the primal graph's treewidth.
+
+    Repeatedly takes a minimum-degree vertex, records its degree and
+    contracts it into a neighbour (Gogate & Dechter, UAI 2004).  The
+    neighbour is the one sharing the fewest neighbours with it — the
+    "least-c" rule, which keeps the most edges (Bodlaender & Koster,
+    "Treewidth computations II. Lower bounds", 2011) — then the one of
+    smallest degree.  Treewidth never grows under contraction and is at
+    least the minimum degree of every graph, so the largest degree
+    recorded is a sound lower bound on ``tw``.  Remaining ties break on
+    ``str``, so the bound is deterministic.
+    """
+    adjacency = {
+        v: set(nbrs) for v, nbrs in hypergraph.primal_graph().items()
+    }
+    best = 0
+    while adjacency:
+        v = min(adjacency, key=lambda u: (len(adjacency[u]), str(u)))
+        neighbours = adjacency.pop(v)
+        best = max(best, len(neighbours))
+        if not neighbours:
+            continue
+        into = min(
+            neighbours,
+            key=lambda u: (
+                len(adjacency[u] & neighbours), len(adjacency[u]), str(u)
+            ),
+        )
+        for u in neighbours:
+            adjacency[u].discard(v)
+            if u != into:
+                adjacency[u].add(into)
+                adjacency[into].add(u)
+    return best
+
+
+def width_lower_bound(
+    hypergraph: Hypergraph,
+    cost: str = "fractional",
+    oracle: CoverOracle | None = None,
+) -> float:
+    """The combined lower bound on fhw (or ghw, with integral ``cost``).
+
+    ``max(clique, (minor_width_lower_bound + 1) / r)`` where ``r`` is
+    the largest edge size: some bag of every GHD/FHD holds at least
+    ``tw + 1`` vertices, and each edge covers at most ``r`` of them.
+    The integral measures take the ceiling of the second term (ghw is
+    an integer).  The bounds pre-pass of :mod:`repro.pipeline.bounds`
+    seeds from the same value.
+    """
+    lower = clique_lower_bound(hypergraph, cost=cost, oracle=oracle)
+    if hypergraph.num_edges == 0:
+        return lower
+    treewidth = minor_width_lower_bound(hypergraph)
+    largest_bag = (treewidth + 1) / rank(hypergraph)
+    if cost == "integral":
+        largest_bag = math.ceil(largest_bag - 1e-9)
+    return max(lower, float(largest_bag))
+
+
 def _width_bounds_direct(
     hypergraph: Hypergraph, cost: str = "fractional"
 ) -> tuple[float, float, Decomposition]:
     """Heuristic sandwich on the raw hypergraph (no pipeline).
 
     One shared oracle answers every cover query of the sandwich — the
-    clique lower bound and both ordering finishes — so bags the two
+    lower bound's cliques and both ordering finishes — so bags the two
     orderings agree on (and bags a later exact search re-asks) are
     derived once per cache domain.
     """
     oracle = oracle_for(hypergraph)
-    lower = clique_lower_bound(hypergraph, cost=cost, oracle=oracle)
+    lower = width_lower_bound(hypergraph, cost=cost, oracle=oracle)
     best_width = float("inf")
     best_decomposition: Decomposition | None = None
     for ordering in _ORDERINGS:
@@ -302,11 +374,12 @@ def width_bounds(
 ) -> tuple[float, float, Decomposition]:
     """``(lower, upper, witness)`` for fhw or ghw on large instances.
 
-    Lower bound from cliques, upper from the better of the two
-    elimination heuristics; the witness achieves the upper bound.  The
-    pipeline (default) computes both per biconnected block — each block
-    is width-preserving, so the max of the block lower bounds stays a
-    sound lower bound and the stitched witness achieves the upper one.
+    Lower bound from :func:`width_lower_bound`, upper from the better
+    of the two elimination heuristics; the witness achieves the upper
+    bound.  The pipeline (default) computes both per biconnected block
+    — each block is width-preserving, so the max of the block lower
+    bounds stays a sound lower bound and the stitched witness achieves
+    the upper one.
     """
     if cost not in ("fractional", "integral"):
         raise ValueError("cost must be 'fractional' or 'integral'")

@@ -24,7 +24,7 @@ from .elimination import (
     generalized_hypertree_width_exact,
 )
 from .hd import hypertree_width
-from .heuristics import clique_lower_bound, width_bounds
+from .heuristics import width_bounds
 from .separators import ghw_balance_lower_bound
 
 __all__ = ["WidthReport", "width_report"]
@@ -120,15 +120,11 @@ def width_report(
             fhw_lower=fhw, fhw_upper=fhw,
         )
 
-    fhw_lower = clique_lower_bound(hypergraph, cost="fractional")
-    _low, fhw_upper, _w = width_bounds(hypergraph, cost="fractional")
+    fhw_lower, fhw_upper, _w = width_bounds(hypergraph, cost="fractional")
+    ghw_lower, ghw_upper, _w2 = width_bounds(hypergraph, cost="integral")
     ghw_lower = float(
-        max(
-            ghw_balance_lower_bound(hypergraph, kmax=3),
-            clique_lower_bound(hypergraph, cost="integral"),
-        )
+        max(ghw_balance_lower_bound(hypergraph, kmax=3), ghw_lower)
     )
-    _low2, ghw_upper, _w2 = width_bounds(hypergraph, cost="integral")
     return WidthReport(
         **common, exact=False, hw=None,
         ghw_lower=ghw_lower, ghw_upper=float(ghw_upper),

@@ -27,7 +27,8 @@ parallelizes across biconnected blocks and candidate widths,
 ``--solver`` picks the per-block engine mode (``bb`` branch-and-bound,
 ``sat`` for the CNF engine, ``portfolio`` to race both per task),
 ``--bounds`` controls the heuristic bounds pre-pass that seeds the
-k-search (``portfolio`` orderings + clique lower bound by default;
+k-search (``portfolio`` orderings + clique/minor-width lower bound by
+default;
 ``clique`` / ``none``), and ``--pipeline-stats`` prints the run's
 :class:`~repro.pipeline.BatchStats` (per-stage counters and wall-clock).
 
@@ -743,8 +744,8 @@ def _engine_options() -> argparse.ArgumentParser:
         default=None,
         help=(
             "heuristic bounds pre-pass before the exact k-search: "
-            "portfolio (ordering portfolio + clique lower bound, the "
-            "default), clique (lower bound only), or none"
+            "portfolio (ordering portfolio + clique/minor-width lower "
+            "bound, the default), clique (lower bound only), or none"
         ),
     )
     pipeline_group.add_argument(

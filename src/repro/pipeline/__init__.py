@@ -8,7 +8,7 @@ Every width query in the library runs through this package by default:
 * :mod:`repro.pipeline.split` — articulation points and biconnected
   blocks of the cached primal graph;
 * :mod:`repro.pipeline.bounds` — the bounds pre-pass: per-block
-  ordering-portfolio upper bounds + clique lower bounds
+  ordering-portfolio upper bounds + clique/minor-width lower bounds
   (:data:`BOUNDS_MODES`) that seed every exact k-search and provide an
   anytime answer before the first exact check;
 * :mod:`repro.pipeline.solve` — per-block solver registry (both the

@@ -336,7 +336,7 @@ class BatchStats:
     bounds_checks_avoided : int
         Exact block solves the pre-pass made unnecessary.
     bounds_blocks_decided : int
-        Blocks whose clique lower bound met a validated portfolio
+        Blocks whose lower bound met a validated portfolio
         witness (the exact engine never ran for them).
     anytime_answers : int
         Requests with a :attr:`BatchResult.anytime_width`: the
@@ -491,6 +491,7 @@ class _Instance:
         "store_hit",
         "store_seeded",
         "store_write_errors",
+        "dp_caps",
     )
 
     def __init__(self, index: int, request: BatchRequest) -> None:
@@ -509,6 +510,7 @@ class _Instance:
         self.store_hit = False
         self.store_seeded = set()
         self.store_write_errors = 0
+        self.dp_caps = {}  # oneshot block -> portfolio witness width
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -748,6 +750,10 @@ class _Instance:
                     self.bounds_blocks_decided += 1
                     self.bounds_checks_avoided += 1
                     self._persist_block(i)
+                elif bound.upper < math.inf:
+                    # The witness width caps the exact DP; it travels in
+                    # the task params only, so store keys never see it.
+                    self.dp_caps[i] = bound.upper
         else:  # check
             if any(b.lower > self.k + _EPS for b in bounds_map.values()):
                 self.rejected = True
@@ -839,11 +845,13 @@ class _Instance:
         )
 
     # -- task generation ----------------------------------------------
-    def task_params(self, k: int | None) -> dict:
+    def task_params(self, b: int, k: int | None) -> dict:
         if self.mode == "check":
             return {"k": self.k, **self.params}
         if self.mode == "iterative":
             return {"k": k, **self.params}
+        if b in self.dp_caps:
+            return {**self.params, "upper": self.dp_caps[b]}
         return dict(self.params)
 
     def next_tasks(self, budget: int) -> list[tuple[int, int, int | None]]:
@@ -1229,7 +1237,7 @@ class BatchScheduler:
                     submissions.sort(key=lambda s: s[0])
                     for _rank, _prio, i, b, k, engine in submissions:
                         inst = self.instances[i]
-                        task_params = inst.task_params(k)
+                        task_params = inst.task_params(b, k)
                         raced = len(inst.engines) > 1
                         event = None
                         if raced and engine in _ABORTABLE and threaded:

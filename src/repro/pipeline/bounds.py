@@ -6,8 +6,14 @@ runs, per block, an **ordering portfolio** — min-degree, min-fill, and
 seeded randomized-tiebreak restarts from
 :func:`repro.algorithms.heuristics.portfolio_orderings`, each finished
 with the measure-specific cover (integral for hw/ghw, fractional for
-fhw) — together with the clique **lower bound** of Lemma 2.8, and
-returns a :class:`BlockBounds` record per block.
+fhw) — together with a **lower bound**, and returns a
+:class:`BlockBounds` record per block.  The lower bound starts as the
+clique cover of Lemma 2.8; when the first validated witness shows it
+does not meet the upper bound (and always in ``"clique"`` mode), it is
+raised once to :func:`repro.algorithms.heuristics.width_lower_bound`,
+which adds ``(minor-width + 1) / r``: some bag of every GHD/FHD holds
+``tw + 1`` vertices and each edge covers at most ``r`` (the rank) of
+them.  Bounds-decided blocks thus never pay for the minor-width pass.
 
 Schedulers consume the record through :func:`seeded_block_state`: the
 pre-seeded :class:`~repro.pipeline.solve.BlockState` starts the search
@@ -17,13 +23,18 @@ upper bound (so ``BlockState.ceiling()`` prunes all speculation above
 it), and — when the bounds meet — settles instantly, skipping the
 exact engine entirely.  The witness doubles as an **anytime answer**:
 a valid decomposition is in hand before the first exact check runs.
+The oneshot exact oracles (ghw-exact, fhw) skip decided blocks and
+pass an open block's witness width to the elimination DP as its
+``upper`` cap (:func:`repro.algorithms.elimination.width_by_elimination`).
 
 Soundness: every portfolio witness is re-validated for the query's
 kind before it is trusted (elimination orderings do not in general
 satisfy the HD special condition, so hd candidates that fail
 validation are discarded and only the lower bound applies), and the
 integral clique cover number lower-bounds ghw and hence hw, while the
-fractional one lower-bounds fhw.
+fractional one lower-bounds fhw; so does ``(tw + 1) / r`` (rounded up
+for the integral widths), as every GHD/FHD is a tree decomposition of
+the primal graph.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ __all__ = [
 
 #: Valid ``bounds=`` arguments for every solver in the pipeline, in
 #: decreasing order of work done: ``"portfolio"`` (ordering portfolio
-#: upper bound + clique lower bound, the default), ``"clique"`` (lower
-#: bound only), ``"none"`` (no pre-pass; the pre-bounds behaviour).
+#: upper bound + lower bound, the default), ``"clique"`` (lower bound
+#: only), ``"none"`` (no pre-pass; the pre-bounds behaviour).
 #: The CLI ``--bounds`` flag and the docs document exactly this tuple
 #: (``tests/test_docs.py`` pins the agreement).
 BOUNDS_MODES = ("portfolio", "clique", "none")
@@ -150,6 +161,7 @@ def compute_block_bounds(
         clique_lower_bound,
         evaluate_ordering,
         portfolio_orderings,
+        width_lower_bound,
     )
     from ..engine import oracle_for
 
@@ -179,9 +191,15 @@ def compute_block_bounds(
                 validate(hypergraph, candidate, kind=kind, width=width + _EPS)
             except ValueError:
                 continue
+            if witness is None and lower < width - _EPS:
+                # The first witness leaves the clique bound open: pay
+                # for the combined bound, once.
+                lower = max(lower, width_lower_bound(hypergraph, cost, oracle))
             upper, witness = width, candidate
             if lower >= upper - _EPS:
                 break  # bounds met: the witness is optimal
+    if witness is None:  # "clique" mode, or no candidate validated
+        lower = max(lower, width_lower_bound(hypergraph, cost, oracle))
     return BlockBounds(
         kind=kind,
         lower=lower,

@@ -151,19 +151,19 @@ def _check_fhd_bounded_degree(hypergraph: Hypergraph, k: float, **params):
 
 
 def _ghw_exact(hypergraph: Hypergraph, **params):
-    from ..algorithms.elimination import generalized_hypertree_width_exact
-
-    return generalized_hypertree_width_exact(
-        hypergraph, preprocess="none", **params
+    from ..algorithms.elimination import (
+        _generalized_hypertree_width_exact_direct,
     )
+
+    return _generalized_hypertree_width_exact_direct(hypergraph, **params)
 
 
 def _fhw_exact(hypergraph: Hypergraph, **params):
-    from ..algorithms.elimination import fractional_hypertree_width_exact
-
-    return fractional_hypertree_width_exact(
-        hypergraph, preprocess="none", **params
+    from ..algorithms.elimination import (
+        _fractional_hypertree_width_exact_direct,
     )
+
+    return _fractional_hypertree_width_exact_direct(hypergraph, **params)
 
 
 def _heuristic_bounds(hypergraph: Hypergraph, **params):

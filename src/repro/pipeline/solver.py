@@ -301,8 +301,9 @@ class WidthSolver:
     ) -> tuple[int, Decomposition]:
         """Exact ``ghw(H)``; the 2^n limit applies *per block*.
 
-        Blocks the bounds pre-pass *decided* (clique lower bound meets
-        a validated portfolio witness) skip the 2^n DP entirely.
+        Blocks the bounds pre-pass *decided* (lower bound meets a
+        validated portfolio witness) skip the 2^n DP entirely; the
+        witness width caps the DP on the others.
         """
         return self._run("ghw-exact", _limit(vertex_limit))
 

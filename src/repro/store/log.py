@@ -270,7 +270,10 @@ class ResultStore:
         self.fsync = bool(fsync)
         self.stats = StoreStats()
         self._lock = threading.Lock()
-        self._index: dict[tuple, dict] = {}
+        # key -> the record's encoded payload, decoded on every read:
+        # bytes hold a fraction of the memory of the decoded JSON tree,
+        # and a read can never hand out the live value.
+        self._index: dict[tuple, bytes] = {}
         self._file = open(self.log_path, "a+b")
         self._load()
 
@@ -300,10 +303,11 @@ class ResultStore:
             try:
                 record = json.loads(payload.decode("utf-8"))
                 key = tuple(record["key"])
-                value = record["value"]
             except (ValueError, KeyError, TypeError):
                 break
-            self._index[key] = value
+            if "value" not in record:
+                break
+            self._index[key] = payload
             self.stats.records_loaded += 1
             good = f.tell()
         f.seek(0, 2)
@@ -345,15 +349,17 @@ class ResultStore:
 
                 os.fsync(f.fileno())
             self._valid_bytes = f.tell()
-            self._index[key] = value
+            self._index[key] = payload
             self.stats.records_appended += 1
             self.stats.bytes_valid = self._valid_bytes
             self.stats.entries = len(self._index)
         return True
 
     def get(self, key: tuple) -> dict | None:
-        """The live value of ``key``, or None (raw, un-revalidated)."""
-        return self._index.get(tuple(key))
+        """A fresh copy of the live value of ``key``, or None (raw,
+        un-revalidated)."""
+        payload = self._index.get(tuple(key))
+        return None if payload is None else json.loads(payload)["value"]
 
     def __contains__(self, key: tuple) -> bool:
         return tuple(key) in self._index
@@ -403,9 +409,12 @@ class ResultStore:
         hash, though a deliberately tampered log could forge one
         (delete the store to recompute from scratch).
         """
+        payload = self.get(key)
+        if payload is None:
+            return None
         try:
-            value = answer_from_payload(kind, self._index[key], hypergraph)
-        except (KeyError, ValueError):
+            value = answer_from_payload(kind, payload, hypergraph)
+        except ValueError:
             return None
         if _answer_shape(kind) == "check":
             if value is None:

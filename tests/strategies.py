@@ -14,14 +14,19 @@ def hypergraphs(
     max_vertices: int = 8,
     max_edges: int = 8,
     max_edge_size: int = 4,
+    min_edge_size: int = 1,
 ) -> Hypergraph:
     """Small connected-or-not hypergraphs without isolated vertices."""
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    n = draw(st.integers(min_value=min_edge_size, max_value=max_vertices))
     vertices = [f"v{i}" for i in range(n)]
     m = draw(st.integers(min_value=1, max_value=max_edges))
     edges = {}
     for i in range(m):
-        size = draw(st.integers(min_value=1, max_value=min(max_edge_size, n)))
+        size = draw(
+            st.integers(
+                min_value=min_edge_size, max_value=min(max_edge_size, n)
+            )
+        )
         edge = draw(
             st.sets(
                 st.sampled_from(vertices), min_size=size, max_size=size

@@ -132,10 +132,13 @@ class TestNoExactChecksWhenDecided:
 
     def test_serial_and_parallel_prune_identically(self):
         # Satellite: the --jobs 1 path honours the same seeding as the
-        # parallel path.  C9 has bounds [1, 2], so exactly one exact
-        # check (the k = 1 reject) remains in both.
+        # parallel path.  C9 with the chord edge {v1, v4, v7} has bounds
+        # [1, 2] (no primal triangle outside the chord, treewidth 2,
+        # rank 3), so exactly one exact check (the k = 1 reject)
+        # remains in both.
+        h = Hypergraph({**cycle(9).edges, "chord": ("v1", "v4", "v7")})
         for jobs in (1, 3):
-            solver = WidthSolver(cycle(9), jobs=jobs)
+            solver = WidthSolver(h, jobs=jobs)
             width, _d = solver.generalized_hypertree_width()
             assert width == 2
             assert solver.last_stats.tasks_run == 1
@@ -187,6 +190,71 @@ class TestNoExactChecksWhenDecided:
         assert stats.tasks_run == 0
         assert stats.bounds_blocks_decided >= 4
         assert stats.anytime_answers >= 2
+
+
+def _binary_csp(pairs: str) -> Hypergraph:
+    """A binary CSP from ``"1-3 1-5 ..."``: one constraint per pair."""
+    return Hypergraph(
+        [[f"x{a}", f"x{b}"] for a, b in (p.split("-") for p in pairs.split())]
+    )
+
+
+class TestMinorWidthDecidesCsps:
+    """Binary CSPs shaped like ``random_csp_hypergraph(9, 13)`` and
+    ``(11, 18)``: the clique bound leaves fhw (and, on the larger two,
+    ghw) open, while ``(minor-width + 1) / 2`` meets the portfolio
+    witness, so neither measure runs an exact task.  Where the bounds
+    stay open, the witness width caps the exact DP."""
+
+    @pytest.mark.parametrize(
+        "pairs, ghw, fhw",
+        [
+            ("1-3 1-5 1-6 2-4 2-6 2-7 2-8 2-9 4-5 4-7 5-8 6-7 6-8", 2, 2.0),
+            (
+                "1-2 1-4 1-5 2-8 3-5 3-11 4-8 4-10 4-11 5-6 5-8 5-10 6-11 "
+                "7-8 7-10 7-11 8-9 10-11",
+                3,
+                2.5,
+            ),
+            (
+                "1-2 1-3 1-7 2-5 2-8 2-10 3-10 4-8 4-10 5-6 5-7 5-8 5-10 "
+                "6-9 7-8 7-9 8-9 9-11",
+                3,
+                2.5,
+            ),
+        ],
+    )
+    def test_zero_exact_tasks(self, pairs, ghw, fhw):
+        h = _binary_csp(pairs)
+        solver = WidthSolver(h)
+        width, d = solver.generalized_hypertree_width()
+        assert width == ghw and is_ghd(h, d, width=ghw)
+        assert solver.last_stats.tasks_run == 0
+        width, d = solver.fractional_hypertree_width_exact()
+        assert width == pytest.approx(fhw) and is_fhd(h, d, width=fhw + EPS)
+        assert solver.last_stats.tasks_run == 0
+
+    def test_open_block_caps_the_dp(self, monkeypatch, tmp_path):
+        # Treewidth 2 leaves fhw open at [1.5, 2]: the one exact task
+        # gets the witness width as the DP's cap, the store key not.
+        from repro.pipeline import batch
+        from repro.store import ResultStore
+
+        seen = []
+        original = batch.run_block_task
+
+        def spy(solver, hypergraph, params):
+            seen.append((solver, dict(params)))
+            return original(solver, hypergraph, params)
+
+        monkeypatch.setattr(batch, "run_block_task", spy)
+        h = _binary_csp("1-2 1-5 1-7 1-8 2-6 3-4 3-8 4-6 5-8 5-9 6-8 7-8 8-9")
+        with ResultStore(tmp_path) as store:
+            (result,) = solve_many([(h, "fhw")], store=store)
+            keys = [k for k in store._index if k[0] == "block-exact"]
+        assert result.value[0] == pytest.approx(2.0)
+        assert seen == [("fhw-exact", {"upper": pytest.approx(2.0)})]
+        assert keys and all(k[-1] == "{}" for k in keys)
 
 
 class TestBoundsModesAgree:

@@ -12,6 +12,7 @@ from repro.algorithms import (
 )
 from repro.covers import EPS, edge_cover_of
 from repro.decomposition import is_fhd, is_ghd
+from repro.engine import oracle_for
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid, unbounded_support_family
 from repro.paper_artifacts import example_4_3_hypergraph
@@ -90,6 +91,55 @@ class TestEliminationCore:
         width, ordering = width_by_elimination(h, lambda bag: float(len(bag)))
         assert width == 3.0  # treewidth 2 => max bag 3
         assert sorted(ordering) == sorted(h.vertices)
+
+
+def _cover_costs(h: Hypergraph):
+    """The fhw and ghw bag costs, as the exact oracles use them."""
+    oracle = oracle_for(h)
+    return (
+        lambda bag: oracle.fractional_cover(bag).weight,
+        lambda bag: oracle.integral_cover(bag).weight,
+    )
+
+
+class TestCappedElimination:
+    """``upper`` prunes the DP but never changes its answer."""
+
+    def test_cap_skips_bag_costs(self):
+        calls = []
+        fractional, _integral = _cover_costs(grid(3, 3))
+
+        def counted(bag):
+            calls.append(bag)
+            return fractional(bag)
+
+        width, _order = width_by_elimination(grid(3, 3), counted)
+        uncapped = len(calls)
+        calls.clear()
+        capped, _order = width_by_elimination(grid(3, 3), counted, upper=width)
+        assert capped == width
+        assert len(calls) < uncapped
+
+    def test_cap_below_width_falls_back(self):
+        fractional, _integral = _cover_costs(clique(5))
+        width, order = width_by_elimination(clique(5), fractional)
+        assert width == pytest.approx(2.5)
+        for upper in (1.0, 2.0, 2.5 - 1e-6):
+            assert width_by_elimination(
+                clique(5), fractional, upper=upper
+            ) == (width, order)
+
+
+@given(hypergraphs(max_vertices=8, max_edges=7, max_edge_size=3,
+                   min_edge_size=2))
+@settings(max_examples=20, deadline=None)
+def test_capped_dp_matches_uncapped(h: Hypergraph):
+    """Any cap at or above the width returns the uncapped width and
+    ordering; a cap below it returns them through the fallback."""
+    for cost in _cover_costs(h):
+        width, order = width_by_elimination(h, cost)
+        for upper in (width, width + 0.5, width + 3, width - 0.5, 0.5):
+            assert width_by_elimination(h, cost, upper=upper) == (width, order)
 
 
 @given(hypergraphs(max_vertices=7, max_edges=6))

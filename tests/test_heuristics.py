@@ -10,7 +10,10 @@ from repro.algorithms import (
     heuristic_decomposition,
     min_degree_ordering,
     min_fill_ordering,
+    minor_width_lower_bound,
+    treewidth_exact,
     width_bounds,
+    width_lower_bound,
 )
 from repro.covers import EPS
 from repro.decomposition import is_fhd, is_ghd
@@ -85,6 +88,44 @@ class TestLowerBound:
     def test_bad_cost(self):
         with pytest.raises(ValueError):
             clique_lower_bound(cycle(4), cost="zzz")
+
+
+class TestMinorWidthBound:
+    def test_known_treewidths(self):
+        assert minor_width_lower_bound(clique(6)) == 5
+        assert minor_width_lower_bound(cycle(9)) == 2
+        assert minor_width_lower_bound(Hypergraph({"e": ["a"]})) == 0
+
+    def test_combined_bound_divides_by_rank(self):
+        # K6 has tw 5: some bag holds all 6 vertices, 3 per 3-ary edge.
+        k6 = Hypergraph(
+            {"a": [1, 2, 3], "b": [4, 5, 6], "c": [1, 4], "d": [2, 5],
+             "e": [3, 6], "f": [1, 5], "g": [1, 6], "h": [2, 4],
+             "i": [2, 6], "j": [3, 4], "k": [3, 5]}
+        )
+        assert minor_width_lower_bound(k6) == 5
+        assert width_lower_bound(k6) == pytest.approx(2.0)
+        # C9 with a 3-ary chord: (2 + 1) / 3 = 1 adds nothing.
+        h = Hypergraph({**cycle(9).edges, "chord": ("v1", "v4", "v7")})
+        assert width_lower_bound(h, cost="integral") == 1.0
+
+    def test_integral_variant_rounds_up(self):
+        # cycle(5): (2 + 1) / 2 = 1.5, and ghw is an integer.
+        assert width_lower_bound(cycle(5)) == pytest.approx(1.5)
+        assert width_lower_bound(cycle(5), cost="integral") == 2.0
+
+
+@given(hypergraphs(max_vertices=9, max_edges=8, max_edge_size=3,
+                   min_edge_size=2))
+@settings(max_examples=25, deadline=None)
+def test_minor_width_bounds_are_sound(h: Hypergraph):
+    """minor-width <= tw, and the combined bound <= the exact widths
+    from the raw elimination DP (no pre-pass that uses the bound)."""
+    assert minor_width_lower_bound(h) <= treewidth_exact(h)
+    ghw, _g = generalized_hypertree_width_exact(h, preprocess="none")
+    fhw, _f = fractional_hypertree_width_exact(h, preprocess="none")
+    assert width_lower_bound(h, cost="integral") <= ghw
+    assert width_lower_bound(h) <= fhw + EPS
 
 
 class TestWidthBounds:

@@ -123,6 +123,12 @@ class TestResultStoreLog:
             assert store.get(("t", "k1")) == {"v": 3}
             assert ("t", "k1") in store and len(store) == 1
 
+    def test_get_returns_a_fresh_copy(self, tmp_path):
+        with ResultStore(tmp_path) as store:
+            store.append(("t", 1), {"v": [1]})
+            store.get(("t", 1))["v"].append(2)
+            assert store.get(("t", 1)) == {"v": [1]}
+
     def test_reload_sees_live_values(self, tmp_path):
         with ResultStore(tmp_path) as store:
             store.append(("a", 1), {"v": 1})

@@ -82,7 +82,7 @@ def node_relations_from_ghd(
     decomp: Decomposition,
 ) -> tuple[dict[str, Relation], int]:
     """One relation per decomposition node — π_bag of the join of its
-    λ-atoms and every atom inside the bag — and the tuples materialized.
+    λ-atoms and every atom inside the bag — and the sizes of its joins.
 
     Requires integral covers (a GHD); each node then joins at most
     ``width`` atoms beyond those inside its bag, so the per-node cost
@@ -125,19 +125,23 @@ def node_relations_from_ghd(
 def _join_into_bag(
     nid: str, parts: list[Relation], bag: frozenset
 ) -> tuple[Relation, int]:
-    """π_bag(⋈ parts) and the tuples built on the way.
+    """π_bag(⋈ parts) and the sizes of the joins on the way.
 
     Each part first drops the variables neither in the bag nor shared
     with another part.  The parts then join smallest-first, each step
     taking a part that shares a variable with the result (a cross
-    product only when none does) and dropping what no later part needs.
+    product only when none does); every join is fused with dropping
+    what no later part needs (:meth:`Relation.join_project`).
     """
     if not parts:
         # An empty λ forces an empty bag: the 0-ary identity relation.
         return Relation.from_rows(nid, (), [()]), 0
     seen = Counter(a for part in parts for a in part.attributes)
-    shared = {a for a, count in seen.items() if count > 1}
-    parts = sorted((_cut(part, bag | shared) for part in parts), key=len)
+    keep = bag | {a for a, count in seen.items() if count > 1}
+    parts = sorted(
+        (p.project([a for a in p.attributes if a in keep]) for p in parts),
+        key=len,
+    )
     joined = parts.pop(0)
     cost = len(joined)
     while parts:
@@ -147,15 +151,12 @@ def _join_into_bag(
              if not attrs.isdisjoint(p.attributes)),
             0,
         )
-        joined = joined.join(parts.pop(pick))
-        cost += len(joined)
-        joined = _cut(joined, bag.union(*(p.attributes for p in parts)))
+        part = parts.pop(pick)
+        joined, size = joined.join_project(
+            part, bag.union(*(p.attributes for p in parts))
+        )
+        cost += size
     return joined, cost
-
-
-def _cut(relation: Relation, keep) -> Relation:
-    """π onto the attributes of ``relation`` that lie in ``keep``."""
-    return relation.project([a for a in relation.attributes if a in keep])
 
 
 @dataclass(frozen=True)

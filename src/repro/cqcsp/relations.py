@@ -5,17 +5,20 @@ projections and semijoins over named-attribute relations, used by the
 Yannakakis algorithm and the decomposition-guided CQ evaluator.
 
 Relations are immutable: attribute tuple + frozenset of value tuples.
-Joins are hash joins on the shared attributes; the engine tracks the
-number of intermediate tuples materialized so experiments can show the
-blow-up that decompositions avoid.
+Joins are hash joins on the shared attributes, and
+:meth:`Relation.join_project` fuses a join with the projection after
+it; the engine tracks the size of every join so experiments can show
+the blow-up that decompositions avoid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import math
+from collections import Counter, defaultdict
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, product, repeat, starmap
+from operator import add, itemgetter
 
 
 __all__ = [
@@ -26,7 +29,9 @@ __all__ = [
 ]
 
 #: JSON-representable scalar types allowed in wire/file relation rows.
-_SCALARS = (str, int, float, bool)
+#: ``bool`` is excluded even though it subclasses ``int``: ``True == 1``
+#: and they hash alike, so a row could silently merge with another.
+_SCALARS = (str, int, float)
 
 
 def _columns(rows, indices: Sequence[int]):
@@ -40,6 +45,32 @@ def _columns(rows, indices: Sequence[int]):
     if not indices:
         return repeat((), len(rows))
     return map(itemgetter(*indices), rows)
+
+
+def _keys(rows, indices: Sequence[int]):
+    """The join key of every row: a bare value for one key column.
+
+    Cheaper to build and hash than :func:`_columns`' 1-tuples; both
+    sides of a join have as many key columns, so their keys compare.
+    """
+    if not indices:
+        return repeat((), len(rows))
+    return map(itemgetter(*indices), rows)
+
+
+def _groups(
+    relation: "Relation", key_idx: Sequence[int], idx: Sequence[int]
+) -> dict:
+    """Key -> the distinct ``idx`` sub-tuples of the rows with that key."""
+    rows = relation.tuples
+    pairs = zip(_keys(rows, key_idx), _columns(rows, idx))
+    if len(set(key_idx).union(idx)) < len(relation.attributes):
+        # Dropped columns can make pairs repeat; whole rows never do.
+        pairs = set(pairs)
+    groups: dict = defaultdict(list)
+    for key, part in pairs:
+        groups[key].append(part)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -122,22 +153,70 @@ class Relation:
             return Relation(name, self.attributes, self.semijoin(other).tuples)
         buckets: dict = {}
         for key, tail in zip(
-            _columns(other.tuples, their_idx), _columns(other.tuples, extra)
+            _keys(other.tuples, their_idx), _columns(other.tuples, extra)
         ):
             buckets.setdefault(key, []).append(tail)
         rows = frozenset(
             row + tail
-            for row, key in zip(self.tuples, _columns(self.tuples, my_idx))
+            for row, key in zip(self.tuples, _keys(self.tuples, my_idx))
             for tail in buckets.get(key, ())
         )
         attrs = self.attributes + tuple(other.attributes[i] for i in extra)
         return Relation(name, attrs, rows)
 
+    def join_project(
+        self, other: "Relation", keep: Collection[str]
+    ) -> tuple["Relation", int]:
+        """π_keep(self ⋈ other) and |self ⋈ other|, without the join.
+
+        The result has the attributes of ``self.join(other)`` that lie
+        in ``keep``, in that order.  Each side's kept columns are
+        grouped by join key and every shared key emits the product of
+        its two groups; the join's size is Σ_key count_self·count_other.
+        """
+        my_idx, their_idx = self._key_indices(other)
+        mine = [i for i, a in enumerate(self.attributes) if a in keep]
+        extra = [
+            i
+            for i, a in enumerate(other.attributes)
+            if a not in self.attributes
+        ]
+        theirs = [i for i in extra if other.attributes[i] in keep]
+        if len(mine) + len(theirs) == len(self.attributes) + len(extra):
+            # Nothing dropped: the plain join.
+            joined = self.join(other)
+            return joined, len(joined)
+        name = f"({self.name}⋈{other.name})"
+        attrs = tuple(self.attributes[i] for i in mine) + tuple(
+            other.attributes[i] for i in theirs
+        )
+        counts = Counter(_keys(other.tuples, their_idx))
+        if not theirs:
+            # ``other`` only filters: semijoin, then project.
+            hits = list(map(counts.get, _keys(self.tuples, my_idx), repeat(0)))
+            rows = list(compress(self.tuples, hits))
+            return (
+                Relation(name, attrs, frozenset(_columns(rows, mine))),
+                sum(hits),
+            )
+        my_counts = Counter(_keys(self.tuples, my_idx))
+        shared = my_counts.keys() & counts.keys()
+        left = _groups(self, my_idx, mine)
+        right = _groups(other, their_idx, theirs)
+        rows = frozenset(
+            chain.from_iterable(
+                starmap(add, product(left[key], right[key]))
+                for key in shared
+            )
+        )
+        size = sum(my_counts[key] * counts[key] for key in shared)
+        return Relation(name, attrs, rows), size
+
     def semijoin(self, other: "Relation") -> "Relation":
         """⋉: rows of self with a join partner in other."""
         my_idx, their_idx = self._key_indices(other)
-        keys = set(_columns(other.tuples, their_idx))
-        hits = map(keys.__contains__, _columns(self.tuples, my_idx))
+        keys = set(_keys(other.tuples, their_idx))
+        hits = map(keys.__contains__, _keys(self.tuples, my_idx))
         rows = frozenset(compress(self.tuples, hits))
         if len(rows) == len(self.tuples):
             return self
@@ -167,8 +246,9 @@ def relation_from_payload(name: str, obj) -> Relation:
     """Decode ``{"attributes", "rows"}`` into a :class:`Relation`.
 
     Raises ``ValueError`` on any malformed shape: missing keys, rows of
-    the wrong arity, or non-scalar values (only JSON scalars are
-    allowed — nested lists would not survive the hash-join key paths).
+    the wrong arity, or values other than strings and finite non-bool
+    numbers (nested lists would not survive the hash-join key paths,
+    ``true`` would merge with ``1``, and ``NaN`` is not JSON).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"relation {name!r} must be a JSON object")
@@ -199,10 +279,15 @@ def relation_from_payload(name: str, obj) -> Relation:
                 f"{len(attributes)} attributes"
             )
         for value in row:
-            if not isinstance(value, _SCALARS):
+            if isinstance(value, bool) or not isinstance(value, _SCALARS):
                 raise ValueError(
                     f"relation {name!r} row {i} holds non-scalar "
                     f"value {value!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"relation {name!r} row {i} holds non-finite "
+                    f"number {value!r}"
                 )
     try:
         return Relation.from_rows(name, attributes, rows)

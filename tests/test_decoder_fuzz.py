@@ -14,6 +14,7 @@ import socket
 import struct
 import zlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,19 @@ class TestHttpDecoders:
             query_request_from_payload(payload)
         except ProtocolError:
             pass
+
+    @pytest.mark.parametrize(
+        "row", ["[NaN, 1]", "[1, Infinity]", "[-Infinity, 1]", "[true, 1]"]
+    )
+    def test_query_rows_hold_only_finite_non_bool_scalars(self, row):
+        # ``json.loads`` accepts these; the daemon must answer 400, not
+        # echo ``NaN`` back or merge ``true`` with ``1``.
+        body = (
+            '{"query": "q(x) :- r(x, y).", "relations": {"r": '
+            '{"attributes": ["a", "b"], "rows": [[1, 2], ' + row + "]}}}"
+        )
+        with pytest.raises(ProtocolError):
+            query_request_from_payload(json.loads(body))
 
 
 class TestWitnessDecoders:

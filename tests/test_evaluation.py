@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import generalized_hypertree_decomposition
 from repro.cqcsp import (
     Relation,
     atom_relation,
+    chain_query,
     evaluate,
     evaluate_naive,
     evaluate_with_decomposition,
+    hub_relation,
+    node_relations_from_ghd,
     parse_cq,
     semijoin_reduce,
     yannakakis,
 )
+from repro.cqcsp.yannakakis import _join_pass, _join_root
 from repro.decomposition import Decomposition
 
 
@@ -127,3 +132,109 @@ def test_4cycle_query_random_dbs(seed):
     fast = evaluate(q, db)
     slow = evaluate_naive(q, db)
     assert fast.answers.tuples == slow.answers.tuples
+
+
+def _ghd(query):
+    """A minimum-width GHD of the query's hypergraph."""
+    hypergraph = query.hypergraph()
+    for k in range(1, hypergraph.num_edges + 1):
+        decomp = generalized_hypertree_decomposition(hypergraph, k)
+        if decomp is not None:
+            return decomp
+    raise AssertionError("every hypergraph has a GHD of width |E|")
+
+
+def _costs_by_root(decomp, node_rels, head):
+    """The join pass's ``(answers, cost)`` rooted at every node."""
+    reduced = semijoin_reduce(decomp, node_rels)
+    return {
+        nid: _join_pass(decomp, reduced, head, nid)
+        for nid in decomp.node_ids
+    }
+
+
+_VARS = ("x", "y", "z", "u", "w")
+
+
+@given(
+    atoms=st.lists(
+        st.tuples(st.sampled_from(_VARS), st.sampled_from(_VARS)),
+        min_size=1,
+        max_size=5,
+    ),
+    head_size=st.integers(0, 5),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_join_root_matches_naive(atoms, head_size, seed):
+    """After the full reducer any node may root the join pass."""
+    body = ", ".join(f"r({a}, {b})" for a, b in atoms)
+    scope = list(dict.fromkeys(v for atom in atoms for v in atom))
+    head = ", ".join(scope[:head_size])
+    q = parse_cq(f"q({head}) :- {body}.")
+    db = random_graph_db(n_vertices=6, n_edges=12, seed=seed)
+    decomp = _ghd(q)
+    node_rels, _ = node_relations_from_ghd(q, db, decomp)
+    expected = evaluate_naive(q, db).answers
+    for answers, _cost in _costs_by_root(decomp, node_rels, q.head).values():
+        assert answers.attributes == expected.attributes
+        assert answers.tuples == expected.tuples
+
+
+def test_chain_join_pass_roots_at_a_head_end():
+    """A 5-atom chain with head = its two ends, stored root in the middle.
+
+    The join pass roots itself at an end bag (it holds a head variable)
+    and costs no more than any fixed root.  On this symmetric hub data
+    the two ends tie; on skewed data the other end or an inner node can
+    be cheaper, since the rule reads head overlap, not sizes.
+    """
+    q = chain_query(5)
+    nodes = [
+        (f"n{i}", [f"x{i}", f"x{i + 1}"], {f"r#{i}": 1}) for i in range(5)
+    ]
+    decomp = Decomposition(
+        nodes, parent={"n0": "n1", "n1": "n2", "n3": "n2", "n4": "n3"},
+        root="n2",
+    )
+    db = {"r": hub_relation(4, 5)}
+    node_rels, _ = node_relations_from_ghd(q, db, decomp)
+    answers, cost = yannakakis(decomp, node_rels, q.head)
+    by_root = _costs_by_root(decomp, node_rels, q.head)
+    assert (answers, cost) == by_root["n0"]
+    assert cost == min(c for _answers, c in by_root.values())
+    assert cost < by_root[decomp.root][1]
+
+
+def test_branching_join_keeps_the_later_childs_connector():
+    """Two children meet their parent on a non-head variable, ``y``.
+
+    Rooted at the parent, the first join must keep ``y`` for the second
+    one, or the two children's head variables pair up freely.
+    """
+    q = parse_cq("q(z, w) :- r(x, y), r(y, z), r(y, w).")
+    decomp = Decomposition(
+        [("a", ["x", "y"], {"r#0": 1}), ("b", ["y", "z"], {"r#1": 1}),
+         ("c", ["y", "w"], {"r#2": 1})],
+        parent={"b": "a", "c": "a"},
+        root="a",
+    )
+    db = random_graph_db(n_vertices=8, n_edges=14, seed=3)
+    node_rels, _ = node_relations_from_ghd(q, db, decomp)
+    expected = evaluate_naive(q, db).answers.tuples
+    for answers, _cost in _costs_by_root(decomp, node_rels, q.head).values():
+        assert answers.tuples == expected
+
+
+def test_join_root_is_the_first_bag_with_most_head_variables():
+    q = chain_query(5)
+    nodes = [(f"n{i}", [f"x{i}", f"x{i + 1}"], {}) for i in range(5)]
+    middle = Decomposition(
+        nodes, parent={"n0": "n1", "n1": "n2", "n3": "n2", "n4": "n3"},
+        root="n2",
+    )
+    # Preorder n2, n1, n0, n3, n4: n0 and n4 tie, n0 comes first.
+    assert _join_root(middle, q.head) == "n0"
+    # The stored root wins a tie it takes part in.
+    assert _join_root(Decomposition.path(nodes[::-1]), q.head) == "n4"
+    assert _join_root(middle, ["x2"]) == "n2"

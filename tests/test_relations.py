@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cqcsp import Relation, join_all
+from repro.cqcsp import (
+    Relation,
+    join_all,
+    relation_from_payload,
+    relation_to_payload,
+)
 
 
 def rel(name, attrs, rows):
@@ -169,3 +174,91 @@ def test_semijoin_and_join_match_comprehension_semantics(
         for row_s in rows_s
         if agree(row_r, row_s)
     )
+
+
+def _assert_join_project(a, b, keep):
+    joined = a.join(b)
+    kept = [x for x in joined.attributes if x in keep]
+    assert a.join_project(b, keep) == (joined.project(kept), len(joined))
+
+
+class TestJoinProject:
+    @pytest.mark.parametrize(
+        "a, b, keep",
+        [
+            # An empty join key: a cross product, one side dropped.
+            (rel("a", ["x"], [(1,), (2,)]), rel("b", ["y"], [(7,), (8,)]),
+             {"y"}),
+            # ``keep`` covers everything: the plain join.
+            (rel("a", ["x", "y"], [(1, 2), (2, 3)]),
+             rel("b", ["y", "z"], [(2, 5), (2, 6), (3, 5)]),
+             {"x", "y", "z"}),
+            # ``b``'s attributes inside ``a``'s: a semijoin, projected.
+            (rel("a", ["x", "y", "z"], [(1, 2, 3), (1, 2, 4), (5, 6, 7)]),
+             rel("b", ["z", "y"], [(3, 2), (4, 2), (7, 9)]),
+             {"x"}),
+            # An empty ``keep``: the 0-ary truth value, with the count.
+            (rel("a", ["x", "y"], [(1, 2), (2, 3)]),
+             rel("b", ["y", "z"], [(2, 5), (2, 6)]),
+             set()),
+            # Empty relations on either side.
+            (rel("a", ["x", "y"], []), rel("b", ["y", "z"], [(2, 5)]),
+             {"x", "z"}),
+            (rel("a", ["x", "y"], [(1, 2)]), rel("b", ["y", "z"], []),
+             {"z"}),
+        ],
+    )
+    def test_cases(self, a, b, keep):
+        _assert_join_project(a, b, keep)
+
+    def test_size_counts_rows_that_projection_merges(self):
+        a = rel("a", ["x", "y"], [(1, 2), (1, 3)])
+        b = rel("b", ["y", "z"], [(2, 9), (3, 9), (3, 8)])
+        out, size = a.join_project(b, {"x", "z"})
+        assert out.tuples == frozenset({(1, 9), (1, 8)})
+        assert size == 3
+
+
+_UNIVERSE = ("a", "b", "c", "d")
+
+
+@st.composite
+def _relations(draw, name):
+    attrs = draw(st.permutations(_UNIVERSE))[: draw(st.integers(0, 3))]
+    rows = draw(
+        st.sets(st.tuples(*[st.integers(0, 2)] * len(attrs)), max_size=10)
+    )
+    return rel(name, attrs, rows)
+
+
+@given(
+    a=_relations("a"),
+    b=_relations("b"),
+    keep=st.sets(st.sampled_from(_UNIVERSE)),
+)
+@settings(max_examples=150, deadline=None)
+def test_join_project_is_join_then_project(a, b, keep):
+    _assert_join_project(a, b, keep)
+
+
+class TestPayloadDecoding:
+    def test_round_trip(self):
+        r = rel("r", ["a", "b"], [(1, "x"), (2.5, "y")])
+        assert relation_from_payload("r", relation_to_payload(r)) == r
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected(self, value):
+        # ``true == 1`` and they hash alike: a row would silently merge.
+        with pytest.raises(ValueError, match="non-scalar"):
+            relation_from_payload(
+                "r", {"attributes": ["x", "y"], "rows": [[1, 2], [value, 3]]}
+            )
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            relation_from_payload(
+                "r", {"attributes": ["x", "y"], "rows": [[value, 1]]}
+            )

@@ -1,26 +1,23 @@
-"""E21 — the solver portfolio: racing SAT against branch-and-bound.
+"""E21 — the exact engine alone: CheckSearch on ghw, bounds pre-pass off.
 
-The repository carries two exact engines for every ``Check(X, k)``
-block task — the engine-backed branch-and-bound and the CNF
-elimination-ordering encoding of :mod:`repro.sat` — and neither
-dominates: branch-and-bound is near-instant on sparse cycles and
-grids, while the SAT core wins on small dense blocks (cliques,
-CSP-shaped instances) where subedge combinations drown the search.
-``solver="portfolio"`` races both per ``(block, k)`` task, predicted
-winner first, and cancels the loser, so a mixed corpus should run at
-roughly the sum of per-instance minima.
+Each ``Check(X, k)`` block task has one exact engine, the engine-backed
+branch-and-bound of :mod:`repro.engine.search`.  This benchmark times
+it with the bounds pre-pass pinned off, so every k of every block is an
+exact Check task (the pre-pass would decide most of this corpus
+without one — that effect is E22's subject,
+bench_e22_bounds_collapse.py).  Every width is checked against the
+elimination DP (:func:`repro.generalized_hypertree_width_exact`), an
+independent exact procedure.
 
 Corpora:
 
-* **dense** — the race corpus: instances calibrated so each pure mode
-  is badly wrong somewhere (bb stalls on K7 and the arity-3 CSPs, SAT
-  crawls on the long cycles).  The headline assertion lives here:
-  portfolio throughput >= both pure modes.
-* **smoke** — a tiny subset for CI: answer parity across all three
-  modes, no timing assertion (shared runners are too noisy for one).
+* **dense** — small dense blocks (cliques, arity-3 CSPs) where subedge
+  combinations make the search work, next to long cycles and grids.
+* **smoke** — a tiny subset for CI: the same parity check, no timing
+  assertion (shared runners are too noisy for one).
 
 Run ``python benchmarks/bench_e21_portfolio.py --corpus dense`` for
-the full race, or ``--corpus smoke`` for the CI check.
+the full corpus, or ``--corpus smoke`` for the CI check.
 """
 
 import random
@@ -28,7 +25,7 @@ import time
 
 from _tables import emit
 
-from repro import engine
+from repro import engine, generalized_hypertree_width_exact
 from repro.pipeline import BatchRequest, last_batch_stats, solve_many
 from repro.hypergraph.generators import (
     clique,
@@ -38,11 +35,7 @@ from repro.hypergraph.generators import (
     triangle_cascade,
 )
 
-MODES = ("bb", "sat", "portfolio")
-
-#: corpus name -> list of (label, make()) thunks.  All ghw: it is the
-#: measure whose check tasks both engines implement at equal strength,
-#: so the race is engine-vs-engine, not encoding-vs-encoding.
+#: corpus name -> list of (label, make()) thunks, all ghw.
 CORPORA = {
     "dense": [
         ("K7", lambda: clique(7)),
@@ -73,48 +66,31 @@ def build_requests(corpus: str = "dense") -> list[BatchRequest]:
     ]
 
 
-def run_mode(requests, mode: str, jobs: int):
-    """One timed ``solve_many`` pass from cold caches.
-
-    The bounds pre-pass is pinned off: E21 measures the engine race
-    itself, which needs the exact Check tasks to actually run (the
-    pre-pass would decide most of this corpus without a single race —
-    that effect is E22's subject, bench_e22_bounds_collapse.py).
-    """
+def run_engine(requests, jobs: int):
+    """One timed ``solve_many`` pass from cold caches, bounds off."""
     engine.clear_context_registry()
     start = time.perf_counter()
-    results = solve_many(requests, jobs=jobs, solver=mode, bounds="none")
+    results = solve_many(requests, jobs=jobs, bounds="none")
     elapsed = time.perf_counter() - start
     widths = []
     for request, handle in zip(requests, results):
-        assert handle.ok, f"{mode}/{request.label}: {handle.error!r}"
+        assert handle.ok, f"{request.label}: {handle.error!r}"
         widths.append(handle.value[0])
     return widths, elapsed, last_batch_stats()
 
 
-def race(jobs: int = 1, corpus: str = "dense") -> dict:
-    """Race all three solver modes over one corpus.
+def measure(jobs: int = 1, corpus: str = "dense") -> dict:
+    """Time the engine over one corpus and check it against the DP.
 
     Returns a ``{"metrics": ..., "timings": ...}`` report (the shape
     ``tools/record_bench.py`` records as ``BENCH_E21.json``) after
-    asserting the acceptance criterion that every mode returns
-    identical widths on every instance.
+    asserting that every width equals the elimination DP's.
     """
     requests = build_requests(corpus)
-    widths = {}
-    seconds = {}
-    stats = {}
-    for mode in MODES:
-        widths[mode], seconds[mode], stats[mode] = run_mode(
-            requests, mode, jobs
-        )
-    for request, bb_w, sat_w, race_w in zip(
-        requests, widths["bb"], widths["sat"], widths["portfolio"]
-    ):
-        assert bb_w == sat_w == race_w, (
-            f"{request.label}: bb={bb_w} sat={sat_w} portfolio={race_w}"
-        )
-    best_pure = min(seconds["bb"], seconds["sat"])
+    widths, seconds, stats = run_engine(requests, jobs)
+    for request, width in zip(requests, widths):
+        exact, _witness = generalized_hypertree_width_exact(request.hypergraph)
+        assert width == exact, f"{request.label}: engine {width} vs DP {exact}"
     return {
         "metrics": {
             "corpus": corpus,
@@ -126,22 +102,14 @@ def race(jobs: int = 1, corpus: str = "dense") -> dict:
                     "edges": request.hypergraph.num_edges,
                     "ghw": width,
                 }
-                for request, width in zip(requests, widths["bb"])
+                for request, width in zip(requests, widths)
             ],
             "tasks": {
-                mode: {
-                    "run": stats[mode].tasks_run,
-                    "cancelled": stats[mode].tasks_cancelled,
-                }
-                for mode in MODES
+                "run": stats.tasks_run,
+                "cancelled": stats.tasks_cancelled,
             },
         },
-        "timings": {
-            **{f"{mode}_seconds": round(seconds[mode], 4) for mode in MODES},
-            "portfolio_vs_best_pure": round(
-                best_pure / seconds["portfolio"], 2
-            ),
-        },
+        "timings": {"seconds": round(seconds, 4)},
     }
 
 
@@ -149,22 +117,20 @@ def emit_report(report: dict) -> None:
     metrics, timings = report["metrics"], report["timings"]
     n = len(metrics["instances"])
     emit(
-        f"E21 / solver portfolio race: {n} ghw requests "
+        f"E21 / exact engine, bounds off: {n} ghw requests "
         f"({metrics['corpus']} corpus, jobs={metrics['jobs']})",
-        ["mode", "wall", "req/s", "tasks run", "cancelled"],
+        ["wall", "req/s", "tasks run", "cancelled"],
         [
             (
-                mode,
-                f"{timings[f'{mode}_seconds']:.3f}s",
-                f"{n / timings[f'{mode}_seconds']:.1f}",
-                metrics["tasks"][mode]["run"],
-                metrics["tasks"][mode]["cancelled"],
+                f"{timings['seconds']:.3f}s",
+                f"{n / timings['seconds']:.1f}",
+                metrics["tasks"]["run"],
+                metrics["tasks"]["cancelled"],
             )
-            for mode in MODES
         ],
     )
     emit(
-        "E21 / per-instance widths (identical across all three modes)",
+        "E21 / per-instance widths (equal to the elimination DP's)",
         ["instance", "n", "m", "ghw"],
         [
             (row["instance"], row["vertices"], row["edges"], row["ghw"])
@@ -173,15 +139,9 @@ def emit_report(report: dict) -> None:
     )
 
 
-def test_e21_portfolio_beats_pure_modes(benchmark):
+def test_e21_engine_matches_elimination_dp(benchmark):
     report = benchmark.pedantic(
-        lambda: race(jobs=1, corpus="dense"), rounds=1, iterations=1
-    )
-    timings = report["timings"]
-    best_pure = min(timings["bb_seconds"], timings["sat_seconds"])
-    assert timings["portfolio_seconds"] < best_pure, (
-        f"portfolio {timings['portfolio_seconds']:.3f}s should beat the "
-        f"best pure mode at {best_pure:.3f}s"
+        lambda: measure(jobs=1, corpus="dense"), rounds=1, iterations=1
     )
     emit_report(report)
 
@@ -193,20 +153,6 @@ if __name__ == "__main__":
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--corpus", choices=sorted(CORPORA), default="dense")
     args = parser.parse_args()
-    report = race(jobs=args.jobs, corpus=args.corpus)
+    report = measure(jobs=args.jobs, corpus=args.corpus)
     emit_report(report)
-    timings = report["timings"]
-    # The throughput claim is calibrated for one slot per task pair:
-    # with spare workers the twins genuinely race (the multicore
-    # hedge), which on a single-CPU box just splits the GIL.
-    if args.corpus == "dense" and args.jobs == 1:
-        best_pure = min(timings["bb_seconds"], timings["sat_seconds"])
-        assert timings["portfolio_seconds"] < best_pure, (
-            f"portfolio {timings['portfolio_seconds']:.3f}s should beat "
-            f"the best pure mode at {best_pure:.3f}s"
-        )
-    print(
-        f"\nOK: all widths identical across {', '.join(MODES)}; "
-        f"portfolio {timings['portfolio_vs_best_pure']:.2f}x the best "
-        f"pure mode"
-    )
+    print("\nOK: every width equals the elimination DP's")

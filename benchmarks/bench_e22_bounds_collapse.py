@@ -9,7 +9,7 @@ heuristic witness and never reach an exact engine; the rest start
 their k-climb at the lower bound and stop speculating above the upper.
 
 This ablation counts the exact Check tasks with and without the
-pre-pass over the E15 HyperBench-style corpus plus the E21 dense race
+pre-pass over the E15 HyperBench-style corpus plus the E21 dense
 corpus, asserting the acceptance criterion: **>= 2x fewer exact
 tasks, byte-identical widths**.
 

@@ -17,9 +17,6 @@ A complete reproduction of the paper's systems:
   verdicts, witnesses and oracle caches survive restarts) — :mod:`repro.store`
 * the always-on ``repro serve`` daemon: HTTP front-end
   with admission control and request coalescing           — :mod:`repro.serve`
-* a second exact engine: CNF-encoded width checks with a
-  bundled CDCL core, raced against branch-and-bound in
-  ``solver="portfolio"`` mode                            — :mod:`repro.sat`
 * the Theorem 3.2 NP-hardness reduction + certificates   — :mod:`repro.hardness`
 * conjunctive queries and CSPs (the applications)        — :mod:`repro.cqcsp`
 

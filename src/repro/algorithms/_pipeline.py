@@ -21,26 +21,22 @@ def via_pipeline(
     jobs: int | None,
     /,  # positional-only: kwargs like method= belong to the solver call
     *args,
-    solver: str | None = None,
     bounds: str | None = None,
     **kwargs,
 ):
     """Run ``WidthSolver(...).<method>(*args, **kwargs)`` or ``direct``.
 
-    A non-default ``solver`` mode (``"sat"`` / ``"portfolio"``) or an
-    explicit non-``"none"`` ``bounds`` mode always routes through the
-    pipeline, even for ``preprocess="none"`` — the engine choice and
-    the bounds pre-pass live in the per-block scheduler, and the
-    pipeline's ``"none"`` mode runs the instance as one unreduced
-    block.  ``preprocess="none"`` without those overrides runs the raw
-    algorithm (no pre-pass), bit-for-bit the historical behaviour.
-    Edgeless hypergraphs keep the raw path so their historical error
-    behaviour is preserved.
+    An explicit non-``"none"`` ``bounds`` mode always routes through
+    the pipeline, even for ``preprocess="none"`` — the bounds pre-pass
+    lives in the per-block scheduler, and the pipeline's ``"none"``
+    mode runs the instance as one unreduced block.
+    ``preprocess="none"`` without that override runs the raw algorithm
+    (no pre-pass), bit-for-bit the historical behaviour.  Edgeless
+    hypergraphs keep the raw path so their historical error behaviour
+    is preserved.
     """
-    direct_solver = solver in (None, "bb")
-    direct_bounds = bounds in (None, "none")
     if hypergraph.num_edges == 0 or (
-        preprocess == "none" and direct_solver and direct_bounds
+        preprocess == "none" and bounds in (None, "none")
     ):
         return direct(hypergraph, *args, **kwargs)
     from ..pipeline import WidthSolver
@@ -49,7 +45,6 @@ def via_pipeline(
         hypergraph,
         preprocess=preprocess,
         jobs=jobs,
-        solver=solver if solver is not None else "bb",
         bounds=bounds if bounds is not None else "portfolio",
     )
     return getattr(solver, method)(*args, **kwargs)

@@ -86,7 +86,6 @@ def generalized_hypertree_decomposition(
     method: str = "fixpoint",
     preprocess: str = "full",
     jobs: int | None = None,
-    solver: str | None = None,
     bounds: str | None = None,
     **caps,
 ) -> Decomposition | None:
@@ -94,9 +93,7 @@ def generalized_hypertree_decomposition(
 
     Runs the reduce → split → solve → stitch pipeline by default
     (``preprocess="none"`` restores the raw subedge search; ``jobs=N``
-    solves biconnected blocks in parallel; ``solver`` picks the
-    per-block engine mode — ``"bb"``, ``"sat"`` or ``"portfolio"`` —
-    and non-bb modes always run through the pipeline).  A non-None
+    solves biconnected blocks in parallel).  A non-None
     result is re-validated against Definition 2.4 on the original
     hypergraph, so "yes" answers are certified unconditionally.  "No"
     answers are correct whenever the chosen subedge generator is
@@ -116,7 +113,6 @@ def generalized_hypertree_decomposition(
         preprocess,
         jobs,
         k,
-        solver=solver,
         bounds=bounds,
         method=method,
         **caps,
@@ -139,7 +135,6 @@ def generalized_hypertree_width(
     method: str = "fixpoint",
     preprocess: str = "full",
     jobs: int | None = None,
-    solver: str | None = None,
     bounds: str | None = None,
     **caps,
 ) -> tuple[int, Decomposition]:
@@ -149,8 +144,7 @@ def generalized_hypertree_width(
     handled by the same machinery since hw = ghw = 1 coincide.  The
     pipeline reduces the instance and iterates k per biconnected block
     (``jobs=N`` adds cross-block and cross-k parallelism;
-    ``preprocess="none"`` restores the raw loop; ``solver`` picks the
-    per-block engine mode — ``"bb"``, ``"sat"`` or ``"portfolio"``).
+    ``preprocess="none"`` restores the raw loop).
     """
     return via_pipeline(
         hypergraph,
@@ -159,7 +153,6 @@ def generalized_hypertree_width(
         preprocess,
         jobs,
         kmax,
-        solver=solver,
         bounds=bounds,
         method=method,
         **caps,

@@ -66,17 +66,13 @@ def hypertree_decomposition(
     k: int,
     preprocess: str = "full",
     jobs: int | None = None,
-    solver: str | None = None,
     bounds: str | None = None,
 ) -> Decomposition | None:
     """Solve Check(HD,k): an HD of width <= k, or None.
 
     Runs through the reduce → split → solve → stitch pipeline
     (hd-safe rules, connected-component splitting) unless
-    ``preprocess="none"``.  ``solver`` picks the per-block engine mode
-    (``"bb"`` branch-and-bound — the default — ``"sat"`` for the CNF
-    engine of :mod:`repro.sat`, ``"portfolio"`` to race both); non-bb
-    modes always run through the pipeline.  The returned decomposition
+    ``preprocess="none"``.  The returned decomposition
     is re-validated against Definition 2.5 (including the special
     condition) on the original hypergraph, so a non-None result is a
     certified "yes" instance.
@@ -90,7 +86,6 @@ def hypertree_decomposition(
         preprocess,
         jobs,
         k,
-        solver=solver,
         bounds=bounds,
     )
 
@@ -117,7 +112,6 @@ def hypertree_width(
     kmax: int | None = None,
     preprocess: str = "full",
     jobs: int | None = None,
-    solver: str | None = None,
     bounds: str | None = None,
 ) -> tuple[int, Decomposition]:
     """``hw(H)`` with a witness, by iterating Check(HD,k) for k = 1, 2, ...
@@ -126,10 +120,7 @@ def hypertree_width(
     all edges is an HD).  Raises if no width within the cap is found.
     By default each connected component is reduced and solved separately
     through the pipeline (``preprocess="none"`` restores the raw loop;
-    ``jobs=N`` parallelizes across components and candidate widths;
-    ``solver`` picks the per-block engine mode — ``"bb"``, ``"sat"`` or
-    ``"portfolio"`` — and non-bb modes always run through the
-    pipeline).
+    ``jobs=N`` parallelizes across components and candidate widths).
     """
     return via_pipeline(
         hypergraph,
@@ -138,6 +129,5 @@ def hypertree_width(
         preprocess,
         jobs,
         kmax,
-        solver=solver,
         bounds=bounds,
     )

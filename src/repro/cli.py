@@ -24,8 +24,6 @@ prints LP-solve counts and cache hit rates after the command.  They
 also accept pipeline options: ``--preprocess`` selects the reduce/split
 stages (default ``full``; ``none`` solves the raw instance), ``--jobs``
 parallelizes across biconnected blocks and candidate widths,
-``--solver`` picks the per-block engine mode (``bb`` branch-and-bound,
-``sat`` for the CNF engine, ``portfolio`` to race both per task),
 ``--bounds`` controls the heuristic bounds pre-pass that seeds the
 k-search (``portfolio`` orderings + clique/minor-width lower bound by
 default;
@@ -70,7 +68,6 @@ from .pipeline import (
     BOUNDS_MODES,
     EXECUTORS,
     PREPROCESS_MODES,
-    SOLVER_MODES,
 )
 from .hypergraph.generators import (
     clique,
@@ -126,17 +123,14 @@ def _pipeline_options_of(args: argparse.Namespace) -> dict:
     }
 
 
-def _compute_width(h: Hypergraph, kind: str, options: dict, solver=None):
+def _compute_width(h: Hypergraph, kind: str, options: dict):
     if kind == "hw":
-        return hypertree_width(h, solver=solver, **options)
+        return hypertree_width(h, **options)
     if kind == "ghw":
-        if solver in (None, "bb") and h.num_vertices <= 14:
+        if h.num_vertices <= 14:
             return generalized_hypertree_width_exact(h, **options)
-        return generalized_hypertree_width(h, solver=solver, **options)
+        return generalized_hypertree_width(h, **options)
     if kind == "fhw":
-        # One-shot exact LP oracle per block: the check-style engine
-        # modes (bb / sat / portfolio) race Check(X, k) tasks and do
-        # not apply here, so --solver is ignored for fhw.
         return fractional_hypertree_width_exact(h, **options)
     raise ValueError(f"unknown width kind {kind!r}")
 
@@ -144,10 +138,7 @@ def _compute_width(h: Hypergraph, kind: str, options: dict, solver=None):
 def _cmd_width(args: argparse.Namespace) -> int:
     h = _load(args.file)
     width, decomposition = _compute_width(
-        h,
-        args.kind,
-        _pipeline_options_of(args),
-        solver=getattr(args, "solver", None),
+        h, args.kind, _pipeline_options_of(args)
     )
     print(f"{args.kind}({h.name or args.file}) = {width}")
     if args.show:
@@ -166,10 +157,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
     h = _load(args.file)
     decomposition = generalized_hypertree_decomposition(
-        h,
-        args.k,
-        solver=getattr(args, "solver", None),
-        **_pipeline_options_of(args),
+        h, args.k, **_pipeline_options_of(args)
     )
     if decomposition is None:
         print(f"no GHD of width <= {args.k}", file=sys.stderr)
@@ -278,8 +266,8 @@ def _decode_manifest(path: str, key: str, decode) -> list:
 
 def _query_job(entry, base: Path) -> tuple:
     """One ``/query`` payload with path fields: ``"file"`` for
-    ``"query"``, ``"data"`` for ``"relations"``, plus the CLI-only
-    ``"solver"``; decodes to ``(query, database, label, solver)``."""
+    ``"query"``, ``"data"`` for ``"relations"``; decodes to
+    ``(query, database, label)``."""
     from .serve.protocol import query_request_from_payload
 
     entry = _resolve(entry, "file", "query", base, Path.read_text)
@@ -287,14 +275,8 @@ def _query_job(entry, base: Path) -> tuple:
         entry, "data", "relations", base,
         lambda path: json.loads(path.read_text())["relations"],
     )
-    solver = entry.pop("solver", None)
-    if solver is not None and solver not in SOLVER_MODES:
-        raise ValueError(
-            f"solver must be one of {', '.join(SOLVER_MODES)}; "
-            f"got {solver!r}"
-        )
     query, database, label = query_request_from_payload(entry)
-    return query, database, label or query.name, solver
+    return query, database, label or query.name
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -322,29 +304,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise _UsageError(str(exc)) from exc
 
-    default_solver = getattr(args, "solver", None) or "bb"
-    options = {
-        "bounds": getattr(args, "bounds", None) or "portfolio",
-        "preprocess": getattr(args, "preprocess", None) or "full",
-        "jobs": getattr(args, "jobs", None),
-    }
-    store = None
-    if args.store is not None:
-        from .store import ResultStore
-
-        store = ResultStore(args.store)
-    # One planner per engine mode (the plan key includes the solver),
-    # all sharing one store so plans persist regardless of mode.
-    planners: dict[str, QueryPlanner] = {}
+    planner = QueryPlanner(
+        args.store,
+        bounds=getattr(args, "bounds", None) or "portfolio",
+        preprocess=getattr(args, "preprocess", None) or "full",
+        jobs=getattr(args, "jobs", None),
+    )
     outcomes = []
     try:
-        for query, database, label, solver in jobs:
-            mode = solver or default_solver
-            planner = planners.get(mode)
-            if planner is None:
-                planner = planners[mode] = QueryPlanner(
-                    store, solver=mode, **options
-                )
+        for query, database, label in jobs:
             try:
                 plan, info = planner.plan_detailed(query)
                 result = planner.execute(plan, database)
@@ -361,10 +329,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     "plan_from_store": info.from_store,
                 })
     finally:
-        for planner in planners.values():
-            planner.close()
-        if store is not None:
-            store.close()
+        planner.close()
     failed = [o for o in outcomes if not o["ok"]]
     if args.json:
         print(json.dumps({"results": outcomes}, indent=2))
@@ -474,7 +439,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         preprocess=args.preprocess or "full",
         executor=args.executor,
-        solver=getattr(args, "solver", None) or "bb",
         bounds=getattr(args, "bounds", None) or "portfolio",
         store=getattr(args, "store", None),
     )
@@ -512,7 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         executor=getattr(args, "executor", None) or "thread",
         listen=getattr(args, "listen", None),
-        solver=getattr(args, "solver", None) or "bb",
         bounds=getattr(args, "bounds", None) or "portfolio",
         preprocess=getattr(args, "preprocess", None) or "full",
         max_in_flight=args.max_in_flight,
@@ -586,7 +549,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             requests,
             jobs=args.jobs,
             preprocess=args.preprocess or "full",
-            solver=getattr(args, "solver", None) or "bb",
             bounds=getattr(args, "bounds", None) or "portfolio",
             store=store,
         )
@@ -721,19 +683,6 @@ def _engine_options() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="parallel workers across blocks and candidate widths",
-    )
-    pipeline_group.add_argument(
-        "--solver",
-        # Single source of truth for the engine modes; docs/api.md and
-        # docs/architecture.md quote this flag and tests/test_docs.py
-        # pins the agreement.
-        choices=list(SOLVER_MODES),
-        default=None,
-        help=(
-            "per-block engine for check tasks: bb (branch and bound), "
-            "sat (CNF engine), or portfolio racing both (default: bb; "
-            "ignored by fhw and bounds)"
-        ),
     )
     pipeline_group.add_argument(
         "--bounds",
@@ -902,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
             "solver work.  Single mode takes CQ text (or a file "
             "containing it) plus --data; --manifest runs a JSON "
             "workload of /query payloads ({query|file, relations|data, "
-            "label, solver} entries)."
+            "label} entries)."
         ),
         parents=[engine_options],
     )

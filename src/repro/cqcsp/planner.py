@@ -22,7 +22,7 @@ ghw k evaluates in polynomial time via Yannakakis over the join tree
 
 The plan key has the same dimensions as the store's instance records
 and the serve daemon's coalescing identity — canonical hash × kind ×
-solver × params fingerprint — so "two requests share one plan
+params fingerprint — so "two requests share one plan
 computation" and "two requests share one store record" are the same
 statement (see :func:`plan_key`).  The shape determines the join tree
 only; the query's head, constants, argument order and repeated
@@ -67,13 +67,11 @@ PLAN_KIND = "ghw"
 
 
 def plan_key(
-    query: ConjunctiveQuery,
-    solver: str = "bb",
-    params: Mapping | None = None,
+    query: ConjunctiveQuery, params: Mapping | None = None
 ) -> tuple:
     """The caching/coalescing identity of a query's plan.
 
-    ``(canonical hypergraph hash, kind, solver, params fingerprint)`` —
+    ``(canonical hypergraph hash, kind, params fingerprint)`` —
     the same dimensions :class:`~repro.store.ResultStore` keys instance
     records on and the serve daemon coalesces on, so queries that share
     a plan computation are exactly the ones that share a store record.
@@ -92,7 +90,6 @@ def plan_key(
     return (
         query.hypergraph().canonical_hash(),
         PLAN_KIND,
-        solver,
         params_fingerprint(dict(params or {})),
     )
 
@@ -119,8 +116,6 @@ class QueryPlan:
         guarantee ``O(|D|^width + output)``.
     decomposition : Decomposition
         The stitched witness GHD; its bags/covers *are* the join tree.
-    solver : str
-        The solver mode that produced (or would produce) the witness.
     key : tuple
         The :func:`plan_key` this plan is cached under.
     from_store : bool
@@ -132,7 +127,6 @@ class QueryPlan:
     hypergraph: Hypergraph
     width: int
     decomposition: Decomposition
-    solver: str
     key: tuple
     from_store: bool
 
@@ -231,7 +225,7 @@ class QueryPlanner:
         for the planner's lifetime; a :class:`~repro.store.ResultStore`
         is shared (the serve daemon passes its own).  ``None`` still
         caches plans in memory, but restarts start cold.
-    solver, bounds, preprocess : str
+    bounds, preprocess : str
         Scheduler configuration for plan solves (same meanings as the
         ``repro width`` flags).
     jobs : int, optional
@@ -248,7 +242,6 @@ class QueryPlanner:
         self,
         store: ResultStore | str | None = None,
         *,
-        solver: str = "bb",
         bounds: str = "portfolio",
         preprocess: str = "full",
         jobs: int | None = None,
@@ -259,7 +252,6 @@ class QueryPlanner:
             store, ResultStore
         )
         self.store = ResultStore(store) if self._owns_store else store
-        self.solver = solver
         self.bounds = bounds
         self.preprocess = preprocess
         self.jobs = jobs
@@ -290,7 +282,7 @@ class QueryPlanner:
         counters stay at zero on repeated shapes).
         """
         hypergraph = query.hypergraph()
-        key = plan_key(query, self.solver)
+        key = plan_key(query)
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
@@ -310,7 +302,6 @@ class QueryPlanner:
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
-            solver=self.solver,
             bounds=self.bounds,
             store=self.store,
         )
@@ -329,7 +320,6 @@ class QueryPlanner:
             hypergraph=hypergraph,
             width=int(width),
             decomposition=witness,
-            solver=self.solver,
             key=key,
             from_store=run_stats.store_instance_hits > 0,
         )
@@ -395,8 +385,8 @@ def answer_query(
 ) -> QueryResult:
     """One-shot convenience: plan and execute with a throwaway planner.
 
-    ``options`` are forwarded to :class:`QueryPlanner` (``solver``,
-    ``bounds``, ``preprocess``, ``jobs``, ``executor``, ``max_plans``).
+    ``options`` are forwarded to :class:`QueryPlanner` (``bounds``,
+    ``preprocess``, ``jobs``, ``executor``, ``max_plans``).
     Prefer holding a :class:`QueryPlanner` when answering many queries —
     it is what makes repeated shapes free.
     """

@@ -19,8 +19,8 @@ Placement and failure semantics:
   PENDING — so ``Future.cancel()`` always succeeds before completion,
   exactly like cancelling a queued pool task.  The cancellation is
   then *forwarded*: a done-callback sends a cancel frame, which the
-  worker answers by dequeuing the task or setting its cooperative
-  abort event.  Late results for cancelled tasks are discarded.
+  worker answers by dequeuing the task if it has not started.  Late
+  results for cancelled tasks are discarded.
 * When a worker dies, the registry reports each of its in-flight
   tasks via :meth:`_task_lost`; the task requeues at the front and
   redispatches onto survivors (``requeued_tasks`` counts these).

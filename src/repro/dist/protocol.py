@@ -29,8 +29,8 @@ Messages the driver sends to a worker:
   "params": {...}}`` — one :func:`~repro.pipeline.solve.run_block_task`
   payload, the block in the
   :func:`~repro.serve.protocol.hypergraph_to_payload` shape;
-* ``{"type": "cancel", "task": id}`` — dequeue the task, or set its
-  cooperative abort event if it is already running;
+* ``{"type": "cancel", "task": id}`` — dequeue the task if it has not
+  started (a running task finishes and replies);
 * ``{"type": "ping"}`` — liveness probe (answered by a heartbeat);
 * ``{"type": "shutdown"}`` — drain and exit.
 

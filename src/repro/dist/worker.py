@@ -19,10 +19,8 @@ Lifecycle::
 
 Cancellation mirrors the in-process pools: a ``cancel`` frame dequeues
 the task if it has not started (acknowledged with a ``cancelled``
-frame, exactly like ``Future.cancel`` succeeding), and otherwise sets
-the task's cooperative abort event so an abortable engine (the SAT
-twins) stops mid-solve — this is how the race-gating of portfolio mode
-still kills queued twins across the wire.  Either way the driver has
+frame, exactly like ``Future.cancel`` succeeding); a task already
+running finishes and sends its result.  Either way the driver has
 already resolved its future; late results for cancelled tasks are
 discarded on arrival.
 
@@ -39,9 +37,9 @@ import socket
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
-from ..pipeline.solve import _ABORTABLE, run_block_task
+from ..pipeline.solve import run_block_task
 from ..serve.protocol import hypergraph_from_payload
 from ..store import answer_payload
 from .protocol import ProtocolError, recv_message, send_message
@@ -56,16 +54,6 @@ def _error_reply(task_id, exc: BaseException) -> dict:
         "task": task_id,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-
-
-class _ActiveTask:
-    """One accepted task: its pool future and optional abort event."""
-
-    __slots__ = ("future", "abort")
-
-    def __init__(self, future=None, abort=None):
-        self.future = future
-        self.abort = abort
 
 
 class WorkerClient:
@@ -114,7 +102,7 @@ class WorkerClient:
         self._runner = runner if runner is not None else run_block_task
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        self._active: dict[str, _ActiveTask] = {}
+        self._active: dict[str, Future] = {}
         self._executed = 0
         self._last_active = time.monotonic()
         self._stop = threading.Event()
@@ -180,41 +168,27 @@ class WorkerClient:
         except ValueError as exc:
             self._send(_error_reply(task_id, exc))
             return
-        params = dict(params)
-        abort = None
-        if solver in _ABORTABLE and "abort" not in params:
-            abort = threading.Event()
-            params["abort"] = abort
-        state = _ActiveTask(abort=abort)
         # Register under the lock so the task thread's pop (which also
         # takes the lock) cannot run before registration completes.
         with self._lock:
             self._last_active = time.monotonic()
-            self._active[task_id] = state
-            state.future = pool.submit(
+            self._active[task_id] = pool.submit(
                 self._execute, task_id, solver, hypergraph, params
             )
 
     def _cancel_task(self, task_id: str) -> None:
         with self._lock:
-            state = self._active.get(task_id)
-            if state is None:
-                return  # already finished; the reply frame is in flight
-            if state.future is not None and state.future.cancel():
-                # Dequeued before starting: acknowledge so the registry
-                # frees the slot (a cancelled task sends no result).
-                self._active.pop(task_id, None)
-                self._last_active = time.monotonic()
-                dequeued = True
-            else:
-                dequeued = False
-                if state.abort is not None:
-                    state.abort.set()  # running engine stops cooperatively
-        if dequeued:
-            try:
-                self._send({"type": "cancelled", "task": task_id})
-            except OSError:
-                pass
+            future = self._active.get(task_id)
+            if future is None or not future.cancel():
+                return  # finished or running: its reply frame will come
+            # Dequeued before starting: acknowledge so the registry
+            # frees the slot (a cancelled task sends no result).
+            del self._active[task_id]
+            self._last_active = time.monotonic()
+        try:
+            self._send({"type": "cancelled", "task": task_id})
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # Heartbeats + idle auto-shutdown

@@ -11,10 +11,9 @@ Every width query in the library runs through this package by default:
   ordering-portfolio upper bounds + clique/minor-width lower bounds
   (:data:`BOUNDS_MODES`) that seed every exact k-search and provide an
   anytime answer before the first exact check;
-* :mod:`repro.pipeline.solve` — per-block solver registry (both the
-  branch-and-bound engines and their SAT twins from :mod:`repro.sat`,
-  selected per :data:`SOLVER_MODES` and raced in ``"portfolio"`` mode)
-  and the worker pools (inline for ``jobs=1``, cross-block and cross-k
+* :mod:`repro.pipeline.solve` — per-block solver registry (one exact
+  engine per measure: CheckSearch branch-and-bound for the checks, the
+  elimination DP for the exact oracles) and the worker pools (inline for ``jobs=1``, cross-block and cross-k
   parallelism for ``jobs=N``);
 * :mod:`repro.pipeline.batch` — the one drive loop:
   :func:`solve_many` / :class:`BatchScheduler` interleave per-block
@@ -56,10 +55,8 @@ from .reduce import (
 )
 from .solve import (
     EXECUTORS,
-    SOLVER_MODES,
     SOLVERS,
     BlockState,
-    engines_for,
     run_block_task,
 )
 from .solver import (
@@ -101,9 +98,7 @@ __all__ = [
     "BlockState",
     "run_block_task",
     "SOLVERS",
-    "SOLVER_MODES",
     "EXECUTORS",
-    "engines_for",
     "BOUNDS_MODES",
     "BlockBounds",
     "compute_block_bounds",

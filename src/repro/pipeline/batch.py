@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -52,17 +51,11 @@ from ..hypergraph import Hypergraph
 from ..store import ResultStore
 from .bounds import BOUNDS_MODES, compute_block_bounds, seeded_block_state
 from .solve import (
-    _ABORTABLE,
     CAP_MESSAGES,
     EXECUTORS,
-    RACE_SKIPPED,
-    SOLVER_MODES,
     BlockState,
-    engines_for,
     make_pool,
-    order_engines,
     run_block_task,
-    run_gated_block_task,
 )
 from .solver import (
     _EPS,
@@ -154,18 +147,12 @@ class BatchRequest:
     label : str, optional
         Display name for results and the CLI (defaults to the
         hypergraph's own name).
-    solver : str, optional
-        Per-request solver mode override — one of
-        :data:`~repro.pipeline.solve.SOLVER_MODES` (``"bb"``, ``"sat"``,
-        ``"portfolio"``).  ``None`` (default) inherits the batch-wide
-        mode of :class:`BatchScheduler` / :func:`solve_many`.
     """
 
     hypergraph: Hypergraph
     kind: str = "ghw"
     params: dict = field(default_factory=dict)
     label: str | None = None
-    solver: str | None = None
 
     @classmethod
     def of(cls, spec) -> "BatchRequest":
@@ -311,10 +298,9 @@ class BatchStats:
     speculative_checks : int
         Tasks submitted above a block's confirmed-k frontier.
     tasks_cancelled : int
-        Tasks avoided by early rejection, settling or racing: pool
-        futures cancelled before starting, check-mode blocks never
-        submitted once a sibling block rejected, and one portfolio
-        loser per raced task that produced an answer.
+        Tasks avoided by early rejection or settling: pool futures
+        cancelled before starting, and check-mode blocks never
+        submitted once a sibling block rejected.
     tasks_remote : int
         Tasks dispatched to remote workers (``executor="remote"``
         only; includes re-dispatches of requeued tasks).
@@ -468,8 +454,6 @@ class _Instance:
         "result",
         "dkind",
         "solver",
-        "solver_mode",
-        "engines",
         "mode",
         "params",
         "k",
@@ -530,7 +514,6 @@ class _Instance:
     def prepare(
         self,
         preprocess: str,
-        solver_mode: str = "bb",
         bounds: str = "portfolio",
         store: ResultStore | None = None,
     ) -> None:
@@ -540,7 +523,7 @@ class _Instance:
         whole pipeline (the instance fast path: no reduce, no bounds,
         no tasks), and persisted per-block verdicts seed the scheduler
         state so only genuinely new blocks reach the bounds pass and
-        the exact engines.
+        the exact engine.
         """
         request = self.request
         if request.kind not in _KIND_TABLE:
@@ -552,21 +535,13 @@ class _Instance:
                 f"request {self.index} has no hypergraph: "
                 f"{request.hypergraph!r}"
             )
-        mode = request.solver if request.solver is not None else solver_mode
-        if mode not in SOLVER_MODES:
-            raise ValueError(
-                f"solver must be one of {SOLVER_MODES}; got {mode!r}"
-            )
         self.dkind, self.solver, self.mode = _KIND_TABLE[request.kind]
-        self.solver_mode = mode
-        self.engines = engines_for(self.solver, mode)
         self.store = None if request.kind in _INTERNAL_KINDS else store
         params = dict(request.params or {})
         if self.solver == "check-ghd":
-            # Checked here, once: the SAT twin ignores ``method`` and the
-            # pre-pass may answer without any engine, so an engine-side
-            # check would depend on the mode (and the store would key a
-            # record on the bogus value).
+            # Checked here, once: the pre-pass may answer without the
+            # engine, so an engine-side check would depend on the bounds
+            # mode (and the store would key a record on the bogus value).
             from ..algorithms.ghd import GHD_METHODS  # lazy: no cycles
 
             if params.get("method", "fixpoint") not in GHD_METHODS:
@@ -619,8 +594,8 @@ class _Instance:
             return False
         request = self.request
         hit = store.get_instance(
-            request.hypergraph, request.kind, self.solver_mode,
-            request.params, self.dkind, self.k,
+            request.hypergraph, request.kind, request.params,
+            self.dkind, self.k,
         )
         if hit is None:
             return False
@@ -650,8 +625,7 @@ class _Instance:
         if self.mode == "iterative":
             for b, block in enumerate(self.blocks):
                 hit = store.get_block(
-                    block.hypergraph, self.dkind, self.solver_mode,
-                    self.params,
+                    block.hypergraph, self.dkind, self.params
                 )
                 if hit is None:
                     continue
@@ -670,8 +644,7 @@ class _Instance:
         elif self.mode == "oneshot":
             for b, block in enumerate(self.blocks):
                 hit = store.get_block_exact(
-                    block.hypergraph, self.dkind, self.solver_mode,
-                    self.params,
+                    block.hypergraph, self.dkind, self.params
                 )
                 if hit is not None:
                     self.block_results[b] = hit
@@ -680,8 +653,7 @@ class _Instance:
         else:  # check
             for b, block in enumerate(self.blocks):
                 hit = store.get_check(
-                    block.hypergraph, self.dkind, self.k,
-                    self.solver_mode, self.params,
+                    block.hypergraph, self.dkind, self.k, self.params
                 )
                 if hit is None:
                     continue
@@ -795,22 +767,20 @@ class _Instance:
                 state = self.states[b]
                 if state.width is not None and state.witness is not None:
                     store.put_block(
-                        block_h, self.dkind, self.solver_mode, self.params,
+                        block_h, self.dkind, self.params,
                         state.width, state.witness,
                     )
             elif self.mode == "oneshot":
                 value = self.block_results[b]
                 if value is not _PENDING:
                     store.put_block_exact(
-                        block_h, self.dkind, self.solver_mode, self.params,
-                        *value,
+                        block_h, self.dkind, self.params, *value
                     )
             else:
                 value = self.block_results[b]
                 if value is not _PENDING:
                     store.put_check(
-                        block_h, self.dkind, self.k, self.solver_mode,
-                        self.params, value,
+                        block_h, self.dkind, self.k, self.params, value
                     )
         except OSError as exc:
             self._write_failed(f"block {b}", exc)
@@ -823,8 +793,7 @@ class _Instance:
         request = self.request
         try:
             store.put_instance(
-                request.hypergraph, request.kind, self.solver_mode,
-                request.params, value,
+                request.hypergraph, request.kind, request.params, value
             )
             from ..engine.oracle import oracle_for  # lazy: no cycles
 
@@ -905,18 +874,6 @@ class _Instance:
             if self.mode == "check" and value is None:
                 self.rejected = True
             self._persist_block(b)
-
-    def has_result(self, b: int, k: int | None) -> bool:
-        """Whether task ``(b, k)`` already recorded an answer.
-
-        Raced twins check this before folding their result in: only the
-        first engine home per task records; later twins are discarded.
-        """
-        if self.blocks is None:
-            return False
-        if self.mode == "iterative":
-            return k in self.states[b].results
-        return self.block_results[b] is not _PENDING
 
     def unsubmitted_blocks(self) -> int:
         """Blocks never handed to the pool (check-mode early rejection)."""
@@ -1063,16 +1020,6 @@ class BatchScheduler:
         lifetime), or ``"remote"`` (dispatch the same task payloads
         to the :mod:`repro.dist` worker fleet; degrades to a local
         thread pool while no worker is registered).
-    solver : str, optional
-        Batch-wide solver mode for check-style tasks — one of
-        :data:`~repro.pipeline.solve.SOLVER_MODES`.  ``"bb"`` (default)
-        runs branch-and-bound, ``"sat"`` the CNF engine, and
-        ``"portfolio"`` races both per ``(block, k)`` task: the first
-        engine home records the answer and its twin is cancelled
-        (dequeued, or aborted cooperatively for SAT engines on the
-        thread executor) — exactly one cancellation is counted per
-        raced task that produced an answer.  Requests can override the
-        mode individually via :attr:`BatchRequest.solver`.
     bounds : str, optional
         Batch-wide bounds pre-pass mode — one of
         :data:`~repro.pipeline.bounds.BOUNDS_MODES` (default
@@ -1096,7 +1043,6 @@ class BatchScheduler:
         jobs: int | None = None,
         preprocess: str = "full",
         executor: str = "thread",
-        solver: str = "bb",
         bounds: str = "portfolio",
         store: ResultStore | str | None = None,
     ) -> None:
@@ -1108,14 +1054,11 @@ class BatchScheduler:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}; got {executor!r}"
             )
-        if solver not in SOLVER_MODES:
-            raise ValueError(f"solver must be one of {SOLVER_MODES}")
         if bounds not in BOUNDS_MODES:
             raise ValueError(f"bounds must be one of {BOUNDS_MODES}")
         self.jobs = max(1, int(jobs or 1))
         self.preprocess = preprocess
         self.executor = executor
-        self.solver = solver
         self.bounds = bounds
         if store is None or isinstance(store, ResultStore):
             self.store = store
@@ -1152,7 +1095,7 @@ class BatchScheduler:
         return instance.result
 
     # ------------------------------------------------------------------
-    def _cancel(self, instance, in_flight, stats, aborts, block=None) -> None:
+    def _cancel(self, instance, in_flight, stats, block=None) -> None:
         """Cancel an instance's pending pool work; count what it saved.
 
         With ``block``, only that settled block's speculative higher-k
@@ -1160,35 +1103,9 @@ class BatchScheduler:
         """
         if block is None:
             stats.tasks_cancelled += instance.unsubmitted_blocks()
-        for future, (i, b, k, _e) in list(in_flight.items()):
-            if i != instance.index or block not in (None, b):
-                continue
-            if future.cancel():
+        for future, (i, b, _k) in in_flight.items():
+            if i == instance.index and block in (None, b) and future.cancel():
                 stats.tasks_cancelled += 1
-            elif future in aborts:
-                # Running SAT engine: tell it to stop and stop tracking
-                # it — its SolveAborted outcome is not a result.
-                del in_flight[future]
-                instance.in_flight.discard((b, k))
-                aborts.pop(future).set()
-                stats.tasks_cancelled += 1
-
-    def _cancel_twins(self, index, block, k, in_flight, aborts) -> None:
-        """Drop the raced losers of a task whose winner just recorded.
-
-        The caller counts the cancellation (exactly ``len(engines) - 1``
-        per settled raced task); this only stops and untracks the twin
-        futures, whether queued (dequeued before starting), running SAT
-        (aborted cooperatively) or running branch-and-bound (result
-        discarded).
-        """
-        for future, key in list(in_flight.items()):
-            if key[:3] == (index, block, k):
-                del in_flight[future]
-                future.cancel()
-                event = aborts.pop(future, None)
-                if event is not None:
-                    event.set()
 
     def _finalize_ready(self, stats) -> None:
         for instance in self.instances:
@@ -1199,18 +1116,9 @@ class BatchScheduler:
 
     def _drive(self, stats: BatchStats) -> None:
         with make_pool(self.executor, self.jobs) as pool:
-            in_flight: dict = {}  # future -> (instance, block, k, engine)
-            aborts: dict = {}
-            gates: dict = {}  # (instance, block, k) -> first-answer gate
-            threaded = self.executor == "thread"
+            in_flight: dict = {}  # future -> (instance, block, k)
             while any(inst.active for inst in self.instances):
-                # Budget in *tasks*: a raced task holds one slot however
-                # many engine futures it fans out to, so with jobs=J the
-                # workers run the J predicted winners while their twins
-                # queue behind them (cancelled before starting when the
-                # prediction holds).
-                tasks_in_flight = len({key[:3] for key in in_flight.values()})
-                free = self.jobs - tasks_in_flight
+                free = self.jobs - len(in_flight)
                 if free > 0:
                     candidates = []
                     for inst in self.instances:
@@ -1219,54 +1127,20 @@ class BatchScheduler:
                         for prio, b, k in inst.next_tasks(free):
                             candidates.append((prio, inst.index, b, k))
                     candidates.sort()
-                    submissions = []
                     for prio, i, b, k in candidates[:free]:
                         inst = self.instances[i]
-                        engines = order_engines(
-                            inst.engines, inst.blocks[b].hypergraph
-                        )
-                        for rank, engine in enumerate(engines):
-                            submissions.append((rank, prio, i, b, k, engine))
                         inst.in_flight.add((b, k))
                         if inst.mode in ("oneshot", "check"):
                             inst.submitted[b] = True
                         if prio > 0:
                             stats.speculative_checks += 1
-                    # All predicted winners enter the pool queue before
-                    # any twin, so the twins only start on spare workers.
-                    submissions.sort(key=lambda s: s[0])
-                    for _rank, _prio, i, b, k, engine in submissions:
-                        inst = self.instances[i]
-                        task_params = inst.task_params(b, k)
-                        raced = len(inst.engines) > 1
-                        event = None
-                        if raced and engine in _ABORTABLE and threaded:
-                            event = threading.Event()
-                            task_params["abort"] = event
-                        if raced and threaded:
-                            # The gate lets a twin dequeued right after
-                            # its sibling answered skip instead of
-                            # burning a full (unabortable) solve.
-                            gate = gates.setdefault(
-                                (i, b, k), threading.Event()
-                            )
-                            future = pool.submit(
-                                run_gated_block_task,
-                                gate,
-                                engine,
-                                inst.blocks[b].hypergraph,
-                                task_params,
-                            )
-                        else:
-                            future = pool.submit(
-                                run_block_task,
-                                engine,
-                                inst.blocks[b].hypergraph,
-                                task_params,
-                            )
-                        in_flight[future] = (i, b, k, engine)
-                        if event is not None:
-                            aborts[future] = event
+                        future = pool.submit(
+                            run_block_task,
+                            inst.solver,
+                            inst.blocks[b].hypergraph,
+                            inst.task_params(b, k),
+                        )
+                        in_flight[future] = (i, b, k)
                 if not in_flight:
                     # Nothing running and nothing submittable: settle
                     # exhausted caps and stitch whatever completed.
@@ -1284,33 +1158,19 @@ class BatchScheduler:
                     continue
                 done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    if future not in in_flight:
-                        continue  # raced twin untracked when its winner won
-                    i, b, k, _engine = in_flight.pop(future)
-                    aborts.pop(future, None)
+                    i, b, k = in_flight.pop(future)
                     inst = self.instances[i]
-                    racing = len(inst.engines) > 1
+                    inst.in_flight.discard((b, k))
                     if future.cancelled():
-                        inst.in_flight.discard((b, k))
                         continue
-                    if racing and inst.has_result(b, k):
-                        continue  # raced loser finishing after its winner
+                    stats.tasks_run += 1
                     try:
                         value = future.result()
                     except Exception as exc:
-                        inst.in_flight.discard((b, k))
-                        stats.tasks_run += len(inst.engines) if racing else 1
                         if inst.active:
                             inst.fail(exc)
-                            self._cancel(inst, in_flight, stats, aborts)
+                            self._cancel(inst, in_flight, stats)
                         continue
-                    if value is RACE_SKIPPED:
-                        continue  # gated twin; the sibling's answer is coming
-                    inst.in_flight.discard((b, k))
-                    # A raced task accounts for all of its engine runs at
-                    # once; its losers are counted below, so the totals
-                    # stay deterministic however the race resolves.
-                    stats.tasks_run += len(inst.engines) if racing else 1
                     if not inst.active:
                         continue
                     # Cancel only on the *transition* to rejected/settled,
@@ -1321,18 +1181,15 @@ class BatchScheduler:
                         and inst.states[b].width is not None
                     )
                     inst.record(b, k, value)
-                    if racing:
-                        stats.tasks_cancelled += len(inst.engines) - 1
-                        self._cancel_twins(i, b, k, in_flight, aborts)
                     if inst.mode == "check" and inst.rejected:
                         if not was_rejected:
-                            self._cancel(inst, in_flight, stats, aborts)
+                            self._cancel(inst, in_flight, stats)
                     elif (
                         inst.mode == "iterative"
                         and inst.states[b].width is not None
                         and not was_settled
                     ):
-                        self._cancel(inst, in_flight, stats, aborts, b)
+                        self._cancel(inst, in_flight, stats, b)
                 self._finalize_ready(stats)
             collect = getattr(pool, "remote_stats", None)
             if collect is not None:  # executor="remote": fold in fleet counters
@@ -1376,9 +1233,7 @@ class BatchScheduler:
             kind = instance.request.kind
             stats.kinds[kind] = stats.kinds.get(kind, 0) + 1
             try:
-                instance.prepare(
-                    self.preprocess, self.solver, self.bounds, self.store
-                )
+                instance.prepare(self.preprocess, self.bounds, self.store)
             except Exception as exc:
                 instance.fail(exc)
         for inst in self.instances:
@@ -1434,7 +1289,6 @@ def solve_many(
     preprocess: str = "full",
     executor: str = "thread",
     backend: str | None = None,
-    solver: str = "bb",
     bounds: str = "portfolio",
     store: ResultStore | str | None = None,
 ) -> list[BatchResult]:
@@ -1466,12 +1320,6 @@ def solve_many(
         LP backend for the batch (``"auto"``, ``"scipy"``,
         ``"purepython"``); the process-global engine configuration is
         restored afterwards.
-    solver : str, optional
-        Batch-wide solver mode for check-style tasks — ``"bb"``
-        (default), ``"sat"`` or ``"portfolio"`` (race both engines per
-        ``(block, k)`` task, first answer wins).  Individual requests
-        override it via :attr:`BatchRequest.solver`; answers are the
-        same whatever the mode, both engines being exact.
     bounds : str, optional
         Bounds pre-pass mode for every instance — ``"portfolio"``
         (default), ``"clique"`` or ``"none"``; see
@@ -1494,10 +1342,9 @@ def solve_many(
     Raises
     ------
     ValueError
-        If ``preprocess``, ``executor``, ``backend``, ``solver`` or
-        ``bounds`` is invalid — batch-level configuration errors raise;
-        per-request problems (including an unknown per-request solver
-        override) do not.
+        If ``preprocess``, ``executor``, ``backend`` or ``bounds`` is
+        invalid — batch-level configuration errors raise; per-request
+        problems do not.
     """
     from .. import engine  # lazy: keeps the pipeline package cycle-free
 
@@ -1506,7 +1353,6 @@ def solve_many(
         jobs=jobs,
         preprocess=preprocess,
         executor=executor,
-        solver=solver,
         bounds=bounds,
         store=store,
     )

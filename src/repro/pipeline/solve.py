@@ -3,9 +3,10 @@
 Blocks are independent, and Check(X, k) is monotone in k, so a width is
 the smallest accepted k per block.  This module holds what every
 schedule of those checks shares: the solver registry behind the single
-task payload :func:`run_block_task`, the engine selection of
-:data:`SOLVER_MODES` (:func:`engines_for`, :func:`order_engines`), the
-per-block k-search state :class:`BlockState`, and :func:`make_pool`.
+task payload :func:`run_block_task`, the per-block k-search state
+:class:`BlockState`, and :func:`make_pool`.  Each measure has one
+exact engine: the CheckSearch branch-and-bound for Check(HD/GHD/FHD, k)
+and the elimination DP for the exact oracles.
 The one drive loop over them is
 :meth:`repro.pipeline.batch.BatchScheduler.run`, which every width
 query goes through (:class:`~repro.pipeline.solver.WidthSolver` submits
@@ -28,7 +29,6 @@ the pipeline package import-cycle free.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import (
     Executor,
     Future,
@@ -44,10 +44,7 @@ __all__ = [
     "BlockState",
     "run_block_task",
     "make_pool",
-    "engines_for",
-    "order_engines",
     "SOLVERS",
-    "SOLVER_MODES",
     "EXECUTORS",
     "CAP_MESSAGES",
 ]
@@ -57,10 +54,6 @@ __all__ = [
 #: sidesteps the GIL, and ``"remote"`` dispatches the same task
 #: payloads to a TCP worker fleet (see :mod:`repro.dist`).
 EXECUTORS = ("thread", "process", "remote")
-
-#: Engine-selection modes for check-style solves: branch-and-bound
-#: only, SAT only, or a per-task race between the two.
-SOLVER_MODES = ("bb", "sat", "portfolio")
 
 #: Cap-exhaustion error templates per width-search kind.
 CAP_MESSAGES = {
@@ -184,132 +177,18 @@ def _fhw_approximation(hypergraph: Hypergraph, **params):
     return fhw_approximation(hypergraph, preprocess="none", **params)
 
 
-def _sat_check_hd(hypergraph: Hypergraph, k: int, abort=None, **_bb_only):
-    from ..sat.checks import sat_hypertree_decomposition
-
-    return sat_hypertree_decomposition(hypergraph, k, abort=abort)
-
-
-def _sat_check_ghd(hypergraph: Hypergraph, k: int, abort=None, **_bb_only):
-    from ..sat.checks import sat_generalized_hypertree_decomposition
-
-    return sat_generalized_hypertree_decomposition(hypergraph, k, abort=abort)
-
-
-def _sat_check_fhd(hypergraph: Hypergraph, k: float, abort=None, **_bb_only):
-    from ..sat.checks import sat_fractional_hypertree_decomposition
-
-    return sat_fractional_hypertree_decomposition(hypergraph, k, abort=abort)
-
-
 #: Per-block solver registry: name -> callable(hypergraph, **params).
 #: Check-style solvers additionally take ``k`` and return None on reject.
-#: The ``sat-*`` twins answer the same Check(X, k) questions through the
-#: CNF engine in :mod:`repro.sat`; they accept (and ignore) the
-#: branch-and-bound tuning keywords so both twins of a portfolio race
-#: can share one task-params dict.
 SOLVERS = {
     "check-hd": _check_hd,
     "check-ghd": _check_ghd,
     "check-fhd-bd": _check_fhd_bounded_degree,
-    "sat-check-hd": _sat_check_hd,
-    "sat-check-ghd": _sat_check_ghd,
-    "sat-check-fhd": _sat_check_fhd,
     "ghw-exact": _ghw_exact,
     "fhw-exact": _fhw_exact,
     "heuristic-bounds": _heuristic_bounds,
     "heuristic-decomposition": _heuristic_decomposition,
     "fhw-approximation": _fhw_approximation,
 }
-
-#: Check-style solvers with a SAT twin, keyed by branch-and-bound name.
-_SAT_CHECKS = {
-    "check-hd": "sat-check-hd",
-    "check-ghd": "sat-check-ghd",
-    "check-fhd-bd": "sat-check-fhd",
-}
-
-#: Engines that honour a cooperative ``abort`` event (thread pools only).
-_ABORTABLE = frozenset(_SAT_CHECKS.values())
-
-
-def engines_for(solver: str, mode: str = "bb") -> tuple[str, ...]:
-    """The solver registry keys a mode runs for one check-style task.
-
-    ``"bb"`` keeps the branch-and-bound solver alone, ``"sat"`` swaps in
-    its CNF twin, and ``"portfolio"`` returns both so schedulers race
-    them per ``(block, k)`` task.  Solvers without a SAT twin (the
-    oracle and heuristic kinds) always run alone, whatever the mode.
-
-    Raises
-    ------
-    ValueError
-        If ``mode`` is not one of :data:`SOLVER_MODES`.
-    """
-    if mode not in SOLVER_MODES:
-        raise ValueError(
-            f"solver must be one of {SOLVER_MODES}, got {mode!r}"
-        )
-    twin = _SAT_CHECKS.get(solver)
-    if mode == "bb" or twin is None:
-        return (solver,)
-    if mode == "sat":
-        return (twin,)
-    return (solver, twin)
-
-
-def order_engines(
-    engines: tuple[str, ...], hypergraph: Hypergraph
-) -> tuple[str, ...]:
-    """Submission order for a portfolio race: predicted winner first.
-
-    Queued twins whose sibling finishes first are cancelled before they
-    start, so starting the likely-faster engine first turns a race into
-    a cheap hedge.  The SAT encoding shines on small blocks with more
-    edges than vertices (branch-and-bound drowns in subedge
-    combinations there) and drowns in its own O(n³) transitivity
-    clauses on larger sparse ones — a density test captures both
-    regimes.
-    """
-    if len(engines) < 2:
-        return tuple(engines)
-    n = hypergraph.num_vertices
-    sat_first = n <= 10 and hypergraph.num_edges > n
-    ordered = sorted(
-        engines, key=lambda e: (e in _ABORTABLE) != sat_first
-    )
-    return tuple(ordered)
-
-
-#: Sentinel a gated racing twin returns when its sibling already
-#: answered before the twin started (see :func:`run_gated_block_task`).
-#: The scheduler skips it without recording.
-RACE_SKIPPED = object()
-
-
-def run_gated_block_task(
-    gate: threading.Event, solver: str, hypergraph: Hypergraph, params: dict
-):
-    """Run one raced engine behind a shared first-answer gate.
-
-    A thread-pool worker dequeues a queued racing twin the instant its
-    sibling's payload returns — before the scheduler thread wakes up to
-    cancel it.  The gate closes that window: the first engine to answer
-    sets the event *synchronously in the worker*, so a twin dequeued
-    afterwards returns :data:`RACE_SKIPPED` immediately instead of
-    burning a full solve.  (SAT engines also honour a cooperative abort
-    mid-run; for branch-and-bound this gate is the only cheap exit.)
-
-    Thread pools only — the event is not picklable, so process-pool
-    racing submits :func:`run_block_task` bare and relies on dequeue
-    cancellation alone.
-    """
-    if gate.is_set():
-        return RACE_SKIPPED
-    result = run_block_task(solver, hypergraph, params)
-    gate.set()
-    return result
-
 
 def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
     """Execute one per-block solve (module-level, so a process pool
@@ -343,6 +222,11 @@ def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
         If ``solver`` is not registered in :data:`SOLVERS`.
     """
     return SOLVERS[solver](hypergraph, **params)
+
+
+#: ``perfbench/tracer.py`` still patches this name; an alias keeps its
+#: hook list complete.  It goes once the tracer stops naming it.
+run_gated_block_task = run_block_task
 
 
 @dataclass

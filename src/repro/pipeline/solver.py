@@ -38,7 +38,6 @@ from ..decomposition import (
 from ..hypergraph import Hypergraph
 from .bounds import BOUNDS_MODES
 from .reduce import ReducedInstance, reduce_instance
-from .solve import SOLVER_MODES
 from .split import Block, split_instance
 
 __all__ = [
@@ -197,14 +196,6 @@ class WidthSolver:
         ``"thread"`` (default; shares engine caches), ``"process"``
         (GIL-free, cold caches per worker) or ``"remote"`` (the
         :mod:`repro.dist` worker fleet).
-    solver:
-        Engine-selection mode for the Check(X, k) queries, one of
-        :data:`repro.pipeline.solve.SOLVER_MODES`: ``"bb"`` (default,
-        branch-and-bound), ``"sat"`` (the CNF engine in
-        :mod:`repro.sat`), or ``"portfolio"`` (race both per
-        ``(block, k)`` task; the loser is cancelled and counted in
-        ``last_stats.tasks_cancelled``).  Oracle/heuristic queries are
-        unaffected.
     bounds:
         Bounds pre-pass mode, one of
         :data:`repro.pipeline.bounds.BOUNDS_MODES`: ``"portfolio"``
@@ -221,20 +212,16 @@ class WidthSolver:
         preprocess: str = "full",
         jobs: int | None = None,
         executor: str = "thread",
-        solver: str = "bb",
         bounds: str = "portfolio",
     ) -> None:
         if preprocess not in PREPROCESS_MODES:
             raise ValueError(f"preprocess must be one of {PREPROCESS_MODES}")
-        if solver not in SOLVER_MODES:
-            raise ValueError(f"solver must be one of {SOLVER_MODES}")
         if bounds not in BOUNDS_MODES:
             raise ValueError(f"bounds must be one of {BOUNDS_MODES}")
         self.hypergraph = hypergraph
         self.preprocess = preprocess
         self.jobs = max(1, int(jobs or 1))
         self.executor = executor
-        self.solver = solver
         self.bounds = bounds
         self.last_stats = None
 
@@ -246,7 +233,6 @@ class WidthSolver:
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
-            solver=self.solver,
             bounds=self.bounds,
         )
         result = scheduler.submit(BatchRequest(self.hypergraph, kind, params))
@@ -360,7 +346,6 @@ def solve_width(
     preprocess: str = "full",
     jobs: int | None = None,
     executor: str = "thread",
-    solver: str = "bb",
     bounds: str = "portfolio",
     **params,
 ):
@@ -368,9 +353,8 @@ def solve_width(
 
     ``kind`` is one of ``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``
     (the exact oracle), or ``"bounds"`` (heuristic sandwich); extra
-    keyword arguments go to the underlying solver method.  ``solver``
-    selects the check engine (``"bb"``, ``"sat"`` or ``"portfolio"``)
-    for the iterative kinds; ``bounds`` the pre-pass mode (one of
+    keyword arguments go to the underlying solver method.  ``bounds``
+    selects the pre-pass mode (one of
     :data:`repro.pipeline.bounds.BOUNDS_MODES`).
     """
     solver = WidthSolver(
@@ -378,7 +362,6 @@ def solve_width(
         preprocess=preprocess,
         jobs=jobs,
         executor=executor,
-        solver=solver,
         bounds=bounds,
     )
     dispatch = {

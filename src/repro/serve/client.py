@@ -84,7 +84,6 @@ class ServeClient:
         kind: str = "ghw",
         params: dict | None = None,
         label: str | None = None,
-        solver: str | None = None,
     ) -> dict:
         """Solve one width query on the daemon.
 
@@ -104,7 +103,6 @@ class ServeClient:
             kind=kind,
             params=dict(params or {}),
             label=label,
-            solver=solver,
         )
         return self._call("POST", "/solve", request_to_payload(request))
 

@@ -9,7 +9,6 @@ and no decoder that can execute code.  A solve request posts::
                     "name": "query-17"},        # optional
      "kind": "ghw",                             # any BATCH_KINDS entry
      "params": {"k": 2, ...},                   # optional solver params
-     "solver": "sat",                           # optional mode override
      "label": "q17"}                            # optional display name
 
 and receives an answer in the schema :mod:`repro.store` owns
@@ -22,8 +21,7 @@ through the store's decoder (:func:`answer_from_payload` here re-raises
 its errors as :class:`ProtocolError`).
 
 :func:`request_key` is the coalescing identity: two requests with the
-same canonical hypergraph hash, kind, effective solver mode and
-parameter fingerprint are *the same computation* and share one
+same canonical hypergraph hash, kind and parameter fingerprint are *the same computation* and share one
 scheduler run server-side.
 
 A query request (``POST /query``) posts a CQ plus its relations::
@@ -47,7 +45,6 @@ from ..cqcsp import parse_cq, relation_from_payload
 from ..cqcsp.planner import plan_key
 from ..hypergraph import Hypergraph
 from ..pipeline.batch import BATCH_KINDS, BatchRequest
-from ..pipeline.solve import SOLVER_MODES
 from ..store import answer_payload, params_fingerprint
 
 __all__ = [
@@ -133,7 +130,7 @@ def _check_fields(obj, fields: tuple) -> None:
 
 def request_from_payload(obj) -> BatchRequest:
     """Decode one solve request; raises :class:`ProtocolError`."""
-    _check_fields(obj, ("hypergraph", "kind", "label", "params", "solver"))
+    _check_fields(obj, ("hypergraph", "kind", "label", "params"))
     hypergraph = hypergraph_from_payload(obj.get("hypergraph"))
     kind = obj.get("kind", "ghw")
     if kind not in BATCH_KINDS:
@@ -143,17 +140,10 @@ def request_from_payload(obj) -> BatchRequest:
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object")
-    solver = obj.get("solver")
-    if solver is not None and solver not in SOLVER_MODES:
-        raise ProtocolError(
-            f"solver must be one of {', '.join(SOLVER_MODES)}; got {solver!r}"
-        )
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ProtocolError("'label' must be a string")
-    return BatchRequest(
-        hypergraph, kind=kind, params=params, label=label, solver=solver
-    )
+    return BatchRequest(hypergraph, kind=kind, params=params, label=label)
 
 
 def request_to_payload(request: BatchRequest) -> dict:
@@ -164,26 +154,22 @@ def request_to_payload(request: BatchRequest) -> dict:
     }
     if request.params:
         payload["params"] = dict(request.params)
-    if request.solver is not None:
-        payload["solver"] = request.solver
     if request.label is not None:
         payload["label"] = request.label
     return payload
 
 
-def request_key(request: BatchRequest, default_solver: str) -> tuple:
+def request_key(request: BatchRequest) -> tuple:
     """The coalescing identity of a request.
 
     Built from the canonical (process-stable) hypergraph hash, the
-    request kind, the *effective* solver mode and the parameter
-    fingerprint — exactly the dimensions the result store keys on, so
-    coalesced requests are also the ones that would share a store
-    record.
+    request kind and the parameter fingerprint — exactly the dimensions
+    the result store keys on, so coalesced requests are also the ones
+    that would share a store record.
     """
     return (
         request.hypergraph.canonical_hash(),
         request.kind,
-        request.solver if request.solver is not None else default_solver,
         params_fingerprint(request.params),
     )
 
@@ -218,11 +204,11 @@ def query_request_from_payload(obj) -> tuple:
     return query, database, label
 
 
-def query_key(query, default_solver: str) -> tuple:
+def query_key(query) -> tuple:
     """The coalescing identity of a query request — its *plan*.
 
     A tagged :func:`repro.cqcsp.planner.plan_key`: canonical query-
-    hypergraph hash × plan kind × solver × params fingerprint.  The
+    hypergraph hash × plan kind × params fingerprint.  The
     data is deliberately absent — N concurrent queries of one shape
     share one plan solve and then each execute on their own relations.
     The key identifies the *plan* only: distinct queries (different
@@ -233,7 +219,7 @@ def query_key(query, default_solver: str) -> tuple:
     distinct from ``/solve`` futures in the server's single pending
     map (their resolved values differ).
     """
-    return ("query-plan",) + plan_key(query, default_solver)
+    return ("query-plan",) + plan_key(query)
 
 
 def query_answer_payload(result) -> dict:

@@ -17,7 +17,7 @@ harness in ``tests/test_serve.py`` and benchmark E23:
   while admitted solves finish.
 * **Request coalescing** — requests are identified by
   :func:`~.protocol.request_key` (canonical hypergraph hash, kind,
-  solver mode, parameter fingerprint).  N concurrent identical
+  parameter fingerprint).  N concurrent identical
   requests share ONE scheduler run and all N receive its answer; the
   ``coalesced`` counter and the single ``solves`` increment prove it.
 * **Persistent store** — every solve runs through
@@ -195,9 +195,8 @@ class DecompositionServer:
         ``executor="remote"`` (default: the ``REPRO_WORKER_LISTEN``
         environment variable, else an ephemeral loopback port); read
         the resolved endpoint from ``registry.address``.
-    solver, bounds, preprocess : str
-        Scheduler configuration applied to every request (requests may
-        still override ``solver`` individually).
+    bounds, preprocess : str
+        Scheduler configuration applied to every request.
     max_in_flight : int
         Concurrent scheduler runs (thread-pool width).
     max_queue : int
@@ -228,7 +227,6 @@ class DecompositionServer:
         jobs: int | None = None,
         executor: str = "thread",
         listen: str | None = None,
-        solver: str = "bb",
         bounds: str = "portfolio",
         preprocess: str = "full",
         max_in_flight: int = 4,
@@ -258,7 +256,6 @@ class DecompositionServer:
             from ..dist import get_registry
 
             self.registry = get_registry(listen=listen)
-        self.solver = solver
         self.bounds = bounds
         self.preprocess = preprocess
         self.max_in_flight = max(1, int(max_in_flight))
@@ -267,11 +264,10 @@ class DecompositionServer:
         self.read_timeout = read_timeout
         self.stats = ServerStats()
         # Plans are served by one planner so the in-memory plan LRU is
-        # shared across requests; it reuses the server's store, solver
-        # and pool configuration for its plan solves.
+        # shared across requests; it reuses the server's store and pool
+        # configuration for its plan solves.
         self.planner = QueryPlanner(
             self.store,
-            solver=self.solver,
             bounds=self.bounds,
             preprocess=self.preprocess,
             jobs=self.jobs,
@@ -427,7 +423,6 @@ class DecompositionServer:
             "config": {
                 "jobs": self.jobs,
                 "executor": self.executor,
-                "solver": self.solver,
                 "bounds": self.bounds,
                 "preprocess": self.preprocess,
                 "max_in_flight": self.max_in_flight,
@@ -484,7 +479,7 @@ class DecompositionServer:
         except ProtocolError as exc:
             return 400, {"error": str(exc)}
         future, coalesced = self._admit(
-            request_key(request, self.solver),
+            request_key(request),
             self._fold_solve, self._run_batch, request,
         )
         try:
@@ -529,7 +524,6 @@ class DecompositionServer:
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
-            solver=self.solver,
             bounds=self.bounds,
             store=self.store,
         )
@@ -560,7 +554,7 @@ class DecompositionServer:
             return 400, {"error": str(exc)}
         label = label or query.name
         future, coalesced = self._admit(
-            query_key(query, self.solver),
+            query_key(query),
             self._fold_plan, self._run_plan, query,
         )
         stage = "plan"

@@ -6,7 +6,7 @@
 still dies with the process.  This package spills them to disk:
 
 * :class:`ResultStore` — an append-only, checksummed record log keyed
-  on ``(hypergraph canonical hash, measure, k, solver mode)``.  Records
+  on ``(hypergraph canonical hash, measure, k, params)``.  Records
   are length-prefixed and CRC-protected, so a crash mid-write (or any
   corrupt/truncated tail) degrades to a **cache miss, never a wrong
   answer**: loading stops at the first bad record and the next append

@@ -21,15 +21,18 @@ Record vocabulary (all keys start with a type tag; every value but the
 oracle export is an :func:`answer_payload`, read back through
 :func:`answer_from_payload` and :func:`checked_witness`):
 
-* ``("block", hhash, kind, solver, params_fp)`` — a settled iterative
+* ``("block", hhash, kind, "bb", params_fp)`` — a settled iterative
   block: ``{"width": k, "witness": {...}}``.  Implies every ``k' < k``
   was rejected, so one record seeds the whole k-search.
-* ``("block-exact", hhash, kind, solver, params_fp)`` — a oneshot
+* ``("block-exact", hhash, kind, "bb", params_fp)`` — a oneshot
   exact-oracle block: ``{"width": w, "witness": {...}}``.
-* ``("check", hhash, kind, k, solver, params_fp)`` — one Check(X, k)
+* ``("check", hhash, kind, k, "bb", params_fp)`` — one Check(X, k)
   verdict: ``{"accepted": bool, "witness": {...} | null}``.
-* ``("instance", hhash, request_kind, solver, params_fp)`` — a full
+* ``("instance", hhash, request_kind, "bb", params_fp)`` — a full
   request answer (stitched witness), the serve layer's fast path.
+
+The ``"bb"`` slot once named the engine mode; it stays a constant so
+logs written by earlier versions keep hitting.
 * ``("oracle", hhash)`` — exported cover-oracle entries for one
   hypergraph (see :meth:`repro.engine.oracle.CoverOracle.export_entries`).
 
@@ -124,7 +127,7 @@ def checked_witness(
 def _answer_shape(kind: str) -> str:
     """The answer schema of a batch kind, a block-task solver name or a
     record tag."""
-    if kind.startswith(("check", "sat-check-")):
+    if kind.startswith("check"):
         return "check"
     if kind in ("bounds", "heuristic-bounds"):
         return "bounds"
@@ -390,8 +393,10 @@ class ResultStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _key(tag: str, hypergraph: Hypergraph, *dims, params) -> tuple:
+        # ``"bb"`` fills the slot that once named the engine mode, so
+        # logs written while several engines existed keep hitting.
         fp = params_fingerprint(params)
-        return (tag, hypergraph.canonical_hash(), *dims, fp)
+        return (tag, hypergraph.canonical_hash(), *dims, "bb", fp)
 
     def _put(self, key: tuple, kind: str, value) -> None:
         if key[-1] != "!opaque":
@@ -432,24 +437,22 @@ class ResultStore:
         self,
         hypergraph: Hypergraph,
         kind: str,
-        solver: str,
         params: dict | None,
         width: int,
         witness: Decomposition,
     ) -> None:
         """Persist a settled iterative block: its width and witness."""
-        key = self._key("block", hypergraph, kind, solver, params=params)
+        key = self._key("block", hypergraph, kind, params=params)
         self._put(key, "block", (int(width), witness))
 
     def get_block(
         self,
         hypergraph: Hypergraph,
         kind: str,
-        solver: str,
         params: dict | None,
     ) -> tuple[int, Decomposition] | None:
         """A validated ``(width, witness)`` for the block, or None."""
-        key = self._key("block", hypergraph, kind, solver, params=params)
+        key = self._key("block", hypergraph, kind, params=params)
         hit = self._answer(key, hypergraph, "block", kind)
         return hit[0] if hit and isinstance(hit[0][0], int) else None
 
@@ -457,24 +460,22 @@ class ResultStore:
         self,
         hypergraph: Hypergraph,
         kind: str,
-        solver: str,
         params: dict | None,
         width: float,
         witness: Decomposition,
     ) -> None:
         """Persist a oneshot exact-oracle block result."""
-        key = self._key("block-exact", hypergraph, kind, solver, params=params)
+        key = self._key("block-exact", hypergraph, kind, params=params)
         self._put(key, "block-exact", (float(width), witness))
 
     def get_block_exact(
         self,
         hypergraph: Hypergraph,
         kind: str,
-        solver: str,
         params: dict | None,
     ) -> tuple[float, Decomposition] | None:
         """A validated oneshot ``(width, witness)``, or None."""
-        key = self._key("block-exact", hypergraph, kind, solver, params=params)
+        key = self._key("block-exact", hypergraph, kind, params=params)
         hit = self._answer(key, hypergraph, "block-exact", kind)
         return None if hit is None else (float(hit[0][0]), hit[0][1])
 
@@ -483,13 +484,12 @@ class ResultStore:
         hypergraph: Hypergraph,
         kind: str,
         k,
-        solver: str,
         params: dict | None,
         witness: Decomposition | None,
     ) -> None:
         """Persist one Check(X, k) verdict (None witness = rejected)."""
         k = round(float(k), 9)
-        key = self._key("check", hypergraph, kind, k, solver, params=params)
+        key = self._key("check", hypergraph, kind, k, params=params)
         self._put(key, "check", witness)
 
     def get_check(
@@ -497,7 +497,6 @@ class ResultStore:
         hypergraph: Hypergraph,
         kind: str,
         k,
-        solver: str,
         params: dict | None,
     ):
         """A stored Check verdict: ``(accepted, witness)`` or None.
@@ -507,7 +506,7 @@ class ResultStore:
         witness and is returned as ``(False, None)``.
         """
         k = round(float(k), 9)
-        key = self._key("check", hypergraph, kind, k, solver, params=params)
+        key = self._key("check", hypergraph, kind, k, params=params)
         hit = self._answer(key, hypergraph, "check", kind, k)
         return None if hit is None else (hit[0] is not None, hit[0])
 
@@ -515,13 +514,12 @@ class ResultStore:
         self,
         hypergraph: Hypergraph,
         request_kind: str,
-        solver: str,
         params: dict | None,
         value,
     ) -> None:
         """Persist a request's resolved value (the serve layer's fast path)."""
         key = self._key(
-            "instance", hypergraph, request_kind, solver, params=params
+            "instance", hypergraph, request_kind, params=params
         )
         self._put(key, request_kind, value)
 
@@ -529,7 +527,6 @@ class ResultStore:
         self,
         hypergraph: Hypergraph,
         request_kind: str,
-        solver: str,
         params: dict | None,
         dkind: str,
         k=None,
@@ -542,7 +539,7 @@ class ResultStore:
         bounds lower bound is clamped to the witness width.
         """
         key = self._key(
-            "instance", hypergraph, request_kind, solver, params=params
+            "instance", hypergraph, request_kind, params=params
         )
         hit = self._answer(key, hypergraph, request_kind, dkind, k)
         shape = _answer_shape(request_kind)

@@ -307,19 +307,18 @@ class TestSchedulerBehaviour:
 
 
 class TestGhdMethodValidation:
-    """A bad GHD ``method`` is rejected the same way in every mode,
-    before any engine runs (and before the store could key on it)."""
+    """A bad GHD ``method`` is rejected the same way in every bounds
+    mode, before any engine runs (and before the store could key on
+    it)."""
 
     @pytest.mark.parametrize("kind", ["ghw", "check-ghd"])
-    @pytest.mark.parametrize("solver", ["bb", "sat", "portfolio"])
     @pytest.mark.parametrize("bounds", ["portfolio", "none"])
-    def test_bad_method_rejected_in_every_mode(self, kind, solver, bounds):
+    def test_bad_method_rejected_in_every_mode(self, kind, bounds):
         params = {"method": "zzz"}
         if kind == "check-ghd":
             params["k"] = 2
         (result,) = solve_many(
-            [BatchRequest(cycle(8), kind, params, solver=solver)],
-            bounds=bounds,
+            [BatchRequest(cycle(8), kind, params)], bounds=bounds
         )
         with pytest.raises(
             ValueError,
@@ -362,9 +361,8 @@ class TestInlineSerial:
         scheduler.run()
         assert scheduler.last_stats.tasks_run == len(threads) > 0
         threads_before = len(threads)
-        for mode in ("bb", "portfolio"):
-            solver = WidthSolver(clique(4), solver=mode, bounds="none")
-            assert solver.hypertree_width()[0] == 2
+        solver = WidthSolver(clique(4), bounds="none")
+        assert solver.hypertree_width()[0] == 2
         assert len(threads) > threads_before
         assert set(threads) == {threading.get_ident()}
         assert pools == []

@@ -277,29 +277,25 @@ class TestBatch:
         assert "ghw(c4) = 2" in capsys.readouterr().out
 
     def test_unknown_solver_exits_2(self, tmp_path, capsys):
-        """An unknown engine mode is a configuration error: exit 2
+        """There is one exact engine and no engine mode: a "solver"
+        entry field — even "bb" — is an unknown request field, exit 2
         with a clean message, nothing solved."""
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         badsolver = tmp_path / "badsolver.json"
-        badsolver.write_text(
-            json.dumps([{"file": "c4.hg", "solver": "cplex"}])
-        )
+        badsolver.write_text(json.dumps([{"file": "c4.hg", "solver": "bb"}]))
         assert main(["batch", str(badsolver)]) == 2
         err = capsys.readouterr().err
-        assert "entry 0: solver must be one of" in err
-        assert "got 'cplex'" in err
-        assert "bb, sat, portfolio" in err
-        # The batch-wide flag is argparse-validated: same exit code.
+        assert "entry 0: unknown request fields: ['solver']" in err
+        # There is no --solver flag either: argparse exits 2.
         good = tmp_path / "good.json"
         good.write_text(json.dumps([{"file": "c4.hg"}]))
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch", str(good), "--solver", "cplex"])
+            main(["batch", str(good), "--solver", "bb"])
         assert excinfo.value.code == 2
 
     def test_unknown_executor_key_exits_2(self, tmp_path, capsys):
         """A per-entry "executor" is an unknown request field (the pool
-        is batch-wide): exit 2 with a clean message, nothing solved —
-        the same contract as an unknown per-entry "solver"."""
+        is batch-wide): exit 2 with a clean message, nothing solved."""
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         badexec = tmp_path / "badexec.json"
         badexec.write_text(
@@ -308,7 +304,7 @@ class TestBatch:
         assert main(["batch", str(badexec)]) == 2
         err = capsys.readouterr().err
         assert "entry 0: unknown request fields: ['executor']" in err
-        assert "valid fields: hypergraph, kind, label, params, solver" in err
+        assert "valid fields: hypergraph, kind, label, params" in err
         # The batch-wide flag is argparse-validated: same exit code.
         good = tmp_path / "good.json"
         good.write_text(json.dumps([{"file": "c4.hg"}]))
@@ -336,31 +332,19 @@ class TestBatch:
         assert main(["worker", "--connect", "no-port-here"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_per_entry_solver_modes(self, tmp_path, capsys):
-        """Entries may pick their own engine; answers match bb."""
-        (tmp_path / "c6.hg").write_text(to_hyperbench(cycle(6)))
-        manifest = tmp_path / "modes.json"
-        manifest.write_text(json.dumps([
-            {"file": "c6.hg", "kind": "ghw", "solver": "sat",
-             "label": "via-sat"},
-            {"file": "c6.hg", "kind": "ghw", "solver": "portfolio",
-             "label": "via-race"},
-            {"file": "c6.hg", "kind": "ghw", "label": "via-bb"},
-        ]))
-        assert main(["batch", str(manifest)]) == 0
-        out = capsys.readouterr().out
-        assert "ghw(via-sat) = 2" in out
-        assert "ghw(via-race) = 2" in out
-        assert "ghw(via-bb) = 2" in out
-
     def test_width_command_solver_flag(self, tmp_path, capsys):
+        """`width` runs the one exact engine with no mode flag; the
+        removed --solver flag, any value, is an argparse error: exit 2."""
         (tmp_path / "t3.hg").write_text(to_hyperbench(triangle_cascade(3)))
+        assert main(["width", str(tmp_path / "t3.hg"), "--kind", "hw"]) == 0
+        assert "hw(t3) = 2" in capsys.readouterr().out
         for mode in ("bb", "sat", "portfolio"):
-            assert main(
-                ["width", str(tmp_path / "t3.hg"), "--kind", "hw",
-                 "--solver", mode]
-            ) == 0
-            assert "hw(t3) = 2" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    ["width", str(tmp_path / "t3.hg"), "--kind", "hw",
+                     "--solver", mode]
+                )
+            assert excinfo.value.code == 2
 
 
 class TestQueryCommand:
@@ -497,10 +481,10 @@ class TestQueryCommand:
     def test_manifest_unknown_solver_exits_2(self, db_file, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([
-            {"query": self._CHAIN, "data": "db.json", "solver": "cplex"}
+            {"query": self._CHAIN, "data": "db.json", "solver": "bb"}
         ]))
         assert main(["query", "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
-        assert "solver must be one of bb, sat, portfolio; got 'cplex'" in err
+        assert "unknown request fields: ['solver']" in err
 
 

@@ -59,7 +59,6 @@ solve_payloads = st.fixed_dictionaries(
         "hypergraph": near(hypergraph_payloads),
         "kind": near(st.sampled_from(BATCH_KINDS)),
         "params": json_values,
-        "solver": near(st.sampled_from(["bb", "sat", "portfolio"])),
         "label": near(names),
         "executor": json_values,
     },
@@ -98,6 +97,31 @@ decomposition_payloads = st.fixed_dictionaries(
         "parent": near(st.dictionaries(names, near(names))),
     },
 )
+
+
+class TestRemovedSolverField:
+    """There is no engine mode to pick: a ``/solve`` body or a CLI
+    manifest entry that still sends ``"solver"`` — whatever its value —
+    carries an unknown field and fails like any other (HTTP 400, exit
+    2), before anything is solved."""
+
+    _BODY = {"hypergraph": {"edges": {"ab": ["a", "b"]}}, "kind": "ghw"}
+
+    @pytest.mark.parametrize("value", ["bb", "sat", "portfolio"])
+    def test_solve_body_with_solver_is_a_protocol_error(self, value):
+        with pytest.raises(
+            ProtocolError, match=r"unknown request fields: \['solver'\]"
+        ):
+            request_from_payload({**self._BODY, "solver": value})
+
+    def test_manifest_entry_with_solver_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{**self._BODY, "solver": "bb"}]))
+        assert main(["batch", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "entry 0: unknown request fields: ['solver']" in err
 
 
 class TestHttpDecoders:

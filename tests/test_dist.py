@@ -40,7 +40,7 @@ from repro.dist.protocol import (
 )
 from repro.decomposition import validate
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.generators import clique, cycle, grid
+from repro.hypergraph.generators import clique, cycle, grid, triangle_cascade
 from repro.pipeline import EXECUTORS, WidthSolver, last_batch_stats, solve_many
 from repro.pipeline.solve import run_block_task
 from repro.serve.protocol import (
@@ -215,23 +215,25 @@ class TestRemoteSolve:
         assert stats.tasks_local_fallback > 0
         assert stats.remote_workers == 0
 
-    def test_portfolio_racing_cancels_remotely(self, fleet):
-        # Portfolio mode races bb against its SAT twin per task; the
-        # loser is cancelled exactly once per settled race.  Remotely
-        # the cancel crosses the wire (dequeue or cooperative abort) —
-        # the counters must match the in-process contract.
+    def test_check_rejection_cancels_remotely(self, fleet):
+        # A check request rejects on its first block; the drive loop
+        # then cancels the instance's other block tasks.  Remotely an
+        # in-flight cancel crosses the wire as a cancel frame; blocks
+        # never submitted are cancelled on the driver.  With 8 blocks
+        # and 4 slots, at least 4 blocks are never submitted.
+        requests = [(triangle_cascade(8), "check-ghd", {"k": 1}), *REQUESTS]
         baseline = solve_many(
-            REQUESTS, jobs=4, solver="portfolio", executor="thread"
+            requests, jobs=4, executor="thread", bounds="none"
         )
         remote = solve_many(
-            REQUESTS, jobs=4, solver="portfolio", executor="remote"
+            requests, jobs=4, executor="remote", bounds="none"
         )
         stats = last_batch_stats()
-        assert [r.value[0] for r in remote] == [r.value[0] for r in baseline]
-        # Every settled race cancels its losing twin exactly once — the
-        # once-per-race floor holds across the wire.  (Speculative-task
-        # cancellations on top of that are timing-dependent, so no
-        # exact equality with the thread run.)
+        assert all(r.ok for r in remote)
+        assert remote[0].value is None and baseline[0].value is None
+        assert [r.value[0] for r in remote[1:]] == [
+            r.value[0] for r in baseline[1:]
+        ]
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_remote > 0
 
@@ -351,7 +353,7 @@ class TestJsonWire:
             ("check-hd", {"k": 2}),
             ("check-ghd", {"k": 1}),
             ("check-fhd-bd", {"k": 2}),
-            ("sat-check-ghd", {"k": 2}),
+            ("check-ghd", {"k": 2}),
             ("ghw-exact", {}),
             ("fhw-exact", {}),
             ("heuristic-bounds", {}),

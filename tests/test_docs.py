@@ -5,11 +5,11 @@ Three guarantees, all tier-1:
 * every public function/class in ``repro.pipeline`` and
   ``repro.engine`` (and the top-level ``repro`` surface) has a
   nonempty docstring, including public methods and properties;
-* the README and docs quote the CLI truthfully — the ``--preprocess``
-  and ``--solver`` choices documented in markdown are exactly the
-  parser's (which in turn are exactly ``PREPROCESS_MODES`` and
-  ``SOLVER_MODES``), and every ``repro <cmd>`` snippet names a real
-  subcommand;
+* the README and docs quote the CLI truthfully — the ``--preprocess``,
+  ``--bounds`` and ``--executor`` choices documented in markdown are
+  exactly the parser's (which in turn are exactly ``PREPROCESS_MODES``,
+  ``BOUNDS_MODES`` and ``EXECUTORS``), and every ``repro <cmd>``
+  snippet names a real subcommand;
 * relative markdown links in README + docs/ resolve to files that
   exist (CI additionally runs ``tools/check_md_links.py``).
 """
@@ -28,7 +28,6 @@ from repro.pipeline import (
     BOUNDS_MODES,
     EXECUTORS,
     PREPROCESS_MODES,
-    SOLVER_MODES,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,11 +45,6 @@ DOCUMENTED_MODULES = (
     "repro.engine.context",
     "repro.engine.oracle",
     "repro.engine.search",
-    "repro.sat",
-    "repro.sat.backends",
-    "repro.sat.checks",
-    "repro.sat.encoding",
-    "repro.sat.solver",
     "repro.store",
     "repro.store.log",
     "repro.serve",
@@ -143,36 +137,6 @@ def test_markdown_preprocess_choices_match_cli_help(markdown):
         assert tuple(group.split(",")) == _cli_preprocess_choices(), (
             f"{markdown} documents --preprocess {{{group}}} but the CLI "
             f"help says {{{','.join(_cli_preprocess_choices())}}}"
-        )
-
-
-def _cli_solver_choices() -> tuple:
-    """The --solver choices straight from the argument parser."""
-    parser = build_parser()
-    subparsers = next(
-        action
-        for action in parser._actions
-        if isinstance(action, type(parser._subparsers._group_actions[0]))
-    )
-    width = subparsers.choices["width"]
-    action = next(a for a in width._actions if a.dest == "solver")
-    return tuple(action.choices)
-
-
-def test_cli_solver_choices_single_sourced():
-    assert _cli_solver_choices() == SOLVER_MODES
-
-
-@pytest.mark.parametrize("markdown", ["docs/api.md", "docs/architecture.md"])
-def test_markdown_solver_choices_match_cli_help(markdown):
-    """The docs quote the CLI's --solver choices verbatim."""
-    text = (REPO_ROOT / markdown).read_text()
-    quoted = re.findall(r"--solver\s*\{([a-z,]+)\}", text)
-    assert quoted, f"{markdown} must document the --solver choices"
-    for group in quoted:
-        assert tuple(group.split(",")) == _cli_solver_choices(), (
-            f"{markdown} documents --solver {{{group}}} but the CLI "
-            f"help says {{{','.join(_cli_solver_choices())}}}"
         )
 
 

@@ -293,109 +293,71 @@ class TestWidthSolver:
         assert is_fhd(h, witness, width=upper + EPS)
 
 
-class TestPortfolio:
-    """solver="portfolio": SAT and branch-and-bound raced per task.
+class TestSchedulerCounters:
+    """One exact engine per task: deterministic counters, no speculation
+    above an accepted k."""
 
-    The contract under test: answers identical to either engine alone
-    (both are exact), exactly one loser cancelled per raced task that
-    settled, and no speculation above an accepted k.
-    """
-
-    def test_serial_portfolio_counts_deterministic(self):
+    def test_serial_counts_deterministic(self):
         h = triangle_cascade(3)
-        solver = WidthSolver(h, solver="portfolio", bounds="none")
+        solver = WidthSolver(h, bounds="none")
         width, d = solver.generalized_hypertree_width()
         assert width == 2
         assert is_ghd(h, d, width=2)
         stats = solver.last_stats
-        # 3 blocks x (k=1 reject, k=2 accept) x 2 engines, and exactly
-        # one loser per raced (block, k) task.
-        assert stats.tasks_run == 12
-        assert stats.tasks_cancelled == 6
-        assert stats.tasks_cancelled == stats.tasks_run // 2
+        # 3 blocks x (k=1 reject, k=2 accept), nothing to cancel inline.
+        assert stats.tasks_run == 6
+        assert stats.tasks_cancelled == 0
 
-    def test_parallel_portfolio_loser_cancelled_once_per_task(self):
-        # bounds="none" so the full k = 1..3 climb actually races (the
-        # clique lower bound would otherwise prune k < 3).
+    def test_parallel_speculation_settles(self):
+        # bounds="none" so the full k = 1..3 climb runs (the clique
+        # lower bound would otherwise prune k < 3).
         h = clique(5)
-        solver = WidthSolver(h, jobs=3, solver="portfolio", bounds="none")
+        solver = WidthSolver(h, jobs=3, bounds="none")
         width, d = solver.hypertree_width()
         assert width == 3
         assert is_hd(h, d, width=3)
         stats = solver.last_stats
-        # Two futures per raced task, and every recorded task (at least
-        # k = 1..3) has exactly one loser.  Settling the block may also
-        # cancel queued speculative futures: at most jobs x engines.
-        assert stats.tasks_run % 2 == 0
-        assert 3 <= stats.tasks_cancelled <= stats.tasks_run // 2 + 3 * 2
+        # k = 1..3 all ran; settling may cancel at most one queued
+        # speculative future per worker.
+        assert stats.tasks_run >= 3
+        assert stats.tasks_cancelled <= 3
 
-    def test_portfolio_identical_to_each_engine_alone_e07(self):
-        """The E07 scaling instance: widths and check verdicts agree
-        across bb, sat, and portfolio, and all witnesses validate."""
+    def test_check_verdicts_match_widths_e07(self):
+        """The E07 scaling instance: widths and check verdicts agree,
+        and all witnesses validate."""
         h = triangle_cascade(4)
-        answers = {}
-        for mode in ("bb", "sat", "portfolio"):
-            hw_w, hw_d = WidthSolver(h, solver=mode).hypertree_width()
-            ghw_w, ghw_d = WidthSolver(
-                h, solver=mode
-            ).generalized_hypertree_width()
-            reject = WidthSolver(h, solver=mode).hypertree_decomposition(1)
-            accept = WidthSolver(h, solver=mode).hypertree_decomposition(2)
-            assert is_hd(h, hw_d, width=hw_w)
-            assert is_ghd(h, ghw_d, width=ghw_w)
-            assert reject is None
-            assert is_hd(h, accept, width=2)
-            answers[mode] = (hw_w, ghw_w, reject is None, accept is not None)
-        assert answers["portfolio"] == answers["bb"] == answers["sat"]
+        hw_w, hw_d = WidthSolver(h).hypertree_width()
+        ghw_w, ghw_d = WidthSolver(h).generalized_hypertree_width()
+        assert (hw_w, ghw_w) == (2, 2)
+        assert is_hd(h, hw_d, width=hw_w)
+        assert is_ghd(h, ghw_d, width=ghw_w)
+        assert WidthSolver(h).hypertree_decomposition(1) is None
+        assert is_hd(h, WidthSolver(h).hypertree_decomposition(2), width=2)
 
     def test_no_speculation_above_accepted_k(self):
         """Once some k is accepted, no task above it is ever generated,
         whatever the budget (monotonicity of Check(X, k))."""
         from repro.pipeline.batch import BatchRequest, BatchScheduler
 
-        scheduler = BatchScheduler(solver="portfolio", bounds="none")
+        scheduler = BatchScheduler(bounds="none")
         scheduler.submit(BatchRequest(clique(4), "ghw"))
         instance = scheduler.instances[0]
-        instance.prepare("full", "portfolio", "none")
-        assert instance.engines == ("check-ghd", "sat-check-ghd")
+        instance.prepare("full", "none")
         instance.record(0, 3, object())  # accepted at k=3, k<3 unknown
         tasks = instance.next_tasks(100)
         assert tasks, "k < 3 still needs checking"
         assert all(k < 3 for _prio, _b, k in tasks)
 
-    def test_sat_mode_alone(self):
-        h = triangle_cascade(3)
-        solver = WidthSolver(h, solver="sat")
-        width, d = solver.generalized_hypertree_width()
-        assert width == 2
-        assert is_ghd(h, d, width=2)
-        assert solver.last_stats.tasks_cancelled == 0
+    def test_solver_knob_removed(self):
+        with pytest.raises(TypeError, match="solver"):
+            WidthSolver(cycle(4), solver="bb")
 
-    def test_non_check_kinds_never_race(self):
-        from repro.pipeline import engines_for
-
-        assert engines_for("check-ghd", "portfolio") == (
-            "check-ghd",
-            "sat-check-ghd",
-        )
-        assert engines_for("check-ghd", "sat") == ("sat-check-ghd",)
-        assert engines_for("fhw-exact", "portfolio") == ("fhw-exact",)
-        assert engines_for("heuristic-bounds", "sat") == ("heuristic-bounds",)
-        with pytest.raises(ValueError, match="solver"):
-            engines_for("check-ghd", "zzz")
-
-    def test_bad_solver_mode(self):
-        with pytest.raises(ValueError, match="solver"):
-            WidthSolver(cycle(4), solver="zzz")
-
-    def test_batch_portfolio_counts_deterministic(self):
+    def test_batch_counts_deterministic(self):
         from repro.pipeline import solve_many
         from repro.pipeline.batch import last_batch_stats
 
-        results = solve_many(
-            [(triangle_cascade(3), "ghw")], solver="portfolio", bounds="none"
-        )
+        results = solve_many([(triangle_cascade(3), "ghw")], bounds="none")
         assert results[0].unwrap()[0] == 2
         stats = last_batch_stats()
-        assert stats.tasks_run == 12
-        assert stats.tasks_cancelled == 6
+        assert stats.tasks_run == 6
+        assert stats.tasks_cancelled == 0

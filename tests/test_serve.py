@@ -179,7 +179,7 @@ class TestEndpoints:
         assert stats["server"]["answers"] == 1
         assert stats["server"]["solves"] == 1
         assert stats["pending"] == 0
-        assert stats["config"]["solver"] == "bb"
+        assert "solver" not in stats["config"]
 
     def test_check_kinds_over_the_wire(self, harness):
         h, client = harness()
@@ -200,6 +200,14 @@ class TestEndpoints:
         with pytest.raises(ServeError) as excinfo:
             client._call("POST", "/solve", {"bogus-field": 1})
         assert excinfo.value.status == 400
+        # The engine-mode field is gone: it is an unknown field too.
+        body = {"hypergraph": {"edges": {"ab": ["a", "b"]}}, "solver": "bb"}
+        with pytest.raises(ServeError) as excinfo:
+            client._call("POST", "/solve", body)
+        assert excinfo.value.status == 400
+        assert "unknown request fields: ['solver']" in (
+            excinfo.value.payload["error"]
+        )
         # Protocol rejections never reach the solve counters.
         assert h.server.stats.solves == 0
 
@@ -363,7 +371,7 @@ class TestCoalescing:
         assert h.server.stats.solves == 1
         assert {r["label"] for r in results} == {"a", "b"}
 
-    def test_solver_and_params_do_split_coalescing(self, harness):
+    def test_params_do_split_coalescing(self, harness):
         h, client = harness()
         gate = h.gate()
         results = None

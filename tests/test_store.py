@@ -275,16 +275,36 @@ class TestTypedRecords:
         (result,) = solve_many([BatchRequest(h, "ghw")])
         width, witness = result.value
         with ResultStore(tmp_path) as store:
-            store.put_block(h, "ghd", "bb", None, width, witness)
+            store.put_block(h, "ghd", None, width, witness)
         with ResultStore(tmp_path) as store:
-            got = store.get_block(h, "ghd", "bb", None)
+            got = store.get_block(h, "ghd", None)
             assert got is not None
             assert got[0] == width
             assert got[1].width() == pytest.approx(width)
-            # Key dimensions matter: other solver/kind/params miss.
-            assert store.get_block(h, "ghd", "sat", None) is None
-            assert store.get_block(h, "hd", "bb", None) is None
-            assert store.get_block(h, "ghd", "bb", {"x": 1}) is None
+            # Key dimensions matter: other kind/params miss.
+            assert store.get_block(h, "hd", None) is None
+            assert store.get_block(h, "ghd", {"x": 1}) is None
+
+    def test_keys_keep_the_bb_slot(self, tmp_path):
+        """Every record key still carries ``"bb"`` where the engine mode
+        once stood, so logs written by earlier versions keep hitting."""
+        h = triangle()
+        (result,) = solve_many([BatchRequest(h, "ghw")])
+        width, witness = result.value
+        hh, fp = h.canonical_hash(), params_fingerprint(None)
+        with ResultStore(tmp_path) as store:
+            store.put_block(h, "ghd", None, width, witness)
+            store.put_block_exact(h, "ghd", None, width, witness)
+            store.put_check(h, "ghd", 2, None, witness)
+            store.put_instance(h, "ghw", None, result.value)
+        with ResultStore(tmp_path) as store:
+            for key in (
+                ("block", hh, "ghd", "bb", fp),
+                ("block-exact", hh, "ghd", "bb", fp),
+                ("check", hh, "ghd", 2.0, "bb", fp),
+                ("instance", hh, "ghw", "bb", fp),
+            ):
+                assert store.get(key) is not None, key
 
     def test_block_corrupt_witness_is_a_miss(self, tmp_path):
         h = triangle()
@@ -293,7 +313,7 @@ class TestTypedRecords:
                 ("block", h.canonical_hash(), "ghd", "bb", "{}"),
                 {"width": 2, "witness": {"nonsense": True}},
             )
-            assert store.get_block(h, "ghd", "bb", None) is None
+            assert store.get_block(h, "ghd", None) is None
 
     def test_block_understated_width_is_a_miss(self, tmp_path):
         """A witness wider than the claimed width must not be served."""
@@ -305,19 +325,19 @@ class TestTypedRecords:
                 ("block", h.canonical_hash(), "ghd", "bb", "{}"),
                 {"width": width - 1, "witness": witness.as_dict()},
             )
-            assert store.get_block(h, "ghd", "bb", None) is None
+            assert store.get_block(h, "ghd", None) is None
 
     def test_check_round_trip_accept_and_reject(self, tmp_path):
         h = triangle()
         (acc,) = solve_many([BatchRequest(h, "check-ghd", {"k": 2})])
         with ResultStore(tmp_path) as store:
-            store.put_check(h, "ghd", 2, "bb", None, acc.value)
-            store.put_check(h, "ghd", 1, "bb", None, None)
+            store.put_check(h, "ghd", 2, None, acc.value)
+            store.put_check(h, "ghd", 1, None, None)
         with ResultStore(tmp_path) as store:
-            accepted, witness = store.get_check(h, "ghd", 2, "bb", None)
+            accepted, witness = store.get_check(h, "ghd", 2, None)
             assert accepted and witness.width() <= 2 + 1e-9
-            assert store.get_check(h, "ghd", 1, "bb", None) == (False, None)
-            assert store.get_check(h, "ghd", 3, "bb", None) is None
+            assert store.get_check(h, "ghd", 1, None) == (False, None)
+            assert store.get_check(h, "ghd", 3, None) is None
 
     def test_check_non_boolean_verdict_is_a_miss(self, tmp_path):
         """``accepted`` is a JSON boolean or the record is malformed."""
@@ -328,7 +348,7 @@ class TestTypedRecords:
                 ("check", h.canonical_hash(), "ghd", 2.0, "bb", "{}"),
                 {"accepted": "no", "witness": acc.value.as_dict()},
             )
-            assert store.get_check(h, "ghd", 2, "bb", None) is None
+            assert store.get_check(h, "ghd", 2, None) is None
 
     def test_block_boolean_width_is_a_miss(self, tmp_path):
         """A bool is not a width, even where it would validate as 1."""
@@ -341,15 +361,13 @@ class TestTypedRecords:
                 ("block", h.canonical_hash(), "ghd", "bb", "{}"),
                 {"width": True, "witness": witness.as_dict()},
             )
-            assert store.get_block(h, "ghd", "bb", None) is None
+            assert store.get_block(h, "ghd", None) is None
 
     def test_opaque_params_never_persisted(self, tmp_path):
         h = triangle()
         (result,) = solve_many([BatchRequest(h, "ghw")])
         with ResultStore(tmp_path) as store:
-            store.put_instance(
-                h, "ghw", "bb", {"fn": lambda: None}, result.value
-            )
+            store.put_instance(h, "ghw", {"fn": lambda: None}, result.value)
             assert len(store) == 0
 
 

@@ -11,9 +11,10 @@ benchmark workloads in-process and writes one JSON file per benchmark:
   parity, scheduler counters, speedup), with a ``remote`` section
   (E19r) comparing ``executor="remote"`` (a two-worker loopback TCP
   fleet) against the local executors;
-* ``BENCH_E21.json``  — the solver-portfolio race (per-mode wall
-  clocks and the portfolio-vs-best-pure speedup), when
-  ``--only e21`` is requested (slower; not in the default set);
+* ``BENCH_E21.json``  — the exact engine alone with the bounds
+  pre-pass off (widths equal to the elimination DP's, Check task
+  counts, wall clock), when ``--only e21`` is requested (not in the
+  default set);
 * ``BENCH_E22.json``  — the bounds pre-pass collapse (exact Check
   tasks with vs without the pre-pass, identical widths), when
   ``--only e22`` is requested;
@@ -35,7 +36,7 @@ and stamps ``"hash_seed": 0`` into every file.  Regenerate after
 perf-relevant changes::
 
     python tools/record_bench.py            # E12 + E19b
-    python tools/record_bench.py --only e21 # the portfolio race
+    python tools/record_bench.py --only e21 # the exact engine, bounds off
     python tools/record_bench.py --only e22 # the bounds collapse
     python tools/record_bench.py --only e23 # the serve warm restart
     python tools/record_bench.py --only e24 # query serving over plans
@@ -155,13 +156,13 @@ def record_e19b(jobs: int = 2, remote_jobs: int = 4, workers: int = 2) -> dict:
 
 
 def record_e21() -> dict:
-    """The E21 portfolio race: per-mode timing and answer parity."""
-    from bench_e21_portfolio import race
+    """The E21 exact engine alone: task counts, timing, DP parity."""
+    from bench_e21_portfolio import measure
 
-    report = race()
+    report = measure()
     return {
         "benchmark": "E21",
-        "title": "solver portfolio racing SAT vs branch-and-bound",
+        "title": "exact CheckSearch engine alone, bounds pre-pass off",
         "metrics": report["metrics"],
         "timings": report["timings"],
     }

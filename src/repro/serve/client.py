@@ -1,16 +1,24 @@
 """Blocking client helper for the ``repro serve`` daemon.
 
-Thin on purpose: one :class:`http.client.HTTPConnection` per call (so
-one client object is safe to share across threads — the concurrency
-stress tests hammer a single instance), JSON in, JSON out, and a
-:class:`ServeError` carrying the HTTP status and the server's error
-payload on any non-200 answer.
+Thin on purpose: one persistent :class:`http.client.HTTPConnection`
+per thread (so one client object is safe to share across threads — the
+concurrency stress tests hammer a single instance), JSON in, JSON out,
+and a :class:`ServeError` carrying the HTTP status and the server's
+error payload on any non-200 answer.
+
+A kept-alive connection can be closed by the daemon between two calls
+(idle past its ``read_timeout``, or a restart).  A call on a *reused*
+connection that fails before any status line arrives is therefore sent
+once more on a fresh connection.  Nothing else is resent — not a
+timeout, not a fresh connection's failure, not a response cut short —
+so a call the daemon may still be running is never submitted twice.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 
 from collections.abc import Mapping
 
@@ -43,6 +51,13 @@ class ServeError(RuntimeError):
         self.payload = payload
 
 
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection, closed once its thread or client is gone."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServeClient:
     """Call a running decomposition daemon.
 
@@ -61,22 +76,44 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
-    def _call(self, method: str, path: str, body: dict | None = None) -> dict:
-        connection = http.client.HTTPConnection(
+    def _connect(self) -> _Connection:
+        self._local.connection = _Connection(
             self.host, self.port, timeout=self.timeout
         )
+        return self._local.connection
+
+    def _call(self, method: str, path: str, body: dict | None = None) -> dict:
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {"Content-Type": "application/json"} if data else {}
+        connection = getattr(self._local, "connection", None)
+        reused = connection is not None
+        if not reused:
+            connection = self._connect()
+        kept = False
         try:
-            data = None if body is None else json.dumps(body).encode("utf-8")
-            headers = {"Content-Type": "application/json"} if data else {}
-            connection.request(method, path, body=data, headers=headers)
-            response = connection.getresponse()
+            try:
+                connection.request(method, path, body=data, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                # Closed before any status line (RemoteDisconnected is a
+                # reset too): a reused connection resends once, afresh.
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body=data, headers=headers)
+                response = connection.getresponse()
             payload = json.loads(response.read().decode("utf-8"))
-            if response.status != 200:
-                raise ServeError(response.status, payload)
-            return payload
+            kept = not response.will_close
         finally:
-            connection.close()
+            if not kept:
+                connection.close()
+                self._local.connection = None
+        if response.status != 200:
+            raise ServeError(response.status, payload)
+        return payload
 
     def solve(
         self,

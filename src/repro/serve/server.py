@@ -6,6 +6,12 @@ thread-per-request and its asyncio story needs third-party packages,
 which this repo does not take).  Solves run on a bounded thread pool;
 the event loop itself never blocks on a solve.
 
+Connections persist (HTTP/1.1 keep-alive) until the client closes one
+or asks to, speaks HTTP/1.0, sends a request the reader refuses, or
+idles past ``read_timeout``; a drain closes the idle ones.  Bodies are
+framed by ``Content-Length`` alone (``Transfer-Encoding`` gets 400), so
+a reused socket cannot read one request's tail as the next request.
+
 Three serving policies live here, each load-bearing for the test
 harness in ``tests/test_serve.py`` and benchmark E23:
 
@@ -207,11 +213,14 @@ class DecompositionServer:
         it is refused with 413 before any body byte is buffered, so a
         client cannot make the daemon allocate gigabytes.
     read_timeout : float or None
-        Seconds a client gets to deliver its complete request; slower
-        clients get 408 and the connection is closed, so held-open
-        sockets cannot pin file descriptors indefinitely.  Only the
-        read is bounded — admitted solves may run arbitrarily long.
-        ``None`` disables the limit (tests only).
+        Seconds a client gets to deliver its complete request once its
+        first byte arrived; slower clients get 408 and the connection
+        is closed.  It is also the idle limit: a kept-alive connection
+        that sends no byte of a next request within it is closed
+        without an answer, so held-open sockets cannot pin file
+        descriptors indefinitely.  Only the read is bounded — admitted
+        solves may run arbitrarily long.  ``None`` disables the limit
+        (tests only).
 
     Endpoints: ``POST /solve``, ``POST /query``, ``GET /stats``,
     ``GET /healthz``.
@@ -278,6 +287,10 @@ class DecompositionServer:
             max_workers=self.max_in_flight, thread_name_prefix="repro-serve"
         )
         self._server: asyncio.AbstractServer | None = None
+        # Handler tasks of open connections, and the writers of those
+        # awaiting their next request (a drain closes these).
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._draining = False
 
     # ------------------------------------------------------------------
@@ -293,69 +306,127 @@ class DecompositionServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Drain and shut down: finish admitted solves, refuse new ones."""
+        """Drain and shut down: finish admitted solves, refuse new ones.
+
+        Idle keep-alive connections are closed; a connection with a
+        request in flight answers it with ``Connection: close`` first.
+        """
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if self._pending:
             await asyncio.gather(
                 *self._pending.values(), return_exceptions=True
             )
+        # Since 3.12.1 Server.wait_closed() waits for every open
+        # connection, so an idle one would hold the drain until its
+        # read_timeout.  Connections accepted meanwhile join the loop.
+        while self._connections:
+            for writer in self._idle:
+                writer.close()
+            await asyncio.gather(
+                *self._connections, return_exceptions=True
+            )
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         self._executor.shutdown(wait=True)
         if self._owns_store and self.store is not None:
             self.store.close()
 
     async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
+        """Start (if needed) and serve until cancelled; then :meth:`stop`.
+
+        Not ``asyncio.Server.serve_forever``: cancelled, that waits for
+        every open connection (3.12+), idle keep-alive ones included,
+        before :meth:`stop` could close them.
+        """
         await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        """Answer a connection's requests in order until one side closes."""
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            status, payload = await self._handle_request(reader)
-            body = json.dumps(payload).encode("utf-8")
-            head = (
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("ascii")
-            writer.write(head + body)
-            await writer.drain()
+            keep_alive = True
+            while keep_alive:
+                answer = await self._handle_request(reader, writer)
+                if answer is None:
+                    break
+                status, payload, keep_alive = answer
+                keep_alive = keep_alive and not self._draining
+                body = json.dumps(payload).encode("utf-8")
+                reason = _STATUS_TEXT.get(status, "Unknown")
+                head = (
+                    f"HTTP/1.1 {status} {reason}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                    "\r\n\r\n"
+                ).encode("ascii")
+                writer.write(head + body)
+                await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
+            self._connections.discard(task)
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - racing close
                 pass
 
-    async def _handle_request(self, reader) -> tuple[int, dict]:
-        # Only the *read* is time- and size-bounded here; the solve in
-        # _route may legitimately run far longer than any read timeout.
-        try:
-            read = self._read_request(reader)
-            if self.read_timeout is not None:
-                read = asyncio.wait_for(read, self.read_timeout)
-            method, path, body = await read
-        except asyncio.TimeoutError:
-            return 408, {"error": "timed out reading the request"}
-        except _BadRequest as exc:
-            return exc.status, {"error": str(exc)}
-        except ValueError:  # StreamReader line longer than its limit
-            return 400, {"error": "request line or header too long"}
-        return await self._route(method, path, body)
+    async def _handle_request(
+        self, reader, writer
+    ) -> tuple[int, dict, bool] | None:
+        """Read and route one request: ``(status, payload, keep_alive)``.
 
-    async def _read_request(self, reader) -> tuple[str, str, bytes]:
-        request_line = await reader.readline()
+        ``None`` closes the connection unanswered: the client closed it,
+        or sent no byte of a next request within ``read_timeout``.  A
+        request begun but unfinished by then gets 408.  Only the *read*
+        is time- and size-bounded; the solve in _route may legitimately
+        run far longer than any read timeout.
+        """
+        first = b""
+        try:
+            async with asyncio.timeout(self.read_timeout) as deadline:
+                self._idle.add(writer)
+                first = await reader.read(1)
+                self._idle.discard(writer)
+                if not first:
+                    return None
+                if self.read_timeout is not None:
+                    deadline.reschedule(
+                        asyncio.get_running_loop().time() + self.read_timeout
+                    )
+                method, path, body, keep_alive = await self._read_request(
+                    reader, first
+                )
+        except TimeoutError:
+            if not first:
+                return None
+            return 408, {"error": "timed out reading the request"}, False
+        except _BadRequest as exc:
+            return exc.status, {"error": str(exc)}, False
+        except ValueError:  # StreamReader line longer than its limit
+            return 400, {"error": "request line or header too long"}, False
+        status, payload = await self._route(method, path, body)
+        return status, payload, keep_alive
+
+    async def _read_request(
+        self, reader, first: bytes
+    ) -> tuple[str, str, bytes, bool]:
+        """Parse one request whose first byte is ``first``.
+
+        Returns ``(method, path, body, keep_alive)``; only an HTTP/1.1
+        request without ``Connection: close`` keeps the connection.
+        """
+        request_line = first + await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise _BadRequest(400, "malformed request line")
@@ -366,19 +437,32 @@ class DecompositionServer:
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _BadRequest(400, "bad Content-Length") from None
-        if length < 0:
+            name, value = name.strip().lower(), value.strip()
+            # Repeated fields combine into one list (RFC 9110 §5.3).
+            if name in headers:
+                value = f"{headers[name]},{value}"
+            headers[name] = value
+        # On a reused connection the body must end where the client says
+        # it does, or its tail would be read as the next request.
+        if "transfer-encoding" in headers:
+            raise _BadRequest(400, "Transfer-Encoding is not supported")
+        declared = headers.get("content-length", "0").split(",")
+        lengths = {value.strip() for value in declared}
+        if len(lengths) > 1:
+            raise _BadRequest(400, "conflicting Content-Length values")
+        length = lengths.pop()
+        if not length.isdecimal():
             raise _BadRequest(400, "bad Content-Length")
+        length = int(length)
         if length > self.max_body:
             raise _BadRequest(
                 413, f"request body exceeds {self.max_body} bytes"
             )
         body = await reader.readexactly(length) if length > 0 else b""
-        return method, path, body
+        connection = headers.get("connection", "").lower()
+        tokens = {token.strip() for token in connection.split(",")}
+        keep_alive = parts[2:3] == ["HTTP/1.1"] and "close" not in tokens
+        return method, path, body, keep_alive
 
     async def _route(self, method: str, path: str, body: bytes):
         if path == "/healthz":

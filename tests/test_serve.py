@@ -26,6 +26,10 @@ state it wants to assert.
 """
 
 import asyncio
+import http.client
+import json
+import select
+import socket
 import threading
 import time
 
@@ -33,7 +37,13 @@ import pytest
 
 from repro.cqcsp import Relation
 from repro.hypergraph import Hypergraph
-from repro.serve import DecompositionServer, ServeClient, ServeError
+from repro.pipeline.batch import BatchRequest
+from repro.serve import (
+    DecompositionServer,
+    ServeClient,
+    ServeError,
+    request_to_payload,
+)
 from repro.store import checked_witness
 
 _EPS = 1e-9
@@ -138,6 +148,50 @@ def harness():
         h.shutdown()
 
 
+def read_to_eof(sock, timeout=15.0) -> bytes:
+    """Every byte the server sends until it closes (a timeout fails)."""
+    sock.settimeout(timeout)
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def parse_responses(data: bytes) -> list:
+    """Split raw bytes into ``(status, headers, payload)`` responses."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(headers["Content-Length"])
+        status = int(lines[0].split()[1])
+        responses.append((status, headers, json.loads(rest[:length])))
+        data = rest[length:]
+    return responses
+
+
+def solve_bytes(hypergraph) -> bytes:
+    """A keep-alive ``POST /solve`` for ``hypergraph`` as raw bytes."""
+    body = json.dumps(request_to_payload(BatchRequest(hypergraph))).encode()
+    head = f"POST /solve HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("ascii") + body
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Records every TCP connect ``http.client`` (so ServeClient) makes."""
+    made = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        made.append((self.host, self.port))
+        original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return made
+
+
 def fire(calls):
     """Run thunks on one thread each; returns results or exceptions."""
     results = [None] * len(calls)
@@ -228,23 +282,11 @@ class TestReadLimits:
     """The reader refuses abuse before it can cost memory or sockets."""
 
     def _raw(self, server, payload: bytes, timeout=15.0) -> bytes:
-        import socket
-
         with socket.create_connection(
             (server.host, server.port), timeout=timeout
         ) as sock:
             sock.sendall(payload)
-            sock.settimeout(timeout)
-            chunks = []
-            while True:
-                try:
-                    chunk = sock.recv(65536)
-                except TimeoutError:
-                    break
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        return b"".join(chunks)
+            return read_to_eof(sock, timeout)
 
     def test_oversized_body_refused_before_buffering(self, harness):
         h, client = harness(max_body=1024)
@@ -275,6 +317,191 @@ class TestReadLimits:
         assert response.startswith(b"HTTP/1.1 408")
         # Prompt clients are unaffected by the short read window.
         assert client.solve(triangle(), "ghw")["ok"]
+
+    def test_pipelined_requests_answer_in_order(self, harness):
+        h, _ = harness()
+        response = self._raw(
+            h.server,
+            b"GET /healthz HTTP/1.1\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        answers = parse_responses(response)
+        assert [status for status, _, _ in answers] == [200, 200]
+        assert [headers["Connection"] for _, headers, _ in answers] == [
+            "keep-alive", "close"
+        ]
+
+    def test_chunked_body_is_refused_and_closed(self, harness):
+        h, _ = harness()
+        # Read as framed by Content-Length (none), the chunks would be
+        # parsed as the next request; the daemon refuses and closes.
+        response = self._raw(
+            h.server,
+            b"POST /solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+        )
+        [(status, headers, payload)] = parse_responses(response)
+        assert status == 400 and headers["Connection"] == "close"
+        assert "Transfer-Encoding" in payload["error"]
+        assert h.server.stats.requests == 0
+
+    def test_content_lengths_must_agree(self, harness):
+        h, _ = harness()
+        response = self._raw(
+            h.server,
+            b"POST /solve HTTP/1.1\r\n"
+            b"Content-Length: 2\r\nContent-Length: 40\r\n\r\n{}",
+        )
+        [(status, headers, _)] = parse_responses(response)
+        assert status == 400 and headers["Connection"] == "close"
+        # Repeated but equal lengths frame the body unambiguously.
+        response = self._raw(
+            h.server,
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 0, 0\r\n"
+            b"Content-Length: 0\r\nConnection: close\r\n\r\n",
+        )
+        [(status, _, _)] = parse_responses(response)
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ],
+    )
+    def test_http10_and_connection_close_end_the_connection(
+        self, harness, request_bytes
+    ):
+        h, _ = harness()
+        [(status, headers, payload)] = parse_responses(
+            self._raw(h.server, request_bytes)
+        )
+        assert status == 200 and payload["ok"]
+        assert headers["Connection"] == "close"
+
+
+# ----------------------------------------------------------------------
+# Persistent connections: reuse, idle limit, drain, client retry
+# ----------------------------------------------------------------------
+class TestKeepAlive:
+    def test_one_connection_serves_many_calls(self, harness, connects):
+        h, client = harness()
+        for _ in range(3):
+            assert client.health()["ok"]
+            assert client.solve(triangle(), "ghw")["ok"]
+        assert len(connects) == 1
+
+    def test_idle_connection_closes_after_read_timeout(
+        self, harness, connects
+    ):
+        h, client = harness(read_timeout=0.3)
+        assert client.health()["ok"]
+        answered = time.monotonic()
+        sock = client._local.connection.sock
+        # No 408 for a connection that never began a next request: the
+        # daemon just closes it, and the socket reads EOF.
+        assert select.select([sock], [], [], 5.0)[0]
+        idle = time.monotonic() - answered
+        assert sock.recv(1, socket.MSG_PEEK) == b""
+        assert 0.2 <= idle < 2.0
+        # The next call meets the closed connection and resends once.
+        assert client.health()["ok"]
+        assert len(connects) == 2
+
+    def test_stop_closes_idle_connections(self, harness):
+        h, client = harness()
+        clients = [client] + [
+            ServeClient(h.server.host, h.server.port) for _ in range(2)
+        ]
+        for each in clients:
+            assert each.health()["ok"]
+        assert len(h.server._connections) == 3  # all idle now
+        began = time.monotonic()
+        h.shutdown()
+        assert time.monotonic() - began < 2.0
+        assert not h.server._connections
+
+    def test_drain_answers_in_flight_request_then_closes(self, harness):
+        h, _ = harness()
+        gate = h.gate()
+        with socket.create_connection(
+            (h.server.host, h.server.port), timeout=15
+        ) as sock:
+            sock.sendall(solve_bytes(triangle()))
+            wait_until(lambda: len(h.server._pending) == 1)
+            stopping = asyncio.run_coroutine_threadsafe(
+                h.server.stop(), h.loop
+            )
+            wait_until(lambda: h.server._draining)
+            gate.release.set()
+            response = read_to_eof(sock)
+        stopping.result(timeout=15)
+        [(status, headers, payload)] = parse_responses(response)
+        assert status == 200 and payload["answer"]["width"] == 2
+        assert headers["Connection"] == "close"
+
+    def test_restart_on_same_port_reconnects_once(self, harness, connects):
+        h1, client = harness()
+        assert client.health()["ok"]
+        h1.shutdown()
+        h2, _ = harness(port=h1.server.port)
+        assert client.solve(triangle(), "ghw")["ok"]
+        assert len(connects) == 2
+        assert h2.server.stats.requests == 1
+
+    def test_resend_is_one_shot(self, harness, connects):
+        h, client = harness()
+        assert client.health()["ok"]
+        h.shutdown()
+        # The reused connection is closed and the fresh one refused:
+        # the refusal surfaces, with no third attempt.
+        with pytest.raises(ConnectionRefusedError):
+            client.health()
+        assert len(connects) == 2
+
+    def test_413_closes_and_the_client_recovers(self, harness, connects):
+        h, client = harness(max_body=1024)
+        assert client.health()["ok"]
+        with pytest.raises(ServeError) as excinfo:
+            client.solve(cycle(64), "ghw")
+        assert excinfo.value.status == 413
+        # The client honoured the 413's Connection: close ...
+        assert client._local.connection is None
+        # ... and its next solve goes out on a fresh connection.
+        assert client.solve(triangle(), "ghw")["ok"]
+        assert len(connects) == 2
+        assert h.server.stats.requests == 1
+
+    def test_unanswered_request_is_not_resent(self, harness):
+        h, _ = harness()
+        client = ServeClient(h.server.host, h.server.port, timeout=0.5)
+        assert client.health()["ok"]
+        gate = h.gate()
+        # The reused connection times out waiting for an answer: the
+        # daemon may be running the solve, so it is not sent again.
+        with pytest.raises(TimeoutError):
+            client.solve(triangle(), "ghw")
+        gate.release.set()
+        wait_until(lambda: not h.server._pending)
+        assert h.server.stats.requests == 1
+        assert h.server.stats.solves == 1
+
+    def test_fresh_connection_closed_unanswered_is_not_resent(
+        self, harness
+    ):
+        h, client = harness()
+        original = h.server._route
+
+        async def dropped(method, path, body):
+            h.server._route = original
+            await original(method, path, body)
+            raise ConnectionResetError("answer lost")
+
+        h.server._route = dropped
+        with pytest.raises(http.client.RemoteDisconnected):
+            client.solve(triangle(), "ghw")
+        assert h.server.stats.requests == 1
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,10 @@ class _FracDecompSearch:
     contain the uncovered frontier (forced by check 2.b), and optional
     extra vertices are drawn from the frontier region — a practical
     restriction documented in DESIGN.md; results are re-validated.
+
+    Like :class:`~repro.engine.search.CheckSearch` it runs on the
+    context's bitmasks: C_r, W_r and bags are vertex masks, S and R are
+    edge-bit cover ints, decoded only for the oracle and the witness.
     """
 
     def __init__(
@@ -68,18 +72,19 @@ class _FracDecompSearch:
         self.budget = self.k + self.eps
         self.max_integral = int(math.floor(self.budget + EPS))
         self._memo: dict = {}
-        self._edge_names = sorted(hypergraph.edge_names)
-        # Per-search memo (see StrictFHDSearch): one capped-cover LP per
-        # distinct W_s regardless of the shared oracle's configuration.
-        self._gamma_cache: dict[frozenset, FractionalCover | None] = {}
+        # Per-search memo (see StrictFHDSearch), keyed by the W_s mask:
+        # one capped-cover LP per distinct W_s regardless of the shared
+        # oracle's configuration.
+        self._gamma_cache: dict[int, FractionalCover | None] = {}
 
     def run(self) -> Decomposition | None:
-        if not self._solve(self.hg.vertices, frozenset(), frozenset()):
+        root = (1 << len(self.ctx.vertex_order)) - 1
+        if not self._solve(root, 0, 0):
             return None
-        return self._rebuild()
+        return self._rebuild(root)
 
     # -- helpers -------------------------------------------------------
-    def _fractional_for(self, wanted: frozenset, budget: float):
+    def _fractional_for(self, wanted: int, budget: float):
         """Check 2.a: γ with wanted ⊆ B(γ) and weight <= budget, or None.
 
         The purely fractional γ (per-edge weights capped strictly below 1,
@@ -90,7 +95,7 @@ class _FracDecompSearch:
         """
         if wanted not in self._gamma_cache:
             self._gamma_cache[wanted] = self.oracle.fractional_cover_capped(
-                wanted, budget
+                self.ctx.vertices_in(wanted), budget
             )
         gamma = self._gamma_cache[wanted]
         if gamma is not None and gamma.weight > budget + EPS:
@@ -98,29 +103,20 @@ class _FracDecompSearch:
             # feasible but not optimal; re-ask under this tighter budget
             # so the oracle falls back to the exact capped LP before the
             # guess is rejected.
-            gamma = self.oracle.fractional_cover_capped(wanted, budget)
+            gamma = self.oracle.fractional_cover_capped(
+                self.ctx.vertices_in(wanted), budget
+            )
             self._gamma_cache[wanted] = gamma
         if gamma is None or gamma.weight > budget + EPS:
             return None
         return gamma
 
-    def _frontier(self, component, w_r, parent_cover) -> frozenset:
+    def _guesses(self, component: int, w_r: int, parent_cover: int):
         ctx = self.ctx
-        region = ctx.vertices_of(parent_cover) | w_r
-        return region & ctx.vertices_of(ctx.incident_edges(component))
-
-    def _guesses(self, component, w_r, parent_cover):
-        frontier = self._frontier(component, w_r, parent_cover)
+        frontier = (ctx.union(parent_cover) | w_r) & ctx.incident_union(component)
         target = component | frontier
-        candidates = sorted(
-            (
-                e
-                for e in self._edge_names
-                if self.hg.edge(e) & target
-            ),
-            key=lambda e: (-len(self.hg.edge(e) & target), e),
-        )
-        pool = sorted(frontier | component, key=str)
+        candidates = [(1 << j, ctx.edge_masks[j]) for j in ctx.candidates(target)]
+        pool = [ctx.bit[v] for v in sorted(ctx.vertices_in(target), key=str)]
         # Larger integral parts first: the paper's S carries the integral
         # bulk of the cover and W_s only the fractional fringe.  Trying
         # S-heavy guesses first yields witness trees whose fractional
@@ -128,16 +124,18 @@ class _FracDecompSearch:
         # special condition trivially intact at integral-only nodes.
         for size in range(self.max_integral, -1, -1):
             for combo in combinations(candidates, size):
-                cover = self.ctx.intern(frozenset(combo))
-                covered = self.ctx.vertices_of(cover)
-                required = frontier - covered
-                if len(required) > self.c:
+                cover = covered = 0
+                for bit, mask in combo:
+                    cover |= bit
+                    covered |= mask
+                required = frontier & ~covered
+                if required.bit_count() > self.c:
                     continue
-                room = self.c - len(required)
-                extras_pool = [v for v in pool if v not in required and v not in covered]
+                room = self.c - required.bit_count()
+                extras_pool = [b for b in pool if not b & (required | covered)]
                 for extra_size in range(0, min(room, len(extras_pool)) + 1):
                     for extra in combinations(extras_pool, extra_size):
-                        w_s = required | frozenset(extra)
+                        w_s = required | sum(extra)
                         if not w_s and size == 0:
                             continue
                         # 2.c: (V(S) ∪ W_s) ∩ C_r != ∅
@@ -150,16 +148,14 @@ class _FracDecompSearch:
                             continue
                         yield cover, w_s, gamma
 
-    def _solve(self, component, w_r, parent_cover) -> bool:
+    def _solve(self, component: int, w_r: int, parent_cover: int) -> bool:
         key = (component, w_r, parent_cover)
         if key in self._memo:
             return self._memo[key] is not None
         self._memo[key] = None
         for cover, w_s, _gamma in self._guesses(component, w_r, parent_cover):
-            separator = self.ctx.vertices_of(cover) | w_s
-            child_components = self.ctx.components_within(
-                self.ctx.intern(component - separator)
-            )
+            separator = self.ctx.union(cover) | w_s
+            child_components = self.ctx.split(component & ~separator)
             if all(
                 self._solve(child, w_s, cover) for child in child_components
             ):
@@ -167,39 +163,37 @@ class _FracDecompSearch:
                 return True
         return False
 
-    def _rebuild(self) -> Decomposition:
+    def _rebuild(self, root: int) -> Decomposition:
+        ctx = self.ctx
         nodes = []
         parent: dict[str, str] = {}
-        counter = 0
 
         def build(component, w_r, parent_cover, parent_id, parent_bag):
-            nonlocal counter
             entry = self._memo[(component, w_r, parent_cover)]
             assert entry is not None
             cover, w_s, child_components = entry
             gamma_extra = (
-                self._fractional_for(w_s, self.budget - len(cover))
+                self._fractional_for(w_s, self.budget - cover.bit_count())
                 if w_s
                 else FractionalCover({})
             )
             assert gamma_extra is not None
             weights = dict(gamma_extra.weights)
-            for e in cover:
+            for e in ctx.edges_in(cover):
                 weights[e] = 1.0
             gamma = FractionalCover(weights)
-            region = self.ctx.vertices_of(cover) | w_s
+            region = ctx.union(cover) | w_s
             bag = region if parent_id is None else region & (
                 parent_bag | component
             )
-            node_id = f"n{counter}"
-            counter += 1
-            nodes.append((node_id, bag, gamma))
+            node_id = f"n{len(nodes)}"
+            nodes.append((node_id, ctx.vertices_in(bag), gamma))
             if parent_id is not None:
                 parent[node_id] = parent_id
             for child in child_components:
                 build(child, w_s, cover, node_id, bag)
 
-        build(self.hg.vertices, frozenset(), frozenset(), None, frozenset())
+        build(root, 0, 0, None, 0)
         return Decomposition(nodes, parent=parent, root="n0")
 
 

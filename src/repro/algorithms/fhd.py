@@ -58,26 +58,29 @@ class StrictFHDSearch(HDSearch):
     ) -> None:
         super().__init__(augmented, max(1, int(math.floor(max_support))))
         self.k_fractional = float(k)
-        # Per-search memo: one ρ* check per distinct cover set is part of
-        # the polynomial-time guarantee and must hold even when the shared
-        # oracle cache is disabled or evicting.  With the cache enabled
-        # the oracle additionally shares verdict LPs across searches.
-        self._rho_cache: dict[frozenset, bool] = {}
+        # Per-search memo, keyed by the cover int: one ρ* check per
+        # distinct cover set is part of the polynomial-time guarantee and
+        # must hold even when the shared oracle cache is disabled or
+        # evicting.  With the cache enabled the oracle additionally
+        # shares verdict LPs across searches.
+        self._rho_cache: dict[int, bool] = {}
 
     def state_key(self, component, parent_cover, frontier):
         return (component, parent_cover)
 
-    def admissible(self, cover_edges, component, frontier, parent_cover):
+    def admissible(self, cover, component, frontier, parent_cover):
         ctx = self.context
-        union = ctx.vertices_of(cover_edges)
-        allowed_region = ctx.vertices_of(parent_cover) | component
-        if not union <= allowed_region:
+        union = ctx.union(cover)
+        if union & ~(ctx.union(parent_cover) | component):
             return False  # strictness would fail: B_u must be ⋃S
-        if cover_edges not in self._rho_cache:
-            self._rho_cache[cover_edges] = self.oracle.cover_feasible_within(
-                union, self.k_fractional, allowed_edges=cover_edges
+        verdict = self._rho_cache.get(cover)
+        if verdict is None:
+            verdict = self._rho_cache[cover] = self.oracle.cover_feasible_within(
+                ctx.vertices_in(union),
+                self.k_fractional,
+                allowed_edges=ctx.edges_in(cover),
             )
-        return self._rho_cache[cover_edges]
+        return verdict
 
 
 def _fractional_hypertree_decomposition_bounded_degree_direct(

@@ -68,6 +68,7 @@ from .pipeline import (
     BOUNDS_MODES,
     EXECUTORS,
     PREPROCESS_MODES,
+    last_batch_stats,
 )
 from .hypergraph.generators import (
     clique,
@@ -715,18 +716,19 @@ def _apply_engine_options(args: argparse.Namespace) -> None:
         )
 
 
-def _print_pipeline_stats(args: argparse.Namespace) -> None:
-    """Print the last run's :class:`~repro.pipeline.BatchStats`.
+def _print_pipeline_stats(args: argparse.Namespace, before) -> None:
+    """Print the :class:`~repro.pipeline.BatchStats` of this command's run.
 
     A ``batch`` command and a single width query (a one-request batch)
-    report the same fields.
+    report the same fields.  ``before`` is the process-wide last run
+    seen before the command; when it is still the last run, this
+    command ran no batch (``--preprocess none`` solves raw) and an
+    earlier command's stats must not be printed as its own.
     """
     if not getattr(args, "pipeline_stats", False):
         return
-    from .pipeline import last_batch_stats
-
     stats = last_batch_stats()
-    if stats is None:
+    if stats is None or stats is before:
         print("batch stats: no batch run recorded")
         return
     print("batch stats:")
@@ -1103,11 +1105,12 @@ def main(argv: list[str] | None = None) -> int:
     config = engine.engine_config()
     previous = (config.backend, config.cache_size)
     baseline = engine.stats()
+    last_batch = last_batch_stats()
     _apply_engine_options(args)
     try:
         code = args.func(args)
         _print_engine_stats(args, baseline)
-        _print_pipeline_stats(args)
+        _print_pipeline_stats(args, last_batch)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 Shared infrastructure for every width-search algorithm in the library:
 
-* :mod:`repro.engine.context` — per-hypergraph :class:`SearchContext`
-  memoizing components, frontiers, incidence closures and the primal
-  graph, with frozenset interning;
+* :mod:`repro.engine.context` — per-hypergraph :class:`SearchContext`:
+  the vertex/edge bitmask tables every search runs on, with memoized
+  component splits and incident-edge unions;
 * :mod:`repro.engine.oracle` — the :class:`CoverOracle`, an LRU-cached
   fractional/integral cover service keyed on ``(bag, allowed_edges)``
   over pluggable LP backends (default ``auto``: the built-in simplex for
@@ -41,7 +41,7 @@ from .oracle import (
     OracleStats,
     oracle_for,
 )
-from .search import GUESS_STRATEGIES, CheckSearch
+from .search import CheckSearch
 
 __all__ = [
     "SearchContext",
@@ -52,7 +52,6 @@ __all__ = [
     "oracle_for",
     "DEFAULT_CACHE_SIZE",
     "CheckSearch",
-    "GUESS_STRATEGIES",
     "LPBackend",
     "AutoBackend",
     "ScipyHiGHSBackend",

@@ -88,7 +88,7 @@ class CoverOracle:
     """Memoized fractional/integral cover queries for one hypergraph.
 
     All queries are keyed on ``(kind, bag, allowed_edges)`` where ``bag``
-    and ``allowed_edges`` are interned frozensets, and answered through
+    and ``allowed_edges`` are frozensets, and answered through
     the configured :class:`~repro.engine.backends.LPBackend`.  Covers are
     deterministic for a fixed backend (edge order is sorted), so caching
     never changes results — property tests in ``tests/test_engine.py``
@@ -155,21 +155,9 @@ class CoverOracle:
         vertex_set: Iterable[Vertex],
         allowed_edges: Iterable[str] | None,
     ) -> tuple[frozenset, frozenset | None]:
-        bag = self.context.intern(
-            vertex_set
-            if type(vertex_set) is frozenset
-            else frozenset(vertex_set)
-        )
-        allowed = (
-            None
-            if allowed_edges is None
-            else (
-                allowed_edges
-                if type(allowed_edges) is frozenset
-                else frozenset(allowed_edges)
-            )
-        )
-        return bag, allowed
+        # frozenset() of a frozenset returns the same object: no copy.
+        allowed = None if allowed_edges is None else frozenset(allowed_edges)
+        return frozenset(vertex_set), allowed
 
     # ------------------------------------------------------------------
     # Fractional covers
@@ -358,7 +346,7 @@ class CoverOracle:
                 continue
             if not isinstance(bag_list, (list, tuple)):
                 continue
-            bag = self.context.intern(frozenset(bag_list))
+            bag = frozenset(bag_list)
             if not bag or not bag <= self.hypergraph.vertices:
                 continue
             if allowed_list is None:

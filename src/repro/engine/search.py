@@ -10,8 +10,8 @@ recursively, and on acceptance the witness tree is rebuilt top-down with
 bags ``B_u = V(S_u) ∩ (B_r ∪ C_u)``.
 
 :class:`CheckSearch` implements that skeleton once, on top of the shared
-:class:`~repro.engine.context.SearchContext` (memoized components,
-frontiers and edge unions) and :class:`~repro.engine.oracle.CoverOracle`
+:class:`~repro.engine.context.SearchContext` (bitmask tables, memoized
+components and edge unions) and :class:`~repro.engine.oracle.CoverOracle`
 (memoized cover LPs).  What varies between width measures is expressed
 through hooks:
 
@@ -20,13 +20,20 @@ through hooks:
 * :meth:`admissible` — extra per-guess checks (strictness, ρ* <= k);
 * :meth:`state_key` — the memoization key (frontier-summarized for plain
   HDs, full parent cover when strictness depends on it);
-* :meth:`guess_order` — the guess-ordering strategy (named strategies in
-  :data:`GUESS_STRATEGIES`).
+* :meth:`node_cover` — the λ/γ recorded at a witness node.
 
-Guesses are enumerated on int vertex masks by a depth-first search that
-cuts every prefix which can no longer cover the frontier (det-k-decomp's
-guided λ-search, Gottlob & Samer, JEA 2009), in ``combinations()``
-order, so witnesses and ``states_explored`` match a plain enumeration.
+The search runs on the context's bitmasks only: components, frontiers and
+bags are vertex masks, covers are edge-bit ints (see
+:mod:`repro.engine.context`), and the hooks receive them as such.  The
+witness is decoded to vertex and edge-name sets in :meth:`_rebuild`.
+
+Candidate edges are ordered by how many vertices of ``C_r ∪ frontier``
+they cover (most first, ties by edge name), so the search commits to
+large separators early.  Guesses are enumerated by a depth-first search
+that cuts every prefix which can no longer cover the frontier
+(det-k-decomp's guided λ-search, Gottlob & Samer, JEA 2009), in
+``combinations()`` order, so witnesses and ``states_explored`` match a
+plain enumeration.
 
 ``HDSearch`` (and through it the GHD subedge-augmentation path) and
 ``StrictFHDSearch`` are thin instantiations in the algorithms layer.
@@ -34,7 +41,7 @@ order, so witnesses and ``states_explored`` match a plain enumeration.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Hashable
 
 from ..covers import FractionalCover
 from ..decomposition import Decomposition
@@ -42,29 +49,7 @@ from ..hypergraph import Hypergraph
 from .context import SearchContext, get_context
 from .oracle import CoverOracle, oracle_for
 
-__all__ = ["CheckSearch", "GUESS_STRATEGIES"]
-
-
-def _order_by_coverage(search: "CheckSearch", candidates: list, target: frozenset):
-    """Best-first: single edges ordered by coverage of component ∪ frontier.
-
-    Lets the search commit to large separators early (the seed library's
-    behaviour, kept as the default).
-    """
-    hg = search.hypergraph
-    return sorted(candidates, key=lambda e: (-len(hg.edge(e) & target), e))
-
-
-def _order_lexicographic(search: "CheckSearch", candidates: list, target: frozenset):
-    """Plain sorted order — deterministic baseline for ablations."""
-    return sorted(candidates)
-
-
-#: Named guess-ordering strategies selectable per search.
-GUESS_STRATEGIES: dict[str, Callable] = {
-    "coverage": _order_by_coverage,
-    "lexicographic": _order_lexicographic,
-}
+__all__ = ["CheckSearch"]
 
 
 class CheckSearch:
@@ -80,8 +65,6 @@ class CheckSearch:
         Shared engine services; default to the hypergraph's registered
         context and the configured oracle, so concurrent searches on the
         same hypergraph share caches.
-    guess_strategy:
-        A key of :data:`GUESS_STRATEGIES` (default ``"coverage"``).
     """
 
     def __init__(
@@ -91,7 +74,6 @@ class CheckSearch:
         *,
         context: SearchContext | None = None,
         oracle: CoverOracle | None = None,
-        guess_strategy: str = "coverage",
     ) -> None:
         if k < 1:
             raise ValueError("width bound k must be >= 1")
@@ -99,102 +81,73 @@ class CheckSearch:
         self.k = k
         self.context = context if context is not None else get_context(hypergraph)
         self.oracle = oracle if oracle is not None else oracle_for(self.context)
-        if guess_strategy not in GUESS_STRATEGIES:
-            raise ValueError(
-                f"guess_strategy must be one of {sorted(GUESS_STRATEGIES)}"
-            )
-        self.guess_strategy = guess_strategy
-        self._order = GUESS_STRATEGIES[guess_strategy]
         self._memo: dict[Hashable, tuple | None] = {}
-        self._edge_names = sorted(hypergraph.edge_names)
-        self._bit = {v: 1 << i for i, v in enumerate(hypergraph.vertices)}
-        self._masks = {e: self._mask(hypergraph.edge(e)) for e in self._edge_names}
         self.states_explored = 0
 
-    # -- hooks ---------------------------------------------------------
+    # -- hooks (vertex masks and cover ints) ---------------------------
     def max_cover_size(self) -> int:
         """The cardinality bound on a guessed cover S (default: k)."""
         return self.k
 
     def admissible(
-        self,
-        cover_edges: frozenset,
-        component: frozenset,
-        frontier: frozenset,
-        parent_cover: frozenset,
+        self, cover: int, component: int, frontier: int, parent_cover: int
     ) -> bool:
         """Extra acceptance test for a guessed cover (default: none)."""
         return True
 
     def state_key(
-        self, component: frozenset, parent_cover: frozenset, frontier: frozenset
+        self, component: int, parent_cover: int, frontier: int
     ) -> Hashable:
         """Memo key; for plain HDs the frontier summarizes the parent."""
         return (component, frontier)
 
-    def guess_order(self, candidates: list[str], target: frozenset) -> list[str]:
-        """Candidate ordering for the configured strategy."""
-        return self._order(self, candidates, target)
+    def node_cover(self, cover: frozenset, bag: frozenset) -> FractionalCover:
+        """The λ/γ recorded at a witness node (default: all-ones λ = S).
+
+        ``cover`` holds the node's edge names and ``bag`` its vertices.
+        """
+        return FractionalCover({e: 1.0 for e in cover})
 
     # -- search --------------------------------------------------------
     def run(self) -> Decomposition | None:
         """Search for a decomposition of width <= k; None when none exists."""
-        hg = self.hypergraph
-        if hg.num_vertices == 0:
+        if self.hypergraph.num_vertices == 0:
             raise ValueError("hypergraph has no vertices")
-        root = self.context.intern(hg.vertices)
-        if not self._solve(root, frozenset()):
+        root = (1 << len(self.context.vertex_order)) - 1
+        if not self._solve(root, 0, 0):
             return None
-        return self._rebuild()
+        return self._rebuild(root)
 
-    def _frontier(self, component: frozenset, parent_cover: frozenset) -> frozenset:
-        """``V(R) ∩ ⋃ edges(C_r)``: the parent-cover part seen by C_r."""
-        return self.context.frontier(component, parent_cover)
+    def _guesses(self, component: int, frontier: int, parent_cover: int):
+        """All admissible covers S for this state as ``(S, V(S))`` ints.
 
-    def _mask(self, vertex_set) -> int:
-        """The vertex set as an int with bit ``i`` set for vertex ``i``."""
-        bit = self._bit
-        return sum(bit[v] for v in vertex_set)
-
-    def _candidate_edges(self, relevant: int) -> list[str]:
-        """Edges that can usefully appear in S: those meeting C_r ∪ frontier.
-
-        Normal-form decompositions never need cover edges disjoint from
-        the bag, and bags live inside ``B_r ∪ C_r`` — see module docs.
-        """
-        masks = self._masks
-        return [e for e in self._edge_names if masks[e] & relevant]
-
-    def _guesses(
-        self, component: frozenset, frontier: frozenset, parent_cover: frozenset
-    ):
-        """All admissible covers S for this state, strategy-ordered.
-
-        Size by size, a depth-first search picks increasing candidate
-        indices, so it visits index tuples in the lexicographic order of
+        Candidates are the edges meeting ``C_r ∪ frontier`` (normal-form
+        decompositions never need cover edges disjoint from the bag, and
+        bags live inside ``B_r ∪ C_r``), in the context's coverage order
+        (:meth:`~repro.engine.context.SearchContext.candidates`).  Size by
+        size, a depth-first search picks increasing candidate indices, so
+        it visits index tuples in the lexicographic order of
         ``combinations(candidates, size)``.  A prefix with union mask
         ``covered`` and ``slots`` edges still to pick is cut when
         ``rest = frontier & ~covered`` cannot be finished: with one slot
         left the next edge must contain ``rest``; otherwise when
         ``max_{j >= start} |m_j & rest| * slots < |rest|``.  A cut drops
         only tuples that fail ``frontier <= V(S)``, so the tuples that
-        pass it and ``V(S) ∩ C_r ≠ ∅`` come out in the old order, and
-        only they are interned and unioned.
+        pass it and ``V(S) ∩ C_r ≠ ∅`` come out in plain-enumeration
+        order.
         """
-        ctx = self.context
-        fmask, cmask = self._mask(frontier), self._mask(component)
-        candidates = self.guess_order(
-            self._candidate_edges(fmask | cmask), component | frontier
-        )
-        masks = [self._masks[e] for e in candidates]
+        edge_masks = self.context.edge_masks
+        order = self.context.candidates(component | frontier)
+        masks = [edge_masks[j] for j in order]
+        bits = [1 << j for j in order]
         n = len(masks)
 
-        def extend(start: int, slots: int, covered: int, picked: tuple):
-            rest = fmask & ~covered
+        def extend(start: int, slots: int, covered: int, picked: int):
+            rest = frontier & ~covered
             if slots == 1:
                 for j in range(start, n):
-                    if not rest & ~masks[j] and (covered | masks[j]) & cmask:
-                        yield picked + (candidates[j],)
+                    if not rest & ~masks[j] and (covered | masks[j]) & component:
+                        yield picked | bits[j], covered | masks[j]
                 return
             need = rest.bit_count()
             if need and need > slots * max(
@@ -203,62 +156,59 @@ class CheckSearch:
                 return
             for j in range(start, n - slots + 1):
                 yield from extend(
-                    j + 1, slots - 1, covered | masks[j], picked + (candidates[j],)
+                    j + 1, slots - 1, covered | masks[j], picked | bits[j]
                 )
 
         for size in range(1, self.max_cover_size() + 1):
-            for picked in extend(0, size, 0, ()):
-                cover = ctx.intern(frozenset(picked))
+            for cover, covered in extend(0, size, 0, 0):
                 if self.admissible(cover, component, frontier, parent_cover):
-                    yield cover, ctx.vertices_of(cover)
+                    yield cover, covered
 
-    def _solve(self, component: frozenset, parent_cover: frozenset) -> bool:
-        frontier = self._frontier(component, parent_cover)
+    def _solve(self, component: int, parent_cover: int, parent_covered: int) -> bool:
+        """Decide the state ``(C_r, R)``; ``parent_covered`` is ``V(R)``."""
+        ctx = self.context
+        frontier = parent_covered & ctx.incident_union(component)
         key = self.state_key(component, parent_cover, frontier)
         if key in self._memo:
             return self._memo[key] is not None
         self._memo[key] = None
         self.states_explored += 1
-        ctx = self.context
         for cover, covered in self._guesses(component, frontier, parent_cover):
-            child_components = ctx.components_within(
-                ctx.intern(component - covered)
-            )
-            if all(self._solve(child, cover) for child in child_components):
+            child_components = ctx.split(component & ~covered)
+            if all(
+                self._solve(child, cover, covered) for child in child_components
+            ):
                 self._memo[key] = (cover, child_components)
                 return True
         return False
 
-    def _rebuild(self) -> Decomposition:
+    def _rebuild(self, root: int) -> Decomposition:
         ctx = self.context
         nodes: list[tuple[str, frozenset, FractionalCover]] = []
         parent: dict[str, str] = {}
-        counter = 0
 
         def build(
-            component: frozenset,
-            parent_cover: frozenset,
+            component: int,
+            parent_cover: int,
+            parent_covered: int,
             parent_id: str | None,
-            parent_bag: frozenset,
+            parent_bag: int,
         ) -> None:
-            nonlocal counter
-            frontier = self._frontier(component, parent_cover)
+            frontier = parent_covered & ctx.incident_union(component)
             entry = self._memo[self.state_key(component, parent_cover, frontier)]
             assert entry is not None
             cover, child_components = entry
-            node_id = f"n{counter}"
-            counter += 1
-            covered = ctx.vertices_of(cover)
+            node_id = f"n{len(nodes)}"
+            covered = ctx.union(cover)
             bag = covered & (parent_bag | component)
-            nodes.append((node_id, bag, self.node_cover(cover, bag)))
+            vertices = ctx.vertices_in(bag)
+            nodes.append(
+                (node_id, vertices, self.node_cover(ctx.edges_in(cover), vertices))
+            )
             if parent_id is not None:
                 parent[node_id] = parent_id
             for child in child_components:
-                build(child, cover, node_id, bag)
+                build(child, cover, covered, node_id, bag)
 
-        build(ctx.intern(self.hypergraph.vertices), frozenset(), None, frozenset())
+        build(root, 0, 0, None, 0)
         return Decomposition(nodes, parent=parent, root="n0")
-
-    def node_cover(self, cover: frozenset, bag: frozenset) -> FractionalCover:
-        """The λ/γ recorded at a witness node (default: all-ones λ = S)."""
-        return FractionalCover({e: 1.0 for e in cover})

@@ -52,6 +52,16 @@ class TestWidth:
         out = capsys.readouterr().out
         assert "{" in out  # bags printed
 
+    def test_pipeline_stats_are_this_commands(self, c6_file, capsys):
+        """A raw (``--preprocess none``) run prints no earlier run's stats."""
+        assert main(["width", c6_file, "--kind", "ghw"]) == 0
+        capsys.readouterr()
+        argv = ["width", c6_file, "--kind", "hw", "--preprocess", "none"]
+        assert main(argv + ["--pipeline-stats"]) == 0
+        out = capsys.readouterr().out
+        assert "batch stats: no batch run recorded" in out
+        assert "ghw-exact" not in out
+
 
 class TestDecompose:
     def test_success(self, c6_file, capsys):

@@ -17,7 +17,6 @@ from repro.covers import EPS, covered_vertices, fractional_cover_of
 from repro.covers import linear_program, simplex
 from repro.covers.linear_program import HAVE_SCIPY, SIMPLEX_MAX_CELLS
 from repro.engine import (
-    GUESS_STRATEGIES,
     AutoBackend,
     CheckSearch,
     CoverOracle,
@@ -81,27 +80,30 @@ def lp_cells(rows, n_vars, caps):
 class TestSearchContext:
     @given(hypergraph_and_region())
     @settings(max_examples=50, deadline=None)
-    def test_components_within_matches_induced(self, hr):
+    def test_split_matches_induced(self, hr):
         h, region = hr
         ctx = get_context(h)
-        got = set(ctx.components_within(ctx.intern(region)))
+        got = {ctx.vertices_in(c) for c in ctx.split(ctx.mask(region))}
         expected = (
             set(components(h.induced(region), ())) if region else set()
         )
         assert got == expected
         # Memoized second call returns the identical tuple.
-        assert ctx.components_within(ctx.intern(region)) is ctx.components_within(
-            ctx.intern(region)
-        )
+        assert ctx.split(ctx.mask(region)) is ctx.split(ctx.mask(region))
 
     @given(hypergraphs())
     @settings(max_examples=40, deadline=None)
-    def test_vertices_of_and_incident_edges_match_hypergraph(self, h):
+    def test_masks_match_hypergraph(self, h):
         ctx = get_context(h)
         names = frozenset(list(h.edge_names)[: max(1, h.num_edges // 2)])
-        assert ctx.vertices_of(names) == h.vertices_of(names)
+        cover = sum(1 << ctx.edge_names.index(e) for e in names)
+        assert ctx.edges_in(cover) == names
+        assert ctx.vertices_in(ctx.union(cover)) == h.vertices_of(names)
         comp = frozenset(list(h.vertices)[:2])
-        assert ctx.incident_edges(comp) == h.incident_edges(comp)
+        assert ctx.vertices_in(ctx.mask(comp)) == comp
+        assert ctx.vertices_in(ctx.incident_union(ctx.mask(comp))) == (
+            h.vertices_of(h.incident_edges(comp))
+        )
 
     @given(hypergraph_and_region())
     @settings(max_examples=40, deadline=None)
@@ -109,25 +111,34 @@ class TestSearchContext:
         h, region = hr
         ctx = get_context(h)
         parent_cover = frozenset(list(h.edge_names)[:2])
-        component = ctx.intern(region)
+        cover = sum(1 << ctx.edge_names.index(e) for e in parent_cover)
         expected = h.vertices_of(parent_cover) & h.vertices_of(
-            h.incident_edges(component)
+            h.incident_edges(region)
         )
-        assert ctx.frontier(component, parent_cover) == expected
+        frontier = ctx.union(cover) & ctx.incident_union(ctx.mask(region))
+        assert ctx.vertices_in(frontier) == expected
 
     def test_components_matches_module_function(self, k4):
+        """Components come out lowest bit first: the module function's order."""
         ctx = get_context(k4)
-        sep = frozenset(list(k4.vertices)[:1])
-        assert set(ctx.components(sep)) == set(components(k4, sep))
+        for sep in (frozenset(), frozenset(list(k4.vertices)[:1])):
+            region = ctx.mask(k4.vertices - sep)
+            got = [ctx.vertices_in(c) for c in ctx.split(region)]
+            assert got == components(k4, sep)
 
     def test_contexts_are_shared_for_equal_hypergraphs(self):
         a = Hypergraph({"e": ["x", "y"]})
         b = Hypergraph({"e": ["x", "y"]})
         assert get_context(a) is get_context(b)
 
-    def test_interning_returns_canonical_sets(self, triangle):
-        ctx = get_context(triangle)
-        assert ctx.intern(frozenset({"x", "y"})) is ctx.intern({"y", "x"})
+    def test_bit_tables_are_built_on_first_use(self):
+        clear_context_registry()
+        h = Hypergraph({"e": ["x", "y"], "f": ["y", "z"]})
+        ctx = get_context(h)
+        oracle_for(h).fractional_cover(h.vertices)
+        assert "edge_masks" not in vars(ctx)  # an oracle user pays nothing
+        assert ctx.split(ctx.mask(h.vertices)) == (ctx.mask(h.vertices),)
+        assert {"bit", "edge_masks", "neighbours"} <= set(vars(ctx))
 
 
 class TestCoverOracle:
@@ -435,16 +446,9 @@ class TestWidthsUnchangedAfterRefactor:
 
 
 class TestCheckSearch:
-    def test_guess_strategies_agree_on_feasibility(self, c6):
-        for strategy in ("coverage", "lexicographic"):
-            search = CheckSearch(c6, 2, guess_strategy=strategy)
-            assert search.run() is not None
-            search = CheckSearch(c6, 1, guess_strategy=strategy)
-            assert search.run() is None
-
-    def test_unknown_strategy_raises(self, c6):
-        with pytest.raises(ValueError, match="guess_strategy"):
-            CheckSearch(c6, 2, guess_strategy="random")
+    def test_feasibility_on_c6(self, c6):
+        assert CheckSearch(c6, 2).run() is not None
+        assert CheckSearch(c6, 1).run() is None
 
     def test_states_explored_counter(self, grid33):
         search = CheckSearch(grid33, 3)
@@ -463,21 +467,27 @@ class TestCheckSearch:
 
 
 def reference_guesses(search, component, frontier, parent_cover):
-    """The plain enumerator: every ``combinations()`` tuple, then filters."""
+    """The plain enumerator: every ``combinations()`` tuple, then filters.
+
+    It takes and returns the search's masks but works on the
+    hypergraph's vertex and edge-name sets in between.
+    """
     hg, ctx = search.hypergraph, search.context
-    target = component | frontier
-    candidates = search.guess_order(
-        [e for e in sorted(hg.edge_names) if hg.edge(e) & target], target
+    comp, front = ctx.vertices_in(component), ctx.vertices_in(frontier)
+    target = comp | front
+    candidates = sorted(
+        (e for e in hg.edge_names if hg.edge(e) & target),
+        key=lambda e: (-len(hg.edge(e) & target), e),
     )
     guesses = []
     for size in range(1, search.max_cover_size() + 1):
         for combo in combinations(candidates, size):
-            cover = ctx.intern(frozenset(combo))
-            covered = ctx.vertices_of(cover)
-            if not frontier <= covered or not covered & component:
+            covered = hg.vertices_of(combo)
+            if not front <= covered or not covered & comp:
                 continue
+            cover = sum(1 << ctx.edge_names.index(e) for e in combo)
             if search.admissible(cover, component, frontier, parent_cover):
-                guesses.append((cover, covered))
+                guesses.append((cover, ctx.mask(covered)))
     return guesses
 
 
@@ -505,19 +515,15 @@ class TestGuessEnumeration:
     @given(
         hypergraphs(max_vertices=10, max_edges=10, max_edge_size=5),
         st.integers(1, 3),
-        st.sampled_from(sorted(GUESS_STRATEGIES)),
     )
-    # The cut's max runs over the candidate at ``start`` too.
-    @example(
-        Hypergraph({"a": ["u"], "b": ["v"], "c": ["u", "v"], "d": ["v", "w"]}),
-        3,
-        "lexicographic",
-    )
+    # The cut's max runs over the candidate at ``start`` too: a cut over
+    # the later candidates only drops a guess of this instance.
+    @example(Hypergraph({"a": [0], "b": [1, 2], "c": [0, 2], "d": [0]}), 3)
     @settings(max_examples=60, deadline=None)
-    def test_hd_search(self, h, k, strategy):
+    def test_hd_search(self, h, k):
         from repro.algorithms import HDSearch
 
-        self.assert_matches_reference(HDSearch(h, k, guess_strategy=strategy))
+        self.assert_matches_reference(HDSearch(h, k))
 
     @given(hypergraphs(max_vertices=6, max_edges=6), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)

@@ -527,6 +527,7 @@ class TestCoalescing:
         wait_until(
             lambda: h.server.stats.coalesced == K - 1
             and len(h.server._pending) == 1
+            and gate.entered == 1
         )
         assert gate.entered == 1
         gate.release.set()

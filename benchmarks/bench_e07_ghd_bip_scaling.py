@@ -98,14 +98,17 @@ def pipeline_block_solve(jobs: int = 1):
     triangles(4) has 4 biconnected blocks (the triangles, glued at the
     articulation vertices t1..t3): the pipeline must solve them
     independently and stitch a witness of the same width the raw search
-    finds on the whole hypergraph.
+    (one unreduced block, bounds pre-pass off) finds on the whole
+    hypergraph.
     """
     from repro.algorithms import generalized_hypertree_width
 
     h = triangle_cascade(4)
     solver = WidthSolver(h, jobs=jobs)
     width, decomposition = solver.generalized_hypertree_width()
-    raw_width, _raw = generalized_hypertree_width(h, preprocess="none")
+    raw_width, _raw = generalized_hypertree_width(
+        h, preprocess="none", bounds="none"
+    )
     return h, width, raw_width, decomposition, solver.last_stats
 
 

@@ -96,9 +96,7 @@ def run_batched(requests, jobs: int, executor: str = "thread"):
     start = time.perf_counter()
     results = solve_many(requests, jobs=jobs, executor=executor)
     elapsed = time.perf_counter() - start
-    from repro.pipeline import last_batch_stats
-
-    return results, elapsed, last_batch_stats()
+    return results, elapsed, results[0].stats
 
 
 def run_remote(requests, jobs: int, workers: int = 2):
@@ -131,9 +129,7 @@ def run_remote(requests, jobs: int, workers: int = 2):
         start = time.perf_counter()
         results = solve_many(requests, jobs=jobs, executor="remote")
         elapsed = time.perf_counter() - start
-        from repro.pipeline import last_batch_stats
-
-        return results, elapsed, last_batch_stats()
+        return results, elapsed, results[0].stats
     finally:
         close_registry()
         set_registry(previous)

@@ -26,7 +26,7 @@ import time
 from _tables import emit
 
 from repro import engine, generalized_hypertree_width_exact
-from repro.pipeline import BatchRequest, last_batch_stats, solve_many
+from repro.pipeline import BatchRequest, solve_many
 from repro.hypergraph.generators import (
     clique,
     cycle,
@@ -76,7 +76,7 @@ def run_engine(requests, jobs: int):
     for request, handle in zip(requests, results):
         assert handle.ok, f"{request.label}: {handle.error!r}"
         widths.append(handle.value[0])
-    return widths, elapsed, last_batch_stats()
+    return widths, elapsed, results[0].stats
 
 
 def measure(jobs: int = 1, corpus: str = "dense") -> dict:

@@ -30,7 +30,7 @@ import time
 from _tables import emit
 
 from repro import engine
-from repro.pipeline import BatchRequest, last_batch_stats, solve_many
+from repro.pipeline import BatchRequest, solve_many
 from repro.hypergraph.generators import (
     clique,
     cycle,
@@ -84,7 +84,7 @@ def run_mode(requests, bounds: str, jobs: int):
     for request, handle in zip(requests, results):
         assert handle.ok, f"bounds={bounds}/{request.label}: {handle.error!r}"
         widths.append(handle.value[0])
-    return widths, elapsed, last_batch_stats()
+    return widths, elapsed, results[0].stats
 
 
 def collapse(jobs: int = 1, corpus: str = "full") -> dict:

@@ -239,7 +239,7 @@ def _fhw_approximation_direct(
     eps: float,
     find_fhd=None,
 ) -> FHWApproximationResult:
-    """Algorithm 4 on the raw hypergraph (no preprocessing pipeline)."""
+    """Algorithm 4 on one block (the pipeline's core)."""
     if find_fhd is None:
         find_fhd = lambda h, k, e: frac_decomp(h, k, e)
 
@@ -282,8 +282,8 @@ def fhw_approximation(
     biconnected block of the reduced instance — ``find_fhd`` then
     receives block hypergraphs — and the stitched FHD keeps the ε
     guarantee because fhw decomposes as the max over blocks.  ``jobs=N``
-    runs blocks in parallel; ``preprocess="none"`` restores the
-    single-instance search.
+    runs blocks in parallel; ``preprocess="none"`` searches one
+    unreduced block.
 
     The trace records each probe ``(L, U, success)``; under the
     pipeline it is the trace of the block with the most iterations
@@ -294,7 +294,6 @@ def fhw_approximation(
     return via_pipeline(
         hypergraph,
         "fhw_approximation",
-        _fhw_approximation_direct,
         preprocess,
         jobs,
         K,

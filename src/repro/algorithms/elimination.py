@@ -222,7 +222,7 @@ def _generalized_hypertree_width_exact_direct(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     upper: float | None = None,
 ) -> tuple[int, Decomposition]:
-    """Exact ghw on the raw hypergraph (no preprocessing pipeline).
+    """Exact ghw on one block: the pipeline's ``ghw-exact`` core.
 
     ``upper`` (a known achievable ghw) caps the DP; see
     :func:`width_by_elimination`.
@@ -255,19 +255,18 @@ def generalized_hypertree_width_exact(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
 ) -> tuple[int, Decomposition]:
     """Exact ``ghw(H)`` with a witness GHD (exponential-time oracle).
 
     Under the pipeline (default) the reduction rules shrink the instance
     and the 2^n elimination DP runs per biconnected block, so
     ``vertex_limit`` bounds the largest *block*, not the whole
-    hypergraph.  ``preprocess="none"`` restores the raw DP.
+    hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
     """
     return via_pipeline(
         hypergraph,
         "generalized_hypertree_width_exact",
-        _generalized_hypertree_width_exact_direct,
         preprocess,
         jobs,
         vertex_limit,
@@ -280,7 +279,7 @@ def _fractional_hypertree_width_exact_direct(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     upper: float | None = None,
 ) -> tuple[float, Decomposition]:
-    """Exact fhw on the raw hypergraph (no preprocessing pipeline).
+    """Exact fhw on one block: the pipeline's ``fhw-exact`` core.
 
     ``upper`` (a known achievable fhw) caps the DP; see
     :func:`width_by_elimination`.
@@ -313,19 +312,18 @@ def fractional_hypertree_width_exact(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
 ) -> tuple[float, Decomposition]:
     """Exact ``fhw(H)`` with a witness FHD (exponential-time oracle).
 
     Under the pipeline (default) the reduction rules shrink the instance
     and the 2^n elimination DP runs per biconnected block, so
     ``vertex_limit`` bounds the largest *block*, not the whole
-    hypergraph.  ``preprocess="none"`` restores the raw DP.
+    hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
     """
     return via_pipeline(
         hypergraph,
         "fractional_hypertree_width_exact",
-        _fractional_hypertree_width_exact_direct,
         preprocess,
         jobs,
         vertex_limit,

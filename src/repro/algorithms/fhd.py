@@ -89,7 +89,7 @@ def _fractional_hypertree_decomposition_bounded_degree_direct(
     d: int | None = None,
     **caps,
 ) -> Decomposition | None:
-    """Check(FHD,k) on the raw hypergraph (no preprocessing pipeline)."""
+    """Check(FHD,k) on one block: the pipeline's ``check-fhd-bd`` core."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if d is None:
@@ -132,7 +132,7 @@ def fractional_hypertree_decomposition_bounded_degree(
     d: int | None = None,
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
     **caps,
 ) -> Decomposition | None:
     """Solve Check(FHD,k) under the BDP (Theorem 5.2): an FHD of width
@@ -144,14 +144,12 @@ def fractional_hypertree_decomposition_bounded_degree(
     generator ``h_{d,k}`` is parameterized by caps (see
     :func:`repro.algorithms.subedges.fhd_subedges`); within those caps
     the search is complete per Lemmas 5.6/5.17/5.21.
-    ``preprocess="none"`` restores the raw strict-HD search.
+    ``preprocess="none"`` runs the strict-HD search on one unreduced
+    block.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return via_pipeline(
         hypergraph,
         "fractional_hypertree_decomposition_bounded_degree",
-        _fractional_hypertree_decomposition_bounded_degree_direct,
         preprocess,
         jobs,
         k,

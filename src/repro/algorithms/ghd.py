@@ -62,7 +62,7 @@ def augmented_hypergraph(
 def _generalized_hypertree_decomposition_direct(
     hypergraph: Hypergraph, k: int, method: str = "fixpoint", **caps
 ) -> Decomposition | None:
-    """Check(GHD,k) on the raw hypergraph (no preprocessing pipeline)."""
+    """Check(GHD,k) on one block: the pipeline's ``check-ghd`` core."""
     if k == 1:
         # ghw = 1 iff H is α-acyclic: the GYO fast path answers directly.
         from ..hypergraph.acyclicity import join_tree
@@ -86,13 +86,13 @@ def generalized_hypertree_decomposition(
     method: str = "fixpoint",
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
     **caps,
 ) -> Decomposition | None:
     """Solve Check(GHD,k): a GHD of H of width <= k, or None.
 
-    Runs the reduce → split → solve → stitch pipeline by default
-    (``preprocess="none"`` restores the raw subedge search; ``jobs=N``
+    Runs the reduce → split → solve → stitch pipeline
+    (``preprocess="none"`` solves one unreduced block; ``jobs=N``
     solves biconnected blocks in parallel).  A non-None
     result is re-validated against Definition 2.4 on the original
     hypergraph, so "yes" answers are certified unconditionally.  "No"
@@ -100,7 +100,7 @@ def generalized_hypertree_decomposition(
     complete for H (always for ``"limit"``; for ``"fixpoint"`` whenever
     it terminates within its cap, which the BIP/BMIP guarantees).
     """
-    if k == 1:
+    if k == 1 and hypergraph.num_edges:
         # Keep the GYO fast path on the whole hypergraph: the join tree
         # itself (one node per edge) is the canonical witness.
         return _generalized_hypertree_decomposition_direct(
@@ -109,7 +109,6 @@ def generalized_hypertree_decomposition(
     return via_pipeline(
         hypergraph,
         "generalized_hypertree_decomposition",
-        _generalized_hypertree_decomposition_direct,
         preprocess,
         jobs,
         k,
@@ -135,7 +134,7 @@ def generalized_hypertree_width(
     method: str = "fixpoint",
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
     **caps,
 ) -> tuple[int, Decomposition]:
     """``ghw(H)`` with a witness, iterating Check(GHD,k) for k = 1, 2, ...
@@ -144,12 +143,11 @@ def generalized_hypertree_width(
     handled by the same machinery since hw = ghw = 1 coincide.  The
     pipeline reduces the instance and iterates k per biconnected block
     (``jobs=N`` adds cross-block and cross-k parallelism;
-    ``preprocess="none"`` restores the raw loop).
+    ``preprocess="none"`` iterates on one unreduced block).
     """
     return via_pipeline(
         hypergraph,
         "generalized_hypertree_width",
-        _generalized_hypertree_width_direct,
         preprocess,
         jobs,
         kmax,
@@ -157,20 +155,3 @@ def generalized_hypertree_width(
         method=method,
         **caps,
     )
-
-
-def _generalized_hypertree_width_direct(
-    hypergraph: Hypergraph,
-    kmax: int | None = None,
-    method: str = "fixpoint",
-    **caps,
-) -> tuple[int, Decomposition]:
-    """The raw k = 1, 2, ... loop on the whole hypergraph."""
-    cap = hypergraph.num_edges if kmax is None else kmax
-    for k in range(1, cap + 1):
-        decomposition = _generalized_hypertree_decomposition_direct(
-            hypergraph, k, method=method, **caps
-        )
-        if decomposition is not None:
-            return k, decomposition
-    raise ValueError(f"no GHD of width <= {cap} found (cap too small?)")

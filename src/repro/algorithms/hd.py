@@ -54,7 +54,7 @@ class HDSearch(CheckSearch):
 def _hypertree_decomposition_direct(
     hypergraph: Hypergraph, k: int
 ) -> Decomposition | None:
-    """Check(HD,k) on the raw hypergraph (no preprocessing pipeline)."""
+    """Check(HD,k) on one block: the pipeline's ``check-hd`` core."""
     result = HDSearch(hypergraph, k).run()
     if result is not None:
         validate(hypergraph, result, kind="hd", width=k)
@@ -66,23 +66,20 @@ def hypertree_decomposition(
     k: int,
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
 ) -> Decomposition | None:
     """Solve Check(HD,k): an HD of width <= k, or None.
 
     Runs through the reduce → split → solve → stitch pipeline
-    (hd-safe rules, connected-component splitting) unless
-    ``preprocess="none"``.  The returned decomposition
+    (hd-safe rules, connected-component splitting; ``preprocess="none"``
+    solves one unreduced block).  The returned decomposition
     is re-validated against Definition 2.5 (including the special
     condition) on the original hypergraph, so a non-None result is a
     certified "yes" instance.
     """
-    if k < 1:
-        raise ValueError("width bound k must be >= 1")
     return via_pipeline(
         hypergraph,
         "hypertree_decomposition",
-        _hypertree_decomposition_direct,
         preprocess,
         jobs,
         k,
@@ -95,37 +92,25 @@ def check_hd(hypergraph: Hypergraph, k: int, **options) -> bool:
     return hypertree_decomposition(hypergraph, k, **options) is not None
 
 
-def _hypertree_width_direct(
-    hypergraph: Hypergraph, kmax: int | None = None
-) -> tuple[int, Decomposition]:
-    """The raw k = 1, 2, ... loop on the whole hypergraph."""
-    cap = hypergraph.num_edges if kmax is None else kmax
-    for k in range(1, cap + 1):
-        decomposition = _hypertree_decomposition_direct(hypergraph, k)
-        if decomposition is not None:
-            return k, decomposition
-    raise ValueError(f"no HD of width <= {cap} found (cap too small?)")
-
-
 def hypertree_width(
     hypergraph: Hypergraph,
     kmax: int | None = None,
     preprocess: str = "full",
     jobs: int | None = None,
-    bounds: str | None = None,
+    bounds: str = "portfolio",
 ) -> tuple[int, Decomposition]:
     """``hw(H)`` with a witness, by iterating Check(HD,k) for k = 1, 2, ...
 
-    ``kmax`` defaults to ``|E(H)|`` (always sufficient: a single node with
-    all edges is an HD).  Raises if no width within the cap is found.
-    By default each connected component is reduced and solved separately
-    through the pipeline (``preprocess="none"`` restores the raw loop;
-    ``jobs=N`` parallelizes across components and candidate widths).
+    ``kmax`` defaults to ``|E(H)|`` per block (always sufficient: a
+    single node with all edges is an HD).  Raises if no width within the
+    cap is found.  Each connected component is reduced and solved
+    separately through the pipeline (``preprocess="none"`` solves one
+    unreduced block; ``jobs=N`` parallelizes across components and
+    candidate widths).
     """
     return via_pipeline(
         hypergraph,
         "hypertree_width",
-        _hypertree_width_direct,
         preprocess,
         jobs,
         kmax,

@@ -192,7 +192,7 @@ def _heuristic_decomposition_direct(
     ordering: str = "min-fill",
     oracle: CoverOracle | None = None,
 ) -> tuple[float, Decomposition]:
-    """Heuristic decomposition on the raw hypergraph (no pipeline)."""
+    """Heuristic decomposition of one block (the pipeline's core)."""
     if ordering not in _ORDERINGS:
         raise ValueError(f"ordering must be one of {sorted(_ORDERINGS)}")
     if cost not in ("fractional", "integral"):
@@ -222,14 +222,9 @@ def heuristic_decomposition(
     and the stitched result is re-validated against the original
     hypergraph, so the width really is achieved.
     """
-    if ordering not in _ORDERINGS:
-        raise ValueError(f"ordering must be one of {sorted(_ORDERINGS)}")
-    if cost not in ("fractional", "integral"):
-        raise ValueError("cost must be 'fractional' or 'integral'")
     return via_pipeline(
         hypergraph,
         "heuristic_decomposition",
-        _heuristic_decomposition_direct,
         preprocess,
         jobs,
         cost,
@@ -345,13 +340,15 @@ def width_lower_bound(
 def _width_bounds_direct(
     hypergraph: Hypergraph, cost: str = "fractional"
 ) -> tuple[float, float, Decomposition]:
-    """Heuristic sandwich on the raw hypergraph (no pipeline).
+    """Heuristic sandwich of one block (the pipeline's core).
 
     One shared oracle answers every cover query of the sandwich — the
     lower bound's cliques and both ordering finishes — so bags the two
     orderings agree on (and bags a later exact search re-asks) are
     derived once per cache domain.
     """
+    if cost not in ("fractional", "integral"):
+        raise ValueError("cost must be 'fractional' or 'integral'")
     oracle = oracle_for(hypergraph)
     lower = width_lower_bound(hypergraph, cost=cost, oracle=oracle)
     best_width = float("inf")
@@ -381,8 +378,4 @@ def width_bounds(
     bounds stays a sound lower bound and the stitched witness achieves
     the upper one.
     """
-    if cost not in ("fractional", "integral"):
-        raise ValueError("cost must be 'fractional' or 'integral'")
-    return via_pipeline(
-        hypergraph, "width_bounds", _width_bounds_direct, preprocess, jobs, cost
-    )
+    return via_pipeline(hypergraph, "width_bounds", preprocess, jobs, cost)

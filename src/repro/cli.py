@@ -20,15 +20,16 @@ Width-computing commands accept engine options: ``--backend`` selects
 the LP solver (``auto``, the size-aware default, or the pinned
 ``scipy`` / ``purepython``), ``--cache-size``
 bounds the cover-oracle LRU (0 disables caching), and ``--cache-stats``
-prints LP-solve counts and cache hit rates after the command.  They
-also accept pipeline options: ``--preprocess`` selects the reduce/split
-stages (default ``full``; ``none`` solves the raw instance), ``--jobs``
-parallelizes across biconnected blocks and candidate widths,
-``--bounds`` controls the heuristic bounds pre-pass that seeds the
-k-search (``portfolio`` orderings + clique/minor-width lower bound by
-default;
-``clique`` / ``none``), and ``--pipeline-stats`` prints the run's
-:class:`~repro.pipeline.BatchStats` (per-stage counters and wall-clock).
+prints LP-solve counts and cache hit rates after the command.  Each
+command also takes the pipeline options it honours: ``--preprocess``
+selects the reduce/split stages (default ``full``; ``none`` solves the
+instance as one unreduced block), ``--jobs`` parallelizes across
+biconnected blocks and candidate widths, ``--bounds`` controls the
+heuristic bounds pre-pass that seeds the k-search (``portfolio``
+orderings + clique/minor-width lower bound by default; ``clique`` /
+``none``), and ``--pipeline-stats`` prints the
+:class:`~repro.pipeline.BatchStats` of the command's own run
+(per-stage counters and wall-clock).
 
 Hypergraphs are read in the HyperBench text format
 (``e1(a,b,c), e2(b,d).``); formulas in DIMACS CNF.
@@ -42,13 +43,6 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .algorithms import (
-    fractional_hypertree_width_exact,
-    generalized_hypertree_width,
-    generalized_hypertree_width_exact,
-    hypertree_width,
-)
-from .algorithms.heuristics import width_bounds
 from .algorithms.report import width_report
 from .hardness import CNF, build_reduction
 from .hypergraph import (
@@ -68,7 +62,8 @@ from .pipeline import (
     BOUNDS_MODES,
     EXECUTORS,
     PREPROCESS_MODES,
-    last_batch_stats,
+    BatchStats,
+    WidthSolver,
 )
 from .hypergraph.generators import (
     clique,
@@ -116,31 +111,32 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pipeline_options_of(args: argparse.Namespace) -> dict:
-    return {
-        "preprocess": getattr(args, "preprocess", None) or "full",
-        "jobs": getattr(args, "jobs", None),
-        "bounds": getattr(args, "bounds", None),
-    }
+def _solver_for(args: argparse.Namespace, h: Hypergraph) -> WidthSolver:
+    """A :class:`WidthSolver` with the command's pipeline options."""
+    return WidthSolver(
+        h,
+        preprocess=args.preprocess,
+        jobs=args.jobs,
+        bounds=getattr(args, "bounds", "portfolio"),
+    )
 
 
-def _compute_width(h: Hypergraph, kind: str, options: dict):
+def _compute_width(solver: WidthSolver, kind: str):
     if kind == "hw":
-        return hypertree_width(h, **options)
+        return solver.hypertree_width()
     if kind == "ghw":
-        if h.num_vertices <= 14:
-            return generalized_hypertree_width_exact(h, **options)
-        return generalized_hypertree_width(h, **options)
+        if solver.hypergraph.num_vertices <= 14:
+            return solver.generalized_hypertree_width_exact()
+        return solver.generalized_hypertree_width()
     if kind == "fhw":
-        return fractional_hypertree_width_exact(h, **options)
+        return solver.fractional_hypertree_width_exact()
     raise ValueError(f"unknown width kind {kind!r}")
 
 
 def _cmd_width(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    width, decomposition = _compute_width(
-        h, args.kind, _pipeline_options_of(args)
-    )
+    solver = _solver_for(args, h)
+    width, decomposition = _compute_width(solver, args.kind)
     print(f"{args.kind}({h.name or args.file}) = {width}")
     if args.show:
         for nid in decomposition.preorder():
@@ -150,16 +146,15 @@ def _cmd_width(args: argparse.Namespace) -> int:
                 for e, w in decomposition.cover(nid).weights.items()
             }
             print(f"  {nid}: {{{bag}}} {cover}")
+    _print_pipeline_stats(args, solver.last_stats)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from .algorithms import generalized_hypertree_decomposition
-
     h = _load(args.file)
-    decomposition = generalized_hypertree_decomposition(
-        h, args.k, **_pipeline_options_of(args)
-    )
+    solver = _solver_for(args, h)
+    decomposition = solver.generalized_hypertree_decomposition(args.k)
+    _print_pipeline_stats(args, solver.last_stats)
     if decomposition is None:
         print(f"no GHD of width <= {args.k}", file=sys.stderr)
         return 1
@@ -194,13 +189,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    options = _pipeline_options_of(args)
-    # The bounds command *is* the heuristic pre-pass: --bounds would be
-    # circular here, so the flag is ignored for this command.
-    options.pop("bounds", None)
-    lower, upper, _witness = width_bounds(h, cost=args.cost, **options)
+    solver = _solver_for(args, h)
+    lower, upper, _witness = solver.width_bounds(cost=args.cost)
     label = "fhw" if args.cost == "fractional" else "ghw"
     print(f"{lower:.4f} <= {label}({h.name or args.file}) <= {upper:.4f}")
+    _print_pipeline_stats(args, solver.last_stats)
     return 0
 
 
@@ -307,9 +300,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     planner = QueryPlanner(
         args.store,
-        bounds=getattr(args, "bounds", None) or "portfolio",
-        preprocess=getattr(args, "preprocess", None) or "full",
-        jobs=getattr(args, "jobs", None),
+        bounds=args.bounds,
+        preprocess=args.preprocess,
+        jobs=args.jobs,
     )
     outcomes = []
     try:
@@ -416,8 +409,14 @@ def _batch_result_dict(result) -> dict:
     return info
 
 
+def _batch_stats(results) -> BatchStats:
+    """The stats of the run that resolved ``results`` (one shared
+    :class:`~repro.pipeline.BatchStats`; all zero for an empty batch)."""
+    return results[0].stats if results else BatchStats()
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .pipeline import last_batch_stats, solve_many
+    from .pipeline import solve_many
 
     requests = _decode_manifest(args.manifest, "requests", _batch_request)
     if args.executor == "remote":
@@ -438,12 +437,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     results = solve_many(
         requests,
         jobs=args.jobs,
-        preprocess=args.preprocess or "full",
+        preprocess=args.preprocess,
         executor=args.executor,
-        bounds=getattr(args, "bounds", None) or "portfolio",
-        store=getattr(args, "store", None),
+        bounds=args.bounds,
+        store=args.store,
     )
-    stats = last_batch_stats()
+    stats = _batch_stats(results)
     failed = [r for r in results if not r.ok]
     if args.json:
         payload = {
@@ -460,6 +459,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"{stats.total_seconds:.3f}s "
             f"({stats.requests_per_second:.1f} req/s)"
         )
+    _print_pipeline_stats(args, stats)
     return 1 if failed else 0
 
 
@@ -475,10 +475,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         fsync=args.fsync,
         jobs=args.jobs,
-        executor=getattr(args, "executor", None) or "thread",
-        listen=getattr(args, "listen", None),
-        bounds=getattr(args, "bounds", None) or "portfolio",
-        preprocess=getattr(args, "preprocess", None) or "full",
+        executor=args.executor,
+        listen=args.listen,
+        bounds=args.bounds,
+        preprocess=args.preprocess,
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
     )
@@ -541,7 +541,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     """Pre-populate a result store from a manifest (offline warm-up)."""
-    from .pipeline import last_batch_stats, solve_many
+    from .pipeline import solve_many
     from .store import ResultStore
 
     requests = _decode_manifest(args.manifest, "requests", _batch_request)
@@ -549,11 +549,11 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         results = solve_many(
             requests,
             jobs=args.jobs,
-            preprocess=args.preprocess or "full",
-            bounds=getattr(args, "bounds", None) or "portfolio",
+            preprocess=args.preprocess,
+            bounds=args.bounds,
             store=store,
         )
-        stats = last_batch_stats()
+        stats = _batch_stats(results)
         failed = [r for r in results if not r.ok]
         summary = {
             "requests": stats.requests,
@@ -575,6 +575,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             f"{summary['store_entries']} entries total, "
             f"{summary['seconds']}s"
         )
+    _print_pipeline_stats(args, stats)
     return 1 if failed else 0
 
 
@@ -669,40 +670,49 @@ def _engine_options() -> argparse.ArgumentParser:
         action="store_true",
         help="print LP-solve counts and cache hit rates after the command",
     )
-    pipeline_group = parent.add_argument_group("pipeline options")
-    pipeline_group.add_argument(
-        "--preprocess",
+    return parent
+
+
+#: Pipeline options a subcommand may honour, registered only where used.
+_PIPELINE_OPTIONS = {
+    "--preprocess": dict(
         # Single source of truth for the valid modes; the README and the
         # docs quote this flag and tests/test_docs.py pins the agreement.
         choices=list(PREPROCESS_MODES),
-        default=None,
+        default="full",
         help="reduce/split stages before solving (default: full)",
-    )
-    pipeline_group.add_argument(
-        "--jobs",
+    ),
+    "--jobs": dict(
         type=int,
         default=None,
         metavar="N",
         help="parallel workers across blocks and candidate widths",
-    )
-    pipeline_group.add_argument(
-        "--bounds",
+    ),
+    "--bounds": dict(
         # Single source of truth for the bounds modes; docs/api.md and
         # docs/architecture.md quote this flag and tests/test_docs.py
         # pins the agreement.
         choices=list(BOUNDS_MODES),
-        default=None,
+        default="portfolio",
         help=(
             "heuristic bounds pre-pass before the exact k-search: "
             "portfolio (ordering portfolio + clique/minor-width lower "
             "bound, the default), clique (lower bound only), or none"
         ),
-    )
-    pipeline_group.add_argument(
-        "--pipeline-stats",
+    ),
+    "--pipeline-stats": dict(
         action="store_true",
-        help="print per-stage pipeline counters and wall-clock times",
-    )
+        help="print this run's per-stage counters and wall-clock times",
+    ),
+}
+
+
+def _pipeline_options(*flags: str) -> argparse.ArgumentParser:
+    """A parent parser holding only the named :data:`_PIPELINE_OPTIONS`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("pipeline options")
+    for flag in flags:
+        group.add_argument(flag, **_PIPELINE_OPTIONS[flag])
     return parent
 
 
@@ -716,20 +726,13 @@ def _apply_engine_options(args: argparse.Namespace) -> None:
         )
 
 
-def _print_pipeline_stats(args: argparse.Namespace, before) -> None:
-    """Print the :class:`~repro.pipeline.BatchStats` of this command's run.
+def _print_pipeline_stats(args: argparse.Namespace, stats: BatchStats) -> None:
+    """Print ``stats``, this command's run, under ``--pipeline-stats``.
 
     A ``batch`` command and a single width query (a one-request batch)
-    report the same fields.  ``before`` is the process-wide last run
-    seen before the command; when it is still the last run, this
-    command ran no batch (``--preprocess none`` solves raw) and an
-    earlier command's stats must not be printed as its own.
+    report the same fields.
     """
-    if not getattr(args, "pipeline_stats", False):
-        return
-    stats = last_batch_stats()
-    if stats is None or stats is before:
-        print("batch stats: no batch run recorded")
+    if not args.pipeline_stats:
         return
     print("batch stats:")
     summary = stats.as_dict()
@@ -803,6 +806,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     engine_options = _engine_options()
+    # Each subcommand registers only the pipeline options it honours.
+    solve_options = _pipeline_options("--preprocess", "--jobs", "--bounds")
+    run_options = _pipeline_options(
+        "--preprocess", "--jobs", "--bounds", "--pipeline-stats"
+    )
+    sandwich_options = _pipeline_options(
+        "--preprocess", "--jobs", "--pipeline-stats"
+    )
 
     p_stats = sub.add_parser("stats", help="structural profile of a hypergraph")
     p_stats.add_argument("file")
@@ -811,7 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_width = sub.add_parser(
-        "width", help="compute hw / ghw / fhw", parents=[engine_options]
+        "width",
+        help="compute hw / ghw / fhw",
+        parents=[engine_options, run_options],
     )
     p_width.add_argument("file")
     p_width.add_argument("--kind", choices=("hw", "ghw", "fhw"), default="ghw")
@@ -819,7 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.set_defaults(func=_cmd_width)
 
     p_dec = sub.add_parser(
-        "decompose", help="Check(GHD,k) with witness", parents=[engine_options]
+        "decompose",
+        help="Check(GHD,k) with witness",
+        parents=[engine_options, run_options],
     )
     p_dec.add_argument("file")
     p_dec.add_argument("-k", type=int, required=True)
@@ -834,7 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=_cmd_report)
 
     p_bounds = sub.add_parser(
-        "bounds", help="heuristic width sandwich", parents=[engine_options]
+        "bounds",
+        help="heuristic width sandwich",
+        parents=[engine_options, sandwich_options],
     )
     p_bounds.add_argument("file")
     p_bounds.add_argument(
@@ -855,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
             "workload of /query payloads ({query|file, relations|data, "
             "label} entries)."
         ),
-        parents=[engine_options],
+        parents=[engine_options, solve_options],
     )
     p_query.add_argument(
         "query",
@@ -897,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
             "instances on one shared worker pool with warm engine caches. "
             f"Manifest entries take a 'kind' from {sorted(BATCH_KINDS)}."
         ),
-        parents=[engine_options],
+        parents=[engine_options, run_options],
     )
     p_batch.add_argument("manifest", help="JSON manifest of width queries")
     p_batch.add_argument("--json", action="store_true")
@@ -957,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--store, every settled verdict persists and a restarted "
             "daemon answers repeats without solving."
         ),
-        parents=[engine_options],
+        parents=[engine_options, solve_options],
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8765)
@@ -1059,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
             "instantly.  Already-stored answers are skipped; the run "
             "is idempotent."
         ),
-        parents=[engine_options],
+        parents=[engine_options, run_options],
     )
     p_warm.add_argument("store_dir", help="result store directory")
     p_warm.add_argument("manifest", help="JSON manifest of width queries")
@@ -1105,12 +1122,10 @@ def main(argv: list[str] | None = None) -> int:
     config = engine.engine_config()
     previous = (config.backend, config.cache_size)
     baseline = engine.stats()
-    last_batch = last_batch_stats()
     _apply_engine_options(args)
     try:
         code = args.func(args)
         _print_engine_stats(args, baseline)
-        _print_pipeline_stats(args, last_batch)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ from .batch import (
     BatchResult,
     BatchScheduler,
     BatchStats,
-    last_batch_stats,
     solve_many,
 )
 from .reduce import (
@@ -81,7 +80,6 @@ __all__ = [
     "BatchResult",
     "BatchScheduler",
     "BatchStats",
-    "last_batch_stats",
     "BATCH_KINDS",
     "reduce_instance",
     "ReducedInstance",

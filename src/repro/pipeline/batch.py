@@ -70,7 +70,6 @@ __all__ = [
     "BatchStats",
     "BatchScheduler",
     "solve_many",
-    "last_batch_stats",
     "BATCH_KINDS",
 ]
 
@@ -110,23 +109,7 @@ BATCH_KINDS = tuple(k for k in _KIND_TABLE if k not in _INTERNAL_KINDS)
 #: legitimate check verdict, so it cannot mark pending slots).
 _PENDING = object()
 
-_LAST_BATCH_STATS = None
-
 _LOG = logging.getLogger(__name__)
-
-
-def last_batch_stats():
-    """The :class:`BatchStats` of the most recent batch run, or None.
-
-    Returns
-    -------
-    BatchStats or None
-        Statistics of the last :meth:`BatchScheduler.run` completed in
-        this process — a :class:`~.solver.WidthSolver` call included
-        (the CLI ``--pipeline-stats`` reads this) — or None when
-        nothing has run yet.
-    """
-    return _LAST_BATCH_STATS
 
 
 @dataclass
@@ -225,6 +208,9 @@ class BatchResult:
         (``max(1, max block upper bounds)``) — a valid, possibly
         non-optimal answer in hand before any exact check ran — or
         None when some block had no witness or the pre-pass was off.
+    stats : BatchStats or None
+        The statistics of the run that resolved this request, shared by
+        every result of that run (None until the run finishes).
     """
 
     index: int
@@ -232,6 +218,7 @@ class BatchResult:
     value: object = None
     error: Exception | None = None
     anytime_width: float | None = None
+    stats: BatchStats | None = None
     _resolved: bool = False
 
     @property
@@ -1065,7 +1052,6 @@ class BatchScheduler:
         else:
             self.store = ResultStore(store)
         self.instances: list[_Instance] = []
-        self.last_stats: BatchStats | None = None
 
     def submit(self, request) -> BatchResult:
         """Add one request to the batch.
@@ -1206,13 +1192,12 @@ class BatchScheduler:
         -------
         BatchStats
             Aggregate per-stage timings, task counters and engine-cache
-            activity; also stored in ``last_stats`` and readable via
-            :func:`last_batch_stats`.  Per-request outcomes are in the
-            :class:`BatchResult` handles from :meth:`submit`.
+            activity; also set as ``stats`` on every
+            :class:`BatchResult` handle from :meth:`submit`, next to
+            that request's outcome.
         """
         from .. import engine  # lazy: keeps the pipeline package cycle-free
 
-        global _LAST_BATCH_STATS
         stats = BatchStats(
             requests=len(self.instances),
             jobs=self.jobs,
@@ -1277,8 +1262,8 @@ class BatchScheduler:
             ("cache_misses", "cache_misses"),
         ):
             setattr(stats, attr, current[key] - baseline.get(key, 0))
-        self.last_stats = stats
-        _LAST_BATCH_STATS = stats
+        for instance in self.instances:
+            instance.result.stats = stats
         return stats
 
 

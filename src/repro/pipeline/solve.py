@@ -36,6 +36,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field
+from importlib import import_module
 
 from ..decomposition import Decomposition
 from ..hypergraph import Hypergraph
@@ -119,76 +120,26 @@ class _InlineExecutor(Executor):
         return future
 
 
-def _check_hd(hypergraph: Hypergraph, k: int, **params):
-    from ..algorithms.hd import hypertree_decomposition
-
-    return hypertree_decomposition(hypergraph, k, preprocess="none", **params)
-
-
-def _check_ghd(hypergraph: Hypergraph, k: int, **params):
-    from ..algorithms.ghd import generalized_hypertree_decomposition
-
-    return generalized_hypertree_decomposition(
-        hypergraph, k, preprocess="none", **params
-    )
-
-
-def _check_fhd_bounded_degree(hypergraph: Hypergraph, k: float, **params):
-    from ..algorithms.fhd import (
-        fractional_hypertree_decomposition_bounded_degree,
-    )
-
-    return fractional_hypertree_decomposition_bounded_degree(
-        hypergraph, k, preprocess="none", **params
-    )
-
-
-def _ghw_exact(hypergraph: Hypergraph, **params):
-    from ..algorithms.elimination import (
-        _generalized_hypertree_width_exact_direct,
-    )
-
-    return _generalized_hypertree_width_exact_direct(hypergraph, **params)
-
-
-def _fhw_exact(hypergraph: Hypergraph, **params):
-    from ..algorithms.elimination import (
-        _fractional_hypertree_width_exact_direct,
-    )
-
-    return _fractional_hypertree_width_exact_direct(hypergraph, **params)
-
-
-def _heuristic_bounds(hypergraph: Hypergraph, **params):
-    from ..algorithms.heuristics import width_bounds
-
-    return width_bounds(hypergraph, preprocess="none", **params)
-
-
-def _heuristic_decomposition(hypergraph: Hypergraph, **params):
-    from ..algorithms.heuristics import heuristic_decomposition
-
-    return heuristic_decomposition(hypergraph, preprocess="none", **params)
-
-
-def _fhw_approximation(hypergraph: Hypergraph, **params):
-    from ..algorithms.approx import fhw_approximation
-
-    return fhw_approximation(hypergraph, preprocess="none", **params)
-
-
-#: Per-block solver registry: name -> callable(hypergraph, **params).
-#: Check-style solvers additionally take ``k`` and return None on reject.
+#: Per-block solver registry: name -> (module of :mod:`repro.algorithms`,
+#: per-block core).  Every core takes ``(hypergraph, **params)``;
+#: check-style cores additionally take ``k`` and return None on reject.
 SOLVERS = {
-    "check-hd": _check_hd,
-    "check-ghd": _check_ghd,
-    "check-fhd-bd": _check_fhd_bounded_degree,
-    "ghw-exact": _ghw_exact,
-    "fhw-exact": _fhw_exact,
-    "heuristic-bounds": _heuristic_bounds,
-    "heuristic-decomposition": _heuristic_decomposition,
-    "fhw-approximation": _fhw_approximation,
+    "check-hd": ("hd", "_hypertree_decomposition_direct"),
+    "check-ghd": ("ghd", "_generalized_hypertree_decomposition_direct"),
+    "check-fhd-bd": (
+        "fhd",
+        "_fractional_hypertree_decomposition_bounded_degree_direct",
+    ),
+    "ghw-exact": ("elimination", "_generalized_hypertree_width_exact_direct"),
+    "fhw-exact": ("elimination", "_fractional_hypertree_width_exact_direct"),
+    "heuristic-bounds": ("heuristics", "_width_bounds_direct"),
+    "heuristic-decomposition": (
+        "heuristics",
+        "_heuristic_decomposition_direct",
+    ),
+    "fhw-approximation": ("approx", "_fhw_approximation_direct"),
 }
+
 
 def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
     """Execute one per-block solve (module-level, so a process pool
@@ -221,7 +172,9 @@ def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
     KeyError
         If ``solver`` is not registered in :data:`SOLVERS`.
     """
-    return SOLVERS[solver](hypergraph, **params)
+    module, core = SOLVERS[solver]
+    algorithms = import_module(f"..algorithms.{module}", __package__)
+    return getattr(algorithms, core)(hypergraph, **params)
 
 
 #: ``perfbench/tracer.py`` still patches this name; an alias keeps its

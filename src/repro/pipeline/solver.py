@@ -1,11 +1,12 @@
 """The ``WidthSolver`` facade: reduce → split → solve → stitch.
 
-Every public width entry point of the library routes through this class
-(``preprocess="none"`` is the escape hatch back to the raw algorithms),
+Every public width entry point of the library routes through this class,
 and every :class:`WidthSolver` method is a one-request run of the batch
 scheduler in :mod:`repro.pipeline.batch`, the pipeline's one drive
-loop.  A query runs in four stages, timed and counted in its
-:class:`~repro.pipeline.batch.BatchStats`:
+loop.  ``preprocess="none"`` runs the whole instance as one
+unreduced block (the bounds pre-pass stays on unless
+``bounds="none"``).  A query runs in four stages, timed and counted in
+its :class:`~repro.pipeline.batch.BatchStats`:
 
 1. **reduce** — kind-safe simplification rules with undo records
    (:mod:`repro.pipeline.reduce`);
@@ -86,6 +87,8 @@ def prepare_instance(
 
     This is the front half of the pipeline, run by the batch scheduler
     in :mod:`repro.pipeline.batch` for every instance up front.
+    Isolated vertices are dropped in every mode, ``"none"`` included:
+    no bag may contain them, so they are not part of any block.
 
     Parameters
     ----------
@@ -106,14 +109,16 @@ def prepare_instance(
     Raises
     ------
     ValueError
-        If ``preprocess`` is not one of :data:`PREPROCESS_MODES`.
+        If ``preprocess`` is not one of :data:`PREPROCESS_MODES`, or if
+        ``hypergraph`` has no vertex outside the isolated ones (no
+        width measure is defined there).
     """
     if preprocess not in PREPROCESS_MODES:
         raise ValueError(f"preprocess must be one of {PREPROCESS_MODES}")
-    if preprocess in ("full", "reduce"):
-        reduced = reduce_instance(hypergraph, kind=kind)
-    else:
-        reduced = ReducedInstance(hypergraph, hypergraph)
+    rules = None if preprocess in ("full", "reduce") else ["isolated"]
+    reduced = reduce_instance(hypergraph, kind=kind, rules=rules)
+    if reduced.hypergraph.num_vertices == 0:
+        raise ValueError("hypergraph has no vertices")
     blocks = split_instance(
         reduced.hypergraph, split_mode_for(kind, preprocess)
     )
@@ -178,8 +183,9 @@ class WidthSolver:
     Every method is a one-request :class:`~.batch.BatchScheduler` run
     with this solver's settings: it submits one
     :class:`~.batch.BatchRequest`, keeps the run's
-    :class:`~.batch.BatchStats` in ``last_stats`` and returns the
-    request's value (re-raising its error).
+    :class:`~.batch.BatchStats` (the request's ``result.stats``) in
+    ``last_stats`` and returns the request's value (re-raising its
+    error).
 
     Parameters
     ----------
@@ -187,8 +193,8 @@ class WidthSolver:
         The instance to decompose.
     preprocess:
         ``"full"`` (reduce + split, the default), ``"reduce"``,
-        ``"split"``, or ``"none"`` (raw algorithms, bit-for-bit the
-        pre-pipeline behaviour).
+        ``"split"``, or ``"none"`` (the whole instance as one unreduced
+        block; only isolated vertices are dropped).
     jobs:
         Worker count for cross-block / cross-k parallelism (None or 1 =
         serial, on the calling thread).

@@ -23,7 +23,6 @@ from repro.pipeline import (
     BatchRequest,
     BatchScheduler,
     WidthSolver,
-    last_batch_stats,
     solve_many,
 )
 
@@ -54,7 +53,7 @@ class TestRequestNormalization:
 class TestEmptyAndSingle:
     def test_empty_batch(self):
         assert solve_many([]) == []
-        stats = last_batch_stats()
+        stats = BatchScheduler().run()
         assert stats.requests == 0
         assert stats.tasks_run == 0
         assert stats.failures == 0
@@ -165,7 +164,8 @@ class TestFailureIsolation:
         good = scheduler.submit((cycle(4), "ghw"))
         scheduler.run()
         assert good.ok and good.value[0] == 2
-        assert scheduler.last_stats.failures == 1
+        assert good.stats is handle.stats
+        assert good.stats.failures == 1
 
     def test_cap_error_is_per_request(self):
         results = solve_many(
@@ -204,7 +204,8 @@ class TestSchedulerBehaviour:
             [(h, "ghw"), (cycle(6), "ghw")], jobs=2, bounds="none"
         )
         assert all(r.ok for r in results)
-        stats = last_batch_stats()
+        stats = results[0].stats
+        assert results[1].stats is stats
         assert stats.requests == 2
         assert stats.jobs == 2
         assert stats.blocks == 4  # 3 triangle blocks + 1 cycle block
@@ -227,7 +228,7 @@ class TestSchedulerBehaviour:
             [(h, "check-ghd", {"k": 1})], jobs=2, bounds="none"
         )
         assert result.ok and result.value is None
-        stats = last_batch_stats()
+        stats = result.stats
         assert stats.blocks == 6
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_run + stats.tasks_cancelled <= stats.blocks
@@ -239,7 +240,7 @@ class TestSchedulerBehaviour:
         h = clique(6)  # single block, ghw = 3
         (result,) = solve_many([(h, "ghw")], jobs=3)
         assert result.ok and result.value[0] == 3
-        stats = last_batch_stats()
+        stats = result.stats
         # k = 1..3 are required; a few in-flight speculations may slip
         # through before the acceptance lands, but never the full climb.
         assert stats.tasks_run <= 3 + 3
@@ -256,7 +257,7 @@ class TestSchedulerBehaviour:
         h = triangle_cascade(3)
         (result,) = solve_many([(h, "check-ghd", {"k": 1})], bounds="none")
         assert result.ok and result.value is None
-        stats = last_batch_stats()
+        stats = result.stats
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_run < stats.blocks + 1
 
@@ -266,8 +267,8 @@ class TestSchedulerBehaviour:
         # Two equal hypergraphs in one batch: the second's cover
         # queries hit the warm domain of the first.
         engine.clear_context_registry()
-        solve_many([(clique(5), "fhw"), (clique(5), "fhw")])
-        stats = last_batch_stats()
+        results = solve_many([(clique(5), "fhw"), (clique(5), "fhw")])
+        stats = results[0].stats
         assert stats.cache_hits > 0
         assert stats.hit_rate > 0.3
 
@@ -275,7 +276,7 @@ class TestSchedulerBehaviour:
         h = triangle_cascade(2)
         (result,) = solve_many([(h, "ghw")], preprocess="none")
         assert result.value[0] == 2
-        assert last_batch_stats().blocks == 1
+        assert result.stats.blocks == 1
 
     def test_backend_override_restored(self):
         from repro import engine
@@ -325,7 +326,7 @@ class TestGhdMethodValidation:
             match=r"method must be one of \('fixpoint', 'bip', 'bmip', 'limit'\)",
         ):
             result.unwrap()
-        assert last_batch_stats().tasks_run == 0
+        assert result.stats.tasks_run == 0
 
 
 class TestInlineSerial:
@@ -358,8 +359,8 @@ class TestInlineSerial:
         scheduler = BatchScheduler(jobs=1, bounds="none")
         scheduler.submit((triangle_cascade(3), "ghw"))
         scheduler.submit((cycle(6), "check-hd", {"k": 1}))
-        scheduler.run()
-        assert scheduler.last_stats.tasks_run == len(threads) > 0
+        stats = scheduler.run()
+        assert stats.tasks_run == len(threads) > 0
         threads_before = len(threads)
         solver = WidthSolver(clique(4), bounds="none")
         assert solver.hypertree_width()[0] == 2

@@ -33,7 +33,6 @@ from repro.pipeline import (
     seeded_block_state,
     solve_many,
 )
-from repro.pipeline.batch import last_batch_stats
 
 from .strategies import hypergraphs
 
@@ -186,7 +185,7 @@ class TestNoExactChecksWhenDecided:
         assert results[0].value[0] == 2
         assert results[1].value[0] == 2
         assert results[2].value is None  # lower bound 3 > 2
-        stats = last_batch_stats()
+        stats = results[0].stats
         assert stats.tasks_run == 0
         assert stats.bounds_blocks_decided >= 4
         assert stats.anytime_answers >= 2

@@ -53,13 +53,16 @@ class TestWidth:
         assert "{" in out  # bags printed
 
     def test_pipeline_stats_are_this_commands(self, c6_file, capsys):
-        """A raw (``--preprocess none``) run prints no earlier run's stats."""
+        """A ``--preprocess none`` run prints its own one-block run, never
+        an earlier command's stats."""
         assert main(["width", c6_file, "--kind", "ghw"]) == 0
         capsys.readouterr()
         argv = ["width", c6_file, "--kind", "hw", "--preprocess", "none"]
         assert main(argv + ["--pipeline-stats"]) == 0
         out = capsys.readouterr().out
-        assert "batch stats: no batch run recorded" in out
+        assert "kinds: hw=1" in out
+        assert "preprocess: none" in out
+        assert "blocks: 1" in out
         assert "ghw-exact" not in out
 
 
@@ -83,6 +86,41 @@ class TestBounds:
         assert main(["bounds", c6_file]) == 0
         out = capsys.readouterr().out
         assert "<= fhw(" in out
+
+
+class TestPipelineOptions:
+    """Each subcommand registers only the pipeline options it honours."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "{f}", "--preprocess", "none"],
+            ["report", "{f}", "--jobs", "2"],
+            ["report", "{f}", "--bounds", "none"],
+            ["report", "{f}", "--pipeline-stats"],
+            ["bounds", "{f}", "--bounds", "none"],
+            ["serve", "--pipeline-stats"],
+            ["query", "{f}", "--data", "{f}", "--pipeline-stats"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a.startswith("-")),
+    )
+    def test_ignored_flag_exits_2(self, c6_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([c6_file if a == "{f}" else a for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["width", "--kind", "hw"], ["decompose", "-k", "2"],
+                    ["bounds"]]
+    )
+    def test_single_runs_print_their_own_stats(self, c6_file, capsys, command):
+        argv = [command[0], c6_file, *command[1:], "--preprocess", "split"]
+        assert main(argv + ["--pipeline-stats"]) == 0
+        out = capsys.readouterr().out
+        assert "batch stats:" in out
+        assert "requests: 1" in out
+        assert "preprocess: split" in out
 
 
 class TestReduce:

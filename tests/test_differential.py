@@ -41,9 +41,9 @@ from .strategies import hypergraphs
 
 
 def _check_fhd(h: Hypergraph, k: float):
-    """The raw Theorem 5.2 search, outside the pipeline."""
+    """The Theorem 5.2 search on one unreduced block, no bounds pre-pass."""
     return fractional_hypertree_decomposition_bounded_degree(
-        h, k, preprocess="none"
+        h, k, preprocess="none", bounds="none"
     )
 
 
@@ -116,7 +116,9 @@ def test_corpus_parity(kind):
             assert hw_at_most(h, width), f"k-decomp rejects {h.name} at {width}"
         else:
             assert is_ghd(h, witness, width=width)
-            exact = generalized_hypertree_width_exact(h, preprocess="none")[0]
+            exact = generalized_hypertree_width_exact(
+                h, preprocess="none", bounds="none"
+            )[0]
             assert width == exact, f"ghw of {h.name}: {width} vs DP {exact}"
 
 

@@ -41,7 +41,7 @@ from repro.dist.protocol import (
 from repro.decomposition import validate
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid, triangle_cascade
-from repro.pipeline import EXECUTORS, WidthSolver, last_batch_stats, solve_many
+from repro.pipeline import EXECUTORS, WidthSolver, solve_many
 from repro.pipeline.solve import run_block_task
 from repro.serve.protocol import (
     answer_from_payload,
@@ -198,7 +198,7 @@ class TestRemoteSolve:
         remote = solve_many(REQUESTS, jobs=4, executor="remote")
         assert all(r.ok for r in remote)
         assert [r.value[0] for r in remote] == [r.value[0] for r in baseline]
-        stats = last_batch_stats()
+        stats = remote[0].stats
         assert stats.tasks_remote > 0
         # remote_workers counts workers that actually ran something; a
         # small batch may fit on one of the fleet's two.
@@ -210,7 +210,7 @@ class TestRemoteSolve:
     def test_zero_workers_degrades_to_local(self, empty_registry):
         results = solve_many(REQUESTS, jobs=2, executor="remote")
         assert [r.value[0] for r in results] == [2, 2, 2]
-        stats = last_batch_stats()
+        stats = results[0].stats
         assert stats.tasks_remote == 0
         assert stats.tasks_local_fallback > 0
         assert stats.remote_workers == 0
@@ -228,7 +228,7 @@ class TestRemoteSolve:
         remote = solve_many(
             requests, jobs=4, executor="remote", bounds="none"
         )
-        stats = last_batch_stats()
+        stats = remote[0].stats
         assert all(r.ok for r in remote)
         assert remote[0].value is None and baseline[0].value is None
         assert [r.value[0] for r in remote[1:]] == [
@@ -329,7 +329,7 @@ class TestJsonWire:
         ]
         baseline = solve_many(requests, bounds="none", executor="thread")
         remote = solve_many(requests, bounds="none", executor="remote")
-        stats = last_batch_stats()
+        stats = remote[0].stats
         assert stats.tasks_remote > 0
         assert stats.tasks_local_fallback == 0
         assert all(r.ok for r in remote), [r.error for r in remote]
@@ -374,7 +374,7 @@ class TestJsonWire:
         h = Hypergraph({"a": [1, "1"], "b": ["1", 2], "c": [2, 1]})
         (result,) = solve_many([h], bounds="none", executor="remote")
         assert result.ok and result.value[0] == 2
-        stats = last_batch_stats()
+        stats = result.stats
         assert stats.tasks_remote == 0
         assert stats.tasks_local_fallback > 0
 
@@ -506,7 +506,7 @@ class TestWorkerFaults:
                 holder["results"] = solve_many(
                     REQUESTS, jobs=4, executor="remote"
                 )
-                holder["stats"] = last_batch_stats()
+                holder["stats"] = holder["results"][0].stats
 
             driver = threading.Thread(target=solve, daemon=True)
             driver.start()

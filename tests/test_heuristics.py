@@ -122,8 +122,12 @@ def test_minor_width_bounds_are_sound(h: Hypergraph):
     """minor-width <= tw, and the combined bound <= the exact widths
     from the raw elimination DP (no pre-pass that uses the bound)."""
     assert minor_width_lower_bound(h) <= treewidth_exact(h)
-    ghw, _g = generalized_hypertree_width_exact(h, preprocess="none")
-    fhw, _f = fractional_hypertree_width_exact(h, preprocess="none")
+    ghw, _g = generalized_hypertree_width_exact(
+        h, preprocess="none", bounds="none"
+    )
+    fhw, _f = fractional_hypertree_width_exact(
+        h, preprocess="none", bounds="none"
+    )
     assert width_lower_bound(h, cost="integral") <= ghw
     assert width_lower_bound(h) <= fhw + EPS
 

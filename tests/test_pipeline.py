@@ -176,7 +176,7 @@ class TestStitch:
 @settings(max_examples=25, deadline=None)
 def test_pipeline_invariant_hw(h: Hypergraph):
     k_on, d_on = hypertree_width(h)
-    k_off, _d_off = hypertree_width(h, preprocess="none")
+    k_off, _d_off = hypertree_width(h, preprocess="none", bounds="none")
     assert k_on == k_off
     assert is_hd(h, d_on, width=k_on)
 
@@ -185,7 +185,9 @@ def test_pipeline_invariant_hw(h: Hypergraph):
 @settings(max_examples=25, deadline=None)
 def test_pipeline_invariant_ghw(h: Hypergraph):
     k_on, d_on = generalized_hypertree_width_exact(h)
-    k_off, _d_off = generalized_hypertree_width_exact(h, preprocess="none")
+    k_off, _d_off = generalized_hypertree_width_exact(
+        h, preprocess="none", bounds="none"
+    )
     assert k_on == k_off
     assert is_ghd(h, d_on, width=k_on)
 
@@ -194,7 +196,9 @@ def test_pipeline_invariant_ghw(h: Hypergraph):
 @settings(max_examples=25, deadline=None)
 def test_pipeline_invariant_fhw(h: Hypergraph):
     w_on, d_on = fractional_hypertree_width_exact(h)
-    w_off, _d_off = fractional_hypertree_width_exact(h, preprocess="none")
+    w_off, _d_off = fractional_hypertree_width_exact(
+        h, preprocess="none", bounds="none"
+    )
     assert w_on == pytest.approx(w_off)
     assert is_fhd(h, d_on, width=w_on + EPS)
 
@@ -205,7 +209,9 @@ def test_pipeline_invariant_subedge_ghw(h: Hypergraph):
     """The polynomial Check(GHD,k) route agrees with itself across
     pipeline settings (and with the exact oracle transitively)."""
     k_on, d_on = generalized_hypertree_width(h)
-    k_off, _d_off = generalized_hypertree_width(h, preprocess="none")
+    k_off, _d_off = generalized_hypertree_width(
+        h, preprocess="none", bounds="none"
+    )
     assert k_on == k_off
     assert is_ghd(h, d_on, width=k_on)
 
@@ -268,7 +274,7 @@ class TestWidthSolver:
         assert is_fhd(h, d, width=width + EPS)
         with pytest.raises(ValueError, match="exceeds"):
             fractional_hypertree_width_exact(
-                h, vertex_limit=6, preprocess="none"
+                h, vertex_limit=6, preprocess="none", bounds="none"
             )
 
     def test_kmax_cap_error_preserved(self):
@@ -354,10 +360,9 @@ class TestSchedulerCounters:
 
     def test_batch_counts_deterministic(self):
         from repro.pipeline import solve_many
-        from repro.pipeline.batch import last_batch_stats
 
         results = solve_many([(triangle_cascade(3), "ghw")], bounds="none")
         assert results[0].unwrap()[0] == 2
-        stats = last_batch_stats()
+        stats = results[0].stats
         assert stats.tasks_run == 6
         assert stats.tasks_cancelled == 0

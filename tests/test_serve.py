@@ -243,6 +243,20 @@ class TestEndpoints:
         assert reject["answer"]["accepted"] is False
         assert reject["answer"]["witness"] is None
 
+    @pytest.mark.parametrize("preprocess", ["split", "none"])
+    def test_isolated_vertices_in_every_mode(self, harness, preprocess):
+        """A ``"vertices"`` entry outside every edge is dropped, as under
+        ``full``, instead of failing the solve."""
+        h, client = harness(preprocess=preprocess)
+        body = {
+            "hypergraph": {
+                "edges": {"e": ["a"], "f": ["a", "b"]}, "vertices": ["z"],
+            },
+            "kind": "ghw",
+        }
+        response = client._call("POST", "/solve", body)
+        assert response["ok"] and response["answer"]["width"] == 1
+
     def test_protocol_errors_are_400(self, harness):
         h, client = harness()
         with pytest.raises(ServeError) as excinfo:

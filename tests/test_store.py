@@ -55,8 +55,7 @@ def solve_with_store(store, requests, **kwargs):
     """solve_many on a shared scheduler; returns (results, stats)."""
     scheduler = BatchScheduler(store=store, **kwargs)
     handles = [scheduler.submit(BatchRequest.of(r)) for r in requests]
-    scheduler.run()
-    return handles, scheduler.last_stats
+    return handles, scheduler.run()
 
 
 # ----------------------------------------------------------------------
@@ -570,12 +569,12 @@ class TestStoreServing:
             "    s = BatchScheduler(store=store)\n"
             "    handles = [s.submit(BatchRequest(h, k))"
             " for k in ('hw', 'ghw', 'fhw')]\n"
-            "    s.run()\n"
+            "    stats = s.run()\n"
             "    print(json.dumps({\n"
             "        'widths': [r.value[0] for r in handles],\n"
-            "        'hits': s.last_stats.store_instance_hits,\n"
-            "        'tasks': s.last_stats.tasks_run,\n"
-            "        'lp': s.last_stats.lp_solves,\n"
+            "        'hits': stats.store_instance_hits,\n"
+            "        'tasks': stats.tasks_run,\n"
+            "        'lp': stats.lp_solves,\n"
             "    }))\n"
         ) % str(REPO_ROOT / "src")
         edges = {"r": ["x", "y"], "s": ["y", "z"], "t": ["z", "x"]}

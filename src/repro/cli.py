@@ -85,7 +85,10 @@ _FAMILIES = {
 
 
 def _load(path: str) -> Hypergraph:
-    return parse_hyperbench(Path(path).read_text(), name=Path(path).stem)
+    try:
+        return parse_hyperbench(Path(path).read_text(), name=Path(path).stem)
+    except ValueError as exc:  # no atoms, an empty scope, ...
+        raise _UsageError(f"{path}: {exc}") from exc
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -151,6 +154,8 @@ def _cmd_width(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise _UsageError(f"-k must be >= 1; got {args.k}")
     h = _load(args.file)
     solver = _solver_for(args, h)
     decomposition = solver.generalized_hypertree_decomposition(args.k)
@@ -225,8 +230,12 @@ def _resolve(entry, path_key: str, payload_key: str, base: Path, load):
     return entry
 
 
-class _UsageError(Exception):
-    """A configuration error: :func:`main` prints it and exits 2."""
+class _UsageError(ValueError):
+    """A configuration or input error: :func:`main` prints it and exits 2.
+
+    A ``ValueError``, so a manifest entry's error still gets the
+    ``manifest entry i:`` prefix.
+    """
 
 
 def _decode_manifest(path: str, key: str, decode) -> list:

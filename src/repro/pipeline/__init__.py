@@ -32,7 +32,6 @@ from .bounds import (
     BOUNDS_MODES,
     BlockBounds,
     compute_block_bounds,
-    seeded_block_state,
 )
 from .batch import (
     BATCH_KINDS,
@@ -100,5 +99,4 @@ __all__ = [
     "BOUNDS_MODES",
     "BlockBounds",
     "compute_block_bounds",
-    "seeded_block_state",
 ]

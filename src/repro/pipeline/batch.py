@@ -45,11 +45,11 @@ import math
 import time
 from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..hypergraph import Hypergraph
 from ..store import ResultStore
-from .bounds import BOUNDS_MODES, compute_block_bounds, seeded_block_state
+from .bounds import BOUNDS_MODES, BlockBounds, compute_block_bounds
 from .solve import (
     CAP_MESSAGES,
     EXECUTORS,
@@ -73,41 +73,35 @@ __all__ = [
     "BATCH_KINDS",
 ]
 
-#: kind -> (decomposition kind, per-block solver, scheduling mode).
-#: ``"iterative"`` kinds search k = 1, 2, ... per block (speculatively
-#: above the frontier when workers are idle); ``"oneshot"`` kinds run
-#: exactly one task per block; ``"check"`` kinds run one fixed-k check
-#: per block and cancel the instance's remaining tasks on the first
-#: rejecting block.
+#: kind -> (decomposition kind, per-block solver, store record family).
+#: The family fixes each block's rung ladder (:class:`~.solve.BlockState`):
+#: ``"block"`` kinds search k = 1, 2, ..., cap (speculatively above the
+#: frontier when workers are idle) and persist the settled width;
+#: ``"check"`` kinds ask the one rung k, persist every verdict, and are
+#: answered None by the first rejecting block; ``"block-exact"`` and the
+#: heuristics (None: no per-block records) ask the one rung None.
 _KIND_TABLE = {
-    "hw": ("hd", "check-hd", "iterative"),
-    "ghw": ("ghd", "check-ghd", "iterative"),
-    "ghw-exact": ("ghd", "ghw-exact", "oneshot"),
-    "fhw": ("fhd", "fhw-exact", "oneshot"),
-    "bounds": ("fhd", "heuristic-bounds", "oneshot"),
+    "hw": ("hd", "check-hd", "block"),
+    "ghw": ("ghd", "check-ghd", "block"),
+    "ghw-exact": ("ghd", "ghw-exact", "block-exact"),
+    "fhw": ("fhd", "fhw-exact", "block-exact"),
+    "bounds": ("fhd", "heuristic-bounds", None),
     "check-hd": ("hd", "check-hd", "check"),
     "check-ghd": ("ghd", "check-ghd", "check"),
     "check-fhd-bd": ("fhd", "check-fhd-bd", "check"),
-    "heuristic-decomposition": ("fhd", "heuristic-decomposition", "oneshot"),
-    "fhw-approximation": ("fhd", "fhw-approximation", "oneshot"),
+    "heuristic-decomposition": ("fhd", "heuristic-decomposition", None),
+    "fhw-approximation": ("fhd", "fhw-approximation", None),
 }
 
 #: Kinds only :class:`~.solver.WidthSolver` submits: heuristic methods
 #: with no public batch kind, run without the store.
 _INTERNAL_KINDS = ("heuristic-decomposition", "fhw-approximation")
 
-#: Kinds that skip the bounds pre-pass: they *are* heuristics.
-_NO_PREPASS = ("bounds", *_INTERNAL_KINDS)
-
 #: The request kinds :func:`solve_many` accepts.  The width kinds
 #: (``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``, ``"bounds"``)
 #: mirror :func:`~.solver.solve_width`; the ``"check-*"`` kinds answer
 #: Check(X, k) for the ``k`` given in ``params``.
 BATCH_KINDS = tuple(k for k in _KIND_TABLE if k not in _INTERNAL_KINDS)
-
-#: Sentinel for a block slot whose task has not finished (None is a
-#: legitimate check verdict, so it cannot mark pending slots).
-_PENDING = object()
 
 _LOG = logging.getLogger(__name__)
 
@@ -389,51 +383,25 @@ class BatchStats:
         return self.requests / self.total_seconds
 
     def as_dict(self) -> dict:
-        """The statistics as a JSON-ready dictionary."""
+        """The statistics as a JSON-ready dictionary.
+
+        Every field, plus the two derived rates.
+        """
         return {
-            "requests": self.requests,
-            "jobs": self.jobs,
-            "executor": self.executor,
-            "preprocess": self.preprocess,
-            "kinds": dict(self.kinds),
-            "failures": self.failures,
-            "vertices_removed": self.vertices_removed,
-            "edges_removed": self.edges_removed,
-            "rule_counts": dict(self.rule_counts),
-            "blocks": self.blocks,
-            "block_sizes": list(self.block_sizes),
-            "tasks_run": self.tasks_run,
-            "speculative_checks": self.speculative_checks,
-            "tasks_cancelled": self.tasks_cancelled,
-            "tasks_remote": self.tasks_remote,
-            "tasks_local_fallback": self.tasks_local_fallback,
-            "requeued_tasks": self.requeued_tasks,
-            "remote_workers": self.remote_workers,
-            "bounds": self.bounds,
-            "bounds_seconds": self.bounds_seconds,
-            "bounds_ks_pruned": self.bounds_ks_pruned,
-            "bounds_checks_avoided": self.bounds_checks_avoided,
-            "bounds_blocks_decided": self.bounds_blocks_decided,
-            "anytime_answers": self.anytime_answers,
-            "store_instance_hits": self.store_instance_hits,
-            "store_blocks_seeded": self.store_blocks_seeded,
-            "store_records_appended": self.store_records_appended,
-            "store_write_errors": self.store_write_errors,
-            "prepare_seconds": self.prepare_seconds,
-            "solve_seconds": self.solve_seconds,
-            "stitch_seconds": self.stitch_seconds,
-            "total_seconds": self.total_seconds,
+            **asdict(self),
             "requests_per_second": round(self.requests_per_second, 4),
-            "lp_solves": self.lp_solves,
-            "set_cover_solves": self.set_cover_solves,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "hit_rate": round(self.hit_rate, 4),
         }
 
 
 class _Instance:
-    """Internal per-request state machine of a batch run."""
+    """Internal per-request state of a batch run.
+
+    Every block of every kind holds one :class:`~.solve.BlockState`
+    over the rung ladder its kind asks (see :data:`_KIND_TABLE`); what
+    is left per kind is data: the solver, the ladder, the store record
+    family and the final combine in :meth:`_assemble`.
+    """
 
     __slots__ = (
         "index",
@@ -441,18 +409,13 @@ class _Instance:
         "result",
         "dkind",
         "solver",
-        "mode",
+        "family",
         "params",
         "k",
-        "kmax",
         "reduced",
         "blocks",
-        "caps",
         "states",
-        "block_results",
-        "submitted",
         "in_flight",
-        "rejected",
         "finalized",
         "bounds_seconds",
         "bounds_ks_pruned",
@@ -471,7 +434,6 @@ class _Instance:
         self.result = BatchResult(index, request)
         self.blocks = None
         self.in_flight = set()
-        self.rejected = False
         self.finalized = False
         self.bounds_seconds = 0.0
         self.bounds_ks_pruned = 0
@@ -481,7 +443,7 @@ class _Instance:
         self.store_hit = False
         self.store_seeded = set()
         self.store_write_errors = 0
-        self.dp_caps = {}  # oneshot block -> portfolio witness width
+        self.dp_caps = {}  # exact-oracle block -> portfolio witness width
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -508,8 +470,8 @@ class _Instance:
 
         With a ``store``, a persisted full answer short-circuits the
         whole pipeline (the instance fast path: no reduce, no bounds,
-        no tasks), and persisted per-block verdicts seed the scheduler
-        state so only genuinely new blocks reach the bounds pass and
+        no tasks), and persisted per-block verdicts seed the block
+        states so only genuinely new blocks reach the bounds pass and
         the exact engine.
         """
         request = self.request
@@ -522,7 +484,7 @@ class _Instance:
                 f"request {self.index} has no hypergraph: "
                 f"{request.hypergraph!r}"
             )
-        self.dkind, self.solver, self.mode = _KIND_TABLE[request.kind]
+        self.dkind, self.solver, self.family = _KIND_TABLE[request.kind]
         self.store = None if request.kind in _INTERNAL_KINDS else store
         params = dict(request.params or {})
         if self.solver == "check-ghd":
@@ -536,9 +498,9 @@ class _Instance:
         if request.kind in ("bounds", "heuristic-decomposition"):
             cost = params.get("cost", "fractional")
             self.dkind = "fhd" if cost == "fractional" else "ghd"
-        self.kmax = params.pop("kmax", None)
+        kmax = params.pop("kmax", None)
         self.k = None
-        if self.mode == "check":
+        if self.family == "check":
             if "k" not in params:
                 raise ValueError(
                     f"{request.kind!r} requests need params={{'k': ...}}"
@@ -552,16 +514,18 @@ class _Instance:
         self.reduced, self.blocks = prepare_instance(
             request.hypergraph, self.dkind, preprocess
         )
-        n = len(self.blocks)
-        if self.mode == "iterative":
-            self.caps = [
-                b.hypergraph.num_edges if self.kmax is None else self.kmax
-                for b in self.blocks
-            ]
-            self.states = [BlockState() for _ in range(n)]
-        else:
-            self.block_results = [_PENDING] * n
-            self.submitted = [False] * n
+        # A search asks k = 1..cap; a check its one k; every other kind
+        # the one rung None, whose verdict is the block's value.
+        self.states = [
+            BlockState(
+                range(1, 1 + (
+                    b.hypergraph.num_edges if kmax is None else kmax
+                ))
+                if self.family == "block"
+                else (self.k,)
+            )
+            for b in self.blocks
+        ]
         self._seed_from_store()
         self._seed_from_bounds(bounds)
 
@@ -591,17 +555,33 @@ class _Instance:
         self.store_hit = True
         return True
 
+    # -- facts -----------------------------------------------------------
+    def record(self, b: int, k, verdict, persist: bool = True) -> bool:
+        """Fold one ``(k, verdict)`` fact into block ``b``'s state.
+
+        Store hits, the bounds pre-pass and finished tasks all come in
+        here.  Returns True when the fact decides the block (settles or
+        exhausts it); with ``persist`` that verdict is then written to
+        the result store at once, so a crash later in the batch still
+        keeps every verdict paid for so far.
+        """
+        if not self.states[b].record(k, verdict):
+            return False
+        if persist:
+            self._persist_block(b)
+        return True
+
     def _seed_from_store(self) -> None:
-        """Seed per-block state from persisted verdicts and oracle entries.
+        """Record persisted block verdicts and warm the oracle caches.
 
         Store-decided blocks are excluded from the bounds pre-pass
         (which runs LP solves) and from task generation; persisted
         cover-oracle exports warm each block's oracle cache before any
-        engine runs.  ``"bounds"`` requests only use instance records —
-        their 3-tuple block results have no store encoding.
+        engine runs.  Kinds without a record family (``"bounds"`` and
+        the heuristics) only use instance records.
         """
         store = self.store
-        if store is None or self.request.kind == "bounds":
+        if store is None or self.family is None:
             return
         for block in self.blocks:
             entries = store.get_oracle_entries(block.hypergraph)
@@ -609,68 +589,55 @@ class _Instance:
                 from ..engine.oracle import oracle_for  # lazy: no cycles
 
                 oracle_for(block.hypergraph).import_entries(entries)
-        if self.mode == "iterative":
-            for b, block in enumerate(self.blocks):
-                hit = store.get_block(
-                    block.hypergraph, self.dkind, self.params
-                )
-                if hit is None:
-                    continue
-                width, witness = hit
-                cap = self.caps[b]
-                state = BlockState()
-                # One record seeds the whole k-search: every k below
-                # the stored width is a rejection by monotonicity.
-                for k in range(1, min(width, cap + 1)):
-                    state.results[k] = None
-                if width <= cap:
-                    state.results[width] = witness
-                state.settle()
-                self.states[b] = state
-                self.store_seeded.add(b)
-        elif self.mode == "oneshot":
-            for b, block in enumerate(self.blocks):
-                hit = store.get_block_exact(
-                    block.hypergraph, self.dkind, self.params
-                )
-                if hit is not None:
-                    self.block_results[b] = hit
-                    self.submitted[b] = True
-                    self.store_seeded.add(b)
-        else:  # check
-            for b, block in enumerate(self.blocks):
-                hit = store.get_check(
-                    block.hypergraph, self.dkind, self.k, self.params
-                )
-                if hit is None:
-                    continue
-                accepted, witness = hit
-                self.store_seeded.add(b)
-                if not accepted:
-                    self.rejected = True
-                    break
-                self.block_results[b] = witness
-                self.submitted[b] = True
+        for b, block in enumerate(self.blocks):
+            if self.rejected:
+                break  # a stored rejection already answers the check
+            facts = self._stored_facts(block.hypergraph, self.states[b])
+            if facts is None:
+                continue
+            self.store_seeded.add(b)
+            for k, verdict in facts:
+                self.record(b, k, verdict, persist=False)
+
+    def _stored_facts(self, block_h: Hypergraph, state) -> list | None:
+        """A block's persisted verdicts as facts, or None on a miss."""
+        store = self.store
+        if self.family == "check":
+            hit = store.get_check(block_h, self.dkind, self.k, self.params)
+            return None if hit is None else [(self.k, hit[1])]
+        get = (
+            store.get_block if self.family == "block"
+            else store.get_block_exact
+        )
+        hit = get(block_h, self.dkind, self.params)
+        if hit is None:
+            return None
+        # One record seeds the whole ladder: a stored width is a pair of
+        # bounds that meet (every smaller k is rejected by monotonicity).
+        width, witness = hit
+        return BlockBounds(self.dkind, width, width, witness).facts(
+            state.ladder
+        )
 
     def _seed_from_bounds(self, bounds: str) -> None:
-        """Run the bounds pre-pass and fold its verdicts into the state.
+        """Run the bounds pre-pass and record its verdicts as facts.
 
-        Iterative kinds get pre-seeded :class:`~.solve.BlockState`
-        (lower-bound start, witness-capped speculation, instant
-        settling when decided); oneshot exact oracles pre-fill decided
-        blocks; check kinds reject outright when a block's lower bound
-        exceeds k and accept blocks whose validated witness already
-        fits (complete hd/ghd checks without enumeration caps only).
-        Heuristic kinds (:data:`_NO_PREPASS`) skip the pass.  Blocks
-        already decided by the store are excluded: their verdicts
-        stand, and bounding them again would spend LP solves for
-        nothing.  When every block holds a witness, their stitched
-        width is the request's anytime answer.
+        Rungs below a block's lower bound are rejected and its
+        validated witness is accepted at the first rung it fits under
+        (:meth:`~.bounds.BlockBounds.facts`): a search starts at the
+        lower bound, never speculates above the witness and settles at
+        once when the bounds meet; an exact oracle skips a decided
+        block and caps the DP of an open one.  A check kind takes a
+        witness only for a complete hd/ghd check (no enumeration caps)
+        and is answered None by any block whose lower bound exceeds k.
+        The heuristic kinds (no record family) skip the pass: they
+        *are* heuristics.  Blocks already decided by the store are
+        excluded: their verdicts stand, and bounding them again would
+        spend LP solves for nothing.  When every block holds a witness,
+        their stitched width is the request's anytime answer.
         """
-        if bounds == "none" or self.request.kind in _NO_PREPASS:
-            return
-        if self.rejected:
-            return  # store-seeded check rejection: nothing left to bound
+        if bounds == "none" or self.family is None or self.rejected:
+            return  # (a stored rejection leaves nothing to bound)
         t0 = time.perf_counter()
         bounds_map = {
             b: compute_block_bounds(
@@ -682,93 +649,89 @@ class _Instance:
         self.bounds_seconds = time.perf_counter() - t0
         # A block without a witness has an infinite upper bound.
         uppers = [
-            bounds_map[b].upper if b in bounds_map else self._seeded_width(b)
-            for b in range(len(self.blocks))
+            bounds_map[b].upper if b in bounds_map
+            else self._width_witness(state)[0]
+            for b, state in enumerate(self.states)
         ]
         if uppers and max(uppers) < math.inf:
             self.result.anytime_width = max(1.0, *map(float, uppers))
-        if self.mode == "iterative":
-            for b, bound in bounds_map.items():
-                cap = self.caps[b]
-                state = seeded_block_state(bound, cap)
-                self.states[b] = state
-                below = min(bound.lower_k - 1, cap)
-                self.bounds_ks_pruned += max(0, below)
-                self.bounds_checks_avoided += max(0, below)
-                if bound.upper_k is not None and bound.upper_k <= cap:
-                    self.bounds_ks_pruned += cap - bound.upper_k + 1
-                if state.width is not None:
-                    self.bounds_blocks_decided += 1
-                    self.bounds_checks_avoided += 1
-                    self._persist_block(b)
-        elif self.mode == "oneshot":
-            for i, bound in bounds_map.items():
-                if bound.decided:
-                    self.block_results[i] = (bound.upper, bound.witness)
-                    self.submitted[i] = True
-                    self.bounds_blocks_decided += 1
-                    self.bounds_checks_avoided += 1
-                    self._persist_block(i)
-                elif bound.upper < math.inf:
-                    # The witness width caps the exact DP; it travels in
-                    # the task params only, so store keys never see it.
-                    self.dp_caps[i] = bound.upper
-        else:  # check
-            if any(b.lower > self.k + _EPS for b in bounds_map.values()):
-                self.rejected = True
-                self.bounds_checks_avoided += len(self.blocks)
-                return
-            if self.dkind in ("hd", "ghd") and set(self.params) <= {"method"}:
-                for i, bound in bounds_map.items():
-                    if bound.witness is not None and (
-                        bound.upper <= self.k + _EPS
-                    ):
-                        self.block_results[i] = bound.witness
-                        self.submitted[i] = True
-                        self.bounds_checks_avoided += 1
-                        self._persist_block(i)
-
-    def _seeded_width(self, b: int) -> float:
-        """The witness width of store-seeded block ``b`` (inf if none)."""
-        if self.mode == "iterative":
+        facts = {
+            b: bound.facts(self.states[b].ladder)
+            for b, bound in bounds_map.items()
+        }
+        # Rejections first: one answers a check outright.  They are not
+        # persisted, as the pre-pass recomputes them for free.
+        for b, block_facts in facts.items():
+            for k, verdict in block_facts:
+                if verdict is None:
+                    self.record(b, k, None, persist=False)
+        if self.rejected:
+            self.bounds_checks_avoided += len(self.blocks)
+            return
+        trust_witness = self.family != "check" or (
+            self.dkind in ("hd", "ghd") and set(self.params) <= {"method"}
+        )
+        for b, block_facts in facts.items():
             state = self.states[b]
-            return math.inf if state.witness is None else state.width
-        value = self.block_results[b]
-        if value is _PENDING or value is None:
-            return math.inf
-        return value[0] if self.mode == "oneshot" else value.width()
+            for k, verdict in block_facts:
+                if verdict is not None and trust_witness:
+                    self.record(b, k, verdict)
+            rejected = sum(verdict is None for _k, verdict in block_facts)
+            self.bounds_checks_avoided += rejected + state.settled
+            if self.family == "block":
+                # k values settled without a check: the rejected ones,
+                # and the witness's k with every k above it.
+                self.bounds_ks_pruned += rejected + sum(
+                    len(state.ladder) - state.ladder.index(k)
+                    for k, verdict in block_facts
+                    if verdict is not None
+                )
+            if self.family != "check":
+                # A check's witness need only fit under k: accepting it
+                # does not mean the bounds met.
+                self.bounds_blocks_decided += state.settled
+            if self.family == "block-exact" and not state.settled:
+                # The witness width caps the exact DP; it travels in the
+                # task params only, so store keys never see it.
+                if bounds_map[b].upper < math.inf:
+                    self.dp_caps[b] = bounds_map[b].upper
+
+    def _width_witness(self, state) -> tuple:
+        """``(width, witness)`` of a block's verdict (inf while open)."""
+        if not state.settled:
+            return math.inf, None
+        if self.family == "block":
+            return state.rung, state.value
+        if self.family == "check":
+            return state.value.width(), state.value
+        return state.value  # the exact oracles' (width, witness)
 
     def _persist_block(self, b: int) -> None:
         """Write one decided block's verdict back to the store.
 
-        Idempotent (the store skips existing keys) and best-effort: a
-        full disk must not fail the request that just solved, but it is
-        counted and logged (:meth:`_write_failed`).
+        A check kind writes every verdict, rejections included; the
+        other families write settled blocks only.  Idempotent (the
+        store skips existing keys) and best-effort: a full disk must
+        not fail the request that just solved, but it is counted and
+        logged (:meth:`_write_failed`).
         """
         store = self.store
-        if store is None or self.request.kind == "bounds":
+        if store is None or self.family is None:
             return
         block_h = self.blocks[b].hypergraph
+        state = self.states[b]
         try:
-            if self.mode == "iterative":
-                state = self.states[b]
-                if state.width is not None and state.witness is not None:
-                    store.put_block(
-                        block_h, self.dkind, self.params,
-                        state.width, state.witness,
-                    )
-            elif self.mode == "oneshot":
-                value = self.block_results[b]
-                if value is not _PENDING:
-                    store.put_block_exact(
-                        block_h, self.dkind, self.params, *value
-                    )
-            else:
-                value = self.block_results[b]
-                if value is not _PENDING:
-                    store.put_check(
-                        block_h, self.dkind, self.k, self.params, value
-                    )
+            if self.family == "check":
+                store.put_check(
+                    block_h, self.dkind, self.k, self.params, state.value
+                )
+            elif state.settled:
+                put = (
+                    store.put_block if self.family == "block"
+                    else store.put_block_exact
+                )
+                put(block_h, self.dkind, self.params,
+                    *self._width_witness(state))
         except OSError as exc:
             self._write_failed(f"block {b}", exc)
 
@@ -801,110 +764,61 @@ class _Instance:
         )
 
     # -- task generation ----------------------------------------------
-    def task_params(self, b: int, k: int | None) -> dict:
-        if self.mode == "check":
-            return {"k": self.k, **self.params}
-        if self.mode == "iterative":
+    def task_params(self, b: int, k) -> dict:
+        if k is not None:
             return {"k": k, **self.params}
         if b in self.dp_caps:
             return {**self.params, "upper": self.dp_caps[b]}
         return dict(self.params)
 
-    def next_tasks(self, budget: int) -> list[tuple[int, int, int | None]]:
+    def next_tasks(self, budget: int) -> list[tuple[int, int, object]]:
         """Up to ``budget`` useful (priority, block, k) task keys.
 
         Priority 0 tasks are required; higher priorities are
         speculative cross-k checks (distance above the block's
-        confirmed frontier).
+        frontier).
         """
         if not self.active or self.blocks is None or budget <= 0:
             return []
-        out: list[tuple[int, int, int | None]] = []
-        if self.mode in ("oneshot", "check"):
-            if self.rejected:
-                return []
-            for b in range(len(self.blocks)):
-                if not self.submitted[b] and (b, None) not in self.in_flight:
-                    out.append((0, b, None))
-                    if len(out) >= budget:
-                        break
-            return out
+        out: list[tuple[int, int, object]] = []
         for b, state in enumerate(self.states):
-            if state.width is not None:
-                continue
-            base = state.next_k_unconfirmed()
-            ceiling = state.ceiling(self.caps[b])
-            k = base
-            while k <= ceiling and len(out) < budget:
-                if k not in state.results and (b, k) not in self.in_flight:
-                    out.append((k - base, b, k))
-                k += 1
+            for prio, k in state.open_rungs():
+                if len(out) >= budget:
+                    break
+                if (b, k) not in self.in_flight:
+                    out.append((prio, b, k))
         out.sort()
         return out[:budget]
 
-    # -- completion ----------------------------------------------------
-    def record(self, b: int, k: int | None, value) -> None:
-        """Fold one finished task back into the instance state.
-
-        Settled verdicts are spilled to the result store (when one is
-        attached) right here, on the settle *transition* — a crash
-        later in the batch still keeps every verdict paid for so far.
-        """
-        if self.mode == "iterative":
-            state = self.states[b]
-            state.results[k] = value
-            state.settle()
-            if state.width is not None:
-                self._persist_block(b)
-        else:
-            self.block_results[b] = value
-            if self.mode == "check" and value is None:
-                self.rejected = True
-            self._persist_block(b)
-
     def unsubmitted_blocks(self) -> int:
-        """Blocks never handed to the pool (check-mode early rejection)."""
-        if self.mode == "iterative":
+        """Open blocks never handed to the pool.
+
+        They count as cancelled work once the request is answered
+        early.  A width search counts none: how many checks an
+        unstarted search would have run is unknown.
+        """
+        if self.family == "block":
             return 0
+        busy = {b for b, _k in self.in_flight}
         return sum(
             1
-            for b, done in enumerate(self.submitted)
-            if not done and (b, None) not in self.in_flight
+            for b, state in enumerate(self.states)
+            if not state.done and b not in busy
+        )
+
+    @property
+    def rejected(self) -> bool:
+        """A check some block rejected: the request's answer is None."""
+        return self.family == "check" and any(
+            state.exhausted for state in self.states
         )
 
     @property
     def solved(self) -> bool:
-        """Whether every block task this instance needs has finished."""
+        """Whether the answer is decided (every block, or a rejection)."""
         if self.blocks is None:
             return False
-        if self.mode == "iterative":
-            return all(state.width is not None for state in self.states)
-        if self.mode == "check" and self.rejected:
-            return True
-        return all(r is not _PENDING for r in self.block_results)
-
-    @property
-    def exhausted(self) -> bool:
-        """An iterative block ran out of cap with rejections everywhere."""
-        if self.blocks is None or self.mode != "iterative":
-            return False
-        return any(
-            state.width is None
-            and state.next_k_unconfirmed() > self.caps[b]
-            for b, state in enumerate(self.states)
-        )
-
-    def cap_error(self) -> ValueError:
-        message = CAP_MESSAGES.get(
-            self.request.kind,
-            "no decomposition of width <= {cap} found (cap too small?)",
-        )
-        failed = min(
-            self.caps[b]
-            for b, state in enumerate(self.states)
-            if state.width is None
-        )
-        return ValueError(message.format(cap=failed))
+        return self.rejected or all(state.done for state in self.states)
 
     # -- stitching -----------------------------------------------------
     def finalize(self) -> None:
@@ -931,17 +845,18 @@ class _Instance:
 
     def _assemble(self):
         kind = self.request.kind
-        if self.mode == "check":
-            if self.rejected:
-                return None
-            return self._stitch(self.block_results, self.k + _EPS)
-        if self.mode == "iterative":
-            width = max([1, *(s.width for s in self.states)])
-            final = self._stitch(
-                [s.witness for s in self.states], width + _EPS
-            )
-            return width, final
-        results = self.block_results
+        if self.rejected:
+            return None
+        exhausted = [s.ladder for s in self.states if s.exhausted]
+        if exhausted:  # a search ran out of its cap on some block
+            cap = min(ladder.stop - 1 for ladder in exhausted)
+            raise ValueError(CAP_MESSAGES[kind].format(cap=cap))
+        results = [state.value for state in self.states]
+        if self.family == "check":
+            return self._stitch(results, self.k + _EPS)
+        if self.family == "block":
+            width = max([1, *(state.rung for state in self.states)])
+            return width, self._stitch(results, width + _EPS)
         if kind == "bounds":
             lower = max([1.0, *(low for low, _u, _d in results)])
             upper = max([1.0, *(up for _l, up, _d in results)])
@@ -1084,7 +999,7 @@ class BatchScheduler:
     def _cancel(self, instance, in_flight, stats, block=None) -> None:
         """Cancel an instance's pending pool work; count what it saved.
 
-        With ``block``, only that settled block's speculative higher-k
+        With ``block``, only that decided block's speculative higher-k
         checks; otherwise everything, never-submitted blocks included.
         """
         if block is None:
@@ -1099,6 +1014,31 @@ class BatchScheduler:
                 t0 = time.perf_counter()
                 instance.finalize()
                 stats.stitch_seconds += time.perf_counter() - t0
+
+    def _collect(self, inst, b, k, future, in_flight, stats) -> None:
+        """Fold one finished task of block ``b`` into its request."""
+        if future.cancelled():
+            return
+        stats.tasks_run += 1
+        try:
+            value = future.result()
+        except Exception as exc:
+            if inst.active:
+                inst.fail(exc)
+                self._cancel(inst, in_flight, stats)
+            return
+        if not inst.active:
+            return
+        # Cancel only on a block's *transition* to decided, so each
+        # avoided task is counted exactly once: its speculative rungs
+        # are moot, and a request answered with blocks still open (a
+        # rejected check) drops every task it has left.
+        solved = inst.solved
+        if inst.record(b, k, value):
+            if inst.solved and not solved:
+                self._cancel(inst, in_flight, stats)
+            else:
+                self._cancel(inst, in_flight, stats, b)
 
     def _drive(self, stats: BatchStats) -> None:
         with make_pool(self.executor, self.jobs) as pool:
@@ -1116,8 +1056,6 @@ class BatchScheduler:
                     for prio, i, b, k in candidates[:free]:
                         inst = self.instances[i]
                         inst.in_flight.add((b, k))
-                        if inst.mode in ("oneshot", "check"):
-                            inst.submitted[b] = True
                         if prio > 0:
                             stats.speculative_checks += 1
                         future = pool.submit(
@@ -1128,54 +1066,24 @@ class BatchScheduler:
                         )
                         in_flight[future] = (i, b, k)
                 if not in_flight:
-                    # Nothing running and nothing submittable: settle
-                    # exhausted caps and stitch whatever completed.
+                    # Nothing running and nothing submittable: every
+                    # open request is solved; stitch them.
                     for inst in self.instances:
-                        if inst.active and not inst.solved:
-                            if inst.exhausted:
-                                inst.fail(inst.cap_error())
-                            else:  # pragma: no cover - defensive
-                                inst.fail(
-                                    RuntimeError(
-                                        "batch scheduler stalled (bug)"
-                                    )
-                                )
+                        if inst.active and not inst.solved:  # pragma: no cover
+                            inst.fail(
+                                RuntimeError("batch scheduler stalled (bug)")
+                            )
                     self._finalize_ready(stats)
                     continue
                 done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
                     i, b, k = in_flight.pop(future)
                     inst = self.instances[i]
+                    self._collect(inst, b, k, future, in_flight, stats)
+                    # Released only now: while the rest of a failed
+                    # request is cancelled, the block whose task just
+                    # failed still counts as submitted.
                     inst.in_flight.discard((b, k))
-                    if future.cancelled():
-                        continue
-                    stats.tasks_run += 1
-                    try:
-                        value = future.result()
-                    except Exception as exc:
-                        if inst.active:
-                            inst.fail(exc)
-                            self._cancel(inst, in_flight, stats)
-                        continue
-                    if not inst.active:
-                        continue
-                    # Cancel only on the *transition* to rejected/settled,
-                    # so each avoided task is counted exactly once.
-                    was_rejected = inst.rejected
-                    was_settled = (
-                        inst.mode == "iterative"
-                        and inst.states[b].width is not None
-                    )
-                    inst.record(b, k, value)
-                    if inst.mode == "check" and inst.rejected:
-                        if not was_rejected:
-                            self._cancel(inst, in_flight, stats)
-                    elif (
-                        inst.mode == "iterative"
-                        and inst.states[b].width is not None
-                        and not was_settled
-                    ):
-                        self._cancel(inst, in_flight, stats, b)
                 self._finalize_ready(stats)
             collect = getattr(pool, "remote_stats", None)
             if collect is not None:  # executor="remote": fold in fleet counters

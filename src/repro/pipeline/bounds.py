@@ -15,17 +15,18 @@ which adds ``(minor-width + 1) / r``: some bag of every GHD/FHD holds
 ``tw + 1`` vertices and each edge covers at most ``r`` (the rank) of
 them.  Bounds-decided blocks thus never pay for the minor-width pass.
 
-Schedulers consume the record through :func:`seeded_block_state`: the
-pre-seeded :class:`~repro.pipeline.solve.BlockState` starts the search
-at the lower bound (every smaller k is recorded as rejected without a
-solve), carries the portfolio witness as an accepted result at the
-upper bound (so ``BlockState.ceiling()`` prunes all speculation above
-it), and — when the bounds meet — settles instantly, skipping the
-exact engine entirely.  The witness doubles as an **anytime answer**:
-a valid decomposition is in hand before the first exact check runs.
-The oneshot exact oracles (ghw-exact, fhw) skip decided blocks and
-pass an open block's witness width to the elimination DP as its
-``upper`` cap (:func:`repro.algorithms.elimination.width_by_elimination`).
+Schedulers consume the record as ``(rung, verdict)`` facts
+(:meth:`BlockBounds.facts`) on a block's
+:class:`~repro.pipeline.solve.BlockState` ladder: every k below the
+lower bound is rejected without a solve, the portfolio witness is
+accepted at the first k it fits under (so no check above it is ever
+submitted), and when the bounds meet the block settles at once,
+skipping the exact engine entirely.  The witness doubles as an
+**anytime answer**: a valid decomposition is in hand before the first
+exact check runs.  The exact oracles (ghw-exact, fhw) take a witness
+only when the bounds meet, and pass an open block's witness width to
+the elimination DP as its ``upper`` cap
+(:func:`repro.algorithms.elimination.width_by_elimination`).
 
 Soundness: every portfolio witness is re-validated for the query's
 kind before it is trusted (elimination orderings do not in general
@@ -45,13 +46,11 @@ from dataclasses import dataclass
 
 from ..decomposition import Decomposition, validate
 from ..hypergraph import Hypergraph
-from .solve import BlockState
 
 __all__ = [
     "BOUNDS_MODES",
     "BlockBounds",
     "compute_block_bounds",
-    "seeded_block_state",
 ]
 
 #: Valid ``bounds=`` arguments for every solver in the pipeline, in
@@ -109,6 +108,30 @@ class BlockBounds:
     def decided(self) -> bool:
         """Whether the bounds meet: the witness is already optimal."""
         return self.witness is not None and self.lower >= self.upper - _EPS
+
+    def facts(self, ladder) -> list:
+        """The bounds as ``(rung, verdict)`` facts on a block's ladder.
+
+        On a ladder of k values, every k below the lower bound is a
+        rejection (sound: the width is at least ``lower``) and the
+        witness is accepted at the first k it fits under.  On the
+        exact-value ladder ``(None,)`` the witness is the block's value
+        ``(upper, witness)``, but only when the bounds meet.
+        """
+        facts = []
+        for rung in ladder:
+            if rung is None:
+                if not self.decided:
+                    return []
+                return [(None, (self.upper, self.witness))]
+            if rung < self.lower - _EPS:
+                facts.append((rung, None))
+            elif self.witness is None:
+                break
+            elif self.upper <= rung + _EPS:
+                facts.append((rung, self.witness))
+                break
+        return facts
 
 
 def compute_block_bounds(
@@ -208,35 +231,3 @@ def compute_block_bounds(
         orderings=orderings,
         seconds=time.perf_counter() - t0,
     )
-
-
-def seeded_block_state(bounds: BlockBounds | None, cap: int) -> BlockState:
-    """A :class:`BlockState` pre-seeded from one block's bounds.
-
-    Every k below the lower bound is recorded as a rejection (sound:
-    the block's width is >= ``bounds.lower``), and the portfolio
-    witness — when it fits under ``cap`` — as an accepted result at
-    its width, so the existing ``settle()``/``ceiling()`` machinery
-    prunes the search without any scheduler-side special cases:
-
-    * the serial and parallel k-loops start at ``bounds.lower_k``;
-    * speculation above the witness never submits
-      (``ceiling() <= upper_k - 1``);
-    * when the bounds meet, the state settles immediately and no exact
-      check runs at all;
-    * when even the lower bound exceeds ``cap``, every k is seeded
-      rejected and the scheduler raises its usual cap-exhausted error.
-
-    ``bounds=None`` (mode ``"none"``) returns a fresh state.
-    """
-    state = BlockState()
-    if bounds is None:
-        return state
-    lower_k = bounds.lower_k
-    for k in range(1, min(lower_k, cap + 2)):
-        state.results[k] = None
-    upper_k = bounds.upper_k
-    if upper_k is not None and lower_k <= upper_k <= cap:
-        state.results[upper_k] = bounds.witness
-    state.settle()
-    return state

@@ -3,7 +3,7 @@
 Blocks are independent, and Check(X, k) is monotone in k, so a width is
 the smallest accepted k per block.  This module holds what every
 schedule of those checks shares: the solver registry behind the single
-task payload :func:`run_block_task`, the per-block k-search state
+task payload :func:`run_block_task`, the per-block verdict state
 :class:`BlockState`, and :func:`make_pool`.  Each measure has one
 exact engine: the CheckSearch branch-and-bound for Check(HD/GHD/FHD, k)
 and the elimination DP for the exact oracles.
@@ -29,6 +29,7 @@ the pipeline package import-cycle free.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import (
     Executor,
     Future,
@@ -38,7 +39,6 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from importlib import import_module
 
-from ..decomposition import Decomposition
 from ..hypergraph import Hypergraph
 
 __all__ = [
@@ -184,60 +184,87 @@ run_gated_block_task = run_block_task
 
 @dataclass
 class BlockState:
-    """Width-search progress of one block of a batched width query.
+    """The verdicts of one block on its ladder of candidate rungs.
 
-    Tracks the Check(X, k) verdicts seen so far for a single block and
-    settles on the true width once monotonicity allows: the smallest
-    accepted k is the width as soon as every smaller k has been
-    rejected.
+    Every request kind asks each block one question that is monotone
+    along an ordered ladder of rungs: a width search tries
+    ``k = 1, ..., cap`` (Check(X, k)), a Check(X, k) request the one
+    rung ``k``, and an exact oracle or a heuristic the one rung None
+    (its verdict is the block's value).  Verdicts arrive as
+    ``(rung, verdict)`` facts, from the result store, the bounds
+    pre-pass or a finished task alike; None rejects the rung and
+    anything else accepts it.  By monotonicity the block is *settled*
+    at its lowest accepted rung once every rung below it is rejected,
+    and *exhausted* once every rung is rejected.
 
     Attributes
     ----------
+    ladder : sequence
+        The rungs in increasing order.
     results : dict
-        Map ``k -> Decomposition | None`` of finished checks.
-    width : int or None
-        The settled width, once known.
-    witness : Decomposition or None
-        The witness decomposition at ``width``, once settled.
+        Map ``rung -> verdict`` of the facts recorded so far.
     """
 
-    results: dict = field(default_factory=dict)  # k -> Decomposition | None
-    width: int | None = None
-    witness: Decomposition | None = None
+    ladder: Sequence
+    results: dict = field(default_factory=dict)
 
-    def settle(self) -> None:
-        """Confirm the width once every smaller k has failed."""
-        k = self.next_k_unconfirmed()
-        while k in self.results:
-            if self.results[k] is not None:
-                self.width = k
-                self.witness = self.results[k]
-                return
-            k += 1
+    def record(self, rung, verdict) -> bool:
+        """Record one fact; True when it settles or exhausts the block."""
+        done = self.done
+        self.results[rung] = verdict
+        return not done and self.done
 
-    def next_k_unconfirmed(self) -> int:
-        """The smallest k whose verdict is still unknown or accepted."""
-        k = 1
-        while self.results.get(k, "missing") is None:
-            k += 1
-        return k
+    @property
+    def frontier(self) -> int:
+        """Index of the lowest rung not known to be rejected."""
+        i = 0
+        while i < len(self.ladder) and (
+            self.ladder[i] in self.results
+            and self.results[self.ladder[i]] is None
+        ):
+            i += 1
+        return i
 
-    def best_accepted(self) -> int | None:
-        """The smallest accepted k so far, or None.
+    @property
+    def settled(self) -> bool:
+        """Whether the rung at the frontier is accepted."""
+        i = self.frontier
+        return i < len(self.ladder) and self.ladder[i] in self.results
 
-        By monotonicity no check above this k is ever useful, so
-        the scheduler caps their speculation at ``best_accepted() - 1``
-        (see :meth:`ceiling`).
+    @property
+    def exhausted(self) -> bool:
+        """Whether every rung is rejected."""
+        return self.frontier == len(self.ladder)
+
+    @property
+    def done(self) -> bool:
+        """Whether no further verdict can change the block's answer."""
+        return self.settled or self.exhausted
+
+    @property
+    def rung(self):
+        """The rung the block settled at (its width, for a search)."""
+        return self.ladder[self.frontier] if self.settled else None
+
+    @property
+    def value(self):
+        """The accepted verdict at the settled rung, or None."""
+        return self.results[self.rung] if self.settled else None
+
+    def open_rungs(self):
+        """Yield ``(priority, rung)`` for every rung still worth a task.
+
+        They run from the frontier up to one below the lowest accepted
+        rung (no check above an accepted k is ever useful), skipping
+        rungs with a verdict; the priority is the distance above the
+        frontier, 0 for the one rung the answer needs next.
         """
-        accepted = [k for k, v in self.results.items() if v is not None]
-        return min(accepted) if accepted else None
-
-    def ceiling(self, cap: int) -> int:
-        """The largest k still worth checking under ``cap``.
-
-        ``cap`` when nothing is accepted yet; one below the smallest
-        accepted k otherwise — the scheduler bounds its speculative
-        submissions with this.
-        """
-        accepted = self.best_accepted()
-        return cap if accepted is None else min(cap, accepted - 1)
+        start = self.frontier
+        stop = min(
+            (self.ladder.index(r) for r, v in self.results.items()
+             if v is not None),
+            default=len(self.ladder),
+        )
+        for i in range(start, stop):
+            if self.ladder[i] not in self.results:
+                yield i - start, self.ladder[i]

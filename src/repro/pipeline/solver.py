@@ -266,8 +266,6 @@ class WidthSolver:
         ``d`` defaults per block to the block's own degree, which never
         exceeds the input's — smaller supports, smaller searches.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         if d is not None:
             caps["d"] = d
         return self._run("check-fhd-bd", {"k": k, **caps})

@@ -21,10 +21,10 @@ Record vocabulary (all keys start with a type tag; every value but the
 oracle export is an :func:`answer_payload`, read back through
 :func:`answer_from_payload` and :func:`checked_witness`):
 
-* ``("block", hhash, kind, "bb", params_fp)`` — a settled iterative
+* ``("block", hhash, kind, "bb", params_fp)`` — a settled width-search
   block: ``{"width": k, "witness": {...}}``.  Implies every ``k' < k``
   was rejected, so one record seeds the whole k-search.
-* ``("block-exact", hhash, kind, "bb", params_fp)`` — a oneshot
+* ``("block-exact", hhash, kind, "bb", params_fp)`` — an
   exact-oracle block: ``{"width": w, "witness": {...}}``.
 * ``("check", hhash, kind, k, "bb", params_fp)`` — one Check(X, k)
   verdict: ``{"accepted": bool, "witness": {...} | null}``.
@@ -441,7 +441,7 @@ class ResultStore:
         width: int,
         witness: Decomposition,
     ) -> None:
-        """Persist a settled iterative block: its width and witness."""
+        """Persist a settled width-search block: its width and witness."""
         key = self._key("block", hypergraph, kind, params=params)
         self._put(key, "block", (int(width), witness))
 
@@ -464,7 +464,7 @@ class ResultStore:
         width: float,
         witness: Decomposition,
     ) -> None:
-        """Persist a oneshot exact-oracle block result."""
+        """Persist an exact-oracle block result."""
         key = self._key("block-exact", hypergraph, kind, params=params)
         self._put(key, "block-exact", (float(width), witness))
 
@@ -474,7 +474,7 @@ class ResultStore:
         kind: str,
         params: dict | None,
     ) -> tuple[float, Decomposition] | None:
-        """A validated oneshot ``(width, witness)``, or None."""
+        """A validated exact-oracle ``(width, witness)``, or None."""
         key = self._key("block-exact", hypergraph, kind, params=params)
         hit = self._answer(key, hypergraph, "block-exact", kind)
         return None if hit is None else (float(hit[0][0]), hit[0][1])

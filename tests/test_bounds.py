@@ -28,9 +28,9 @@ from repro.hypergraph.generators import (
 from repro.pipeline import (
     BOUNDS_MODES,
     BlockBounds,
+    BlockState,
     WidthSolver,
     compute_block_bounds,
-    seeded_block_state,
     solve_many,
 )
 
@@ -87,30 +87,39 @@ class TestBlockBounds:
         assert BOUNDS_MODES == ("portfolio", "clique", "none")
 
 
+def seeded_block_state(bounds, cap):
+    """A width search's block state after recording the bounds' facts."""
+    state = BlockState(range(1, cap + 1))
+    for k, verdict in bounds.facts(state.ladder):
+        state.record(k, verdict)
+    return state
+
+
 class TestSeededBlockState:
     def test_none_bounds_gives_fresh_state(self):
-        state = seeded_block_state(None, cap=5)
-        assert state.next_k_unconfirmed() == 1 and state.width is None
+        state = seeded_block_state(BlockBounds(kind="ghd"), cap=5)
+        assert state.frontier == 0 and not state.settled
+        assert next(state.open_rungs()) == (0, 1)
 
     def test_lower_bound_seeds_rejections(self):
         b = BlockBounds(kind="ghd", lower=3.0)
         state = seeded_block_state(b, cap=6)
-        assert state.next_k_unconfirmed() == 3
+        assert state.ladder[state.frontier] == 3
         assert state.results[1] is None and state.results[2] is None
-        assert state.width is None
+        assert not state.settled
 
     def test_decided_bounds_settle_instantly(self):
         b = compute_block_bounds(triangle_cascade(1), "ghd")
         assert b.decided
         state = seeded_block_state(b, cap=3)
-        assert state.width == 2
-        assert state.witness is b.witness
+        assert state.rung == 2
+        assert state.value is b.witness
 
     def test_upper_beyond_cap_not_seeded(self):
         b = compute_block_bounds(triangle_cascade(1), "ghd")
         state = seeded_block_state(b, cap=1)
         # upper_k = 2 exceeds the cap: only the k <= cap part is usable.
-        assert state.width is None
+        assert not state.settled
 
 
 class TestNoExactChecksWhenDecided:

@@ -65,6 +65,13 @@ class TestWidth:
         assert "blocks: 1" in out
         assert "ghw-exact" not in out
 
+    def test_file_without_atoms_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.hg"
+        empty.write_text("% no atoms here\n")
+        assert main(["width", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{empty}: no atoms found in input\n"
+
 
 class TestDecompose:
     def test_success(self, c6_file, capsys):
@@ -74,6 +81,10 @@ class TestDecompose:
     def test_failure_exit_code(self, c6_file, capsys):
         assert main(["decompose", c6_file, "-k", "1"]) == 1
         assert "no GHD" in capsys.readouterr().err
+
+    def test_k_below_1_exits_2(self, c6_file, capsys):
+        assert main(["decompose", c6_file, "-k", "0"]) == 2
+        assert capsys.readouterr().err == "-k must be >= 1; got 0\n"
 
     def test_json_payload(self, c6_file, capsys):
         assert main(["decompose", c6_file, "-k", "2", "--json"]) == 0

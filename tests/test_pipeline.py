@@ -366,3 +366,14 @@ class TestSchedulerCounters:
         stats = results[0].stats
         assert stats.tasks_run == 6
         assert stats.tasks_cancelled == 0
+
+    def test_stats_dict_is_the_fields_and_two_rates(self):
+        import dataclasses
+        import json
+
+        from repro.pipeline import BatchStats, solve_many
+
+        payload = solve_many([(cycle(4), "hw")])[0].stats.as_dict()
+        fields = [f.name for f in dataclasses.fields(BatchStats)]
+        assert list(payload) == [*fields, "requests_per_second", "hit_rate"]
+        json.dumps(payload)  # JSON-ready

@@ -1,8 +1,8 @@
 """E23 (serving) — the always-on daemon surviving a restart warm.
 
 ``repro serve`` pairs the batch scheduler with a persistent result
-store (``repro.store``): settled verdicts, stitched witnesses and
-cover-oracle entries outlive the process.  The claim this benchmark
+store (``repro.store``): settled verdicts and stitched witnesses
+outlive the process.  The claim this benchmark
 pins is the serving payoff:
 
 * a **restarted** daemon answers a repeat-heavy workload entirely from

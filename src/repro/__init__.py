@@ -14,7 +14,7 @@ A complete reproduction of the paper's systems:
   behind every width query (:class:`WidthSolver`), plus
   batched multi-instance serving (:func:`solve_many`)    — :mod:`repro.pipeline`
 * a crash-tolerant persistent result store (settled
-  verdicts, witnesses and oracle caches survive restarts) — :mod:`repro.store`
+  verdicts and witnesses survive restarts)               — :mod:`repro.store`
 * the always-on ``repro serve`` daemon: HTTP front-end
   with admission control and request coalescing           — :mod:`repro.serve`
 * the Theorem 3.2 NP-hardness reduction + certificates   — :mod:`repro.hardness`

@@ -95,18 +95,9 @@ class _FracDecompSearch:
         """
         if wanted not in self._gamma_cache:
             self._gamma_cache[wanted] = self.oracle.fractional_cover_capped(
-                self.ctx.vertices_in(wanted), budget
+                self.ctx.vertices_in(wanted)
             )
         gamma = self._gamma_cache[wanted]
-        if gamma is not None and gamma.weight > budget + EPS:
-            # The memoized γ may be an imported upper-bound hint that is
-            # feasible but not optimal; re-ask under this tighter budget
-            # so the oracle falls back to the exact capped LP before the
-            # guess is rejected.
-            gamma = self.oracle.fractional_cover_capped(
-                self.ctx.vertices_in(wanted), budget
-            )
-            self._gamma_cache[wanted] = gamma
         if gamma is None or gamma.weight > budget + EPS:
             return None
         return gamma

@@ -110,10 +110,6 @@ class CoverOracle:
         )
         self.cache_size = max(0, int(cache_size))
         self._cache: OrderedDict = OrderedDict()
-        # Verified-feasible covers imported from a store log.  They are
-        # *upper-bound hints* — sound one-sided evidence (ρ* <= weight),
-        # never treated as the optimal answer; see ``import_entries``.
-        self._hints: dict = {}
         self.stats = OracleStats()
 
     # ------------------------------------------------------------------
@@ -195,33 +191,12 @@ class CoverOracle:
         budget: float,
         allowed_edges: Iterable[str] | None = None,
     ) -> bool:
-        """True iff the bag has a fractional cover of weight <= budget.
-
-        Imported store entries participate as one-sided evidence: a
-        verified-feasible cover of weight <= budget proves feasibility
-        without an LP solve, but can never prove *in*feasibility (its
-        weight is only an upper bound on ρ*), so a hint heavier than
-        the budget falls through to the exact LP.
-        """
-        bag, allowed = self._normalize(vertex_set, allowed_edges)
-        key = self._key("frac", bag, allowed)
-        cached = self._lookup(key)
-        if cached is None:
-            hint = self._hints.get(key)
-            if hint is not None and hint.weight <= budget + EPS:
-                self.stats.hits += 1
-                GLOBAL_STATS.hits += 1
-                return True
-            cached = self._store(
-                key, (self._solve_fractional(bag, allowed),)
-            )
-        cover = cached[0]
+        """True iff the bag has a fractional cover of weight <= budget."""
+        cover = self.fractional_cover(vertex_set, allowed_edges)
         return cover is not None and cover.weight <= budget + EPS
 
     def fractional_cover_capped(
-        self,
-        vertex_set: Iterable[Vertex],
-        budget: float | None = None,
+        self, vertex_set: Iterable[Vertex]
     ) -> FractionalCover | None:
         """A purely fractional optimal cover: per-edge weights < 1.
 
@@ -231,25 +206,12 @@ class CoverOracle:
         with weights capped strictly below 1; when that is infeasible
         (some wanted vertex lies in a single edge) the uncapped cover is
         returned instead, matching the pre-engine behaviour.
-
-        ``budget`` lets imported store hints short-circuit the LP: check
-        2.a is existential, so *any* verified purely fractional cover of
-        the bag with weight <= budget is an acceptable γ.  A hint heavier
-        than the budget proves nothing and the LP is solved normally;
-        without a budget, hints are never consulted (the caller expects
-        the optimum).
         """
         bag, _ = self._normalize(vertex_set, None)
         key = self._key("capped", bag, None)
         cached = self._lookup(key)
         if cached is not None:
             return cached[0]
-        if budget is not None:
-            hint = self._hints.get(key)
-            if hint is not None and hint.weight <= budget + EPS:
-                self.stats.hits += 1
-                GLOBAL_STATS.hits += 1
-                return hint
         capped = self._solve_fractional(bag, None, cap=CAP_BELOW_ONE)
         if capped is None:
             capped = self._solve_fractional(bag, None)
@@ -272,143 +234,6 @@ class CoverOracle:
             solver=self.backend.solve_covering_lp,
             cap=cap,
         )
-
-    # ------------------------------------------------------------------
-    # Persistence (the result store spills/reloads these entries)
-    # ------------------------------------------------------------------
-    def export_entries(self, limit: int | None = None) -> list:
-        """The cached LP answers as plain JSON-ready entries.
-
-        Only the LP-backed kinds (``"frac"``, ``"capped"``) are
-        exported — they are the expensive solves worth persisting —
-        and only entries whose bag/allowed elements are JSON scalars
-        (strings or ints), so the export round-trips losslessly.
-        Entries are newest-first; ``limit`` bounds the export size.
-
-        Each entry is ``[kind, bag, allowed, weights]`` with ``bag`` a
-        sorted list, ``allowed`` a sorted list or None, and ``weights``
-        the cover's edge-weight mapping or None for an infeasible bag.
-        """
-        out: list = []
-        for key, value in reversed(self._cache.items()):
-            kind, bag, allowed = key
-            if kind not in ("frac", "capped"):
-                continue
-            if not all(isinstance(v, (str, int)) for v in bag):
-                continue
-            if allowed is not None and not all(
-                isinstance(e, str) for e in allowed
-            ):
-                continue
-            cover = value[0]
-            out.append(
-                [
-                    kind,
-                    sorted(bag, key=repr),
-                    None if allowed is None else sorted(allowed),
-                    None if cover is None else dict(cover.weights),
-                ]
-            )
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def import_entries(self, entries: list) -> int:
-        """Seed the oracle from an export; returns entries accepted.
-
-        Imported data is untrusted (it may come from a store log), so
-        nothing imported is ever served as an *optimal* ρ*:
-
-        * *Infeasible* verdicts (``weights is None``) are re-derived
-          exactly — a fractional cover is infeasible iff some bag
-          vertex lies in no allowed edge — and only then enter the
-          authoritative cache.
-        * Feasible covers are verified to actually cover their bag
-          within the allowed edges (and, for ``"capped"`` entries, to
-          keep every per-edge weight strictly below 1), then retained
-          as *upper-bound hints* only: they answer
-          :meth:`cover_feasible_within` and budgeted
-          :meth:`fractional_cover_capped` queries they satisfy without
-          an LP solve, while exact ρ* queries still solve — so a
-          well-formed but suboptimal record can never inflate a width
-          or flip a verdict.
-
-        Rejected entries are skipped silently — a bad record is a
-        cache miss, never a wrong answer.  Counters are untouched:
-        importing is neither a hit nor a miss.
-        """
-        accepted = 0
-        for entry in entries:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
-                continue
-            kind, bag_list, allowed_list, weights = entry
-            if kind not in ("frac", "capped"):
-                continue
-            if not isinstance(bag_list, (list, tuple)):
-                continue
-            bag = frozenset(bag_list)
-            if not bag or not bag <= self.hypergraph.vertices:
-                continue
-            if allowed_list is None:
-                allowed = None
-                usable = set(self.hypergraph.edges)
-            else:
-                if not isinstance(allowed_list, (list, tuple)):
-                    continue
-                allowed = frozenset(allowed_list)
-                if not allowed <= set(self.hypergraph.edges):
-                    continue
-                usable = set(allowed)
-            if weights is None:
-                # Exact re-derivation of the infeasibility verdict.
-                covered: set = set()
-                for name in usable:
-                    covered |= self.hypergraph.edge(name)
-                if bag <= covered:
-                    continue
-                cover = None
-            else:
-                if not isinstance(weights, dict):
-                    continue
-                try:
-                    cover = FractionalCover(
-                        {str(e): float(w) for e, w in weights.items()}
-                    )
-                except (TypeError, ValueError):
-                    continue
-                if not set(cover.weights) <= usable:
-                    continue
-                if kind == "capped" and any(
-                    w > CAP_BELOW_ONE + EPS for w in cover.weights.values()
-                ):
-                    continue
-                feasible = all(
-                    sum(
-                        w
-                        for e, w in cover.weights.items()
-                        if v in self.hypergraph.edge(e)
-                    )
-                    >= 1.0 - EPS
-                    for v in bag
-                )
-                if not feasible:
-                    continue
-            if not self.cache_size:
-                continue
-            key = self._key(kind, bag, allowed)
-            if cover is None:
-                if key not in self._cache:
-                    self._cache[key] = (None,)
-                    while len(self._cache) > self.cache_size:
-                        try:
-                            self._cache.popitem(last=False)
-                        except KeyError:  # pragma: no cover - racing clear
-                            break
-                    accepted += 1
-            elif key not in self._hints and len(self._hints) < self.cache_size:
-                self._hints[key] = cover
-                accepted += 1
-        return accepted
 
     # ------------------------------------------------------------------
     # Integral covers

@@ -303,8 +303,10 @@ class BatchStats:
     bounds_checks_avoided : int
         Exact block solves the pre-pass made unnecessary.
     bounds_blocks_decided : int
-        Blocks whose lower bound met a validated portfolio
-        witness (the exact engine never ran for them).
+        Blocks the pre-pass decided (the exact engine never ran for
+        them): each settled at a validated portfolio witness.  The
+        blocks of a check the bounds reject count in
+        ``bounds_checks_avoided`` only.
     anytime_answers : int
         Requests with a :attr:`BatchResult.anytime_width`: the
         pre-pass held a full witness set — a valid (if possibly
@@ -572,23 +574,16 @@ class _Instance:
         return True
 
     def _seed_from_store(self) -> None:
-        """Record persisted block verdicts and warm the oracle caches.
+        """Record persisted block verdicts as facts.
 
         Store-decided blocks are excluded from the bounds pre-pass
-        (which runs LP solves) and from task generation; persisted
-        cover-oracle exports warm each block's oracle cache before any
-        engine runs.  Kinds without a record family (``"bounds"`` and
-        the heuristics) only use instance records.
+        (which runs LP solves) and from task generation.  Kinds without
+        a record family (``"bounds"`` and the heuristics) only use
+        instance records.
         """
         store = self.store
         if store is None or self.family is None:
             return
-        for block in self.blocks:
-            entries = store.get_oracle_entries(block.hypergraph)
-            if entries:
-                from ..engine.oracle import oracle_for  # lazy: no cycles
-
-                oracle_for(block.hypergraph).import_entries(entries)
         for b, block in enumerate(self.blocks):
             if self.rejected:
                 break  # a stored rejection already answers the check
@@ -686,10 +681,7 @@ class _Instance:
                     for k, verdict in block_facts
                     if verdict is not None
                 )
-            if self.family != "check":
-                # A check's witness need only fit under k: accepting it
-                # does not mean the bounds met.
-                self.bounds_blocks_decided += state.settled
+            self.bounds_blocks_decided += state.settled
             if self.family == "block-exact" and not state.settled:
                 # The witness width caps the exact DP; it travels in the
                 # task params only, so store keys never see it.
@@ -736,7 +728,7 @@ class _Instance:
             self._write_failed(f"block {b}", exc)
 
     def _persist_instance(self, value) -> None:
-        """Write the stitched full answer (and oracle exports) back."""
+        """Write the stitched full answer back as an instance record."""
         store = self.store
         if store is None:
             return
@@ -745,14 +737,6 @@ class _Instance:
             store.put_instance(
                 request.hypergraph, request.kind, request.params, value
             )
-            from ..engine.oracle import oracle_for  # lazy: no cycles
-
-            for block in self.blocks or ():
-                entries = oracle_for(block.hypergraph).export_entries(
-                    limit=512
-                )
-                if entries:
-                    store.put_oracle_entries(block.hypergraph, entries)
         except OSError as exc:
             self._write_failed("instance", exc)
 
@@ -815,10 +799,13 @@ class _Instance:
 
     @property
     def solved(self) -> bool:
-        """Whether the answer is decided (every block, or a rejection)."""
+        """Whether the answer is decided: every block is, or one block
+        is exhausted (a check's rejection, a search's cap error)."""
         if self.blocks is None:
             return False
-        return self.rejected or all(state.done for state in self.states)
+        return any(state.exhausted for state in self.states) or all(
+            state.done for state in self.states
+        )
 
     # -- stitching -----------------------------------------------------
     def finalize(self) -> None:
@@ -1032,7 +1019,8 @@ class BatchScheduler:
         # Cancel only on a block's *transition* to decided, so each
         # avoided task is counted exactly once: its speculative rungs
         # are moot, and a request answered with blocks still open (a
-        # rejected check) drops every task it has left.
+        # rejected check, an exhausted search) drops every task it has
+        # left.
         solved = inst.solved
         if inst.record(b, k, value):
             if inst.solved and not solved:

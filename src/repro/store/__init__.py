@@ -1,7 +1,6 @@
 """Persistent result store: width answers that survive restarts.
 
-``solve_many`` amortizes work *within* one process, but every
-:class:`~repro.engine.oracle.CoverOracle` entry, settled
+``solve_many`` amortizes work *within* one process, but every settled
 :class:`~repro.pipeline.solve.BlockState` verdict and stitched witness
 still dies with the process.  This package spills them to disk:
 

@@ -17,9 +17,9 @@ and the next append truncates the file back to the good prefix before
 writing.  A writer killed between ``write`` and ``fsync`` therefore
 costs at most the unsynced suffix — recomputation, never corruption.
 
-Record vocabulary (all keys start with a type tag; every value but the
-oracle export is an :func:`answer_payload`, read back through
-:func:`answer_from_payload` and :func:`checked_witness`):
+Record vocabulary (all keys start with a type tag; every value is an
+:func:`answer_payload`, read back through :func:`answer_from_payload`
+and :func:`checked_witness`):
 
 * ``("block", hhash, kind, "bb", params_fp)`` — a settled width-search
   block: ``{"width": k, "witness": {...}}``.  Implies every ``k' < k``
@@ -32,9 +32,9 @@ oracle export is an :func:`answer_payload`, read back through
   request answer (stitched witness), the serve layer's fast path.
 
 The ``"bb"`` slot once named the engine mode; it stays a constant so
-logs written by earlier versions keep hitting.
-* ``("oracle", hhash)`` — exported cover-oracle entries for one
-  hypergraph (see :meth:`repro.engine.oracle.CoverOracle.export_entries`).
+logs written by earlier versions keep hitting.  Those logs may also
+hold ``("oracle", hhash)`` cover-LP records: they load, and are never
+read.
 
 Witness payloads use the stable JSON schema of
 :mod:`repro.decomposition.io`; bag vertices are stringified there and
@@ -233,7 +233,8 @@ class StoreStats:
     bytes_skipped : int
         Bytes after the good prefix discarded at open time.
     entries : int
-        Live keys in the index (last record per key wins).
+        Distinct keys in the index (appends never repeat a key; when
+        a loaded log holds one key twice, the last frame wins).
     """
 
     records_loaded: int = 0
@@ -322,14 +323,14 @@ class ResultStore:
         self.stats.entries = len(self._index)
         self._valid_bytes = good
 
-    def append(self, key: tuple, value: dict, overwrite: bool = False) -> bool:
+    def append(self, key: tuple, value: dict) -> bool:
         """Append one record; returns whether anything was written.
 
-        With ``overwrite=False`` (default) an existing key is left
-        alone — verdicts are immutable facts, so re-writing them only
-        grows the log.  The first append after opening a store with a
-        corrupt tail truncates the tail away, keeping the invariant
-        that the file is exactly the good prefix plus new records.
+        The first write of a key wins: verdicts are immutable facts, so
+        an existing key is left alone.  The first append after opening
+        a store with a corrupt tail truncates the tail away, keeping the
+        invariant that the file is exactly the good prefix plus new
+        records.
         """
         key = tuple(key)
         payload = json.dumps(
@@ -337,7 +338,7 @@ class ResultStore:
         ).encode("utf-8")
         header = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload))
         with self._lock:
-            if not overwrite and key in self._index:
+            if key in self._index:
                 return False
             f = self._file
             f.seek(0, 2)
@@ -553,26 +554,3 @@ class ResultStore:
         if request_kind in ("hw", "ghw", "ghw-exact"):
             width = int(width)
         return ((width, witness),)
-
-    def put_oracle_entries(
-        self, hypergraph: Hypergraph, entries: list
-    ) -> None:
-        """Persist exported cover-oracle entries for one hypergraph.
-
-        Overwrites the previous export (the newest snapshot subsumes
-        older, smaller ones).  Empty exports are not written.
-        """
-        if entries:
-            self.append(
-                ("oracle", hypergraph.canonical_hash()),
-                {"entries": entries},
-                overwrite=True,
-            )
-
-    def get_oracle_entries(self, hypergraph: Hypergraph) -> list:
-        """The stored oracle export for a hypergraph ([] when absent)."""
-        value = self.get(("oracle", hypergraph.canonical_hash()))
-        if not isinstance(value, dict):
-            return []
-        entries = value.get("entries")
-        return entries if isinstance(entries, list) else []

@@ -85,7 +85,7 @@ CASES = {
 }
 CASES.update(
     {
-        # Every k <= 1 rejected on both blocks: the cap error.
+        # k = 1 rejected on a block: the cap error.
         "two-components/hw-kmax1": (TWO_COMPONENTS, "hw", {"kmax": 1}),
         # The first block rejects; its siblings are never submitted.
         "triangles(3)/check-ghd-k1": (
@@ -250,10 +250,12 @@ class TestPinnedBehaviours:
         assert search["answer"].startswith("TypeError")
         assert (search["tasks_run"], search["tasks_cancelled"]) == (2, 0)
 
-    def test_capped_search_runs_every_block_before_failing(self, pins):
+    def test_capped_search_stops_at_its_first_exhausted_block(self, pins):
+        # Like a rejected check: the first block to run out of its cap
+        # decides the error, and the other block never runs.
         run = pins["two-components/hw-kmax1|none"]["none"]
         assert run["answer"].startswith("ValueError: no HD of width <= 1")
-        assert run["tasks_run"] == 2
+        assert run["tasks_run"] == 1
 
 
 if __name__ == "__main__":

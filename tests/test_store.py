@@ -10,9 +10,9 @@ This is the proof obligation of ``repro.store``:
   header bytes, kill a writer between fsyncs: the store must open,
   skip the bad tail, and *recompute* — a damaged store may cost work,
   never a wrong answer;
-* **untrusted input** — stored witnesses and imported oracle entries
-  are re-validated before use; corrupt covers and fake "infeasible"
-  verdicts are rejected.
+* **untrusted input** — stored witnesses are re-validated before use;
+  the cover-LP ``oracle`` records older logs hold load but are never
+  read, so even a hostile one cannot move an answer.
 """
 
 import json
@@ -26,13 +26,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.decomposition import validate
-from repro.engine.oracle import CoverOracle
 from repro.hypergraph import Hypergraph
 from repro.pipeline import BatchRequest, solve_many
 from repro.pipeline.batch import BatchScheduler
 from repro.store import (
     STORE_FILENAME,
     ResultStore,
+    answer_payload,
     checked_witness,
     params_fingerprint,
 )
@@ -113,14 +113,14 @@ class TestCheckedWitness:
 # Log mechanics
 # ----------------------------------------------------------------------
 class TestResultStoreLog:
-    def test_append_get_and_last_write_wins(self, tmp_path):
+    def test_append_get_and_first_write_wins(self, tmp_path):
         with ResultStore(tmp_path) as store:
             assert store.append(("t", "k1"), {"v": 1})
-            assert not store.append(("t", "k1"), {"v": 2})  # immutable
+            for again in ({"v": 2}, {"v": 1}):  # immutable, even re-sent
+                assert not store.append(("t", "k1"), again)
             assert store.get(("t", "k1")) == {"v": 1}
-            assert store.append(("t", "k1"), {"v": 3}, overwrite=True)
-            assert store.get(("t", "k1")) == {"v": 3}
             assert ("t", "k1") in store and len(store) == 1
+            assert store.stats.records_appended == 1
 
     def test_get_returns_a_fresh_copy(self, tmp_path):
         with ResultStore(tmp_path) as store:
@@ -128,16 +128,29 @@ class TestResultStoreLog:
             store.get(("t", 1))["v"].append(2)
             assert store.get(("t", 1)) == {"v": [1]}
 
-    def test_reload_sees_live_values(self, tmp_path):
+    def test_reload_sees_first_values(self, tmp_path):
         with ResultStore(tmp_path) as store:
             store.append(("a", 1), {"v": 1})
             store.append(("b", 2), {"v": 2})
-            store.append(("a", 1), {"v": 9}, overwrite=True)
+            assert not store.append(("a", 1), {"v": 9})
         with ResultStore(tmp_path) as store:
-            assert store.stats.records_loaded == 3
+            assert store.stats.records_loaded == 2
             assert store.stats.records_skipped == 0
             assert len(store) == 2
-            assert store.get(("a", 1)) == {"v": 9}
+            assert store.get(("a", 1)) == {"v": 1}
+            assert not store.append(("a", 1), {"v": 9})  # across reopens
+
+    def test_last_frame_wins_on_reload(self, tmp_path):
+        """A log holding one key twice (appends never write one) loads
+        its last frame."""
+        log = _fill(tmp_path, n=1)
+        payload = json.dumps({"key": ["t", 0], "value": {"v": 7}}).encode()
+        frame = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload))
+        log.write_bytes(log.read_bytes() + frame + payload)
+        with ResultStore(tmp_path) as store:
+            assert store.stats.records_loaded == 2
+            assert store.stats.entries == len(store) == 1
+            assert store.get(("t", 0)) == {"v": 7}
 
     def test_type_counts(self, tmp_path):
         with ResultStore(tmp_path) as store:
@@ -371,102 +384,97 @@ class TestTypedRecords:
 
 
 # ----------------------------------------------------------------------
-# Oracle export / import: untrusted entries
+# Logs written before the oracle records were retired
 # ----------------------------------------------------------------------
-class TestOracleImport:
-    def _warm_oracle(self):
-        h = triangle()
-        oracle = CoverOracle(h)
-        for bag in (frozenset("xy"), frozenset("xyz")):
-            oracle.fractional_cover(bag)
-        return h, oracle
+def square() -> Hypergraph:
+    return Hypergraph(
+        {"a": ["1", "2"], "b": ["2", "3"], "c": ["3", "4"], "d": ["4", "1"]}
+    )
 
-    def test_export_import_round_trip(self):
-        h, oracle = self._warm_oracle()
-        entries = oracle.export_entries()
-        assert entries
-        fresh = CoverOracle(h)
-        assert fresh.import_entries(entries) == len(entries)
-        before = fresh.stats.lp_solves
-        # Imported covers are upper-bound hints: feasibility questions
-        # they satisfy are answered without an LP solve ...
-        for bag in (frozenset("xy"), frozenset("xyz")):
-            assert fresh.cover_feasible_within(bag, 1.5)
-        assert fresh.stats.lp_solves == before  # served from the import
-        # ... but exact ρ* queries never trust them and re-solve.
-        cover = fresh.fractional_cover(frozenset("xyz"))
-        assert cover is not None and cover.weight == pytest.approx(1.5)
-        assert fresh.stats.lp_solves == before + 1
 
-    def test_suboptimal_import_cannot_flip_verdicts(self):
-        """A feasible-but-heavy record must never inflate ρ*.
+class TestLegacyOracleRecords:
+    """Old logs hold ``("oracle", hash)`` cover-LP records (entries
+    ``[kind, bag, allowed, weights]``); they load and are never read."""
 
-        Regression: imported covers used to land in the authoritative
-        cache, so a weight-3 cover of the triangle (ρ* = 1.5) made
-        ``cover_feasible_within(bag, 2)`` report False and flipped
-        check verdicts.  As a hint it proves only ρ* <= 3.
-        """
-        h = triangle()
-        bag = ["x", "y", "z"]
-        heavy = [["frac", sorted(bag), None, {"r": 1.0, "s": 1.0, "t": 1.0}]]
-        fresh = CoverOracle(h)
-        assert fresh.import_entries(heavy) == 1
-        # Within the hint's weight: answered hint-only, no LP.
-        assert fresh.cover_feasible_within(bag, 3.0)
-        assert fresh.stats.lp_solves == 0
-        # Below the hint's weight the LP decides — and says feasible.
-        assert fresh.cover_feasible_within(bag, 2.0)
-        assert fresh.stats.lp_solves == 1
-        assert fresh.fractional_weight(bag) == pytest.approx(1.5)
-
-    def test_capped_import_must_be_purely_fractional(self):
-        """'capped' entries with a weight-1 edge are rejected outright."""
-        h = triangle()
-        bag = sorted(["x", "y", "z"])
-        integral = [["capped", bag, None, {"r": 1.0, "s": 1.0, "t": 1.0}]]
-        fractional = [["capped", bag, None, {"r": 0.5, "s": 0.5, "t": 0.5}]]
-        fresh = CoverOracle(h)
-        assert fresh.import_entries(integral) == 0
-        assert fresh.import_entries(fractional) == 1
-        # Budgeted queries the hint satisfies skip the LP; the
-        # unbudgeted (exact-optimum) form always solves.
-        gamma = fresh.fractional_cover_capped(bag, budget=1.5)
-        assert gamma is not None
-        assert gamma.weight == pytest.approx(1.5)
-        assert fresh.stats.lp_solves == 0
-        exact = fresh.fractional_cover_capped(bag)
-        assert exact is not None and exact.weight == pytest.approx(1.5)
-        assert fresh.stats.lp_solves > 0
-
-    def test_corrupt_cover_rejected(self):
-        h, oracle = self._warm_oracle()
-        entries = oracle.export_entries()
-        bad = [list(e) for e in entries]
-        for entry in bad:
-            if entry[3] is not None:
-                entry[3] = {name: 0.01 for name in entry[3]}  # not a cover
-        fresh = CoverOracle(h)
-        assert fresh.import_entries(bad) == 0
-
-    def test_fake_infeasible_rejected(self):
-        h, _ = self._warm_oracle()
-        # Claim {x, y} has no cover among all edges — a lie.
-        fake = [["frac", ["x", "y"], None, None]]
-        fresh = CoverOracle(h)
-        assert fresh.import_entries(fake) == 0
-
-    def test_malformed_entries_skipped(self):
-        h, _ = self._warm_oracle()
-        fresh = CoverOracle(h)
-        garbage = [
-            None,
-            [],
-            ["frac"],
-            ["unknown-kind", ["x"], None, None],
-            ["frac", ["not-a-vertex"], None, None],
-            ["frac", ["x"], ["not-an-edge"], {"not-an-edge": 1.0}],
+    REQUESTS = [
+        (h, kind, params)
+        for h in (triangle(), square())
+        for kind, params in [("fhw", {})] + [
+            ("check-fhd-bd", {"k": k}) for k in (1.0, 1.5, 2.0)
         ]
-        assert fresh.import_entries(garbage) == 0
+    ]
+
+    def _legacy_log(self, path):
+        """A store with one well-formed and one hostile oracle record."""
+        with ResultStore(path) as store:
+            # Well-formed: the square's optimal cover (ρ* = 2).
+            store.append(
+                ("oracle", square().canonical_hash()),
+                {"entries": [
+                    ["frac", ["1", "2", "3", "4"], None, {"a": 1.0, "c": 1.0}],
+                ]},
+            )
+            # Hostile: a weight-3 "cover" of the triangle (ρ* = 1.5).
+            store.append(
+                ("oracle", triangle().canonical_hash()),
+                {"entries": [
+                    ["frac", ["x", "y", "z"], None,
+                     {"r": 1.0, "s": 1.0, "t": 1.0}],
+                    ["capped", ["x", "y", "z"], None,
+                     {"r": 1.0, "s": 1.0, "t": 1.0}],
+                ]},
+            )
+
+    def test_legacy_log_reopens_and_answers_as_without_a_store(
+        self, tmp_path, monkeypatch
+    ):
+        self._legacy_log(tmp_path)
+        read = []
+        original_get = ResultStore.get
+
+        def spying_get(store, key):
+            read.append(tuple(key)[0])
+            return original_get(store, key)
+
+        monkeypatch.setattr(ResultStore, "get", spying_get)
+        baseline = solve_many(
+            [BatchRequest(h, kind, dict(p)) for h, kind, p in self.REQUESTS]
+        )
+        with ResultStore(tmp_path) as store:
+            assert store.stats.records_loaded == 2
+            assert store.stats.records_skipped == 0
+            assert store.type_counts() == {"oracle": 2}
+            stored, _stats = solve_with_store(
+                store,
+                [BatchRequest(h, kind, dict(p)) for h, kind, p in self.REQUESTS],
+            )
+            assert store.type_counts()["oracle"] == 2
+        assert read and "oracle" not in read
+        for (_h, kind, _p), want, got in zip(self.REQUESTS, baseline, stored):
+            assert got.ok
+            assert answer_payload(kind, got.value) == answer_payload(
+                kind, want.value
+            )
+        assert [r.value is not None for r in stored[1:4]] == [
+            False, True, True,
+        ]
+        assert stored[0].value[0] == pytest.approx(1.5)
+
+    def test_cold_run_writes_only_answer_records(self, tmp_path):
+        kinds = [
+            ("hw", {}), ("ghw", {}), ("ghw-exact", {}), ("fhw", {}),
+            ("check-ghd", {"k": 2}), ("check-fhd-bd", {"k": 1.5}),
+        ]
+        requests = [
+            BatchRequest(h, kind, dict(params))
+            for h in (triangle(), square())
+            for kind, params in kinds
+        ]
+        with ResultStore(tmp_path) as store:
+            solve_with_store(store, requests, bounds="none")
+            assert set(store.type_counts()) == {
+                "block", "block-exact", "check", "instance",
+            }
 
 
 # ----------------------------------------------------------------------

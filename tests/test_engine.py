@@ -176,6 +176,17 @@ class TestCoverOracle:
         assert oracle.stats.hits == 1
         assert oracle.stats.lp_solves == 1
 
+    def test_feasibility_reads_the_exact_cover(self, triangle):
+        """Every budget is decided by the one cached ρ* LP of the bag."""
+        oracle = CoverOracle(get_context(triangle), cache_size=16)
+        bag = frozenset(triangle.vertices)
+        assert oracle.cover_feasible_within(bag, 2.0)
+        assert oracle.cover_feasible_within(bag, 1.5)
+        assert not oracle.cover_feasible_within(bag, 1.4)
+        assert oracle.fractional_weight(bag) == pytest.approx(1.5)
+        assert oracle.stats.lp_solves == 1
+        assert oracle.stats.misses == 1 and oracle.stats.hits == 3
+
     def test_cache_size_zero_disables_caching(self, k4):
         oracle = CoverOracle(get_context(k4), cache_size=0)
         bag = frozenset(list(k4.vertices)[:3])

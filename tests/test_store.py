@@ -460,6 +460,51 @@ class TestLegacyOracleRecords:
         ]
         assert stored[0].value[0] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # Not a cover: every weight far below what a vertex needs.
+            [["frac", ["x", "y", "z"], None,
+              {"r": 0.01, "s": 0.01, "t": 0.01}]],
+            # A false "no cover exists" claim for a coverable bag.
+            [["frac", ["x", "y"], None, None]],
+            # A "capped" cover with weight-1 edges, the Algorithm 3
+            # check 2.a form that must be purely fractional.
+            [["capped", ["x", "y", "z"], None,
+              {"r": 1.0, "s": 1.0, "t": 1.0}]],
+            # Malformed entries of every shape.
+            [None, [], ["frac"], ["unknown-kind", ["x"], None, None],
+             ["frac", ["not-a-vertex"], None, None],
+             ["frac", ["x"], ["not-an-edge"], {"not-an-edge": 1.0}]],
+        ],
+        ids=["not-a-cover", "fake-infeasible", "integral-capped", "malformed"],
+    )
+    def test_hostile_legacy_record_cannot_move_an_answer(
+        self, tmp_path, entries
+    ):
+        h = triangle()
+        requests = [("fhw", {})] + [
+            ("check-fhd-bd", {"k": k}) for k in (1.4, 1.5)
+        ]
+        baseline = solve_many(
+            [BatchRequest(h, kind, dict(p)) for kind, p in requests]
+        )
+        with ResultStore(tmp_path) as store:
+            store.append(("oracle", h.canonical_hash()), {"entries": entries})
+        with ResultStore(tmp_path) as store:
+            assert store.type_counts() == {"oracle": 1}
+            stored, _stats = solve_with_store(
+                store,
+                [BatchRequest(h, kind, dict(p)) for kind, p in requests],
+            )
+        for (kind, _p), want, got in zip(requests, baseline, stored):
+            assert got.ok
+            assert answer_payload(kind, got.value) == answer_payload(
+                kind, want.value
+            )
+        assert stored[0].value[0] == pytest.approx(1.5)
+        assert [r.value is not None for r in stored[1:]] == [False, True]
+
     def test_cold_run_writes_only_answer_records(self, tmp_path):
         kinds = [
             ("hw", {}), ("ghw", {}), ("ghw-exact", {}), ("fhw", {}),

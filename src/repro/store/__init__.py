@@ -9,7 +9,8 @@ still dies with the process.  This package spills them to disk:
   are length-prefixed and CRC-protected, so a crash mid-write (or any
   corrupt/truncated tail) degrades to a **cache miss, never a wrong
   answer**: loading stops at the first bad record and the next append
-  truncates the bad tail away;
+  truncates the bad tail away.  Memory holds one offset per key, not
+  the records, and every read re-checks its frame's CRC on disk;
 * every stored witness is **re-validated** against the hypergraph it is
   served for before it is trusted (:func:`checked_witness`) — the store
   is untrusted input, exactly like the solver outputs it mirrors;

@@ -10,12 +10,20 @@ The format is deliberately boring::
     payload  := UTF-8 JSON {"key": [...], "value": {...}}
 
 Loading scans records until the first structural problem — bad magic,
-impossible length, CRC mismatch, malformed JSON — and remembers the
-byte offset of the last good record.  Everything after it is a
-*skipped tail*: reads behave as if those records were never written,
-and the next append truncates the file back to the good prefix before
-writing.  A writer killed between ``write`` and ``fsync`` therefore
-costs at most the unsynced suffix — recomputation, never corruption.
+impossible length, CRC mismatch, malformed JSON, a key that is not a
+JSON array of scalars — and remembers the byte offset of the last good
+record.  Everything after it is a *skipped tail*: reads behave as if
+those records were never written, and the next append truncates the
+file back to the good prefix before writing.  A writer killed between
+``write`` and ``fsync`` therefore costs at most the unsynced suffix —
+recomputation, never corruption.
+
+The index is a keydir in the manner of Bitcask: memory holds one int
+per key (the frame's offset and payload length), never the record.  A
+read fetches the frame with one ``os.pread`` and re-checks its magic,
+length, CRC and key before decoding, so a byte changed on disk after
+open is a counted, logged miss; ``pread`` leaves the file position that
+appends seek untouched, so reads take no lock.
 
 Record vocabulary (all keys start with a type tag; every value is an
 :func:`answer_payload`, read back through :func:`answer_from_payload`
@@ -46,6 +54,8 @@ a bag mapped to the wrong vertices fails validation: a miss.
 from __future__ import annotations
 
 import json
+import logging
+import os
 import struct
 import threading
 import zlib
@@ -77,7 +87,13 @@ _HEADER = struct.Struct(">4sII")
 #: make the loader try to read gigabytes before failing the CRC).
 _MAX_RECORD_BYTES = 64 * 1024 * 1024
 
+#: An index slot is ``offset * _SLOT + payload length`` of the frame
+#: (lengths are below ``_MAX_RECORD_BYTES``, so they fit under it).
+_SLOT = 1 << 32
+
 _EPS = 1e-9
+
+_LOG = logging.getLogger(__name__)
 
 
 def params_fingerprint(params: dict | None) -> str:
@@ -216,12 +232,17 @@ def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
 
 @dataclass
 class StoreStats:
-    """Load/append counters of one :class:`ResultStore`.
+    """Load/read/append counters of one :class:`ResultStore`.
 
     Attributes
     ----------
     records_loaded : int
         Well-formed records read at open time.
+    records_damaged : int
+        Indexed records whose frame failed its re-check on read (a byte
+        changed on disk after open).  Each is served as a miss, logged
+        and dropped from the index, so it is counted once and its
+        recomputed verdict is appended again.
     records_skipped : int
         Records lost to the corrupt/truncated tail at open time (at
         most 1 can be counted — loading stops at the first bad frame —
@@ -238,6 +259,7 @@ class StoreStats:
     """
 
     records_loaded: int = 0
+    records_damaged: int = 0
     records_skipped: int = 0
     records_appended: int = 0
     bytes_valid: int = 0
@@ -262,8 +284,15 @@ class ResultStore:
         False: the OS flushes on its own schedule, and a crash costs
         only the unsynced suffix — recomputation, not corruption).
 
+    Memory holds one int per key, the record's place in the log, never
+    the record itself, so a long-lived daemon does not grow with the
+    answers it has stored.  Every read fetches the frame from disk and
+    re-checks its CRC; a frame changed since it was indexed is a miss,
+    counted in ``stats.records_damaged``.
+
     The store is safe for concurrent use from many threads of one
-    process (appends serialize on an internal lock).  Concurrent
+    process: appends serialize on an internal lock, and reads need none
+    (``os.pread`` leaves the shared file position alone).  Concurrent
     *writers in different processes* are not supported — run one
     ``repro serve`` daemon per store directory.
     """
@@ -274,10 +303,9 @@ class ResultStore:
         self.fsync = bool(fsync)
         self.stats = StoreStats()
         self._lock = threading.Lock()
-        # key -> the record's encoded payload, decoded on every read:
-        # bytes hold a fraction of the memory of the decoded JSON tree,
-        # and a read can never hand out the live value.
-        self._index: dict[tuple, bytes] = {}
+        # key -> offset * _SLOT + payload length of its frame: one int
+        # per key, so the records themselves stay on disk.
+        self._index: dict[tuple, int] = {}
         self._file = open(self.log_path, "a+b")
         self._load()
 
@@ -289,6 +317,23 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Log plumbing
     # ------------------------------------------------------------------
+    @staticmethod
+    def _decode(payload: bytes) -> tuple[tuple, object] | None:
+        """A payload's ``(key, value)``, or None unless it is a JSON
+        object whose key is an array of scalars and which has a value."""
+        try:
+            record = json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError):
+            return None
+        if not isinstance(record, dict) or "value" not in record:
+            return None
+        key = record.get("key")
+        if not isinstance(key, list) or not all(
+            part is None or isinstance(part, (str, int, float)) for part in key
+        ):
+            return None
+        return tuple(key), record["value"]
+
     def _load(self) -> None:
         """Index the good log prefix; remember where the bad tail starts."""
         f = self._file
@@ -304,14 +349,10 @@ class ResultStore:
             payload = f.read(length)
             if len(payload) < length or zlib.crc32(payload) != crc:
                 break
-            try:
-                record = json.loads(payload.decode("utf-8"))
-                key = tuple(record["key"])
-            except (ValueError, KeyError, TypeError):
+            record = self._decode(payload)
+            if record is None:
                 break
-            if "value" not in record:
-                break
-            self._index[key] = payload
+            self._index[record[0]] = good * _SLOT + length
             self.stats.records_loaded += 1
             good = f.tell()
         f.seek(0, 2)
@@ -346,14 +387,13 @@ class ResultStore:
                 f.truncate(self._valid_bytes)
                 f.seek(self._valid_bytes)
                 self.stats.bytes_skipped = 0
+            offset = self._valid_bytes
             f.write(header + payload)
             f.flush()
             if self.fsync:
-                import os
-
                 os.fsync(f.fileno())
             self._valid_bytes = f.tell()
-            self._index[key] = payload
+            self._index[key] = offset * _SLOT + len(payload)
             self.stats.records_appended += 1
             self.stats.bytes_valid = self._valid_bytes
             self.stats.entries = len(self._index)
@@ -361,9 +401,48 @@ class ResultStore:
 
     def get(self, key: tuple) -> dict | None:
         """A fresh copy of the live value of ``key``, or None (raw,
-        un-revalidated)."""
-        payload = self._index.get(tuple(key))
-        return None if payload is None else json.loads(payload)["value"]
+        un-revalidated).
+
+        The frame is read back from disk and its magic, length, CRC and
+        key re-checked first.  A frame that fails is a miss: it is
+        counted in ``stats.records_damaged``, logged once and dropped
+        from the index, so the recomputed verdict is appended again.
+        """
+        fd = self._file.fileno()  # ValueError once closed
+        key = tuple(key)
+        slot = self._index.get(key)
+        if slot is None:
+            return None
+        offset, length = divmod(slot, _SLOT)
+        try:
+            frame = os.pread(fd, _HEADER.size + length, offset)
+        except OSError:
+            frame = b""
+        record = None
+        if len(frame) == _HEADER.size + length:
+            payload = frame[_HEADER.size :]
+            if _HEADER.unpack_from(frame) == (
+                _MAGIC, length, zlib.crc32(payload)
+            ):
+                record = self._decode(payload)
+        if record is not None and record[0] == key:
+            return record[1]
+        self._drop_damaged(key, slot)
+        return None
+
+    def _drop_damaged(self, key: tuple, slot: int) -> None:
+        """Forget ``key`` whose frame at ``slot`` failed its re-check."""
+        with self._lock:
+            if self._index.get(key) != slot:
+                return  # another reader already dropped it
+            del self._index[key]
+            self.stats.records_damaged += 1
+            self.stats.entries = len(self._index)
+        _LOG.warning(
+            "store record %r at byte %d of %s changed on disk; "
+            "serving a miss and recomputing",
+            key, slot // _SLOT, self.log_path,
+        )
 
     def __contains__(self, key: tuple) -> bool:
         return tuple(key) in self._index
@@ -380,7 +459,8 @@ class ResultStore:
         return dict(sorted(counts.items()))
 
     def close(self) -> None:
-        """Close the log file handle (reads/writes after this raise)."""
+        """Close the log file handle (reads/writes after this raise
+        ``ValueError``)."""
         self._file.close()
 
     def __enter__(self) -> "ResultStore":

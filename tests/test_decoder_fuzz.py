@@ -1,10 +1,10 @@
 """Decoder fuzz: every decoder of outside input fails only in its own way.
 
 Whatever arrives — an HTTP body, a manifest entry, a worker frame, a
-stored witness — the decoder either returns a value or raises its
-documented error type.  Nothing else (``TypeError``, ``KeyError``,
-``AttributeError``, ...) may escape to kill a request handler or a
-connection thread.
+stored witness, a result-log frame — the decoder either returns a value
+or raises its documented error type (a store opens on any log).
+Nothing else (``TypeError``, ``KeyError``, ``AttributeError``, ...) may
+escape to kill a request handler or a connection thread.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.serve.protocol import (
     query_request_from_payload,
     request_from_payload,
 )
+from repro.store import STORE_FILENAME, ResultStore
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -200,8 +201,8 @@ def _recv(raw: bytes):
         b.close()
 
 
-def _framed(payload: bytes) -> bytes:
-    header = struct.pack(">4sII", wire.MAGIC, len(payload), zlib.crc32(payload))
+def _framed(payload: bytes, magic: bytes = wire.MAGIC) -> bytes:
+    header = struct.pack(">4sII", magic, len(payload), zlib.crc32(payload))
     return header + payload
 
 
@@ -226,3 +227,52 @@ class TestWorkerFrames:
             assert not isinstance(value, dict)
         else:
             assert json.dumps(message) == json.dumps(value)
+
+
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | names
+store_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "key": near(st.lists(near(scalars), max_size=4)),
+        "value": json_values,
+    },
+)
+
+
+def _is_scalar(part) -> bool:
+    return part is None or isinstance(part, (str, int, float))
+
+
+class TestStoreFrames:
+    @FUZZ
+    @given(records=st.lists(near(store_records), max_size=4))
+    def test_crc_valid_frames_open_with_scalar_keys(
+        self, records, tmp_path_factory
+    ):
+        """A log of CRC-valid frames holding any JSON opens, indexes only
+        keys that are tuples of scalars, and stops at the first record
+        that is not ``{"key": [scalars...], "value": ...}``."""
+        base = tmp_path_factory.mktemp("store")
+        (base / STORE_FILENAME).write_bytes(
+            b"".join(
+                _framed(json.dumps(record).encode("utf-8"), magic=b"RPS1")
+                for record in records
+            )
+        )
+        good = {}
+        for record in records:
+            key = record.get("key") if isinstance(record, dict) else None
+            if not (
+                isinstance(key, list)
+                and all(map(_is_scalar, key))
+                and "value" in record
+            ):
+                break
+            good[tuple(key)] = record["value"]
+        with ResultStore(base) as store:
+            for key in store._index:
+                assert isinstance(key, tuple)
+                assert all(map(_is_scalar, key))
+            assert [json.dumps(k) for k in store._index] == [
+                json.dumps(k) for k in good
+            ]

@@ -10,14 +10,21 @@ This is the proof obligation of ``repro.store``:
   header bytes, kill a writer between fsyncs: the store must open,
   skip the bad tail, and *recompute* — a damaged store may cost work,
   never a wrong answer;
+* **on-disk index** — memory holds one int per record, not the
+  record; every read re-checks the frame on disk, so a record changed
+  after open is a counted, logged miss that is recomputed;
 * **untrusted input** — stored witnesses are re-validated before use;
   the cover-LP ``oracle`` records older logs hold load but are never
   read, so even a hostile one cannot move an answer.
 """
 
 import json
+import os
+import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -239,6 +246,31 @@ class TestFaultInjection:
             assert store.stats.records_loaded == 1
             assert store.stats.records_skipped == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"key": [["a"]], "value": {}}',  # unhashable key part
+            b'{"key": "ab", "value": {}}',  # would load as ("a", "b")
+            b'{"key": {"x": 1}, "value": {}}',  # would load as ("x",)
+            b'{"key": ["t"]}',  # no value
+            b'["key", "value"]',  # not an object
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        ],
+        ids=["nested-key", "string-key", "object-key", "no-value",
+             "array-record", "deep"],
+    )
+    def test_crc_valid_bad_record_ends_the_good_prefix(self, tmp_path, payload):
+        """A crafted frame whose CRC holds must not stop the store from
+        opening, nor load under a key nobody wrote."""
+        log = _fill(tmp_path, n=1)
+        bad = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+        log.write_bytes(log.read_bytes() + bad)
+        with ResultStore(tmp_path) as store:
+            assert store.stats.records_loaded == 1
+            assert store.stats.records_skipped == 1
+            assert list(store._index) == [("t", 0)]
+            assert store.get(("t", 0)) == {"v": 0}
+
     def test_append_truncates_bad_tail(self, tmp_path):
         log = _fill(tmp_path, n=2)
         log.write_bytes(log.read_bytes() + b"\x00" * 17)  # torn write
@@ -276,6 +308,153 @@ class TestFaultInjection:
             assert store.stats.records_loaded == 1
             assert store.stats.records_skipped == 1
             assert store.get(("t", "synced")) == {"v": 1}
+
+
+class TestOnDiskIndex:
+    """Memory holds where each record is, not the record: every read
+    goes back to the log and re-checks the frame."""
+
+    def test_record_changed_after_open_is_a_counted_miss(
+        self, tmp_path, caplog
+    ):
+        h = triangle()
+        kinds = ("fhw", "ghw")
+        baseline = solve_many([BatchRequest(h, kind) for kind in kinds])
+        solve_many([BatchRequest(h, kind) for kind in kinds], store=tmp_path)
+        with ResultStore(tmp_path) as store:
+            keys = [k for k in store._index if k[0] == "instance"]
+            assert len(keys) == 2
+            # Flip one byte inside every instance record, behind the
+            # open handle's back.
+            log = tmp_path / STORE_FILENAME
+            data = log.read_bytes()
+            with open(log, "r+b") as f:
+                start = data.find(b'{"key": ["instance"')
+                while start != -1:
+                    f.seek(start + 1)
+                    f.write(bytes([data[start + 1] ^ 0x01]))
+                    start = data.find(b'{"key": ["instance"', start + 1)
+            with caplog.at_level("WARNING", logger="repro.store.log"):
+                assert store.get(keys[0]) is None
+                assert store.stats.records_damaged == 1
+                assert keys[0] not in store
+                assert store.get(keys[0]) is None  # now a plain miss
+                assert store.stats.records_damaged == 1
+                appended = store.stats.records_appended
+                stored = solve_many(
+                    [BatchRequest(h, kind) for kind in kinds], store=store
+                )
+            assert store.stats.records_damaged == 2
+            # Both recomputed instance verdicts were appended again.
+            assert store.stats.records_appended == appended + 2
+            assert all(key in store for key in keys)
+            assert all(store.get(key) is not None for key in keys)
+        damaged = [r for r in caplog.records if "changed on disk" in r.message]
+        assert len(damaged) == 2
+        for kind, want, got in zip(kinds, baseline, stored):
+            assert got.ok
+            assert answer_payload(kind, got.value) == answer_payload(
+                kind, want.value
+            )
+
+    def test_index_holds_offsets_not_records(self, tmp_path):
+        """500 records of ~4 KiB grow traced memory by well under their
+        payloads: the index keeps a key and one int per record."""
+        value = {"witness": "x" * 4096}
+        with ResultStore(tmp_path) as store:
+            store.append(("warm-up",), value)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(500):
+                    store.append(("instance", f"{i:064x}", "fhw", "bb", "{}"),
+                                 value)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(store) == 501
+            assert grown < 512 * 500
+            assert store.get(("instance", f"{499:064x}", "fhw", "bb", "{}")) \
+                == value
+
+    def test_reads_and_writes_after_close_raise(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.append(("t", 1), {"v": 1})
+        store.close()
+        with pytest.raises(ValueError):
+            store.get(("t", 1))
+        with pytest.raises(ValueError):
+            store.get(("t", 2))
+        with pytest.raises(ValueError):
+            store.append(("t", 3), {"v": 3})
+
+    READERS = (os.cpu_count() or 1) + 2
+
+    def _race(self, targets):
+        """Run each target on its own thread with a short switch
+        interval; every thread must finish within the timeout."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=target, daemon=True) for target in targets
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_lock_free_reads_race_appends(self, tmp_path):
+        """Readers pread while a writer seeks and appends: every read
+        sees the value written, and no frame is ever counted damaged."""
+        with ResultStore(tmp_path) as store:
+            store.append(("t", 0), {"v": 0})
+            done = threading.Event()
+            errors = []
+
+            def write():
+                try:
+                    for i in range(1, 300):
+                        store.append(("t", i), {"v": i})
+                finally:
+                    done.set()
+
+            def read():
+                rng = random.Random(threading.get_ident())
+                while not done.is_set():
+                    i = rng.randrange(len(store))  # keys 0..len-1 exist
+                    if store.get(("t", i)) != {"v": i}:
+                        errors.append(i)
+
+            self._race([write] + [read] * self.READERS)
+            assert len(store) == 300
+            assert errors == []
+            assert store.stats.records_damaged == 0
+
+    def test_concurrent_readers_count_a_damaged_record_once(
+        self, tmp_path, caplog
+    ):
+        log = _fill(tmp_path, n=2)
+        with ResultStore(tmp_path) as store:
+            data = log.read_bytes()
+            with open(log, "r+b") as f:
+                f.seek(_HEADER.size + 2)  # inside record ("t", 0)
+                f.write(bytes([data[_HEADER.size + 2] ^ 0x01]))
+            misses = []
+            with caplog.at_level("WARNING", logger="repro.store.log"):
+                self._race(
+                    [lambda: misses.append(store.get(("t", 0)))]
+                    * self.READERS
+                )
+            assert misses == [None] * self.READERS
+            assert store.stats.records_damaged == 1
+            assert store.stats.entries == len(store) == 1
+            assert store.get(("t", 1)) == {"v": 1}
+        damaged = [r for r in caplog.records if "changed on disk" in r.message]
+        assert len(damaged) == 1
 
 
 # ----------------------------------------------------------------------

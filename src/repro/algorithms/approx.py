@@ -23,7 +23,7 @@ from ..covers import EPS, FractionalCover
 from ..decomposition import Decomposition, validate
 from ..engine import get_context, oracle_for
 from ..hypergraph import Hypergraph, intersection_width
-from ._pipeline import via_pipeline
+from ..pipeline.batch import solve_many
 
 __all__ = [
     "fractional_part_bound",
@@ -282,15 +282,11 @@ def fhw_approximation(
     6.20 bounds the iteration count by ``⌈log((K+ε−1)/(ε/3))⌉``-ish,
     which experiment E12 verifies.
     """
-    return via_pipeline(
-        hypergraph,
-        "fhw_approximation",
-        preprocess,
-        jobs,
-        K,
-        eps,
-        find_fhd,
-    )
+    return solve_many(
+        [(hypergraph, "fhw-approximation",
+          {"K": K, "eps": eps, "find_fhd": find_fhd})],
+        preprocess=preprocess, jobs=jobs,
+    )[0].unwrap()
 
 
 def integralize(

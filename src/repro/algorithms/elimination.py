@@ -30,7 +30,7 @@ from ..covers import EPS, FractionalCover
 from ..decomposition import Decomposition, validate
 from ..engine import oracle_for
 from ..hypergraph import Hypergraph, Vertex
-from ._pipeline import via_pipeline
+from ..pipeline.batch import solve_many
 
 __all__ = [
     "width_by_elimination",
@@ -264,14 +264,10 @@ def generalized_hypertree_width_exact(
     ``vertex_limit`` bounds the largest *block*, not the whole
     hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
     """
-    return via_pipeline(
-        hypergraph,
-        "generalized_hypertree_width_exact",
-        preprocess,
-        jobs,
-        vertex_limit,
-        bounds=bounds,
-    )
+    return solve_many(
+        [(hypergraph, "ghw-exact", {"vertex_limit": vertex_limit})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()
 
 
 def _fractional_hypertree_width_exact_direct(
@@ -321,14 +317,10 @@ def fractional_hypertree_width_exact(
     ``vertex_limit`` bounds the largest *block*, not the whole
     hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
     """
-    return via_pipeline(
-        hypergraph,
-        "fractional_hypertree_width_exact",
-        preprocess,
-        jobs,
-        vertex_limit,
-        bounds=bounds,
-    )
+    return solve_many(
+        [(hypergraph, "fhw", {"vertex_limit": vertex_limit})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()
 
 
 def treewidth_exact(

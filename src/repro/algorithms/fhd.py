@@ -24,7 +24,7 @@ from ..covers import EPS
 from ..decomposition import Decomposition, project_to_original, validate
 from ..engine import oracle_for
 from ..hypergraph import Hypergraph, degree as degree_of
-from ._pipeline import via_pipeline
+from ..pipeline.batch import solve_many
 from .elimination import fractional_hypertree_width_exact
 from .hd import HDSearch
 from .subedges import fhd_subedges
@@ -90,8 +90,6 @@ def _fractional_hypertree_decomposition_bounded_degree_direct(
     **caps,
 ) -> Decomposition | None:
     """Check(FHD,k) on one block: the pipeline's ``check-fhd-bd`` core."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if d is None:
         d = degree_of(hypergraph)
     augmented = hypergraph.with_edges(
@@ -147,16 +145,10 @@ def fractional_hypertree_decomposition_bounded_degree(
     ``preprocess="none"`` runs the strict-HD search on one unreduced
     block.
     """
-    return via_pipeline(
-        hypergraph,
-        "fractional_hypertree_decomposition_bounded_degree",
-        preprocess,
-        jobs,
-        k,
-        bounds=bounds,
-        d=d,
-        **caps,
-    )
+    return solve_many(
+        [(hypergraph, "check-fhd-bd", {"k": k, "d": d, **caps})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()
 
 
 def check_fhd(hypergraph: Hypergraph, k: float, **options) -> bool:

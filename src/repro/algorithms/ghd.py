@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..decomposition import Decomposition, project_to_original, validate
 from ..hypergraph import Hypergraph
-from ._pipeline import via_pipeline
+from ..pipeline.batch import GHD_CAPS, request_params, solve_many
 from .hd import _hypertree_decomposition_direct
 from .subedges import bip_subedges, bmip_subedges, ghd_subedges, limit_subedges
 
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 #: Valid ``method=`` arguments of the Check(GHD, k) subedge generators.
-GHD_METHODS = ("fixpoint", "bip", "bmip", "limit")
+GHD_METHODS = tuple(GHD_CAPS)
 
 
 def augmented_hypergraph(
@@ -100,22 +100,15 @@ def generalized_hypertree_decomposition(
     complete for H (always for ``"limit"``; for ``"fixpoint"`` whenever
     it terminates within its cap, which the BIP/BMIP guarantees).
     """
+    params = request_params("check-ghd", {"k": k, "method": method, **caps})
     if k == 1 and hypergraph.num_edges:
         # Keep the GYO fast path on the whole hypergraph: the join tree
         # itself (one node per edge) is the canonical witness.
-        return _generalized_hypertree_decomposition_direct(
-            hypergraph, k, method=method, **caps
-        )
-    return via_pipeline(
-        hypergraph,
-        "generalized_hypertree_decomposition",
-        preprocess,
-        jobs,
-        k,
-        bounds=bounds,
-        method=method,
-        **caps,
-    )
+        return _generalized_hypertree_decomposition_direct(hypergraph, k)
+    return solve_many(
+        [(hypergraph, "check-ghd", params)],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()
 
 
 def check_ghd(
@@ -145,13 +138,7 @@ def generalized_hypertree_width(
     (``jobs=N`` adds cross-block and cross-k parallelism;
     ``preprocess="none"`` iterates on one unreduced block).
     """
-    return via_pipeline(
-        hypergraph,
-        "generalized_hypertree_width",
-        preprocess,
-        jobs,
-        kmax,
-        bounds=bounds,
-        method=method,
-        **caps,
-    )
+    return solve_many(
+        [(hypergraph, "ghw", {"kmax": kmax, "method": method, **caps})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()

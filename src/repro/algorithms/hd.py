@@ -31,7 +31,7 @@ from __future__ import annotations
 from ..decomposition import Decomposition, validate
 from ..engine import CheckSearch
 from ..hypergraph import Hypergraph
-from ._pipeline import via_pipeline
+from ..pipeline.batch import solve_many
 
 __all__ = [
     "hypertree_decomposition",
@@ -77,14 +77,10 @@ def hypertree_decomposition(
     condition) on the original hypergraph, so a non-None result is a
     certified "yes" instance.
     """
-    return via_pipeline(
-        hypergraph,
-        "hypertree_decomposition",
-        preprocess,
-        jobs,
-        k,
-        bounds=bounds,
-    )
+    return solve_many(
+        [(hypergraph, "check-hd", {"k": k})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()
 
 
 def check_hd(hypergraph: Hypergraph, k: int, **options) -> bool:
@@ -108,11 +104,7 @@ def hypertree_width(
     unreduced block; ``jobs=N`` parallelizes across components and
     candidate widths).
     """
-    return via_pipeline(
-        hypergraph,
-        "hypertree_width",
-        preprocess,
-        jobs,
-        kmax,
-        bounds=bounds,
-    )
+    return solve_many(
+        [(hypergraph, "hw", {"kmax": kmax})],
+        preprocess=preprocess, jobs=jobs, bounds=bounds,
+    )[0].unwrap()

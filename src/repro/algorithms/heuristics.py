@@ -43,7 +43,7 @@ from ..covers import FractionalCover
 from ..decomposition import Decomposition, validate
 from ..engine import CoverOracle, oracle_for
 from ..hypergraph import Hypergraph, Vertex, rank
-from ._pipeline import via_pipeline
+from ..pipeline.batch import solve_many
 from .elimination import decomposition_from_ordering
 
 __all__ = [
@@ -193,10 +193,6 @@ def _heuristic_decomposition_direct(
     oracle: CoverOracle | None = None,
 ) -> tuple[float, Decomposition]:
     """Heuristic decomposition of one block (the pipeline's core)."""
-    if ordering not in _ORDERINGS:
-        raise ValueError(f"ordering must be one of {sorted(_ORDERINGS)}")
-    if cost not in ("fractional", "integral"):
-        raise ValueError("cost must be 'fractional' or 'integral'")
     order = _ORDERINGS[ordering](hypergraph)
     width, decomposition = evaluate_ordering(
         hypergraph, order, cost=cost, oracle=oracle
@@ -222,14 +218,11 @@ def heuristic_decomposition(
     and the stitched result is re-validated against the original
     hypergraph, so the width really is achieved.
     """
-    return via_pipeline(
-        hypergraph,
-        "heuristic_decomposition",
-        preprocess,
-        jobs,
-        cost,
-        ordering,
-    )
+    return solve_many(
+        [(hypergraph, "heuristic-decomposition",
+          {"cost": cost, "ordering": ordering})],
+        preprocess=preprocess, jobs=jobs,
+    )[0].unwrap()
 
 
 def clique_lower_bound(
@@ -347,8 +340,6 @@ def _width_bounds_direct(
     orderings agree on (and bags a later exact search re-asks) are
     derived once per cache domain.
     """
-    if cost not in ("fractional", "integral"):
-        raise ValueError("cost must be 'fractional' or 'integral'")
     oracle = oracle_for(hypergraph)
     lower = width_lower_bound(hypergraph, cost=cost, oracle=oracle)
     best_width = float("inf")
@@ -378,4 +369,7 @@ def width_bounds(
     bounds stays a sound lower bound and the stitched witness achieves
     the upper one.
     """
-    return via_pipeline(hypergraph, "width_bounds", preprocess, jobs, cost)
+    return solve_many(
+        [(hypergraph, "bounds", {"cost": cost})],
+        preprocess=preprocess, jobs=jobs,
+    )[0].unwrap()

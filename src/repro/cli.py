@@ -390,7 +390,7 @@ def _format_batch_result(result) -> str:
     value = result.value
     if request.kind == "bounds":
         lower, upper, _witness = value
-        label = "fhw" if request.params.get("cost", "fractional") == "fractional" else "ghw"
+        label = "ghw" if request.params.get("cost") == "integral" else "fhw"
         return f"{lower:.4f} <= {label}({name}) <= {upper:.4f}"
     if request.kind.startswith("check-"):
         k = request.params.get("k")

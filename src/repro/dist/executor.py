@@ -48,7 +48,6 @@ from ..serve.protocol import (
     answer_from_payload,
     hypergraph_to_payload,
 )
-from ..store import params_fingerprint
 
 __all__ = ["RemoteExecutor"]
 
@@ -71,10 +70,11 @@ class _RemoteTask:
 def _task_frame(task_id: str, solver: str, hypergraph, params: dict):
     """The JSON task frame of a block task, or None if it cannot travel:
     bags come back as vertex-name strings, so a block whose names
-    collide under ``str`` stays local, as do params that are not JSON."""
+    collide under ``str`` stays local, as does a PTAAS task with a
+    custom ``find_fhd`` (a callable is not JSON)."""
     if len({str(v) for v in hypergraph.vertices}) < len(hypergraph.vertices):
         return None
-    if params_fingerprint(params) == "!opaque":
+    if "find_fhd" in params:
         return None
     return {
         "type": "task",

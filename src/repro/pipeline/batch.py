@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import asdict, dataclass, field
 
@@ -71,26 +71,77 @@ __all__ = [
     "BatchScheduler",
     "solve_many",
     "BATCH_KINDS",
+    "GHD_CAPS",
+    "request_params",
 ]
 
-#: kind -> (decomposition kind, per-block solver, store record family).
-#: The family fixes each block's rung ladder (:class:`~.solve.BlockState`):
-#: ``"block"`` kinds search k = 1, 2, ..., cap (speculatively above the
-#: frontier when workers are idle) and persist the settled width;
-#: ``"check"`` kinds ask the one rung k, persist every verdict, and are
-#: answered None by the first rejecting block; ``"block-exact"`` and the
-#: heuristics (None: no per-block records) ask the one rung None.
+
+@dataclass(frozen=True)
+class _Param:
+    """One request param's spec: its types (a bool is never an int),
+    the core's default or ``required``, and allowed values."""
+
+    types: tuple
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    minimum: int | None = None
+
+
+_INT, _NUMBER = (int,), (int, float)
+_K = _Param(_INT, required=True, minimum=1)
+_KMAX = _Param(_INT)
+_MAX_SETS = _Param(_INT, 200_000)
+_VERTEX_LIMIT = _Param(_INT, 18)
+_COST = _Param((str,), "fractional", choices=("fractional", "integral"))
+
+#: The subedge generator caps each Check(GHD, k) ``method`` takes
+#: (Theorems 4.11 and 4.15; :mod:`repro.algorithms.subedges`).
+GHD_CAPS = {
+    "fixpoint": {"max_sets": _MAX_SETS},
+    "bip": {"max_intersection": _Param(_INT, 20)},
+    "bmip": {"c": _Param(_INT, required=True, minimum=2),
+             "max_subset_size": _Param(_INT, 18), "max_sets": _MAX_SETS},
+    "limit": {"max_edge_size": _Param(_INT, 16)},
+}
+_METHOD = _Param((str,), "fixpoint", choices=tuple(GHD_CAPS))
+
+#: kind -> (decomposition kind, per-block solver, store record family,
+#: params spec).  The family fixes each block's rung ladder
+#: (:class:`~.solve.BlockState`): ``"block"`` kinds search k = 1, 2,
+#: ..., cap (speculatively above the frontier when workers are idle)
+#: and persist the settled width; ``"check"`` kinds ask the one rung k,
+#: persist every verdict, and are answered None by the first rejecting
+#: block; ``"block-exact"`` and the heuristics (None: no per-block
+#: records) ask the one rung None.  The spec names every param a
+#: request takes (a ``method`` adds its caps); ``kmax`` and ``k`` set
+#: the ladder, the rest go to the solver.
 _KIND_TABLE = {
-    "hw": ("hd", "check-hd", "block"),
-    "ghw": ("ghd", "check-ghd", "block"),
-    "ghw-exact": ("ghd", "ghw-exact", "block-exact"),
-    "fhw": ("fhd", "fhw-exact", "block-exact"),
-    "bounds": ("fhd", "heuristic-bounds", None),
-    "check-hd": ("hd", "check-hd", "check"),
-    "check-ghd": ("ghd", "check-ghd", "check"),
-    "check-fhd-bd": ("fhd", "check-fhd-bd", "check"),
-    "heuristic-decomposition": ("fhd", "heuristic-decomposition", None),
-    "fhw-approximation": ("fhd", "fhw-approximation", None),
+    "hw": ("hd", "check-hd", "block", {"kmax": _KMAX}),
+    "ghw": ("ghd", "check-ghd", "block", {"kmax": _KMAX, "method": _METHOD}),
+    "ghw-exact": ("ghd", "ghw-exact", "block-exact",
+                  {"vertex_limit": _VERTEX_LIMIT}),
+    "fhw": ("fhd", "fhw-exact", "block-exact",
+            {"vertex_limit": _VERTEX_LIMIT}),
+    "bounds": ("fhd", "heuristic-bounds", None, {"cost": _COST}),
+    "check-hd": ("hd", "check-hd", "check", {"k": _K}),
+    "check-ghd": ("ghd", "check-ghd", "check", {"k": _K, "method": _METHOD}),
+    "check-fhd-bd": ("fhd", "check-fhd-bd", "check", {
+        "k": _Param(_NUMBER, required=True, minimum=1),
+        "d": _Param(_INT),
+        "piece_cap": _Param(_INT, 14),
+        "max_sets": _MAX_SETS,
+    }),
+    "heuristic-decomposition": ("fhd", "heuristic-decomposition", None, {
+        "cost": _COST,
+        "ordering": _Param((str,), "min-fill",
+                          choices=("min-degree", "min-fill")),
+    }),
+    "fhw-approximation": ("fhd", "fhw-approximation", None, {
+        "K": _Param(_NUMBER, required=True),
+        "eps": _Param(_NUMBER, required=True),
+        "find_fhd": _Param((Callable,)),
+    }),
 }
 
 #: Kinds only :class:`~.solver.WidthSolver` submits: heuristic methods
@@ -102,6 +153,59 @@ _INTERNAL_KINDS = ("heuristic-decomposition", "fhw-approximation")
 #: mirror :func:`~.solver.solve_width`; the ``"check-*"`` kinds answer
 #: Check(X, k) for the ``k`` given in ``params``.
 BATCH_KINDS = tuple(k for k in _KIND_TABLE if k not in _INTERNAL_KINDS)
+
+
+def request_params(kind: str, params: Mapping | None) -> dict:
+    """A request's params, checked against its kind's spec, with every
+    value equal to its default (None included) dropped.
+
+    Every request passes here before anything runs, so a bad name or
+    value is one ``ValueError`` in every bounds mode and store state,
+    and equal requests share one spelling and store key.
+    """
+    if kind not in _KIND_TABLE:
+        raise ValueError(f"kind must be one of {BATCH_KINDS}; got {kind!r}")
+    params = {} if params is None else params
+    if not isinstance(params, Mapping):
+        raise ValueError(f"'params' must be an object; got {params!r}")
+    spec = _KIND_TABLE[kind][3]
+    if "method" in spec:
+        method = _checked(kind, "method", params.get("method"), _METHOD)
+        spec = {**spec, **GHD_CAPS[method]}
+    unknown = [name for name in params if name not in spec]
+    if unknown:
+        raise ValueError(
+            f"unknown params for {kind!r}: {', '.join(map(repr, unknown))}"
+            f"; valid: {', '.join(spec)}"
+        )
+    normalised = {}
+    for name, param in spec.items():
+        value = _checked(kind, name, params.get(name), param)
+        if value != param.default:
+            normalised[name] = value
+    return normalised
+
+
+def _checked(kind: str, name: str, value, param: _Param):
+    """One param's value, checked against ``param``; None is the default."""
+    if value is None:
+        if param.required:
+            raise ValueError(f"{kind!r} requests need params['{name}']")
+        return param.default
+    if param.choices:
+        if value not in param.choices:
+            raise ValueError(
+                f"{name} must be one of {param.choices}; got {value!r}"
+            )
+    elif isinstance(value, bool) or not isinstance(value, param.types) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        names = "/".join(t.__name__ for t in param.types)
+        raise ValueError(f"{name} must be {names}; got {value!r}")
+    if param.minimum is not None and value < param.minimum:
+        raise ValueError(f"{name} must be >= {param.minimum}; got {value!r}")
+    return value
+
 
 _LOG = logging.getLogger(__name__)
 
@@ -117,10 +221,13 @@ class BatchRequest:
     kind : str, optional
         One of :data:`BATCH_KINDS` (default ``"ghw"``).
     params : dict, optional
-        Extra keyword arguments for the underlying solver (e.g.
+        The request's params, each a name its kind's spec takes (e.g.
         ``{"kmax": 3}`` for width searches, ``{"k": 2}`` — required —
         for check kinds, ``{"vertex_limit": 12}`` for the exact
-        oracles, ``{"cost": "integral"}`` for bounds).
+        oracles, ``{"cost": "integral"}`` for bounds).  The run checks
+        them with :func:`request_params` before anything else, failing
+        the request with a ``ValueError`` on a bad name or value, and
+        replaces them with their normalised form (defaults dropped).
     label : str, optional
         Display name for results and the CLI (defaults to the
         hypergraph's own name).
@@ -468,7 +575,8 @@ class _Instance:
         bounds: str = "portfolio",
         store: ResultStore | None = None,
     ) -> None:
-        """Validate the request and run its reduce + split + bounds stages.
+        """Normalise the request's params (:func:`request_params`) and
+        run its reduce + split + bounds stages.
 
         With a ``store``, a persisted full answer short-circuits the
         whole pipeline (the instance fast path: no reduce, no bounds,
@@ -477,39 +585,19 @@ class _Instance:
         the exact engine.
         """
         request = self.request
-        if request.kind not in _KIND_TABLE:
-            raise ValueError(
-                f"kind must be one of {BATCH_KINDS}; got {request.kind!r}"
-            )
+        request.params = request_params(request.kind, request.params)
         if not isinstance(request.hypergraph, Hypergraph):
             raise TypeError(
                 f"request {self.index} has no hypergraph: "
                 f"{request.hypergraph!r}"
             )
-        self.dkind, self.solver, self.family = _KIND_TABLE[request.kind]
+        self.dkind, self.solver, self.family = _KIND_TABLE[request.kind][:3]
         self.store = None if request.kind in _INTERNAL_KINDS else store
-        params = dict(request.params or {})
-        if self.solver == "check-ghd":
-            # Checked here, once: the pre-pass may answer without the
-            # engine, so an engine-side check would depend on the bounds
-            # mode (and the store would key a record on the bogus value).
-            from ..algorithms.ghd import GHD_METHODS  # lazy: no cycles
-
-            if params.get("method", "fixpoint") not in GHD_METHODS:
-                raise ValueError(f"method must be one of {GHD_METHODS}")
-        if request.kind in ("bounds", "heuristic-decomposition"):
-            cost = params.get("cost", "fractional")
-            self.dkind = "fhd" if cost == "fractional" else "ghd"
+        params = dict(request.params)
+        if params.get("cost") == "integral":  # bounds, heuristics
+            self.dkind = "ghd"
         kmax = params.pop("kmax", None)
-        self.k = None
-        if self.family == "check":
-            if "k" not in params:
-                raise ValueError(
-                    f"{request.kind!r} requests need params={{'k': ...}}"
-                )
-            self.k = params.pop("k")
-            if self.k < 1:
-                raise ValueError("width bound k must be >= 1")
+        self.k = params.pop("k", None)
         self.params = params
         if self._load_from_store():
             return

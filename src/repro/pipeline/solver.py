@@ -1,7 +1,7 @@
 """The ``WidthSolver`` facade: reduce → split → solve → stitch.
 
-Every public width entry point of the library routes through this class,
-and every :class:`WidthSolver` method is a one-request run of the batch
+Every public width entry point of the library, and every
+:class:`WidthSolver` method, is a one-request run of the batch
 scheduler in :mod:`repro.pipeline.batch`, the pipeline's one drive
 loop.  ``preprocess="none"`` runs the whole instance as one
 unreduced block (the bounds pre-pass stays on unless
@@ -233,16 +233,16 @@ class WidthSolver:
 
     def _run(self, kind: str, params: dict):
         """Answer one request of ``kind`` as a one-request batch."""
-        from .batch import BatchRequest, BatchScheduler  # lazy: no cycle
+        from .batch import solve_many  # lazy: batch imports this module
 
-        scheduler = BatchScheduler(
+        (result,) = solve_many(
+            [(self.hypergraph, kind, params)],
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
             bounds=self.bounds,
         )
-        result = scheduler.submit(BatchRequest(self.hypergraph, kind, params))
-        self.last_stats = scheduler.run()
+        self.last_stats = result.stats
         return result.unwrap()
 
     # ------------------------------------------------------------------
@@ -266,9 +266,7 @@ class WidthSolver:
         ``d`` defaults per block to the block's own degree, which never
         exceeds the input's — smaller supports, smaller searches.
         """
-        if d is not None:
-            caps["d"] = d
-        return self._run("check-fhd-bd", {"k": k, **caps})
+        return self._run("check-fhd-bd", {"k": k, "d": d, **caps})
 
     # ------------------------------------------------------------------
     # Width searches (iterate k per block)
@@ -295,13 +293,13 @@ class WidthSolver:
         validated portfolio witness) skip the 2^n DP entirely; the
         witness width caps the DP on the others.
         """
-        return self._run("ghw-exact", _limit(vertex_limit))
+        return self._run("ghw-exact", {"vertex_limit": vertex_limit})
 
     def fractional_hypertree_width_exact(
         self, vertex_limit: int | None = None
     ) -> tuple[float, Decomposition]:
         """Exact ``fhw(H)``; the 2^n limit applies *per block*."""
-        return self._run("fhw", _limit(vertex_limit))
+        return self._run("fhw", {"vertex_limit": vertex_limit})
 
     # ------------------------------------------------------------------
     # Heuristic and approximation drivers
@@ -333,15 +331,13 @@ class WidthSolver:
         widths) < fhw(H) + ε`` whenever ``fhw(H) <= K``.  A custom
         ``find_fhd`` receives *block* hypergraphs.
         """
-        params: dict = {"K": K, "eps": eps}
-        if find_fhd is not None:
-            params["find_fhd"] = find_fhd
-        return self._run("fhw-approximation", params)
+        return self._run(
+            "fhw-approximation", {"K": K, "eps": eps, "find_fhd": find_fhd}
+        )
 
 
-def _limit(vertex_limit: int | None) -> dict:
-    """Oracle params: the solver's own default limit unless one is given."""
-    return {} if vertex_limit is None else {"vertex_limit": vertex_limit}
+#: The kinds :func:`solve_width` answers: the width queries.
+_WIDTH_KINDS = ("hw", "ghw", "ghw-exact", "fhw", "bounds")
 
 
 def solve_width(
@@ -357,24 +353,11 @@ def solve_width(
 
     ``kind`` is one of ``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``
     (the exact oracle), or ``"bounds"`` (heuristic sandwich); extra
-    keyword arguments go to the underlying solver method.  ``bounds``
-    selects the pre-pass mode (one of
-    :data:`repro.pipeline.bounds.BOUNDS_MODES`).
+    keyword arguments are the request params of that kind (see
+    :func:`~.batch.request_params`).  ``bounds`` selects the pre-pass
+    mode (one of :data:`repro.pipeline.bounds.BOUNDS_MODES`).
     """
-    solver = WidthSolver(
-        hypergraph,
-        preprocess=preprocess,
-        jobs=jobs,
-        executor=executor,
-        bounds=bounds,
-    )
-    dispatch = {
-        "hw": solver.hypertree_width,
-        "ghw": solver.generalized_hypertree_width,
-        "ghw-exact": solver.generalized_hypertree_width_exact,
-        "fhw": solver.fractional_hypertree_width_exact,
-        "bounds": solver.width_bounds,
-    }
-    if kind not in dispatch:
-        raise ValueError(f"kind must be one of {sorted(dispatch)}")
-    return dispatch[kind](**params)
+    if kind not in _WIDTH_KINDS:
+        raise ValueError(f"kind must be one of {_WIDTH_KINDS}; got {kind!r}")
+    solver = WidthSolver(hypergraph, preprocess, jobs, executor, bounds)
+    return solver._run(kind, params)

@@ -44,7 +44,7 @@ from .. import store
 from ..cqcsp import parse_cq, relation_from_payload
 from ..cqcsp.planner import plan_key
 from ..hypergraph import Hypergraph
-from ..pipeline.batch import BATCH_KINDS, BatchRequest
+from ..pipeline.batch import BATCH_KINDS, BatchRequest, request_params
 from ..store import answer_payload, params_fingerprint
 
 __all__ = [
@@ -129,7 +129,10 @@ def _check_fields(obj, fields: tuple) -> None:
 
 
 def request_from_payload(obj) -> BatchRequest:
-    """Decode one solve request; raises :class:`ProtocolError`."""
+    """Decode one solve request; raises :class:`ProtocolError`.
+
+    The params come back normalised by
+    :func:`~repro.pipeline.batch.request_params`."""
     _check_fields(obj, ("hypergraph", "kind", "label", "params"))
     hypergraph = hypergraph_from_payload(obj.get("hypergraph"))
     kind = obj.get("kind", "ghw")
@@ -137,9 +140,10 @@ def request_from_payload(obj) -> BatchRequest:
         raise ProtocolError(
             f"kind must be one of {', '.join(BATCH_KINDS)}; got {kind!r}"
         )
-    params = obj.get("params") or {}
-    if not isinstance(params, dict):
-        raise ProtocolError("'params' must be an object")
+    try:
+        params = request_params(kind, obj.get("params"))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ProtocolError("'label' must be a string")

@@ -10,9 +10,10 @@ The format is deliberately boring::
     payload  := UTF-8 JSON {"key": [...], "value": {...}}
 
 Loading scans records until the first structural problem — bad magic,
-impossible length, CRC mismatch, malformed JSON, a key that is not a
+impossible length, a short read, malformed JSON, a key that is not a
 JSON array of scalars — and remembers the byte offset of the last good
-record.  Everything after it is a *skipped tail*: reads behave as if
+record (a whole frame that only fails its CRC is skipped, counted and
+logged).  Everything after it is a *skipped tail*: reads behave as if
 those records were never written, and the next append truncates the
 file back to the good prefix before writing.  A writer killed between
 ``write`` and ``fsync`` therefore costs at most the unsynced suffix —
@@ -101,18 +102,12 @@ def params_fingerprint(params: dict | None) -> str:
 
     Store keys include it so answers computed under different tuning
     parameters (``method``, ``vertex_limit``, enumeration caps, ...)
-    never serve each other.  Unfingerprintable values (non-JSON
-    objects, e.g. a custom ``find_fhd`` callable) yield the sentinel
-    ``"!opaque"``, which matches nothing but itself within one process
-    and is never written by the persistence layer — callers skip
-    storing such requests.
+    never serve each other.  Params normalised by
+    :func:`repro.pipeline.batch.request_params` give one per request.
     """
     if not params:
         return "{}"
-    try:
-        return json.dumps(params, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return "!opaque"
+    return json.dumps(params, sort_keys=True, separators=(",", ":"))
 
 
 def checked_witness(
@@ -239,14 +234,15 @@ class StoreStats:
     records_loaded : int
         Well-formed records read at open time.
     records_damaged : int
-        Indexed records whose frame failed its re-check on read (a byte
-        changed on disk after open).  Each is served as a miss, logged
-        and dropped from the index, so it is counted once and its
-        recomputed verdict is appended again.
+        Frames that failed their CRC (a byte changed on disk), each
+        logged and counted once: skipped at open time, or, once
+        indexed, served as a miss on read and dropped from the index,
+        so the recomputed verdict is appended again.
     records_skipped : int
         Records lost to the corrupt/truncated tail at open time (at
-        most 1 can be counted — loading stops at the first bad frame —
-        so this is 0 or 1; the *bytes* lost are in ``bytes_skipped``).
+        most 1 can be counted — loading stops at the first bad header
+        or short read — so this is 0 or 1; the *bytes* lost are in
+        ``bytes_skipped``).
     records_appended : int
         Records written by this handle since opening.
     bytes_valid : int
@@ -335,11 +331,14 @@ class ResultStore:
         return tuple(key), record["value"]
 
     def _load(self) -> None:
-        """Index the good log prefix; remember where the bad tail starts."""
+        """Index the good log prefix; remember where the bad tail starts.
+
+        A CRC-failed frame is skipped as damaged, not an end of log."""
         f = self._file
         f.seek(0)
         good = 0
         while True:
+            offset = f.tell()
             header = f.read(_HEADER.size)
             if len(header) < _HEADER.size:
                 break  # clean end of log (or torn header: same treatment)
@@ -347,12 +346,19 @@ class ResultStore:
             if magic != _MAGIC or length > _MAX_RECORD_BYTES:
                 break
             payload = f.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
+            if len(payload) < length:
                 break
+            if zlib.crc32(payload) != crc:
+                self.stats.records_damaged += 1
+                _LOG.warning(
+                    "store record at byte %d of %s fails its CRC; "
+                    "skipping it", offset, self.log_path,
+                )
+                continue
             record = self._decode(payload)
             if record is None:
                 break
-            self._index[record[0]] = good * _SLOT + length
+            self._index[record[0]] = offset * _SLOT + length
             self.stats.records_loaded += 1
             good = f.tell()
         f.seek(0, 2)
@@ -479,10 +485,6 @@ class ResultStore:
         fp = params_fingerprint(params)
         return (tag, hypergraph.canonical_hash(), *dims, "bb", fp)
 
-    def _put(self, key: tuple, kind: str, value) -> None:
-        if key[-1] != "!opaque":
-            self.append(key, answer_payload(kind, value))
-
     def _answer(
         self, key: tuple, hypergraph: Hypergraph, kind: str, dkind: str, k=None
     ) -> tuple | None:
@@ -524,7 +526,7 @@ class ResultStore:
     ) -> None:
         """Persist a settled width-search block: its width and witness."""
         key = self._key("block", hypergraph, kind, params=params)
-        self._put(key, "block", (int(width), witness))
+        self.append(key, answer_payload("block", (int(width), witness)))
 
     def get_block(
         self,
@@ -547,7 +549,9 @@ class ResultStore:
     ) -> None:
         """Persist an exact-oracle block result."""
         key = self._key("block-exact", hypergraph, kind, params=params)
-        self._put(key, "block-exact", (float(width), witness))
+        self.append(
+            key, answer_payload("block-exact", (float(width), witness))
+        )
 
     def get_block_exact(
         self,
@@ -571,7 +575,7 @@ class ResultStore:
         """Persist one Check(X, k) verdict (None witness = rejected)."""
         k = round(float(k), 9)
         key = self._key("check", hypergraph, kind, k, params=params)
-        self._put(key, "check", witness)
+        self.append(key, answer_payload("check", witness))
 
     def get_check(
         self,
@@ -602,7 +606,7 @@ class ResultStore:
         key = self._key(
             "instance", hypergraph, request_kind, params=params
         )
-        self._put(key, request_kind, value)
+        self.append(key, answer_payload(request_kind, value))
 
     def get_instance(
         self,

@@ -7,8 +7,14 @@ instance resolves its own handle with an error and never poisons
 sibling futures.
 """
 
+import inspect
+from importlib import import_module
+
 import pytest
 
+from repro.algorithms import subedges
+from repro.algorithms.ghd import GHD_METHODS
+from repro.algorithms.heuristics import _ORDERINGS
 from repro.covers import EPS
 from repro.decomposition import is_fhd, is_ghd, is_hd
 from repro.hypergraph import Hypergraph
@@ -20,11 +26,75 @@ from repro.hypergraph.generators import (
 )
 from repro.pipeline import (
     BATCH_KINDS,
+    SOLVERS,
     BatchRequest,
     BatchScheduler,
     WidthSolver,
     solve_many,
 )
+from repro.pipeline.batch import _KIND_TABLE, GHD_CAPS, request_params
+
+#: Where the params a core passes on through ``**caps`` land.
+CAP_GENERATORS = {
+    "check-fhd-bd": subedges.fhd_subedges,
+    "fixpoint": subedges.ghd_subedges,
+    "bip": subedges.bip_subedges,
+    "bmip": subedges.bmip_subedges,
+    "limit": subedges.limit_subedges,
+}
+
+
+def _assert_defaults_match(spec, function):
+    """Each spec default is ``function``'s; a required param has none."""
+    signature = inspect.signature(function).parameters
+    for name, param in spec.items():
+        assert name in signature, (function.__name__, name)
+        default = signature[name].default
+        if param.required:
+            assert default is inspect.Parameter.empty, name
+        else:
+            assert default == param.default, (function.__name__, name)
+
+
+class TestParamSpecs:
+    """One spec per kind decides request params; it agrees with the
+    per-block cores and subedge generators the params end up in."""
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_TABLE))
+    def test_spec_defaults_are_the_core_defaults(self, kind):
+        _dkind, solver, _family, spec = _KIND_TABLE[kind]
+        module, core = SOLVERS[solver]
+        core = getattr(import_module(f"repro.algorithms.{module}"), core)
+        spec = {n: p for n, p in spec.items() if n != "kmax"}  # the ladder
+        caps = {
+            n: p for n, p in spec.items()
+            if n not in inspect.signature(core).parameters
+        }
+        _assert_defaults_match(
+            {n: p for n, p in spec.items() if n not in caps}, core
+        )
+        if caps:
+            _assert_defaults_match(caps, CAP_GENERATORS[kind])
+
+    @pytest.mark.parametrize("method", GHD_METHODS)
+    def test_ghd_caps_are_the_generator_defaults(self, method):
+        _assert_defaults_match(GHD_CAPS[method], CAP_GENERATORS[method])
+
+    def test_choices_are_the_algorithms_choices(self):
+        specs = {kind: row[3] for kind, row in _KIND_TABLE.items()}
+        assert specs["ghw"]["method"].choices == GHD_METHODS
+        assert tuple(GHD_CAPS) == GHD_METHODS
+        ordering = specs["heuristic-decomposition"]["ordering"]
+        assert set(ordering.choices) == set(_ORDERINGS)
+
+    def test_defaults_and_none_are_dropped(self):
+        spelled = {"method": "fixpoint", "kmax": None}
+        assert request_params("ghw", spelled) == {}
+        assert request_params(
+            "ghw", {"method": "bmip", "c": 3, "max_sets": 200_000}
+        ) == {"method": "bmip", "c": 3}
+        assert request_params("fhw", {"vertex_limit": 18}) == {}
+        assert request_params("check-hd", {"k": 2}) == {"k": 2}
 
 
 class TestRequestNormalization:

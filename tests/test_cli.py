@@ -282,21 +282,30 @@ class TestBatch:
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([
-            {"file": "c4.hg", "kind": "ghw", "params": {"method": "zzz"}},
+            {"file": "c4.hg", "kind": "ghw", "params": {"kmax": 1}},
             {"file": "c4.hg", "kind": "ghw"},
         ]))
         assert main(["batch", str(manifest)]) == 1
         out = capsys.readouterr().out
-        assert "ERROR" in out
+        assert "ERROR" in out and "no GHD of width <= 1" in out
         assert "ghw(c4) = 2" in out  # sibling still answered
         assert "1 failed" in out
-        # An unknown kind fails to decode: a manifest error, exit 2.
+        # An unknown kind or param value fails to decode: a manifest
+        # error, exit 2.
         badkind = tmp_path / "badkind.json"
         badkind.write_text(json.dumps([{"file": "c4.hg", "kind": "zzz"}]))
         assert main(["batch", str(badkind)]) == 2
         err = capsys.readouterr().err
         assert "manifest entry 0: kind must be one of" in err
         assert "'zzz'" in err
+        badmethod = tmp_path / "badmethod.json"
+        badmethod.write_text(json.dumps(
+            [{"file": "c4.hg", "kind": "ghw", "params": {"method": "zzz"}}]
+        ))
+        assert main(["batch", str(badmethod)]) == 2
+        assert "manifest entry 0: method must be one of" in (
+            capsys.readouterr().err
+        )
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

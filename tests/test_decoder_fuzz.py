@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from repro.decomposition.io import decomposition_from_dict
 from repro.dist import protocol as wire
 from repro.hypergraph import Hypergraph
-from repro.pipeline.batch import BATCH_KINDS
+from repro.hypergraph.generators import triangle_cascade
+from repro.pipeline import BOUNDS_MODES, BatchRequest, solve_many
+from repro.pipeline.batch import (
+    _KIND_TABLE,
+    BATCH_KINDS,
+    GHD_CAPS,
+    request_params,
+)
 from repro.serve.protocol import (
     ProtocolError,
     answer_from_payload,
@@ -123,6 +130,71 @@ class TestRemovedSolverField:
         assert main(["batch", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert "entry 0: unknown request fields: ['solver']" in err
+
+
+#: Params no spec takes, one per way to be wrong.
+BAD_PARAMS = {
+    "unknown": ("ghw", {"bogus": 1}),
+    "wrong-type": ("ghw", {"kmax": "3"}),
+    "bool-for-int": ("hw", {"kmax": True}),
+    "task-only-upper": ("fhw", {"upper": 1.0}),
+    "task-only-oracle": ("bounds", {"oracle": None}),
+    "k-on-a-search": ("ghw", {"k": 2}),
+    "method-mismatch": ("ghw", {"method": "bip", "max_sets": 5}),
+    "bmip-without-c": ("check-ghd", {"k": 2, "method": "bmip"}),
+    "check-without-k": ("check-hd", {}),
+    "k-below-1": ("check-hd", {"k": 0}),
+    "non-finite-k": ("check-fhd-bd", {"k": float("inf")}),
+}
+
+#: Every name some spec takes, plus task-only and unknown ones.
+param_names = st.sampled_from(
+    sorted(
+        {name for spec in _KIND_TABLE.values() for name in spec[3]}
+        | {name for caps in GHD_CAPS.values() for name in caps}
+        | {"upper", "oracle", "bogus"}
+    )
+)
+
+
+class TestRequestParams:
+    """Every request passes one params check before anything runs: a
+    bad name or value is one ``ValueError`` in every bounds mode, and a
+    ``ProtocolError`` (HTTP 400, exit 2) from the decoder."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+    def test_bad_params_raise_only_protocol_errors(self, case):
+        kind, params = BAD_PARAMS[case]
+        body = {"hypergraph": {"edges": {"ab": ["a", "b"]}}, "kind": kind}
+        with pytest.raises(ProtocolError):
+            request_from_payload({**body, "params": params})
+
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+    def test_bad_params_are_one_error_in_every_mode(self, case):
+        kind, params = BAD_PARAMS[case]
+        errors = set()
+        for bounds in BOUNDS_MODES:
+            (result,) = solve_many(
+                [BatchRequest(triangle_cascade(3), kind, dict(params))],
+                bounds=bounds,
+            )
+            assert type(result.error) is ValueError
+            assert result.stats.tasks_run == 0
+            errors.add(str(result.error))
+        assert len(errors) == 1
+
+    @FUZZ
+    @given(
+        kind=st.sampled_from(BATCH_KINDS),
+        params=st.dictionaries(param_names, json_values, max_size=4),
+    )
+    def test_params_decode_normalised_or_fail(self, kind, params):
+        body = {"hypergraph": {"edges": {"ab": ["a", "b"]}}, "kind": kind}
+        try:
+            request = request_from_payload({**body, "params": params})
+        except ProtocolError:
+            return
+        assert request_params(kind, request.params) == request.params
 
 
 class TestHttpDecoders:

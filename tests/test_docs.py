@@ -17,6 +17,7 @@ Three guarantees, all tier-1:
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -263,6 +264,48 @@ def test_batch_kinds_documented_in_api_reference():
     text = (REPO_ROOT / "docs/api.md").read_text()
     missing = [kind for kind in BATCH_KINDS if f'"{kind}"' not in text]
     assert not missing, f"docs/api.md does not document kinds: {missing}"
+
+
+def _params_cell(spec) -> str:
+    """A params spec as the api.md table renders it."""
+    types = {(int,): "int", (int, float): "number"}
+
+    def literal(value):
+        return json.dumps(value) if isinstance(value, str) else repr(value)
+
+    def describe(name, param):
+        if param.choices:
+            shape = "one of " + ", ".join(
+                f"`{literal(c)}`" for c in param.choices
+            )
+        else:
+            shape = types[param.types]
+        if param.minimum is not None:
+            shape += f" ≥ {param.minimum}"
+        tail = (
+            "required" if param.required
+            else f"default `{literal(param.default)}`"
+        )
+        return f"`{name}` {shape}, {tail}"
+
+    return "; ".join(describe(name, p) for name, p in spec.items())
+
+
+def test_request_params_documented_in_api_reference():
+    """Every kind's params table row, and every GHD method's caps row,
+    matches its spec in ``repro.pipeline.batch``."""
+    from repro.pipeline.batch import _KIND_TABLE, BATCH_KINDS, GHD_CAPS
+
+    text = (REPO_ROOT / "docs/api.md").read_text()
+    rows = [
+        f'| `"{kind}"` | {_params_cell(_KIND_TABLE[kind][3])}'
+        for kind in BATCH_KINDS
+    ] + [
+        f'| `"{method}"` | {_params_cell(caps)} |'
+        for method, caps in GHD_CAPS.items()
+    ]
+    missing = [row for row in rows if row not in text]
+    assert not missing, f"docs/api.md params tables are stale: {missing}"
 
 
 def _subcommands():

@@ -15,7 +15,8 @@ Besides the ``test_entry_points.py`` corpus, the cases include three
 failures (a ``kmax``-capped hw search over two components, and a
 rejecting ``check-ghd`` and ``check-fhd-bd`` over three blocks), a
 ``check-ghd`` with an enumeration cap, whose bounds witness must not
-answer it, and a width search and an exact oracle whose tasks raise.
+answer it, a width search and an exact oracle whose tasks raise, and
+two requests with a param no spec takes.
 
 Some witnesses follow the iteration order of string sets, so the
 observations run in one child process under ``PYTHONHASHSEED=0``.  The
@@ -98,13 +99,22 @@ CASES.update(
         "triangles(3)/check-ghd-capped": (
             triangle_cascade(3), "check-ghd", {"k": 2, "max_sets": 10**6},
         ),
-        # A task that raises (k = 1 takes the GYO path, which ignores
-        # caps; k = 2 does not): the request fails where a task runs.
+        # Params no spec takes: one ValueError before anything runs.
         "triangles(3)/ghw-bad-cap": (
             triangle_cascade(3), "ghw", {"bogus": 1},
         ),
         "triangles(3)/fhw-bad-param": (
             triangle_cascade(3), "fhw", {"bogus": 1},
+        ),
+        # Valid params whose task raises: the DP's vertex limit, and
+        # the subedge generator's enumeration cap (k = 1 takes the GYO
+        # path, which ignores caps; k = 2 does not).  The request fails
+        # where a task runs.
+        "triangles(3)/fhw-dp-limit": (
+            triangle_cascade(3), "fhw", {"vertex_limit": 2},
+        ),
+        "triangles(3)/ghw-cap-hit": (
+            triangle_cascade(3), "ghw", {"max_sets": 1},
         ),
     }
 )
@@ -243,12 +253,23 @@ class TestPinnedBehaviours:
         # The oracle's two other blocks were never submitted: cancelled.
         # A search's unstarted blocks count nothing (their cost is
         # unknown), and its first block ran k = 1 before k = 2 raised.
-        oracle = pins["triangles(3)/fhw-bad-param|none"]["none"]
-        search = pins["triangles(3)/ghw-bad-cap|none"]["none"]
-        assert oracle["answer"].startswith("TypeError")
+        oracle = pins["triangles(3)/fhw-dp-limit|none"]["none"]
+        search = pins["triangles(3)/ghw-cap-hit|none"]["none"]
+        assert oracle["answer"].startswith("ValueError: 3 vertices")
         assert (oracle["tasks_run"], oracle["tasks_cancelled"]) == (1, 2)
-        assert search["answer"].startswith("TypeError")
+        assert search["answer"].startswith("RuntimeError: subedge fixpoint")
         assert (search["tasks_run"], search["tasks_cancelled"]) == (2, 0)
+
+    @pytest.mark.parametrize("case", ["ghw-bad-cap", "fhw-bad-param"])
+    def test_bad_params_are_one_error_in_every_mode(self, pins, case):
+        runs = [
+            run
+            for bounds in BOUNDS_MODES
+            for run in pins[f"triangles(3)/{case}|{bounds}"].values()
+        ]
+        assert all(run == runs[0] for run in runs)
+        assert runs[0]["answer"].startswith("ValueError: unknown params")
+        assert not any(runs[0][name] for name in COUNTERS)
 
     def test_capped_search_stops_at_its_first_exhausted_block(self, pins):
         # Like a rejected check: the first block to run out of its cap

@@ -279,6 +279,26 @@ class TestEndpoints:
         # Protocol rejections never reach the solve counters.
         assert h.server.stats.solves == 0
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("ghw", {"bogus": 1}),
+            ("ghw", {"kmax": "3"}),
+            ("fhw", {"upper": 1.0}),
+            ("ghw", {"method": "bip", "max_sets": 5}),
+        ],
+        ids=["unknown", "wrong-type", "task-only", "method-mismatch"],
+    )
+    def test_bad_params_are_400_in_every_bounds_mode(
+        self, harness, kind, params
+    ):
+        for bounds in ("portfolio", "none"):
+            h, client = harness(bounds=bounds)
+            with pytest.raises(ServeError) as excinfo:
+                client.solve(triangle(), kind, params)
+            assert excinfo.value.status == 400
+            assert h.server.stats.solves == 0
+
     def test_unknown_path_and_method(self, harness):
         h, client = harness()
         with pytest.raises(ServeError) as excinfo:
@@ -556,6 +576,32 @@ class TestCoalescing:
         assert h.server.stats.coalesced == K - 1
         assert h.server.stats.answers == K
 
+    def test_default_spelled_params_share_one_solve(self, harness):
+        h, client = harness()
+        gate = h.gate()
+        results = None
+
+        def workload():
+            nonlocal results
+            results = fire([
+                lambda: client.solve(triangle(), "ghw"),
+                lambda: client.solve(
+                    triangle(), "ghw", {"method": "fixpoint"}
+                ),
+            ])
+
+        worker = threading.Thread(target=workload, daemon=True)
+        worker.start()
+        wait_until(
+            lambda: h.server.stats.coalesced == 1
+            and len(h.server._pending) == 1
+        )
+        gate.release.set()
+        worker.join(timeout=120)
+        assert [r["answer"]["width"] for r in results] == [2, 2]
+        assert sorted(r["coalesced"] for r in results) == [False, True]
+        assert h.server.stats.solves == 1
+
     def test_distinct_requests_solve_independently(self, harness):
         h, client = harness(max_in_flight=4)
         gate = h.gate()
@@ -711,9 +757,9 @@ class TestAdmission:
 class TestFailureIsolation:
     def test_failed_computation_is_422_and_local(self, harness):
         h, client = harness()
-        # check-ghd without k fails inside the scheduler.
+        # A search capped below the width fails inside the scheduler.
         with pytest.raises(ServeError) as excinfo:
-            client.solve(triangle(), "check-ghd")
+            client.solve(triangle(), "hw", {"kmax": 1})
         assert excinfo.value.status == 422
         assert h.server.stats.errors == 1
         # The server is fine; siblings are untouched.
@@ -725,9 +771,9 @@ class TestFailureIsolation:
         h, client = harness()
         calls = [
             lambda: client.solve(triangle(), "ghw"),
-            lambda: client.solve(triangle(), "check-ghd"),  # fails
+            lambda: client.solve(triangle(), "hw", {"kmax": 1}),  # fails
             lambda: client.solve(cycle(4), "hw"),
-            lambda: client.solve(cycle(5), "check-ghd"),  # fails
+            lambda: client.solve(cycle(5), "hw", {"kmax": 1}),  # fails
             lambda: client.solve(cycle(4), "hw"),
         ]
         results = fire(calls)
@@ -749,7 +795,7 @@ class TestFailureIsolation:
         def workload():
             nonlocal results
             results = fire(
-                [lambda: client.solve(triangle(), "check-ghd")] * 3
+                [lambda: client.solve(triangle(), "hw", {"kmax": 1})] * 3
             )
 
         worker = threading.Thread(target=workload, daemon=True)

@@ -32,8 +32,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.approx import frac_decomp
 from repro.decomposition import validate
 from repro.hypergraph import Hypergraph
+from repro.hypergraph.generators import grid
 from repro.pipeline import BatchRequest, solve_many
 from repro.pipeline.batch import BatchScheduler
 from repro.store import (
@@ -81,9 +83,11 @@ class TestParamsFingerprint:
     def test_distinct_params_distinct_fingerprints(self):
         assert params_fingerprint({"k": 2}) != params_fingerprint({"k": 3})
 
-    def test_unserializable_is_opaque(self):
-        fp = params_fingerprint({"find_fhd": lambda h: None})
-        assert fp == "!opaque"
+    def test_unserializable_params_raise(self):
+        # No sentinel: checked request params are JSON, except the
+        # PTAAS's find_fhd, whose kind never reaches the store.
+        with pytest.raises(TypeError):
+            params_fingerprint({"find_fhd": lambda h: None})
 
 
 class TestCheckedWitness:
@@ -204,17 +208,35 @@ class TestFaultInjection:
             assert store.stats.records_skipped == 1
             assert store.get(("t", 0)) == {"v": 0}
 
-    def test_flipped_payload_byte_fails_crc(self, tmp_path):
+    def test_flipped_payload_byte_fails_crc(self, tmp_path, caplog):
         log = _fill(tmp_path)
         data = bytearray(log.read_bytes())
-        # Corrupt one byte inside the *first* record's payload: the
-        # whole log after it is unreachable (no resync by design).
+        # Corrupt one byte inside the *first* record's payload: that
+        # frame is skipped, and the log behind it still loads.
         data[_HEADER.size + 4] ^= 0xFF
         log.write_bytes(bytes(data))
+        with caplog.at_level("WARNING", logger="repro.store.log"):
+            with ResultStore(tmp_path) as store:
+                assert store.stats.records_loaded == 3
+                assert store.stats.records_damaged == 1
+                assert store.stats.records_skipped == 0
+                assert store.stats.bytes_valid == len(data)
+                assert store.get(("t", 0)) is None
+                assert store.get(("t", 3)) == {"v": 3}
+        assert ["fails its CRC" in r.message for r in caplog.records] == [True]
+
+    def test_damaged_last_frame_is_the_truncation_point(self, tmp_path):
+        log = _fill(tmp_path, n=2)
+        data = bytearray(log.read_bytes())
+        data[-2] ^= 0xFF  # inside the last record's payload
+        log.write_bytes(bytes(data))
         with ResultStore(tmp_path) as store:
-            assert store.stats.records_loaded == 0
-            assert len(store) == 0
-            assert store.stats.bytes_skipped == len(data)
+            assert store.stats.records_damaged == 1
+            assert store.stats.records_loaded == 1
+            store.append(("t", "new"), {"v": "n"})
+        with ResultStore(tmp_path) as store:
+            assert len(store) == 2 and store.stats.records_damaged == 0
+            assert store.get(("t", "new")) == {"v": "n"}
 
     def test_bad_magic_stops_load(self, tmp_path):
         log = _fill(tmp_path, n=3)
@@ -356,6 +378,28 @@ class TestOnDiskIndex:
             assert answer_payload(kind, got.value) == answer_payload(
                 kind, want.value
             )
+
+    def test_damaged_record_keeps_the_log_behind_it(self, tmp_path):
+        """A record damaged while open and then re-appended: a reopen
+        loads every record, and the next append keeps them all."""
+        log = tmp_path / STORE_FILENAME
+        with ResultStore(tmp_path) as store:
+            for i in range(100):
+                store.append(("t", i), {"v": i})
+            with open(log, "r+b") as f:  # record 0's payload, byte 4
+                f.seek(_HEADER.size + 4)
+                byte = f.read(1)[0]
+                f.seek(_HEADER.size + 4)
+                f.write(bytes([byte ^ 0xFF]))
+            assert store.get(("t", 0)) is None
+            assert store.append(("t", 0), {"v": 0})
+        with ResultStore(tmp_path) as store:
+            assert store.stats.records_loaded == 100
+            assert store.stats.records_damaged == 1
+            assert store.append(("t", "next"), {"v": "next"})
+        with ResultStore(tmp_path) as store:
+            assert len(store) == 101
+            assert all(store.get(("t", i)) == {"v": i} for i in range(100))
 
     def test_index_holds_offsets_not_records(self, tmp_path):
         """500 records of ~4 KiB grow traced memory by well under their
@@ -554,11 +598,22 @@ class TestTypedRecords:
             )
             assert store.get_block(h, "ghd", None) is None
 
-    def test_opaque_params_never_persisted(self, tmp_path):
+    def test_unchecked_params_never_reach_the_store(self, tmp_path):
         h = triangle()
-        (result,) = solve_many([BatchRequest(h, "ghw")])
         with ResultStore(tmp_path) as store:
-            store.put_instance(h, "ghw", {"fn": lambda: None}, result.value)
+            bad, ptaas = solve_many(
+                [
+                    BatchRequest(h, "ghw", {"fn": lambda: None}),
+                    BatchRequest(
+                        h, "fhw-approximation",
+                        {"K": 2.0, "eps": 0.5, "find_fhd": frac_decomp},
+                    ),
+                ],
+                store=store,
+            )
+            assert isinstance(bad.error, ValueError)
+            assert "unknown params for 'ghw': 'fn'" in str(bad.error)
+            assert ptaas.ok
             assert len(store) == 0
 
 
@@ -732,6 +787,26 @@ class TestStoreServing:
             assert store.stats.records_skipped == 1
             (again,), _ = solve_with_store(store, [BatchRequest(h, "ghw")])
         assert again.ok
+        assert again.value[0] == first.value[0]
+
+    @pytest.mark.parametrize(
+        "kind, spelled",
+        [("ghw", {"method": "fixpoint"}), ("fhw", {"vertex_limit": 18})],
+    )
+    def test_default_spelled_repeat_hits_the_empty_params_record(
+        self, tmp_path, kind, spelled
+    ):
+        """Params equal to their defaults are dropped before keying, so
+        the repeat is the ``{}`` request and its instance record hits."""
+        h = grid(3, 4)
+        with ResultStore(tmp_path) as store:
+            (first,), _ = solve_with_store(store, [BatchRequest(h, kind)])
+        with ResultStore(tmp_path) as store:
+            (again,), stats = solve_with_store(
+                store, [BatchRequest(h, kind, dict(spelled))]
+            )
+        assert (stats.tasks_run, stats.store_instance_hits) == (0, 1)
+        assert again.request.params == {}
         assert again.value[0] == first.value[0]
 
     def test_boolean_width_instance_record_is_a_miss(self, tmp_path):

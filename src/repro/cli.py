@@ -225,7 +225,7 @@ def _resolve(entry, path_key: str, payload_key: str, base: Path, load):
         entry[payload_key] = load(path)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ValueError(f"cannot parse {path}: {exc!r}") from exc
     return entry
 
@@ -249,7 +249,7 @@ def _decode_manifest(path: str, key: str, decode) -> list:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise _UsageError(f"cannot read manifest: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _UsageError(f"manifest is not valid JSON: {exc}") from exc
     entries = raw.get(key) if isinstance(raw, dict) else raw
     if not isinstance(entries, list):

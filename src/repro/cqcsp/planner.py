@@ -281,22 +281,11 @@ class QueryPlanner:
         work per computation (its warm-restart guarantee asserts the
         counters stay at zero on repeated shapes).
         """
+        cached = self.cached_plan(query)
+        if cached is not None:
+            return cached
         hypergraph = query.hypergraph()
         key = plan_key(query)
-        with self._lock:
-            cached = self._plans.get(key)
-            if cached is not None:
-                self._plans.move_to_end(key)
-                self.stats.plan_cache_hits += 1
-        if cached is not None:
-            # The cached plan may have been derived for a *different*
-            # query of the same shape (same canonical hypergraph,
-            # different head/constants/argument order).  Rebinding makes
-            # the returned plan execute THIS query — returning the
-            # exemplar verbatim silently answered the wrong query.
-            return cached.rebound(query), PlanInfo(
-                cache_hit=True, from_store=False
-            )
         started = time.perf_counter()
         scheduler = BatchScheduler(
             jobs=self.jobs,
@@ -341,6 +330,31 @@ class QueryPlanner:
             while len(self._plans) > self.max_plans:
                 self._plans.popitem(last=False)
         return plan, info
+
+    def cached_plan(
+        self, query: ConjunctiveQuery
+    ) -> tuple[QueryPlan, PlanInfo] | None:
+        """:meth:`plan_detailed`'s answer from the in-memory plan cache
+        alone, or None on a miss.
+
+        The one plan-LRU lookup: :meth:`plan_detailed` and the serve
+        daemon's event-loop hit both come here.  A hit counts in
+        ``stats.plan_cache_hits`` and is rebound to ``query``: the
+        cached plan may have been derived for a *different* query of
+        the same shape (same canonical hypergraph, different
+        head/constants/argument order), and returning that exemplar
+        verbatim silently answered the wrong query.
+        """
+        key = plan_key(query)
+        with self._lock:
+            cached = self._plans.get(key)
+            if cached is None:
+                return None
+            self._plans.move_to_end(key)
+            self.stats.plan_cache_hits += 1
+        return cached.rebound(query), PlanInfo(
+            cache_hit=True, from_store=False
+        )
 
     # ------------------------------------------------------------------
     def execute(

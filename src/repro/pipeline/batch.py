@@ -73,6 +73,7 @@ __all__ = [
     "BATCH_KINDS",
     "GHD_CAPS",
     "request_params",
+    "stored_answer",
 ]
 
 
@@ -503,6 +504,30 @@ class BatchStats:
         }
 
 
+def _decomposition_kind(kind: str, params: Mapping) -> str:
+    """The decomposition kind of a request's witness: its kind's own,
+    or a GHD under ``cost="integral"`` (bounds, heuristics)."""
+    return "ghd" if params.get("cost") == "integral" else _KIND_TABLE[kind][0]
+
+
+def stored_answer(store: ResultStore, request: BatchRequest) -> tuple | None:
+    """A request's persisted full answer as ``(value,)``, or None.
+
+    The one instance-record lookup: the scheduler's fast path and the
+    serve daemon's event-loop hit both come here.  ``request.params``
+    must be normalised (:func:`request_params`).  The answer goes
+    through :meth:`~repro.store.ResultStore.get_instance`, so its frame
+    is re-read and CRC-checked and its witness re-validated against
+    this request's hypergraph, kind and width; a damaged or mismatched
+    record is a miss.  A check rejection is ``(None,)``.
+    """
+    params = request.params
+    return store.get_instance(
+        request.hypergraph, request.kind, params,
+        _decomposition_kind(request.kind, params), params.get("k"),
+    )
+
+
 class _Instance:
     """Internal per-request state of a batch run.
 
@@ -578,11 +603,11 @@ class _Instance:
         """Normalise the request's params (:func:`request_params`) and
         run its reduce + split + bounds stages.
 
-        With a ``store``, a persisted full answer short-circuits the
-        whole pipeline (the instance fast path: no reduce, no bounds,
-        no tasks), and persisted per-block verdicts seed the block
-        states so only genuinely new blocks reach the bounds pass and
-        the exact engine.
+        With a ``store``, a persisted full answer (:func:`stored_answer`)
+        short-circuits the whole pipeline (the instance fast path: no
+        reduce, no bounds, no tasks), and persisted per-block verdicts
+        seed the block states so only genuinely new blocks reach the
+        bounds pass and the exact engine.
         """
         request = self.request
         request.params = request_params(request.kind, request.params)
@@ -591,15 +616,19 @@ class _Instance:
                 f"request {self.index} has no hypergraph: "
                 f"{request.hypergraph!r}"
             )
-        self.dkind, self.solver, self.family = _KIND_TABLE[request.kind][:3]
+        self.dkind = _decomposition_kind(request.kind, request.params)
+        self.solver, self.family = _KIND_TABLE[request.kind][1:3]
         self.store = None if request.kind in _INTERNAL_KINDS else store
         params = dict(request.params)
-        if params.get("cost") == "integral":  # bounds, heuristics
-            self.dkind = "ghd"
         kmax = params.pop("kmax", None)
         self.k = params.pop("k", None)
         self.params = params
-        if self._load_from_store():
+        store = self.store
+        hit = None if store is None else stored_answer(store, request)
+        if hit is not None:
+            self.result._resolve(hit[0])
+            self.finalized = True
+            self.store_hit = True
             return
         self.reduced, self.blocks = prepare_instance(
             request.hypergraph, self.dkind, preprocess
@@ -618,32 +647,6 @@ class _Instance:
         ]
         self._seed_from_store()
         self._seed_from_bounds(bounds)
-
-    def _load_from_store(self) -> bool:
-        """Serve the whole request from a persisted instance record.
-
-        The stored answer only counts when its witness re-validates
-        against this request's hypergraph, kind and width — a corrupt
-        or mismatched record is a miss, and the instance proceeds to
-        solve normally.  A hit resolves the result before any reduce,
-        bounds or engine work happens (and therefore with zero LP
-        solves and zero check tasks — the property benchmark E23
-        asserts for a restarted ``repro serve``).
-        """
-        store = self.store
-        if store is None:
-            return False
-        request = self.request
-        hit = store.get_instance(
-            request.hypergraph, request.kind, request.params,
-            self.dkind, self.k,
-        )
-        if hit is None:
-            return False
-        self.result._resolve(hit[0])
-        self.finalized = True
-        self.store_hit = True
-        return True
 
     # -- facts -----------------------------------------------------------
     def record(self, b: int, k, verdict, persist: bool = True) -> bool:
@@ -1004,7 +1007,12 @@ class BatchScheduler:
         the prepare stage; the seeds start each k-search at the block
         lower bound, cap speculation at the portfolio witness, and skip
         the exact engine outright for decided blocks.  Answers are
-        identical in every mode.
+        identical in every mode but one case: a valid cap that runs
+        out (``vertex_limit``, ``max_sets``) can only fail inside a
+        task, so a block the pre-pass decides answers under
+        ``"portfolio"`` where ``"none"`` fails (the pinned
+        ``triangles(3)/fhw-dp-limit`` and ``ghw-cap-hit`` rows of
+        ``tests/scheduler_identity.json``).
     store : ResultStore or str, optional
         Persistent result store to seed from and write back to.  A
         path opens a :class:`~repro.store.ResultStore` at that
@@ -1293,7 +1301,8 @@ def solve_many(
         Bounds pre-pass mode for every instance — ``"portfolio"``
         (default), ``"clique"`` or ``"none"``; see
         :data:`~repro.pipeline.bounds.BOUNDS_MODES`.  Only affects
-        which exact checks run, never the answers.
+        which exact checks run, hence not the answers, save a cap
+        that runs out (see :class:`BatchScheduler`).
     store : ResultStore or str, optional
         Persistent result store (or its directory path).  Persisted
         answers are served without solving; settled verdicts are

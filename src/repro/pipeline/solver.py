@@ -209,7 +209,8 @@ class WidthSolver:
         lower bound, seeding every exact search), ``"clique"`` (lower
         bound only), or ``"none"`` (no pre-pass — the pre-bounds
         behaviour).  The pre-pass only prunes which exact checks run;
-        answers are identical in every mode.
+        answers are identical in every mode, save a valid cap that
+        runs out (see :class:`~.batch.BatchScheduler`).
     """
 
     def __init__(

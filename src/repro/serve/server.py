@@ -4,7 +4,14 @@ One asyncio event loop accepts HTTP/1.1 connections (hand-rolled over
 ``asyncio.start_server`` — the standard library's ``http.server`` is
 thread-per-request and its asyncio story needs third-party packages,
 which this repo does not take).  Solves run on a bounded thread pool;
-the event loop itself never blocks on a solve.
+the event loop itself never blocks on a solve.  Answers that already
+exist are served on the loop: a stored instance record for ``/solve``
+(re-read, CRC-checked and its witness re-validated, exactly as a
+scheduler run would) and an in-memory plan for ``/query`` (whose
+execution still runs on the pool).  That work is bounded by the size
+of the request the loop has already decoded and hashed, so it costs no
+more than the decode, and far less than handing the request to a pool
+thread and back.
 
 Connections persist (HTTP/1.1 keep-alive) until the client closes one
 or asks to, speaks HTTP/1.0, sends a request the reader refuses, or
@@ -18,19 +25,23 @@ harness in ``tests/test_serve.py`` and benchmark E23:
 * **Admission control** — at most ``max_in_flight`` solves run
   concurrently and at most ``max_queue`` more distinct computations
   may wait.  Beyond that, new work is refused with HTTP 429
-  immediately (cheap rejection beats unbounded queueing); once
-  :meth:`DecompositionServer.stop` begins draining, new work gets 503
-  while admitted solves finish.
+  immediately (cheap rejection beats unbounded queueing); an answer
+  served on the loop takes no slot, so it still gets 200.  Once
+  :meth:`DecompositionServer.stop` begins draining, every request not
+  joining an admitted solve gets 503 while admitted solves finish.
 * **Request coalescing** — requests are identified by
   :func:`~.protocol.request_key` (canonical hypergraph hash, kind,
   parameter fingerprint).  N concurrent identical
   requests share ONE scheduler run and all N receive its answer; the
   ``coalesced`` counter and the single ``solves`` increment prove it.
-* **Persistent store** — every solve runs through
-  :class:`~repro.pipeline.batch.BatchScheduler` with the server's
-  :class:`~repro.store.ResultStore`, so verdicts survive restarts and
-  a restarted daemon answers a repeat-heavy workload with zero LP
-  solves and zero exact check tasks (``lp_solves`` / ``tasks_run`` in
+* **Persistent store** — a request is first looked up in the server's
+  :class:`~repro.store.ResultStore` with
+  :func:`~repro.pipeline.batch.stored_answer`, the scheduler's own
+  instance lookup; a miss runs through
+  :class:`~repro.pipeline.batch.BatchScheduler` with that store, so
+  verdicts survive restarts and a restarted daemon answers a
+  repeat-heavy workload with zero scheduler runs, LP solves and exact
+  check tasks (``solves`` / ``lp_solves`` / ``tasks_run`` in
   ``GET /stats`` stay flat — asserted by E23).
 
 Failure isolation is per computation: a request whose solve raises
@@ -42,10 +53,11 @@ query's *plan* (the decomposition of its hypergraph, resolved by
 :class:`~repro.cqcsp.planner.QueryPlanner`) is a computation like any
 other — admission-controlled, coalesced on the plan key, persisted in
 the store — while Yannakakis execution over the request's own
-relations always runs per request.  A restarted daemon therefore
-serves repeated query shapes *plan-warm*: zero LP solves, zero exact
-check tasks, answers byte-identical to the cold run (asserted by
-benchmark E24).
+relations always runs per request.  A plan already in the planner's
+in-memory LRU is taken on the loop, with no admission slot.  A
+restarted daemon therefore serves repeated query shapes *plan-warm*:
+zero LP solves, zero exact check tasks, answers byte-identical to the
+cold run (asserted by benchmark E24).
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from ..cqcsp.planner import QueryPlanner
-from ..pipeline.batch import BatchScheduler
+from ..pipeline.batch import BatchScheduler, stored_answer
 from ..pipeline.solve import EXECUTORS
 from ..store import ResultStore, answer_payload
 from .protocol import (
@@ -121,9 +133,16 @@ class ServerStats:
         Requests refused with 503 (server shutting down).
     solves : int
         Scheduler runs actually executed — with K identical
-        concurrent requests this increments once, not K times.
-    store_instance_hits, store_blocks_seeded : int
-        Store activity summed over all scheduler runs.
+        concurrent requests this increments once, not K times.  A
+        request answered from a stored instance record on the event
+        loop runs no scheduler and does not count.
+    store_instance_hits : int
+        Requests answered by a stored instance record: on the event
+        loop (the usual case, no scheduler run) or by a scheduler run
+        that found the record written meanwhile (a plan solve of the
+        same hypergraph can write it).
+    store_blocks_seeded : int
+        Blocks seeded from the store, summed over all scheduler runs.
     store_write_errors : int
         Store write-backs that failed with ``OSError``, summed over all
         scheduler runs — solve and plan solves alike (the answers were
@@ -480,6 +499,8 @@ class DecompositionServer:
                 payload = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return 400, {"error": f"request body is not JSON: {exc}"}
+            except RecursionError:
+                return 400, {"error": "request body is nested too deeply"}
             try:
                 if path == "/solve":
                     return await self._solve(payload)
@@ -521,12 +542,16 @@ class DecompositionServer:
     # ------------------------------------------------------------------
     # Admission: one path for /solve and /query
     # ------------------------------------------------------------------
-    def _admit(self, key, fold, compute, *args) -> tuple:
-        """Join computation ``key`` or admit ``compute(*args)`` as it.
+    def _admit(self, key, lookup, fold, compute, *args) -> tuple:
+        """Join computation ``key``, answer it from ``lookup(*args)``,
+        or admit ``compute(*args)`` as it.
 
         Returns ``(future, coalesced)``, or raises :class:`_BadRequest`
-        (503 draining, 429 full).  ``fold`` counts the result into the
-        endpoint's stats once and returns the value waiters receive.
+        (503 draining, 429 full).  ``lookup`` runs on the loop and
+        returns the value waiters would receive, or None: an answer
+        that already exists needs no pool thread and takes no slot.
+        ``fold`` counts a computed result into the endpoint's stats
+        once and returns the value waiters receive.
         """
         future = self._pending.get(key)
         if future is not None:
@@ -535,6 +560,11 @@ class DecompositionServer:
         if self._draining:
             self.stats.rejected_draining += 1
             raise _BadRequest(503, "server is draining")
+        found = lookup(*args)
+        if found is not None:
+            future = asyncio.get_running_loop().create_future()
+            future.set_result(found)
+            return future, False
         if len(self._pending) >= self.max_in_flight + self.max_queue:
             self.stats.rejected_busy += 1
             raise _BadRequest(429, "too many computations in flight")
@@ -564,7 +594,7 @@ class DecompositionServer:
             return 400, {"error": str(exc)}
         future, coalesced = self._admit(
             request_key(request),
-            self._fold_solve, self._run_batch, request,
+            self._stored, self._fold_solve, self._run_batch, request,
         )
         try:
             answer, from_store = await asyncio.shield(future)
@@ -585,6 +615,16 @@ class DecompositionServer:
             "coalesced": coalesced,
             "from_store": from_store,
         }
+
+    def _stored(self, request) -> tuple | None:
+        """The stored answer as ``(answer, True)``, or None (on the
+        loop, so it counts as a store hit but not as a solve)."""
+        store = self.store
+        hit = None if store is None else stored_answer(store, request)
+        if hit is None:
+            return None
+        self.stats.store_instance_hits += 1
+        return answer_payload(request.kind, hit[0]), True
 
     def _fold_solve(self, result) -> tuple:
         """Count one scheduler run; waiters get ``(answer, from_store)``."""
@@ -625,7 +665,9 @@ class DecompositionServer:
 
         Planning and execution are deliberately split: the plan (the
         query-shape solve) coalesces and caches exactly like ``/solve``
-        computations, while execution always runs per request — two
+        computations (a plan in the planner's LRU is taken on the
+        loop, like a stored ``/solve`` answer), while execution always
+        runs per request on the pool — two
         queries of one shape may carry different relations *and
         different query semantics* (head, constants, argument order),
         so the shared plan is rebound to each request's own query
@@ -639,7 +681,8 @@ class DecompositionServer:
         label = label or query.name
         future, coalesced = self._admit(
             query_key(query),
-            self._fold_plan, self._run_plan, query,
+            self.planner.cached_plan, self._fold_plan, self._run_plan,
+            query,
         )
         stage = "plan"
         try:

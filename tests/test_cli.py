@@ -328,6 +328,29 @@ class TestBatch:
         assert main(["batch", str(gone)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        """JSON nested past the parser's recursion limit is a bad input
+        (exit 2), for a manifest and for a query's ``"data"`` file."""
+        deep = "[" * 100_000
+        manifest = tmp_path / "deep.json"
+        manifest.write_text(deep)
+        assert main(["batch", str(manifest)]) == 2
+        assert "manifest is not valid JSON" in capsys.readouterr().err
+        assert main(["query", "--manifest", str(manifest)]) == 2
+        assert "manifest is not valid JSON" in capsys.readouterr().err
+        data = tmp_path / "data.json"
+        data.write_text('{"relations": ' + deep)
+        queries = tmp_path / "queries.json"
+        queries.write_text(
+            json.dumps([{"query": "q(x) :- r(x).", "data": "data.json"}])
+        )
+        assert main(["query", "--manifest", str(queries)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest entry 0: cannot parse" in err
+        assert "RecursionError" in err
+        assert main(["query", "q(x) :- r(x).", "--data", str(data)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
     def test_structurally_bad_entry_values_exit_2(self, tmp_path, capsys):
         (tmp_path / "c4.hg").write_text(to_hyperbench(cycle(4)))
         intfile = tmp_path / "intfile.json"

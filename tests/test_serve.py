@@ -37,14 +37,14 @@ import pytest
 
 from repro.cqcsp import Relation
 from repro.hypergraph import Hypergraph
-from repro.pipeline.batch import BatchRequest
+from repro.pipeline.batch import BatchRequest, solve_many
 from repro.serve import (
     DecompositionServer,
     ServeClient,
     ServeError,
     request_to_payload,
 )
-from repro.store import checked_witness
+from repro.store import ResultStore, answer_payload, checked_witness
 
 _EPS = 1e-9
 
@@ -298,6 +298,25 @@ class TestEndpoints:
                 client.solve(triangle(), kind, params)
             assert excinfo.value.status == 400
             assert h.server.stats.solves == 0
+
+    def test_deeply_nested_json_is_400(self, harness):
+        """JSON nested past the parser's recursion limit gets 400 on
+        both endpoints (it used to drop the connection unanswered)."""
+        h, client = harness()
+        body = b"[" * 100_000
+        for path in ("/solve", "/query"):
+            conn = http.client.HTTPConnection(
+                h.server.host, h.server.port, timeout=15
+            )
+            try:
+                conn.request("POST", path, body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert "nested too deeply" in payload["error"]
+        assert client.solve(triangle(), "ghw")["answer"]["width"] == 2
 
     def test_unknown_path_and_method(self, harness):
         h, client = harness()
@@ -841,6 +860,79 @@ class TestServeWithStore:
         assert stats["server"]["store_instance_hits"] == len(instances)
 
 
+    def test_store_hit_is_answered_on_the_loop(self, harness, tmp_path):
+        """A stored instance answers with no scheduler run: it comes
+        back while every run is gated shut, and counts as a store hit,
+        not a solve."""
+        h, client = harness(store=tmp_path / "store")
+        cold = client.solve(triangle(), "ghw")
+        before = h.server.stats.as_dict()
+        gate = h.gate()
+        fast = ServeClient(h.server.host, h.server.port, timeout=15.0)
+        warm = fast.solve(triangle(), "ghw")
+        assert gate.entered == 0
+        assert warm["from_store"] is True and warm["coalesced"] is False
+        assert warm["answer"] == cold["answer"]
+        after = h.server.stats.as_dict()
+        assert after["solves"] == before["solves"]
+        hits = after["store_instance_hits"] - before["store_instance_hits"]
+        assert hits == 1
+        assert after["answers"] == before["answers"] + 1
+
+    def test_record_damaged_after_open_falls_through_to_a_run(
+        self, harness, tmp_path
+    ):
+        h, client = harness(store=tmp_path / "store")
+        cold = client.solve(triangle(), "ghw")
+        log = h.server.store.log_path
+        data = log.read_bytes()
+        start = data.find(b'{"key": ["instance"')
+        assert start != -1
+        with open(log, "r+b") as f:  # one payload byte, behind its back
+            f.seek(start + 1)
+            f.write(bytes([data[start + 1] ^ 0x01]))
+        solves = h.server.stats.solves
+        again = client.solve(triangle(), "ghw")
+        assert h.server.store.stats.records_damaged == 1
+        assert h.server.stats.solves == solves + 1
+        assert h.server.stats.store_instance_hits == 0
+        assert again["from_store"] is False
+        assert again["answer"] == cold["answer"]
+
+    def test_record_failing_revalidation_is_recomputed(
+        self, harness, tmp_path
+    ):
+        """A CRC-valid instance record whose witness does not validate
+        (a width-2 witness stored as width 1) is a miss."""
+        good = solve_many([BatchRequest(triangle(), "ghw")])[0].value
+        with ResultStore(tmp_path / "store") as store:
+            key = store._key("instance", triangle(), "ghw", params={})
+            forged = answer_payload("ghw", (1, good[1]))
+            assert store.append(key, forged)
+        h, client = harness(store=tmp_path / "store")
+        response = client.solve(triangle(), "ghw")
+        assert response["answer"]["width"] == 2
+        assert response["from_store"] is False
+        assert h.server.stats.solves == 1
+        assert h.server.stats.store_instance_hits == 0
+        assert checked_witness(
+            triangle(), response["answer"]["witness"], "ghd", width=2 + _EPS
+        ) is not None
+
+    def test_store_hit_on_a_draining_daemon_is_503(self, harness, tmp_path):
+        h, client = harness(store=tmp_path / "store")
+        client.solve(triangle(), "ghw")
+        hits = h.server.stats.store_instance_hits
+        h.server._draining = True
+        try:
+            with pytest.raises(ServeError) as excinfo:
+                client.solve(triangle(), "ghw")
+            assert excinfo.value.status == 503
+        finally:
+            h.server._draining = False
+        assert h.server.stats.rejected_draining == 1
+        assert h.server.stats.store_instance_hits == hits
+
     def test_failed_store_writes_are_served_and_counted(
         self, harness, tmp_path
     ):
@@ -903,6 +995,20 @@ class TestQueryServing:
         replay = client.query(_CHAIN, _DB)
         assert replay["plan_cached"] is True
         assert h.server.stats.plans_computed == 1
+
+    def test_cached_plan_is_taken_on_the_loop(self, harness):
+        """A plan in the LRU needs no plan run: the query answers while
+        every plan run is gated shut; only execution uses the pool."""
+        h, client = harness()
+        cold = client.query(_CHAIN, _DB)
+        gate = h.gate("_run_plan")
+        fast = ServeClient(h.server.host, h.server.port, timeout=15.0)
+        warm = fast.query(_CHAIN, _DB)
+        assert gate.entered == 0
+        assert warm["plan_cached"] is True and warm["coalesced"] is False
+        assert warm["answers"] == cold["answers"]
+        assert h.server.stats.plans_computed == 1
+        assert h.server.stats.query_answers == 2
 
     def test_query_protocol_errors_are_400(self, harness):
         h, client = harness()

@@ -18,7 +18,7 @@ from repro.algorithms import check_ghd, generalized_hypertree_width_exact
 from repro.decomposition import is_ghd
 from repro.hypergraph.generators import cycle, triangle_cascade
 from repro.hypergraph import intersection_width
-from repro.pipeline import WidthSolver
+from repro.pipeline import solve_many
 
 import random
 
@@ -104,12 +104,12 @@ def pipeline_block_solve(jobs: int = 1):
     from repro.algorithms import generalized_hypertree_width
 
     h = triangle_cascade(4)
-    solver = WidthSolver(h, jobs=jobs)
-    width, decomposition = solver.generalized_hypertree_width()
+    (result,) = solve_many([(h, "ghw")], jobs=jobs)
+    width, decomposition = result.unwrap()
     raw_width, _raw = generalized_hypertree_width(
         h, preprocess="none", bounds="none"
     )
-    return h, width, raw_width, decomposition, solver.last_stats
+    return h, width, raw_width, decomposition, result.stats
 
 
 def test_e07_pipeline_blocks_match_raw_solve(benchmark):

@@ -15,7 +15,7 @@ from repro.algorithms import (
 )
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, triangle_cascade
-from repro.pipeline import WidthSolver
+from repro.pipeline import solve_many
 
 
 def instances():
@@ -111,9 +111,11 @@ def ptaas_pipeline_stats() -> dict:
     """
     out = {}
     for label, h in instances():
-        solver = WidthSolver(h)
-        solver.fhw_approximation(K=3.0, eps=0.5)
-        out[label] = solver.last_stats
+        (result,) = solve_many(
+            [(h, "fhw-approximation", {"K": 3.0, "eps": 0.5})]
+        )
+        result.unwrap()
+        out[label] = result.stats
     return out
 
 

@@ -94,7 +94,7 @@ def bounds_pruning_rows() -> list[tuple]:
     blocks the pre-pass decided outright.  Widths must match — the
     pre-pass witnesses are re-validated, so it never changes answers.
     """
-    from repro.pipeline import WidthSolver
+    from repro.pipeline import solve_many
 
     instances = [
         ("C7", cycle(7)),
@@ -105,18 +105,18 @@ def bounds_pruning_rows() -> list[tuple]:
     ]
     rows = []
     for label, h in instances:
-        on = WidthSolver(h)
-        width_on, _d = on.generalized_hypertree_width()
-        off = WidthSolver(h, bounds="none")
-        width_off, _d = off.generalized_hypertree_width()
+        (on,) = solve_many([(h, "ghw")])
+        width_on, _d = on.unwrap()
+        (off,) = solve_many([(h, "ghw")], bounds="none")
+        width_off, _d = off.unwrap()
         assert width_on == width_off, label
         rows.append(
             (
                 label,
                 width_on,
-                off.last_stats.tasks_run,
-                on.last_stats.tasks_run,
-                on.last_stats.bounds_blocks_decided,
+                off.stats.tasks_run,
+                on.stats.tasks_run,
+                on.stats.bounds_blocks_decided,
             )
         )
     return rows

@@ -5,7 +5,7 @@ many width queries (HyperBench-style — mixed hw/ghw/fhw over many small
 instances, with repeated query shapes, as heavy traffic produces).  Two
 ways to answer it:
 
-* **one-at-a-time** — a fresh :class:`~repro.pipeline.WidthSolver` per
+* **one-at-a-time** — one :mod:`repro.algorithms` function call per
   request, from cold engine caches (each serving call pays the full
   cost, the deployment model ``solve_many`` replaces);
 * **batched** — one :func:`~repro.pipeline.solve_many` call: reduce and
@@ -14,7 +14,7 @@ ways to answer it:
   SearchContext/CoverOracle cache domain for the whole batch.
 
 The assertions pin the acceptance criteria: every batched answer equals
-the corresponding single-instance ``WidthSolver`` answer, and the
+the corresponding single-instance function answer, and the
 batched run (``--jobs 2``) beats the sequential one on wall-clock.
 """
 
@@ -23,7 +23,12 @@ import time
 from _tables import emit
 
 from repro import engine
-from repro.pipeline import BatchRequest, WidthSolver, solve_many
+from repro.algorithms import (
+    fractional_hypertree_width_exact,
+    generalized_hypertree_width,
+    hypertree_width,
+)
+from repro.pipeline import BatchRequest, solve_many
 from repro.hypergraph.generators import (
     clique,
     cycle,
@@ -61,14 +66,13 @@ def build_workload() -> list[BatchRequest]:
 
 
 def solve_one(request: BatchRequest):
-    """The single-instance WidthSolver answer for one request."""
-    solver = WidthSolver(request.hypergraph)
-    method = {
-        "hw": solver.hypertree_width,
-        "ghw": solver.generalized_hypertree_width,
-        "fhw": solver.fractional_hypertree_width_exact,
+    """The single-instance function answer for one request."""
+    solve = {
+        "hw": hypertree_width,
+        "ghw": generalized_hypertree_width,
+        "fhw": fractional_hypertree_width_exact,
     }[request.kind]
-    return method(**dict(request.params))
+    return solve(request.hypergraph, **dict(request.params))
 
 
 def run_sequential(requests) -> tuple[list, float, dict]:

@@ -11,8 +11,8 @@ A complete reproduction of the paper's systems:
 * Check(HD,k), Check(GHD,k), Check(FHD,k), exact oracles,
   the Section 6 approximation schemes                    — :mod:`repro.algorithms`
 * the reduce → split → solve → stitch instance pipeline
-  behind every width query (:class:`WidthSolver`), plus
-  batched multi-instance serving (:func:`solve_many`)    — :mod:`repro.pipeline`
+  behind every width query, each one request of the
+  batched scheduler (:func:`solve_many`)                 — :mod:`repro.pipeline`
 * a crash-tolerant persistent result store (settled
   verdicts and witnesses survive restarts)               — :mod:`repro.store`
 * the always-on ``repro serve`` daemon: HTTP front-end
@@ -81,9 +81,7 @@ from .pipeline import (
     BatchResult,
     BatchScheduler,
     BatchStats,
-    WidthSolver,
     solve_many,
-    solve_width,
 )
 from .store import ResultStore
 
@@ -95,8 +93,6 @@ __version__ = "1.7.0"
 
 __all__ = [
     "__version__",
-    "WidthSolver",
-    "solve_width",
     "solve_many",
     "BatchRequest",
     "BatchResult",

@@ -63,7 +63,7 @@ from .pipeline import (
     EXECUTORS,
     PREPROCESS_MODES,
     BatchStats,
-    WidthSolver,
+    solve_many,
 )
 from .hypergraph.generators import (
     clique,
@@ -114,32 +114,24 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solver_for(args: argparse.Namespace, h: Hypergraph) -> WidthSolver:
-    """A :class:`WidthSolver` with the command's pipeline options."""
-    return WidthSolver(
-        h,
+def _solve(args: argparse.Namespace, h: Hypergraph, kind: str, params=None):
+    """One request with the command's pipeline options: ``(value,
+    stats)``; a failed request raises its error."""
+    (result,) = solve_many(
+        [(h, kind, params or {})],
         preprocess=args.preprocess,
         jobs=args.jobs,
         bounds=getattr(args, "bounds", "portfolio"),
     )
-
-
-def _compute_width(solver: WidthSolver, kind: str):
-    if kind == "hw":
-        return solver.hypertree_width()
-    if kind == "ghw":
-        if solver.hypergraph.num_vertices <= 14:
-            return solver.generalized_hypertree_width_exact()
-        return solver.generalized_hypertree_width()
-    if kind == "fhw":
-        return solver.fractional_hypertree_width_exact()
-    raise ValueError(f"unknown width kind {kind!r}")
+    return result.unwrap(), result.stats
 
 
 def _cmd_width(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    solver = _solver_for(args, h)
-    width, decomposition = _compute_width(solver, args.kind)
+    kind = args.kind
+    if kind == "ghw" and h.num_vertices <= 14:
+        kind = "ghw-exact"
+    (width, decomposition), stats = _solve(args, h, kind)
     print(f"{args.kind}({h.name or args.file}) = {width}")
     if args.show:
         for nid in decomposition.preorder():
@@ -149,7 +141,7 @@ def _cmd_width(args: argparse.Namespace) -> int:
                 for e, w in decomposition.cover(nid).weights.items()
             }
             print(f"  {nid}: {{{bag}}} {cover}")
-    _print_pipeline_stats(args, solver.last_stats)
+    _print_pipeline_stats(args, stats)
     return 0
 
 
@@ -157,9 +149,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError(f"-k must be >= 1; got {args.k}")
     h = _load(args.file)
-    solver = _solver_for(args, h)
-    decomposition = solver.generalized_hypertree_decomposition(args.k)
-    _print_pipeline_stats(args, solver.last_stats)
+    decomposition, stats = _solve(args, h, "check-ghd", {"k": args.k})
+    _print_pipeline_stats(args, stats)
     if decomposition is None:
         print(f"no GHD of width <= {args.k}", file=sys.stderr)
         return 1
@@ -194,11 +185,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    solver = _solver_for(args, h)
-    lower, upper, _witness = solver.width_bounds(cost=args.cost)
+    (lower, upper, _witness), stats = _solve(
+        args, h, "bounds", {"cost": args.cost}
+    )
     label = "fhw" if args.cost == "fractional" else "ghw"
     print(f"{lower:.4f} <= {label}({h.name or args.file}) <= {upper:.4f}")
-    _print_pipeline_stats(args, solver.last_stats)
+    _print_pipeline_stats(args, stats)
     return 0
 
 
@@ -425,8 +417,6 @@ def _batch_stats(results) -> BatchStats:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .pipeline import solve_many
-
     requests = _decode_manifest(args.manifest, "requests", _batch_request)
     if args.executor == "remote":
         from .dist import get_registry
@@ -550,7 +540,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     """Pre-populate a result store from a manifest (offline warm-up)."""
-    from .pipeline import solve_many
     from .store import ResultStore
 
     requests = _decode_manifest(args.manifest, "requests", _batch_request)

@@ -7,8 +7,8 @@ ghw k evaluates in polynomial time via Yannakakis over the join tree
 
 * **plan** — :meth:`QueryPlanner.plan` routes the query hypergraph
   through the full reduce → split → solve → stitch pipeline
-  (:class:`~repro.pipeline.batch.BatchScheduler` with ``kind="ghw"`` —
-  integral covers, exactly what Yannakakis needs).  With a
+  (one :func:`~repro.pipeline.batch.solve_many` request of kind
+  ``"ghw"`` — integral covers, exactly what Yannakakis needs).  With a
   :class:`~repro.store.ResultStore` attached, the witness persists
   under the canonical hypergraph hash, so every later query of the
   same *shape* — same canonical hypergraph, any data — replays the
@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 
 from ..decomposition import Decomposition
 from ..hypergraph import Hypergraph
-from ..pipeline.batch import BatchRequest, BatchScheduler
+from ..pipeline.batch import BatchRequest, solve_many
 from ..store import ResultStore, params_fingerprint
 from .evaluate import node_relations_from_ghd
 from .query import ConjunctiveQuery
@@ -287,18 +287,16 @@ class QueryPlanner:
         hypergraph = query.hypergraph()
         key = plan_key(query)
         started = time.perf_counter()
-        scheduler = BatchScheduler(
+        (handle,) = solve_many(
+            [BatchRequest(hypergraph, kind=PLAN_KIND, label=query.name)],
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
             bounds=self.bounds,
             store=self.store,
         )
-        handle = scheduler.submit(
-            BatchRequest(hypergraph, kind=PLAN_KIND, label=query.name)
-        )
-        run_stats = scheduler.run()
         width, witness = handle.unwrap()
+        run_stats = handle.stats
         if not witness.is_integral():
             raise ValueError(
                 "plan solve returned a non-integral witness; "

@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..hypergraph import Hypergraph
+from ..hypergraph.io import short_repr
 
 __all__ = ["Atom", "Const", "ConjunctiveQuery", "parse_cq"]
 
@@ -206,13 +207,13 @@ def _parse_term(raw: str, context: str):
         ):
             return Const(term[1:-1])
         raise ValueError(
-            f"cannot parse term {term!r} in {context}: string constants "
-            "are quote-delimited and cannot contain their own quote "
-            "character (no escape syntax)"
+            f"cannot parse term {short_repr(term)} in {context}: string "
+            "constants are quote-delimited and cannot contain their own "
+            "quote character (no escape syntax)"
         )
     raise ValueError(
-        f"cannot parse term {term!r} in {context}: expected a variable "
-        "name, an integer, or a quoted string"
+        f"cannot parse term {short_repr(term)} in {context}: expected a "
+        "variable name, an integer, or a quoted string"
     )
 
 
@@ -235,12 +236,13 @@ def _parse_atoms(body_text: str) -> tuple:
         if not atoms:
             if gap.strip():
                 raise ValueError(
-                    f"cannot parse {gap.strip()!r} in the query body"
+                    f"cannot parse {short_repr(gap.strip())} in the query "
+                    "body"
                 )
         elif _GAP_RE.fullmatch(gap) is None:
             raise ValueError(
                 "expected a single comma between atoms, got "
-                f"{gap.strip() or gap!r}"
+                f"{short_repr(gap.strip() or gap)}"
             )
         context = f"atom {match.group(1)}"
         terms = tuple(
@@ -252,7 +254,7 @@ def _parse_atoms(body_text: str) -> tuple:
     tail = body_text[cursor:]
     if tail.strip():
         raise ValueError(
-            f"cannot parse {tail.strip()!r} in the query body"
+            f"cannot parse {short_repr(tail.strip())} in the query body"
         )
     return tuple(atoms)
 
@@ -280,7 +282,7 @@ def parse_cq(text: str) -> ConjunctiveQuery:
     if head_text:
         match = _ATOM_RE.fullmatch(head_text)
         if not match:
-            raise ValueError(f"cannot parse head {head_text!r}")
+            raise ValueError(f"cannot parse head {short_repr(head_text)}")
         name = match.group(1)
         head_vars = tuple(
             _parse_term(raw, "the head")

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, product, repeat, starmap
 from operator import add, itemgetter
 
+from ..hypergraph.io import short_repr
+
 
 __all__ = [
     "Relation",
@@ -83,7 +85,9 @@ class Relation:
 
     def __post_init__(self) -> None:
         if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError(f"duplicate attributes in {self.attributes}")
+            raise ValueError(
+                f"duplicate attributes in {short_repr(self.attributes)}"
+            )
         arity = len(self.attributes)
         if set(map(len, self.tuples)) - {arity}:
             row = next(r for r in self.tuples if len(r) != arity)
@@ -251,48 +255,49 @@ def relation_from_payload(name: str, obj) -> Relation:
     ``true`` would merge with ``1``, and ``NaN`` is not JSON).
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"relation {name!r} must be a JSON object")
+        raise ValueError(f"relation {short_repr(name)} must be a JSON object")
     unknown = set(obj) - {"attributes", "rows"}
     if unknown:
         raise ValueError(
-            f"relation {name!r} has unknown keys {sorted(unknown)}; "
-            "valid keys: attributes, rows"
+            f"relation {short_repr(name)} has unknown keys "
+            f"{short_repr(sorted(unknown))}; valid keys: attributes, rows"
         )
     attributes = obj.get("attributes")
     if not isinstance(attributes, (list, tuple)) or not all(
         isinstance(a, str) for a in attributes
     ):
         raise ValueError(
-            f"relation {name!r} needs an 'attributes' list of strings"
+            f"relation {short_repr(name)} needs an 'attributes' list of "
+            "strings"
         )
     rows = obj.get("rows", [])
     if not isinstance(rows, (list, tuple)):
-        raise ValueError(f"relation {name!r} needs a 'rows' list")
+        raise ValueError(f"relation {short_repr(name)} needs a 'rows' list")
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise ValueError(
-                f"relation {name!r} row {i} must be a list"
+                f"relation {short_repr(name)} row {i} must be a list"
             )
         if len(row) != len(attributes):
             raise ValueError(
-                f"relation {name!r} row {i} has {len(row)} values but "
-                f"{len(attributes)} attributes"
+                f"relation {short_repr(name)} row {i} has {len(row)} "
+                f"values but {len(attributes)} attributes"
             )
         for value in row:
             if isinstance(value, bool) or not isinstance(value, _SCALARS):
                 raise ValueError(
-                    f"relation {name!r} row {i} holds non-scalar "
-                    f"value {value!r}"
+                    f"relation {short_repr(name)} row {i} holds non-scalar "
+                    f"value {short_repr(value)}"
                 )
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(
-                    f"relation {name!r} row {i} holds non-finite "
+                    f"relation {short_repr(name)} row {i} holds non-finite "
                     f"number {value!r}"
                 )
     try:
         return Relation.from_rows(name, attributes, rows)
     except ValueError as exc:
-        raise ValueError(f"relation {name!r}: {exc}") from exc
+        raise ValueError(f"relation {short_repr(name)}: {exc}") from exc
 
 
 def join_all(relations: Sequence[Relation]) -> tuple[Relation, int]:

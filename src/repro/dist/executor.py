@@ -4,7 +4,7 @@
 one drive loop consumes — ``submit`` / ``wait`` / ``cancel`` on plain
 :class:`~concurrent.futures.Future` objects — so
 :meth:`BatchScheduler.run <repro.pipeline.batch.BatchScheduler>` (and
-with it every :class:`~repro.pipeline.WidthSolver` query) runs on it
+with it every :func:`~repro.pipeline.solve_many` request) runs on it
 unchanged, selected by ``executor="remote"``.
 
 Placement and failure semantics:

@@ -9,19 +9,42 @@ as a list of atoms::
 
 One atom per edge; the final atom may end with ``.`` or nothing.  Comments
 start with ``%`` or ``#``.  This module parses and serializes that format
-so suites can be shipped as plain text files.
+so suites can be shipped as plain text files, and holds
+:func:`short_repr`, with which the request decoders quote a bad value.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from pathlib import Path
 
 from .hypergraph import Hypergraph
 
-__all__ = ["parse_hyperbench", "to_hyperbench", "load_file", "dump_file"]
+__all__ = [
+    "parse_hyperbench",
+    "to_hyperbench",
+    "load_file",
+    "dump_file",
+    "short_repr",
+]
 
 _ATOM = re.compile(r"([A-Za-z0-9_:\-\.']+)\s*\(([^)]*)\)")
+
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+_SHORT.maxstring = _SHORT.maxother = _SHORT.maxlong = 40
+_SHORT.maxlist = _SHORT.maxtuple = _SHORT.maxdict = 4
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` cut to a few hundred characters at most.
+
+    Error messages quote the offending input through this, so a
+    message stays short whatever a request sends; short scalars and
+    small flat containers print exactly as ``repr`` does.
+    """
+    return _SHORT.repr(value)
 
 
 def parse_hyperbench(text: str, name: str | None = None) -> Hypergraph:

@@ -20,9 +20,11 @@ Every width query in the library runs through this package by default:
   tasks of a whole request workload on one shared pool with one warm
   engine-cache domain, with per-request :class:`BatchResult` handles
   and one :class:`BatchStats` per run;
-* :mod:`repro.pipeline.solver` — the :class:`WidthSolver` facade, each
-  of whose methods is a one-request batch, plus the reduce/split and
-  stitch halves around the drive loop.
+* :mod:`repro.pipeline.solver` — the reduce/split and stitch halves
+  around the drive loop.
+
+Each width function of :mod:`repro.algorithms` is a one-request
+:func:`solve_many` call; its stats are ``result.stats``.
 
 The stitch stage lives in :mod:`repro.decomposition.stitch`, next to the
 other decomposition transformations.
@@ -59,17 +61,13 @@ from .solve import (
 )
 from .solver import (
     PREPROCESS_MODES,
-    WidthSolver,
     prepare_instance,
-    solve_width,
     split_mode_for,
     stitch_instance,
 )
 from .split import SPLIT_MODES, Block, articulation_points, split_instance
 
 __all__ = [
-    "WidthSolver",
-    "solve_width",
     "prepare_instance",
     "stitch_instance",
     "split_mode_for",

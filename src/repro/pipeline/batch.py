@@ -2,10 +2,11 @@
 
 This module holds the pipeline's one drive loop,
 :meth:`BatchScheduler.run`: every width query goes through it, a
-:class:`~.solver.WidthSolver` call as a one-request batch.  A served
-deployment does not answer one hypergraph at a time — it answers
-*workloads* (the paper's evaluation itself runs width checks over whole
-HyperBench corpora) — so the loop amortizes across requests:
+:mod:`repro.algorithms` function call as a one-request
+:func:`solve_many`.  A served deployment does not answer one
+hypergraph at a time — it answers *workloads* (the paper's evaluation
+itself runs width checks over whole HyperBench corpora) — so the loop
+amortizes across requests:
 
 * :func:`solve_many` / :class:`BatchScheduler` run the reduce and split
   stages for **every** instance up front, then interleave the resulting
@@ -20,8 +21,7 @@ HyperBench corpora) — so the loop amortizes across requests:
   the batch progresses — a failing request records its error there and
   never poisons its siblings;
 * stitching is deterministic per instance (driver thread, block order),
-  so batched answers are exactly the one-request
-  :class:`~.solver.WidthSolver` answers.
+  so batched answers are exactly the one-request answers.
 
 Task payloads are the same plain picklable ``(solver, hypergraph,
 params)`` triples as :func:`~.solve.run_block_task`, so the batch runs
@@ -48,6 +48,7 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import asdict, dataclass, field
 
 from ..hypergraph import Hypergraph
+from ..hypergraph.io import short_repr
 from ..store import ResultStore
 from .bounds import BOUNDS_MODES, BlockBounds, compute_block_bounds
 from .solve import (
@@ -57,12 +58,7 @@ from .solve import (
     make_pool,
     run_block_task,
 )
-from .solver import (
-    _EPS,
-    PREPROCESS_MODES,
-    prepare_instance,
-    stitch_instance,
-)
+from .solver import PREPROCESS_MODES, prepare_instance, stitch_instance
 
 __all__ = [
     "BatchRequest",
@@ -145,14 +141,15 @@ _KIND_TABLE = {
     }),
 }
 
-#: Kinds only :class:`~.solver.WidthSolver` submits: heuristic methods
-#: with no public batch kind, run without the store.
+#: Kinds only the :mod:`repro.algorithms` functions submit: heuristic
+#: methods with no public batch kind, run without the store.
 _INTERNAL_KINDS = ("heuristic-decomposition", "fhw-approximation")
 
-#: The request kinds :func:`solve_many` accepts.  The width kinds
-#: (``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``, ``"bounds"``)
-#: mirror :func:`~.solver.solve_width`; the ``"check-*"`` kinds answer
-#: Check(X, k) for the ``k`` given in ``params``.
+#: The request kinds of the wire, the store and the CLI manifests.  The
+#: width kinds (``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``,
+#: ``"bounds"``) are the requests the :mod:`repro.algorithms` width
+#: functions submit; the ``"check-*"`` kinds answer Check(X, k) for the
+#: ``k`` given in ``params``.
 BATCH_KINDS = tuple(k for k in _KIND_TABLE if k not in _INTERNAL_KINDS)
 
 
@@ -165,10 +162,14 @@ def request_params(kind: str, params: Mapping | None) -> dict:
     and equal requests share one spelling and store key.
     """
     if kind not in _KIND_TABLE:
-        raise ValueError(f"kind must be one of {BATCH_KINDS}; got {kind!r}")
+        raise ValueError(
+            f"kind must be one of {BATCH_KINDS}; got {short_repr(kind)}"
+        )
     params = {} if params is None else params
     if not isinstance(params, Mapping):
-        raise ValueError(f"'params' must be an object; got {params!r}")
+        raise ValueError(
+            f"'params' must be an object; got {short_repr(params)}"
+        )
     spec = _KIND_TABLE[kind][3]
     if "method" in spec:
         method = _checked(kind, "method", params.get("method"), _METHOD)
@@ -176,7 +177,7 @@ def request_params(kind: str, params: Mapping | None) -> dict:
     unknown = [name for name in params if name not in spec]
     if unknown:
         raise ValueError(
-            f"unknown params for {kind!r}: {', '.join(map(repr, unknown))}"
+            f"unknown params for {kind!r}: {short_repr(unknown)[1:-1]}"
             f"; valid: {', '.join(spec)}"
         )
     normalised = {}
@@ -196,19 +197,24 @@ def _checked(kind: str, name: str, value, param: _Param):
     if param.choices:
         if value not in param.choices:
             raise ValueError(
-                f"{name} must be one of {param.choices}; got {value!r}"
+                f"{name} must be one of {param.choices}; "
+                f"got {short_repr(value)}"
             )
     elif isinstance(value, bool) or not isinstance(value, param.types) or (
         isinstance(value, float) and not math.isfinite(value)
     ):
         names = "/".join(t.__name__ for t in param.types)
-        raise ValueError(f"{name} must be {names}; got {value!r}")
+        raise ValueError(f"{name} must be {names}; got {short_repr(value)}")
     if param.minimum is not None and value < param.minimum:
-        raise ValueError(f"{name} must be >= {param.minimum}; got {value!r}")
+        raise ValueError(
+            f"{name} must be >= {param.minimum}; got {short_repr(value)}"
+        )
     return value
 
 
 _LOG = logging.getLogger(__name__)
+
+_EPS = 1e-9
 
 
 @dataclass
@@ -299,8 +305,8 @@ class BatchResult:
     request : BatchRequest
         The normalized request.
     value : object
-        The same value the corresponding :class:`~.solver.WidthSolver`
-        method returns: ``(width, decomposition)`` for ``hw`` / ``ghw``
+        The same value the corresponding :mod:`repro.algorithms`
+        function returns: ``(width, decomposition)`` for ``hw`` / ``ghw``
         / ``ghw-exact`` / ``fhw``, ``(lower, upper, decomposition)``
         for ``bounds``, and ``Decomposition | None`` for check kinds.
     error : Exception or None
@@ -1265,14 +1271,13 @@ def solve_many(
     jobs: int | None = None,
     preprocess: str = "full",
     executor: str = "thread",
-    backend: str | None = None,
     bounds: str = "portfolio",
     store: ResultStore | str | None = None,
 ) -> list[BatchResult]:
     """Solve a batch of width queries on one shared scheduler.
 
-    The batched answers are exactly the per-instance
-    :class:`~.solver.WidthSolver` answers; what changes is the serving
+    The batched answers are exactly the one-request answers of the
+    :mod:`repro.algorithms` functions; what changes is the serving
     cost: reduce/split runs up front for every instance, per-block
     tasks from different instances interleave on one worker pool, and
     (with the default thread executor) the whole batch shares one warm
@@ -1293,10 +1298,6 @@ def solve_many(
         ``"thread"`` (default), ``"process"``, or ``"remote"`` (the
         :mod:`repro.dist` worker fleet; see
         :data:`~repro.pipeline.solve.EXECUTORS`).
-    backend : str, optional
-        LP backend for the batch (``"auto"``, ``"scipy"``,
-        ``"purepython"``); the process-global engine configuration is
-        restored afterwards.
     bounds : str, optional
         Bounds pre-pass mode for every instance — ``"portfolio"``
         (default), ``"clique"`` or ``"none"``; see
@@ -1320,12 +1321,10 @@ def solve_many(
     Raises
     ------
     ValueError
-        If ``preprocess``, ``executor``, ``backend`` or ``bounds`` is
+        If ``preprocess``, ``executor`` or ``bounds`` is
         invalid — batch-level configuration errors raise; per-request
         problems do not.
     """
-    from .. import engine  # lazy: keeps the pipeline package cycle-free
-
     owned_store = store is not None and not isinstance(store, ResultStore)
     scheduler = BatchScheduler(
         jobs=jobs,
@@ -1336,16 +1335,7 @@ def solve_many(
     )
     results = [scheduler.submit(request) for request in requests]
     try:
-        if backend is not None:
-            config = engine.engine_config()
-            previous = config.backend
-            engine.configure(backend=backend)
-            try:
-                scheduler.run()
-            finally:
-                config.backend = previous
-        else:
-            scheduler.run()
+        scheduler.run()
     finally:
         if owned_store:
             scheduler.store.close()

@@ -9,8 +9,8 @@ exact engine: the CheckSearch branch-and-bound for Check(HD/GHD/FHD, k)
 and the elimination DP for the exact oracles.
 The one drive loop over them is
 :meth:`repro.pipeline.batch.BatchScheduler.run`, which every width
-query goes through (:class:`~repro.pipeline.solver.WidthSolver` submits
-a one-request batch).
+query goes through (each :mod:`repro.algorithms` width function is a
+one-request :func:`~repro.pipeline.batch.solve_many` call).
 
 ``jobs=1`` with the thread executor runs each task inline on the
 calling thread.  ``jobs=N`` adds cross-block and speculative cross-k

@@ -1,12 +1,12 @@
-"""The ``WidthSolver`` facade: reduce → split → solve → stitch.
+"""The two halves around the drive loop: reduce → split, and stitch.
 
-Every public width entry point of the library, and every
-:class:`WidthSolver` method, is a one-request run of the batch
-scheduler in :mod:`repro.pipeline.batch`, the pipeline's one drive
-loop.  ``preprocess="none"`` runs the whole instance as one
-unreduced block (the bounds pre-pass stays on unless
-``bounds="none"``).  A query runs in four stages, timed and counted in
-its :class:`~repro.pipeline.batch.BatchStats`:
+Every width query of the library — each function in
+:mod:`repro.algorithms`, the CLI, the daemon and the query planner —
+is a one-request :func:`~repro.pipeline.batch.solve_many` call, and
+the request's :class:`~repro.pipeline.batch.BatchStats` is its
+``result.stats``.  ``preprocess="none"`` runs the whole instance as
+one unreduced block (the bounds pre-pass stays on unless
+``bounds="none"``).  A query runs in four stages:
 
 1. **reduce** — kind-safe simplification rules with undo records
    (:mod:`repro.pipeline.reduce`);
@@ -19,7 +19,7 @@ its :class:`~repro.pipeline.batch.BatchStats`:
    and reduction undos replayed (:mod:`repro.decomposition.stitch`),
    then re-validated against the *original* hypergraph.
 
-This module keeps the two halves around the drive loop,
+This module keeps the halves around the drive loop,
 :func:`prepare_instance` (reduce + split) and :func:`stitch_instance`.
 
 The stitched width is ``max(1, max over blocks)``: every width measure
@@ -37,13 +37,10 @@ from ..decomposition import (
     validate,
 )
 from ..hypergraph import Hypergraph
-from .bounds import BOUNDS_MODES
 from .reduce import ReducedInstance, reduce_instance
 from .split import Block, split_instance
 
 __all__ = [
-    "WidthSolver",
-    "solve_width",
     "prepare_instance",
     "stitch_instance",
     "split_mode_for",
@@ -54,8 +51,6 @@ __all__ = [
 #: The CLI ``--preprocess`` flag and the README document exactly this
 #: tuple (``tests/test_docs.py`` pins the agreement).
 PREPROCESS_MODES = ("full", "reduce", "split", "none")
-
-_EPS = 1e-9
 
 
 def split_mode_for(kind: str, preprocess: str) -> str:
@@ -175,190 +170,3 @@ def stitch_instance(
     final = replay_reductions(stitched, reduced.undo)
     validate(original, final, kind=kind, width=width)
     return final
-
-
-class WidthSolver:
-    """One hypergraph, every width query, one preprocessing discipline.
-
-    Every method is a one-request :class:`~.batch.BatchScheduler` run
-    with this solver's settings: it submits one
-    :class:`~.batch.BatchRequest`, keeps the run's
-    :class:`~.batch.BatchStats` (the request's ``result.stats``) in
-    ``last_stats`` and returns the request's value (re-raising its
-    error).
-
-    Parameters
-    ----------
-    hypergraph:
-        The instance to decompose.
-    preprocess:
-        ``"full"`` (reduce + split, the default), ``"reduce"``,
-        ``"split"``, or ``"none"`` (the whole instance as one unreduced
-        block; only isolated vertices are dropped).
-    jobs:
-        Worker count for cross-block / cross-k parallelism (None or 1 =
-        serial, on the calling thread).
-    executor:
-        ``"thread"`` (default; shares engine caches), ``"process"``
-        (GIL-free, cold caches per worker) or ``"remote"`` (the
-        :mod:`repro.dist` worker fleet).
-    bounds:
-        Bounds pre-pass mode, one of
-        :data:`repro.pipeline.bounds.BOUNDS_MODES`: ``"portfolio"``
-        (default; per-block ordering-portfolio upper bound + clique
-        lower bound, seeding every exact search), ``"clique"`` (lower
-        bound only), or ``"none"`` (no pre-pass — the pre-bounds
-        behaviour).  The pre-pass only prunes which exact checks run;
-        answers are identical in every mode, save a valid cap that
-        runs out (see :class:`~.batch.BatchScheduler`).
-    """
-
-    def __init__(
-        self,
-        hypergraph: Hypergraph,
-        preprocess: str = "full",
-        jobs: int | None = None,
-        executor: str = "thread",
-        bounds: str = "portfolio",
-    ) -> None:
-        if preprocess not in PREPROCESS_MODES:
-            raise ValueError(f"preprocess must be one of {PREPROCESS_MODES}")
-        if bounds not in BOUNDS_MODES:
-            raise ValueError(f"bounds must be one of {BOUNDS_MODES}")
-        self.hypergraph = hypergraph
-        self.preprocess = preprocess
-        self.jobs = max(1, int(jobs or 1))
-        self.executor = executor
-        self.bounds = bounds
-        self.last_stats = None
-
-    def _run(self, kind: str, params: dict):
-        """Answer one request of ``kind`` as a one-request batch."""
-        from .batch import solve_many  # lazy: batch imports this module
-
-        (result,) = solve_many(
-            [(self.hypergraph, kind, params)],
-            jobs=self.jobs,
-            preprocess=self.preprocess,
-            executor=self.executor,
-            bounds=self.bounds,
-        )
-        self.last_stats = result.stats
-        return result.unwrap()
-
-    # ------------------------------------------------------------------
-    # Check(X, k) queries
-    # ------------------------------------------------------------------
-    def hypertree_decomposition(self, k: int) -> Decomposition | None:
-        """Check(HD, k) with preprocessing; None when hw(H) > k."""
-        return self._run("check-hd", {"k": k})
-
-    def generalized_hypertree_decomposition(
-        self, k: int, method: str = "fixpoint", **caps
-    ) -> Decomposition | None:
-        """Check(GHD, k) with preprocessing; None when ghw(H) > k."""
-        return self._run("check-ghd", {"k": k, "method": method, **caps})
-
-    def fractional_hypertree_decomposition_bounded_degree(
-        self, k: float, d: int | None = None, **caps
-    ) -> Decomposition | None:
-        """Check(FHD, k) under bounded degree (Theorem 5.2), preprocessed.
-
-        ``d`` defaults per block to the block's own degree, which never
-        exceeds the input's — smaller supports, smaller searches.
-        """
-        return self._run("check-fhd-bd", {"k": k, "d": d, **caps})
-
-    # ------------------------------------------------------------------
-    # Width searches (iterate k per block)
-    # ------------------------------------------------------------------
-    def hypertree_width(self, kmax: int | None = None) -> tuple[int, Decomposition]:
-        """``hw(H)`` with a validated witness HD."""
-        return self._run("hw", {"kmax": kmax})
-
-    def generalized_hypertree_width(
-        self, kmax: int | None = None, method: str = "fixpoint", **caps
-    ) -> tuple[int, Decomposition]:
-        """``ghw(H)`` with a validated witness GHD."""
-        return self._run("ghw", {"kmax": kmax, "method": method, **caps})
-
-    # ------------------------------------------------------------------
-    # Exact elimination oracles (per-block 2^n DP)
-    # ------------------------------------------------------------------
-    def generalized_hypertree_width_exact(
-        self, vertex_limit: int | None = None
-    ) -> tuple[int, Decomposition]:
-        """Exact ``ghw(H)``; the 2^n limit applies *per block*.
-
-        Blocks the bounds pre-pass *decided* (lower bound meets a
-        validated portfolio witness) skip the 2^n DP entirely; the
-        witness width caps the DP on the others.
-        """
-        return self._run("ghw-exact", {"vertex_limit": vertex_limit})
-
-    def fractional_hypertree_width_exact(
-        self, vertex_limit: int | None = None
-    ) -> tuple[float, Decomposition]:
-        """Exact ``fhw(H)``; the 2^n limit applies *per block*."""
-        return self._run("fhw", {"vertex_limit": vertex_limit})
-
-    # ------------------------------------------------------------------
-    # Heuristic and approximation drivers
-    # ------------------------------------------------------------------
-    def heuristic_decomposition(
-        self, cost: str = "fractional", ordering: str = "min-fill"
-    ) -> tuple[float, Decomposition]:
-        """Per-block heuristic elimination decomposition, stitched."""
-        return self._run(
-            "heuristic-decomposition", {"cost": cost, "ordering": ordering}
-        )
-
-    def width_bounds(
-        self, cost: str = "fractional"
-    ) -> tuple[float, float, Decomposition]:
-        """``(lower, upper, witness)``: the heuristic sandwich, blockwise.
-
-        The lower bound is the max of the block lower bounds (each block
-        is width-preserving, so this stays sound); the stitched witness
-        achieves the upper bound.
-        """
-        return self._run("bounds", {"cost": cost})
-
-    def fhw_approximation(self, K: float, eps: float, find_fhd=None):
-        """Algorithm 4 (the PTAAS of Theorem 6.20), run per block.
-
-        Each block's binary search runs independently (in parallel with
-        ``jobs``); the stitched FHD has width ``max(1, max block
-        widths) < fhw(H) + ε`` whenever ``fhw(H) <= K``.  A custom
-        ``find_fhd`` receives *block* hypergraphs.
-        """
-        return self._run(
-            "fhw-approximation", {"K": K, "eps": eps, "find_fhd": find_fhd}
-        )
-
-
-#: The kinds :func:`solve_width` answers: the width queries.
-_WIDTH_KINDS = ("hw", "ghw", "ghw-exact", "fhw", "bounds")
-
-
-def solve_width(
-    hypergraph: Hypergraph,
-    kind: str = "ghw",
-    preprocess: str = "full",
-    jobs: int | None = None,
-    executor: str = "thread",
-    bounds: str = "portfolio",
-    **params,
-):
-    """One-call pipeline width query.
-
-    ``kind`` is one of ``"hw"``, ``"ghw"``, ``"ghw-exact"``, ``"fhw"``
-    (the exact oracle), or ``"bounds"`` (heuristic sandwich); extra
-    keyword arguments are the request params of that kind (see
-    :func:`~.batch.request_params`).  ``bounds`` selects the pre-pass
-    mode (one of :data:`repro.pipeline.bounds.BOUNDS_MODES`).
-    """
-    if kind not in _WIDTH_KINDS:
-        raise ValueError(f"kind must be one of {_WIDTH_KINDS}; got {kind!r}")
-    solver = WidthSolver(hypergraph, preprocess, jobs, executor, bounds)
-    return solver._run(kind, params)

@@ -44,6 +44,7 @@ from .. import store
 from ..cqcsp import parse_cq, relation_from_payload
 from ..cqcsp.planner import plan_key
 from ..hypergraph import Hypergraph
+from ..hypergraph.io import short_repr
 from ..pipeline.batch import BATCH_KINDS, BatchRequest, request_params
 from ..store import answer_payload, params_fingerprint
 
@@ -99,9 +100,13 @@ def hypergraph_from_payload(obj) -> Hypergraph:
         raise ProtocolError("hypergraph needs a non-empty 'edges' object")
     for name, vs in edges.items():
         if not isinstance(vs, (list, tuple)) or not vs:
-            raise ProtocolError(f"edge {name!r} must be a non-empty list")
+            raise ProtocolError(
+                f"edge {short_repr(name)} must be a non-empty list"
+            )
         if not all(isinstance(v, str) for v in vs):
-            raise ProtocolError(f"edge {name!r} has non-string vertices")
+            raise ProtocolError(
+                f"edge {short_repr(name)} has non-string vertices"
+            )
     declared = obj.get("vertices", [])
     if not isinstance(declared, (list, tuple)) or not all(
         isinstance(v, str) for v in declared
@@ -123,7 +128,7 @@ def _check_fields(obj, fields: tuple) -> None:
     unknown = set(obj) - set(fields)
     if unknown:
         raise ProtocolError(
-            f"unknown request fields: {sorted(unknown)}; "
+            f"unknown request fields: {short_repr(sorted(unknown))}; "
             f"valid fields: {', '.join(fields)}"
         )
 
@@ -138,7 +143,8 @@ def request_from_payload(obj) -> BatchRequest:
     kind = obj.get("kind", "ghw")
     if kind not in BATCH_KINDS:
         raise ProtocolError(
-            f"kind must be one of {', '.join(BATCH_KINDS)}; got {kind!r}"
+            f"kind must be one of {', '.join(BATCH_KINDS)}; "
+            f"got {short_repr(kind)}"
         )
     try:
         params = request_params(kind, obj.get("params"))

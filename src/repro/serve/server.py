@@ -37,8 +37,8 @@ harness in ``tests/test_serve.py`` and benchmark E23:
 * **Persistent store** — a request is first looked up in the server's
   :class:`~repro.store.ResultStore` with
   :func:`~repro.pipeline.batch.stored_answer`, the scheduler's own
-  instance lookup; a miss runs through
-  :class:`~repro.pipeline.batch.BatchScheduler` with that store, so
+  instance lookup; a miss is one
+  :func:`~repro.pipeline.batch.solve_many` request on that store, so
   verdicts survive restarts and a restarted daemon answers a
   repeat-heavy workload with zero scheduler runs, LP solves and exact
   check tasks (``solves`` / ``lp_solves`` / ``tasks_run`` in
@@ -68,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from ..cqcsp.planner import QueryPlanner
-from ..pipeline.batch import BatchScheduler, stored_answer
+from ..pipeline.batch import solve_many, stored_answer
 from ..pipeline.solve import EXECUTORS
 from ..store import ResultStore, answer_payload
 from .protocol import (
@@ -644,18 +644,15 @@ class DecompositionServer:
         concurrency tests gate it on an event to make coalescing
         windows deterministic.
         """
-        scheduler = BatchScheduler(
+        (result,) = solve_many(
+            [request],
             jobs=self.jobs,
             preprocess=self.preprocess,
             executor=self.executor,
             bounds=self.bounds,
             store=self.store,
         )
-        result = scheduler.submit(request)
-        stats = scheduler.run()
-        if result.error is not None:
-            raise result.error
-        return answer_payload(request.kind, result.value), stats
+        return answer_payload(request.kind, result.unwrap()), result.stats
 
     # ------------------------------------------------------------------
     # Query answering (decompositions as cached plans)

@@ -15,7 +15,7 @@ still dies with the process.  This package spills them to disk:
   served for before it is trusted (:func:`checked_witness`) — the store
   is untrusted input, exactly like the solver outputs it mirrors;
 * the batch scheduler seeds per-block search state from the store and
-  writes verdicts back on settle (``BatchScheduler(store=...)``), and
+  writes verdicts back on settle (``solve_many(..., store=...)``), and
   the ``repro serve`` daemon answers repeat requests from it with zero
   LP solves and zero exact Check tasks (benchmark E23).
 

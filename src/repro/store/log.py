@@ -234,10 +234,12 @@ class StoreStats:
     records_loaded : int
         Well-formed records read at open time.
     records_damaged : int
-        Frames that failed their CRC (a byte changed on disk), each
-        logged and counted once: skipped at open time, or, once
-        indexed, served as a miss on read and dropped from the index,
-        so the recomputed verdict is appended again.
+        Records that failed a check, each logged and counted once: a
+        frame failing its CRC (a byte changed on disk) is skipped at
+        open time; an indexed frame failing its re-read, its decoding
+        or its witness re-validation is served as a miss and dropped
+        from the index, so the recomputed verdict is appended again
+        (and, as the later frame, wins at the next open).
     records_skipped : int
         Records lost to the corrupt/truncated tail at open time (at
         most 1 can be counted — loading stops at the first bad header
@@ -433,11 +435,12 @@ class ResultStore:
                 record = self._decode(payload)
         if record is not None and record[0] == key:
             return record[1]
-        self._drop_damaged(key, slot)
+        self._drop_damaged(key, slot, "changed on disk")
         return None
 
-    def _drop_damaged(self, key: tuple, slot: int) -> None:
-        """Forget ``key`` whose frame at ``slot`` failed its re-check."""
+    def _drop_damaged(self, key: tuple, slot: int, why: str) -> None:
+        """Forget ``key`` whose frame at ``slot`` failed a re-check, so
+        the recomputed verdict is appended (a later frame wins on load)."""
         with self._lock:
             if self._index.get(key) != slot:
                 return  # another reader already dropped it
@@ -445,9 +448,9 @@ class ResultStore:
             self.stats.records_damaged += 1
             self.stats.entries = len(self._index)
         _LOG.warning(
-            "store record %r at byte %d of %s changed on disk; "
+            "store record %r at byte %d of %s %s; "
             "serving a miss and recomputing",
-            key, slot // _SLOT, self.log_path,
+            key, slot // _SLOT, self.log_path, why,
         )
 
     def __contains__(self, key: tuple) -> bool:
@@ -485,34 +488,47 @@ class ResultStore:
         fp = params_fingerprint(params)
         return (tag, hypergraph.canonical_hash(), *dims, "bb", fp)
 
+    def _put(self, key: tuple, hypergraph: Hypergraph, value: dict) -> None:
+        """Append one typed record, unless two vertices of ``hypergraph``
+        share a string (``1`` and ``"1"``): stored bags could not map
+        back, so the record would fail re-validation on every read."""
+        if len(set(map(str, hypergraph.vertices))) == hypergraph.num_vertices:
+            self.append(key, value)
+
     def _answer(
         self, key: tuple, hypergraph: Hypergraph, kind: str, dkind: str, k=None
     ) -> tuple | None:
         """The ``kind`` answer at ``key`` as ``(value,)``, or None.
 
         Its witness must re-validate as a ``dkind`` decomposition of
-        ``hypergraph`` within ``k`` (check kinds) or its stored width.
+        ``hypergraph`` within ``k`` (check kinds) or its stored width,
+        an int for ``"block"`` records.  A record that fails is dropped
+        like a damaged frame, so the recomputed verdict replaces it.
         A rejection has no witness: it is trusted *self-authored* data,
         CRC-protected and keyed by the collision-resistant canonical
         hash, though a deliberately tampered log could forge one
         (delete the store to recompute from scratch).
         """
+        slot = self._index.get(key)
         payload = self.get(key)
         if payload is None:
             return None
         try:
             value = answer_from_payload(kind, payload, hypergraph)
+            if _answer_shape(kind) == "check":
+                if value is None:
+                    return (None,)
+                bound, witness = k, value
+            else:
+                bound, witness = value[-2:]
+            if kind == "block" and not isinstance(bound, int):
+                raise ValueError(f"block width {bound!r} is not an int")
+            if bound < 1 - _EPS or checked_witness(
+                hypergraph, witness, dkind, width=float(bound) + _EPS
+            ) is None:
+                raise ValueError(f"no valid witness of width {bound!r}")
         except ValueError:
-            return None
-        if _answer_shape(kind) == "check":
-            if value is None:
-                return (None,)
-            bound, witness = k, value
-        else:
-            bound, witness = value[-2:]
-        if bound < 1 - _EPS or checked_witness(
-            hypergraph, witness, dkind, width=float(bound) + _EPS
-        ) is None:
+            self._drop_damaged(key, slot, "fails re-validation")
             return None
         return (value,)
 
@@ -526,7 +542,9 @@ class ResultStore:
     ) -> None:
         """Persist a settled width-search block: its width and witness."""
         key = self._key("block", hypergraph, kind, params=params)
-        self.append(key, answer_payload("block", (int(width), witness)))
+        self._put(
+            key, hypergraph, answer_payload("block", (int(width), witness))
+        )
 
     def get_block(
         self,
@@ -537,7 +555,7 @@ class ResultStore:
         """A validated ``(width, witness)`` for the block, or None."""
         key = self._key("block", hypergraph, kind, params=params)
         hit = self._answer(key, hypergraph, "block", kind)
-        return hit[0] if hit and isinstance(hit[0][0], int) else None
+        return None if hit is None else hit[0]
 
     def put_block_exact(
         self,
@@ -549,8 +567,10 @@ class ResultStore:
     ) -> None:
         """Persist an exact-oracle block result."""
         key = self._key("block-exact", hypergraph, kind, params=params)
-        self.append(
-            key, answer_payload("block-exact", (float(width), witness))
+        self._put(
+            key,
+            hypergraph,
+            answer_payload("block-exact", (float(width), witness)),
         )
 
     def get_block_exact(
@@ -575,7 +595,7 @@ class ResultStore:
         """Persist one Check(X, k) verdict (None witness = rejected)."""
         k = round(float(k), 9)
         key = self._key("check", hypergraph, kind, k, params=params)
-        self.append(key, answer_payload("check", witness))
+        self._put(key, hypergraph, answer_payload("check", witness))
 
     def get_check(
         self,
@@ -606,7 +626,7 @@ class ResultStore:
         key = self._key(
             "instance", hypergraph, request_kind, params=params
         )
-        self.append(key, answer_payload(request_kind, value))
+        self._put(key, hypergraph, answer_payload(request_kind, value))
 
     def get_instance(
         self,

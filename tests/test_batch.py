@@ -1,8 +1,8 @@
 """Tests for batched multi-instance serving (``repro.pipeline.batch``).
 
 The headline invariants: every batched answer equals the corresponding
-single-instance ``WidthSolver`` answer (serial and parallel, thread and
-process executors), and failures are strictly per-request — a malformed
+single-instance answer of the :mod:`repro.algorithms` function (serial
+and parallel, thread and process executors), and failures are strictly per-request — a malformed
 instance resolves its own handle with an error and never poisons
 sibling futures.
 """
@@ -12,7 +12,12 @@ from importlib import import_module
 
 import pytest
 
-from repro.algorithms import subedges
+from repro.algorithms import (
+    fractional_hypertree_width_exact,
+    generalized_hypertree_width,
+    hypertree_width,
+    subedges,
+)
 from repro.algorithms.ghd import GHD_METHODS
 from repro.algorithms.heuristics import _ORDERINGS
 from repro.covers import EPS
@@ -29,7 +34,6 @@ from repro.pipeline import (
     SOLVERS,
     BatchRequest,
     BatchScheduler,
-    WidthSolver,
     solve_many,
 )
 from repro.pipeline.batch import _KIND_TABLE, GHD_CAPS, request_params
@@ -128,11 +132,11 @@ class TestEmptyAndSingle:
         assert stats.tasks_run == 0
         assert stats.failures == 0
 
-    def test_single_instance_equals_widthsolver(self):
+    def test_single_instance_equals_module_function(self):
         h = triangle_cascade(3)
         (result,) = solve_many([(h, "ghw")])
         width, decomposition = result.unwrap()
-        solo_width, _d = WidthSolver(h).generalized_hypertree_width()
+        solo_width, _d = generalized_hypertree_width(h)
         assert width == solo_width == 2
         assert is_ghd(h, decomposition, width=width)
 
@@ -156,16 +160,16 @@ class TestMixedMeasures:
         assert all(r.ok for r in results)
 
         hw, hd = by_kind["hw"].value
-        assert hw == WidthSolver(instances["hw"]).hypertree_width()[0]
+        assert hw == hypertree_width(instances["hw"])[0]
         assert is_hd(instances["hw"], hd, width=hw)
 
         ghw, ghd = by_kind["ghw"].value
-        solo = WidthSolver(instances["ghw"]).generalized_hypertree_width()
+        solo = generalized_hypertree_width(instances["ghw"])
         assert ghw == solo[0]
         assert is_ghd(instances["ghw"], ghd, width=ghw)
 
         fhw, fhd = by_kind["fhw"].value
-        solo = WidthSolver(instances["fhw"]).fractional_hypertree_width_exact()
+        solo = fractional_hypertree_width_exact(instances["fhw"])
         assert fhw == pytest.approx(solo[0])
         assert is_fhd(instances["fhw"], fhd, width=fhw + EPS)
 
@@ -315,11 +319,11 @@ class TestSchedulerBehaviour:
         # through before the acceptance lands, but never the full climb.
         assert stats.tasks_run <= 3 + 3
 
-    def test_widthsolver_speculation_also_bounded(self):
-        solver = WidthSolver(clique(6), jobs=3)
-        width, _d = solver.generalized_hypertree_width()
+    def test_hw_speculation_also_bounded(self):
+        (result,) = solve_many([(clique(6), "hw")], jobs=3)
+        width, _d = result.unwrap()
         assert width == 3
-        assert solver.last_stats.tasks_run <= 3 + 3
+        assert result.stats.tasks_run <= 3 + 3
 
     def test_check_rejection_cancels_siblings(self):
         # triangles(3) splits into 3 blocks, each of hw 2: a k=1 check
@@ -348,21 +352,11 @@ class TestSchedulerBehaviour:
         assert result.value[0] == 2
         assert result.stats.blocks == 1
 
-    def test_backend_override_restored(self):
-        from repro import engine
-
-        previous = engine.engine_config().backend
-        (result,) = solve_many([(cycle(4), "fhw")], backend="purepython")
-        assert result.ok
-        assert engine.engine_config().backend == previous
-
     def test_bad_configuration_raises(self):
         with pytest.raises(ValueError, match="preprocess"):
             solve_many([], preprocess="zzz")
         with pytest.raises(ValueError, match="executor"):
             solve_many([], executor="zzz")
-        with pytest.raises(ValueError, match="backend"):
-            solve_many([(cycle(4), "ghw")], backend="zzz")
 
     def test_batch_kinds_constant(self):
         assert set(BATCH_KINDS) == {
@@ -432,8 +426,7 @@ class TestInlineSerial:
         stats = scheduler.run()
         assert stats.tasks_run == len(threads) > 0
         threads_before = len(threads)
-        solver = WidthSolver(clique(4), bounds="none")
-        assert solver.hypertree_width()[0] == 2
+        assert hypertree_width(clique(4), bounds="none")[0] == 2
         assert len(threads) > threads_before
         assert set(threads) == {threading.get_ident()}
         assert pools == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algorithms import (
+    fractional_hypertree_decomposition_bounded_degree,
     fractional_hypertree_width_exact,
     generalized_hypertree_width,
     hypertree_width,
@@ -29,7 +30,6 @@ from repro.pipeline import (
     BOUNDS_MODES,
     BlockBounds,
     BlockState,
-    WidthSolver,
     compute_block_bounds,
     solve_many,
 )
@@ -126,16 +126,15 @@ class TestNoExactChecksWhenDecided:
     """Regression (the tentpole's point): ``lower == upper`` blocks run
     zero exact Check(X, k) tasks; the heuristic witness is stitched."""
 
-    def test_widthsolver_decided_runs_zero_tasks(self):
+    def test_decided_runs_zero_tasks(self):
         h = triangle_cascade(3)
-        solver = WidthSolver(h)
-        width, d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")])
+        width, d = result.unwrap()
         assert width == 2 and is_ghd(h, d, width=2)
-        stats = solver.last_stats
+        stats = result.stats
         assert stats.tasks_run == 0
         assert stats.bounds_blocks_decided == 3
         assert stats.anytime_answers == 1
-        (result,) = solve_many([(h, "ghw")])
         assert result.anytime_width == 2.0
 
     def test_serial_and_parallel_prune_identically(self):
@@ -146,41 +145,40 @@ class TestNoExactChecksWhenDecided:
         # remains in both.
         h = Hypergraph({**cycle(9).edges, "chord": ("v1", "v4", "v7")})
         for jobs in (1, 3):
-            solver = WidthSolver(h, jobs=jobs)
-            width, _d = solver.generalized_hypertree_width()
+            (result,) = solve_many([(h, "ghw")], jobs=jobs)
+            width, _d = result.unwrap()
             assert width == 2
-            assert solver.last_stats.tasks_run == 1
+            assert result.stats.tasks_run == 1
 
     def test_exact_oneshot_skips_decided_blocks(self):
         h = triangle_cascade(2)
-        solver = WidthSolver(h)
-        width, d = solver.generalized_hypertree_width_exact()
+        (result,) = solve_many([(h, "ghw-exact")])
+        width, d = result.unwrap()
         assert width == 2 and is_ghd(h, d, width=2)
-        assert solver.last_stats.tasks_run == 0
-        assert solver.last_stats.bounds_blocks_decided == 2
+        assert result.stats.tasks_run == 0
+        assert result.stats.bounds_blocks_decided == 2
 
     def test_check_prerejects_below_lower_bound(self):
-        solver = WidthSolver(clique(5))
-        assert solver.generalized_hypertree_decomposition(2) is None
-        stats = solver.last_stats
+        (result,) = solve_many([(clique(5), "check-ghd", {"k": 2})])
+        assert result.unwrap() is None
+        stats = result.stats
         assert stats.tasks_run == 0
         assert stats.bounds_checks_avoided >= 1
 
     def test_check_preaccepts_with_witness(self):
         h = triangle_cascade(2)
-        solver = WidthSolver(h)
-        d = solver.generalized_hypertree_decomposition(2)
-        assert is_ghd(h, d, width=2)
-        assert solver.last_stats.tasks_run == 0
+        (result,) = solve_many([(h, "check-ghd", {"k": 2})])
+        assert is_ghd(h, result.unwrap(), width=2)
+        assert result.stats.tasks_run == 0
 
     def test_capped_checks_never_preaccept(self):
         # Bounded-degree fhd checks may intentionally reject instances a
         # better witness would accept: the pre-pass must not answer them.
         h = cycle(4)
-        solver = WidthSolver(h)
-        d = solver.fractional_hypertree_decomposition_bounded_degree(2.0)
-        off = WidthSolver(h, bounds="none")
-        d_off = off.fractional_hypertree_decomposition_bounded_degree(2.0)
+        d = fractional_hypertree_decomposition_bounded_degree(h, 2.0)
+        d_off = fractional_hypertree_decomposition_bounded_degree(
+            h, 2.0, bounds="none"
+        )
         assert (d is None) == (d_off is None)
 
     def test_batch_decided_instances_and_anytime(self):
@@ -234,13 +232,14 @@ class TestMinorWidthDecidesCsps:
     )
     def test_zero_exact_tasks(self, pairs, ghw, fhw):
         h = _binary_csp(pairs)
-        solver = WidthSolver(h)
-        width, d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")])
+        width, d = result.unwrap()
         assert width == ghw and is_ghd(h, d, width=ghw)
-        assert solver.last_stats.tasks_run == 0
-        width, d = solver.fractional_hypertree_width_exact()
+        assert result.stats.tasks_run == 0
+        (result,) = solve_many([(h, "fhw")])
+        width, d = result.unwrap()
         assert width == pytest.approx(fhw) and is_fhd(h, d, width=fhw + EPS)
-        assert solver.last_stats.tasks_run == 0
+        assert result.stats.tasks_run == 0
 
     def test_open_block_caps_the_dp(self, monkeypatch, tmp_path):
         # Treewidth 2 leaves fhw open at [1.5, 2]: the one exact task
@@ -268,16 +267,15 @@ class TestMinorWidthDecidesCsps:
 class TestBoundsModesAgree:
     def test_clique_mode_agrees(self):
         h = grid(3, 3)
-        on = WidthSolver(h, bounds="clique")
-        width, d = on.generalized_hypertree_width()
-        off = WidthSolver(h, bounds="none")
-        width_off, _ = off.generalized_hypertree_width()
+        (on,) = solve_many([(h, "ghw")], bounds="clique")
+        width, d = on.unwrap()
+        width_off, _ = generalized_hypertree_width(h, bounds="none")
         assert width == width_off and is_ghd(h, d, width=width)
-        assert on.last_stats.bounds == "clique"
+        assert on.stats.bounds == "clique"
 
     def test_bad_bounds_mode(self):
         with pytest.raises(ValueError, match="bounds"):
-            WidthSolver(cycle(4), bounds="zzz")
+            generalized_hypertree_width(cycle(4), bounds="zzz")
         with pytest.raises(ValueError, match="bounds"):
             solve_many([(cycle(4), "ghw")], bounds="zzz")
 

@@ -228,6 +228,59 @@ class TestHttpDecoders:
             query_request_from_payload(json.loads(body))
 
 
+TRIANGLE = {"edges": {"r": ["x", "y"], "s": ["y", "z"], "t": ["z", "x"]}}
+
+#: Payloads whose bad value is huge: the 400 message quotes a bounded
+#: repr of it, not the value.
+HUGE_BAD_PAYLOADS = {
+    "params-list": lambda: request_from_payload(
+        {"hypergraph": TRIANGLE, "params": list(range(100_000))}
+    ),
+    "param-value": lambda: request_from_payload(
+        {"hypergraph": TRIANGLE, "params": {"kmax": list(range(100_000))}}
+    ),
+    "edge-name": lambda: request_from_payload(
+        {"hypergraph": {"edges": {"e" * 100_000: []}}}
+    ),
+    "kind": lambda: request_from_payload(
+        {"hypergraph": TRIANGLE, "kind": "k" * 100_000}
+    ),
+    "fields": lambda: request_from_payload(
+        {str(i): 1 for i in range(20_000)}
+    ),
+    "query-text": lambda: query_request_from_payload(
+        {"query": "q(x) :- r(x, y), " + "%" * 100_000, "relations": {}}
+    ),
+    "query-term": lambda: query_request_from_payload(
+        {"query": "q(x) :- r(x, " + "%" * 100_000 + ").", "relations": {}}
+    ),
+    "relation-attributes": lambda: query_request_from_payload(
+        {
+            "query": "q(x) :- r(x, y).",
+            "relations": {"r": {"attributes": ["a"] * 50_000, "rows": []}},
+        }
+    ),
+    "relation-row": lambda: query_request_from_payload(
+        {
+            "query": "q(x) :- r(x, y).",
+            "relations": {
+                "r": {
+                    "attributes": ["a", "b"],
+                    "rows": [[list(range(50_000)), 1]],
+                }
+            },
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_BAD_PAYLOADS))
+def test_error_messages_stay_short(case):
+    with pytest.raises(ProtocolError) as err:
+        HUGE_BAD_PAYLOADS[case]()
+    assert len(str(err.value)) < 512
+
+
 class TestWitnessDecoders:
     @FUZZ
     @given(payload=near(decomposition_payloads))

@@ -34,7 +34,6 @@ from repro.decomposition import is_fhd, is_ghd, is_hd
 from repro.hypergraph import Hypergraph, degree
 from repro.hypergraph.generators import hyperbench_like_suite
 from repro.paper_artifacts import example_4_3_hypergraph
-from repro.pipeline import solve_width
 
 from .reference_hw import hw_at_most, reference_hypertree_width
 from .strategies import hypergraphs
@@ -109,8 +108,9 @@ def _corpus():
 def test_corpus_parity(kind):
     """At the engine's width the independent procedure accepts (hw) or
     agrees on the width (ghw)."""
+    width_of = {"hw": hypertree_width, "ghw": generalized_hypertree_width}
     for h in _corpus():
-        width, witness = solve_width(h, kind=kind)
+        width, witness = width_of[kind](h)
         if kind == "hw":
             assert is_hd(h, witness, width=width)
             assert hw_at_most(h, width), f"k-decomp rejects {h.name} at {width}"
@@ -126,7 +126,7 @@ def test_corpus_reject_side_parity():
     """Below the engine's hw the k-decomp oracle must say no — on the
     corpus, not just on hypothesis-sized instances."""
     for h in _corpus():
-        width, _witness = solve_width(h, kind="hw")
+        width, _witness = hypertree_width(h)
         if width <= 1:
             continue
         assert not hw_at_most(h, width - 1)

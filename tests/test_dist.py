@@ -41,7 +41,7 @@ from repro.dist.protocol import (
 from repro.decomposition import validate
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid, triangle_cascade
-from repro.pipeline import EXECUTORS, WidthSolver, solve_many
+from repro.pipeline import EXECUTORS, solve_many
 from repro.pipeline.solve import run_block_task
 from repro.serve.protocol import (
     answer_from_payload,
@@ -237,15 +237,15 @@ class TestRemoteSolve:
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_remote > 0
 
-    def test_widthsolver_on_remote_pool(self, fleet):
+    def test_one_request_on_remote_pool(self, fleet):
         # A chorded C9 keeps its bounds open at [1, 2] (the bounds
         # pre-pass decides a plain cycle), so one exact task remains.
         h = Hypergraph({**cycle(9).edges, "chord": ("v1", "v4", "v7")})
-        solver = WidthSolver(h, jobs=2, executor="remote")
-        width, _d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")], jobs=2, executor="remote")
+        width, _d = result.unwrap()
         assert width == 2
-        assert solver.last_stats.executor == "remote"
-        assert solver.last_stats.tasks_remote > 0
+        assert result.stats.executor == "remote"
+        assert result.stats.tasks_remote > 0
 
 
 class TestRemoteExecutorUnit:
@@ -601,7 +601,7 @@ sys.stdout.buffer.write(pickle.dumps((h, d, canonical, width)))
 
 class TestPickleBoundary:
     def test_hypergraph_and_decomposition_round_trip(self):
-        from repro.pipeline import solve_width
+        from repro.algorithms import generalized_hypertree_width
 
         h = grid(3, 3)
         # Populate every lazy cache before pickling: none of it may
@@ -609,7 +609,7 @@ class TestPickleBoundary:
         h.primal_graph()
         hash(h)
         local_canonical = h.canonical_hash()
-        width, decomposition = solve_width(h, kind="ghw")
+        width, decomposition = generalized_hypertree_width(h)
 
         import os
 
@@ -656,9 +656,9 @@ class TestExecutorValidation:
         for name in EXECUTORS:
             assert name in str(err.value)
 
-    def test_widthsolver_message_lists_all_executors(self):
+    def test_one_request_message_lists_all_executors(self):
         with pytest.raises(ValueError) as err:
-            WidthSolver(cycle(4), jobs=2, executor="zzz").hypertree_width()
+            solve_many([(cycle(4), "hw")], jobs=2, executor="zzz")
         for name in EXECUTORS:
             assert name in str(err.value)
 

@@ -45,7 +45,7 @@ from repro.algorithms.heuristics import (
 )
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid, triangle_cascade
-from repro.pipeline import PREPROCESS_MODES, BatchScheduler, WidthSolver
+from repro.pipeline import PREPROCESS_MODES, BatchScheduler, solve_many
 
 #: name -> call(hypergraph, **pipeline options): every public entry
 #: point that answers a width query.
@@ -130,10 +130,12 @@ class TestOneSchedulerRun:
         assert scheduler_runs == []
 
     def test_none_mode_stats_are_one_block(self):
-        solver = WidthSolver(triangle_cascade(3), preprocess="none")
-        width, _d = solver.hypertree_width()
+        (result,) = solve_many(
+            [(triangle_cascade(3), "hw")], preprocess="none"
+        )
+        width, _d = result.unwrap()
         assert width == 2
-        stats = solver.last_stats
+        stats = result.stats
         assert (stats.blocks, stats.preprocess, stats.kinds) == (
             1, "none", {"hw": 1},
         )
@@ -160,17 +162,20 @@ class TestNoneModeIsTheCore:
     width and witness ``as_dict()``: one block, stitched as itself."""
 
     @staticmethod
-    def _solver(h):
-        return WidthSolver(h, preprocess="none", bounds="none")
+    def _solve(h, kind, **params):
+        (result,) = solve_many(
+            [(h, kind, params)], preprocess="none", bounds="none"
+        )
+        return result.unwrap()
 
     def test_hw(self, h):
-        width, witness = self._solver(h).hypertree_width()
+        width, witness = self._solve(h, "hw")
         k, core = _smallest_accepted(_hypertree_decomposition_direct, h)
         assert width == k
         assert witness.as_dict() == core.as_dict()
 
     def test_ghw(self, h):
-        width, witness = self._solver(h).generalized_hypertree_width()
+        width, witness = self._solve(h, "ghw")
         k, core = _smallest_accepted(
             _generalized_hypertree_decomposition_direct, h
         )
@@ -178,40 +183,34 @@ class TestNoneModeIsTheCore:
         assert witness.as_dict() == core.as_dict()
 
     def test_checks(self, h):
-        solver = self._solver(h)
         for k in (1, 2):
-            for method, core in (
-                (solver.hypertree_decomposition,
-                 _hypertree_decomposition_direct),
-                (solver.generalized_hypertree_decomposition,
-                 _generalized_hypertree_decomposition_direct),
-                (solver.fractional_hypertree_decomposition_bounded_degree,
+            for kind, core in (
+                ("check-hd", _hypertree_decomposition_direct),
+                ("check-ghd", _generalized_hypertree_decomposition_direct),
+                ("check-fhd-bd",
                  _fractional_hypertree_decomposition_bounded_degree_direct),
             ):
-                got, want = method(k), core(h, k)
+                got, want = self._solve(h, kind, k=k), core(h, k)
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got.as_dict() == want.as_dict()
 
     def test_exact_oracles(self, h):
-        solver = self._solver(h)
-        for method, core in (
-            (solver.generalized_hypertree_width_exact,
-             _generalized_hypertree_width_exact_direct),
-            (solver.fractional_hypertree_width_exact,
-             _fractional_hypertree_width_exact_direct),
+        for kind, core in (
+            ("ghw-exact", _generalized_hypertree_width_exact_direct),
+            ("fhw", _fractional_hypertree_width_exact_direct),
         ):
-            (width, witness), (core_width, core_witness) = method(), core(h)
+            width, witness = self._solve(h, kind)
+            core_width, core_witness = core(h)
             assert width == core_width
             assert witness.as_dict() == core_witness.as_dict()
 
     def test_heuristics(self, h):
-        solver = self._solver(h)
-        lower, upper, witness = solver.width_bounds()
+        lower, upper, witness = self._solve(h, "bounds")
         core = _width_bounds_direct(h)
         assert (lower, upper) == core[:2]
         assert witness.as_dict() == core[2].as_dict()
-        width, witness = solver.heuristic_decomposition()
+        width, witness = self._solve(h, "heuristic-decomposition")
         core_width, core_witness = _heuristic_decomposition_direct(h)
         assert width == core_width
         assert witness.as_dict() == core_witness.as_dict()
@@ -241,10 +240,10 @@ class TestIsolatedVertices:
         assert result.width == 1.0
 
     def test_none_mode_counts_the_dropped_vertex(self):
-        solver = WidthSolver(self.H, preprocess="none")
-        solver.hypertree_width()
-        assert solver.last_stats.vertices_removed == 1
-        assert solver.last_stats.rule_counts == {"isolated": 1}
+        (result,) = solve_many([(self.H, "hw")], preprocess="none")
+        result.unwrap()
+        assert result.stats.vertices_removed == 1
+        assert result.stats.rule_counts == {"isolated": 1}
 
 
 class TestEdgeless:

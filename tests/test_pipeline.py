@@ -12,6 +12,7 @@ from repro.algorithms import (
     fractional_hypertree_width_exact,
     generalized_hypertree_width,
     generalized_hypertree_width_exact,
+    hypertree_decomposition,
     hypertree_width,
     width_bounds,
 )
@@ -35,11 +36,10 @@ from repro.hypergraph.generators import (
 )
 from repro.pipeline import (
     Block,
-    WidthSolver,
     articulation_points,
     reduce_instance,
     rules_for,
-    solve_width,
+    solve_many,
     split_instance,
 )
 
@@ -216,29 +216,29 @@ def test_pipeline_invariant_subedge_ghw(h: Hypergraph):
     assert is_ghd(h, d_on, width=k_on)
 
 
-class TestWidthSolver:
+class TestOneRequestRuns:
     def test_blocks_solved_independently(self):
         h = triangle_cascade(3)
-        solver = WidthSolver(h)
-        width, d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")])
+        width, d = result.unwrap()
         assert width == 2
         assert is_ghd(h, d, width=2)
-        stats = solver.last_stats
+        stats = result.stats
         assert stats.blocks == 3
         assert stats.block_sizes == [(3, 3)] * 3
         assert stats.kinds == {"ghw": 1}
 
     def test_parallel_matches_serial(self):
         h = triangle_cascade(3)
-        serial = WidthSolver(h).generalized_hypertree_width()
-        threaded = WidthSolver(h, jobs=2).generalized_hypertree_width()
+        serial = generalized_hypertree_width(h)
+        threaded = generalized_hypertree_width(h, jobs=2)
         assert serial[0] == threaded[0] == 2
         assert is_ghd(h, threaded[1], width=2)
 
     def test_process_executor(self):
         h = triangle_cascade(2)
-        solver = WidthSolver(h, jobs=2, executor="process")
-        width, d = solver.fractional_hypertree_width_exact()
+        (result,) = solve_many([(h, "fhw")], jobs=2, executor="process")
+        width, d = result.unwrap()
         assert width == pytest.approx(1.5)
         assert is_fhd(h, d, width=width + EPS)
 
@@ -246,18 +246,18 @@ class TestWidthSolver:
         """With one block and several jobs, checks above the frontier
         run speculatively; the answer is still the minimum k."""
         h = clique(5)
-        solver = WidthSolver(h, jobs=3)
-        width, d = solver.hypertree_width()
+        (result,) = solve_many([(h, "hw")], jobs=3)
+        width, d = result.unwrap()
         assert width == 3
         assert is_hd(h, d, width=3)
-        assert solver.last_stats.speculative_checks >= 1
+        assert result.stats.speculative_checks >= 1
 
     def test_preprocess_none_is_single_block(self):
         h = triangle_cascade(2)
-        solver = WidthSolver(h, preprocess="none")
-        width, _d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")], preprocess="none")
+        width, _d = result.unwrap()
         assert width == 2
-        assert solver.last_stats.blocks == 1
+        assert result.stats.blocks == 1
 
     def test_block_vertex_limit_beats_whole_instance(self):
         """Two K6 blocks share a vertex: 11 vertices per block but 2^22
@@ -279,17 +279,18 @@ class TestWidthSolver:
 
     def test_kmax_cap_error_preserved(self):
         with pytest.raises(ValueError, match="cap"):
-            WidthSolver(clique(6)).hypertree_width(kmax=2)
+            hypertree_width(clique(6), kmax=2)
 
     def test_bad_preprocess(self):
         with pytest.raises(ValueError, match="preprocess"):
-            WidthSolver(cycle(4), preprocess="zzz")
+            hypertree_width(cycle(4), preprocess="zzz")
 
-    def test_solve_width_dispatch(self):
-        width, _d = solve_width(cycle(6), kind="fhw")
-        assert width == pytest.approx(2.0)
+    def test_kind_dispatch(self):
+        (result,) = solve_many([(cycle(6), "fhw")])
+        assert result.unwrap()[0] == pytest.approx(2.0)
+        (bad,) = solve_many([(cycle(6), "zzz")])
         with pytest.raises(ValueError, match="kind"):
-            solve_width(cycle(6), kind="zzz")
+            bad.unwrap()
 
     def test_heuristic_bounds_blockwise(self):
         h = triangle_cascade(3)
@@ -305,11 +306,11 @@ class TestSchedulerCounters:
 
     def test_serial_counts_deterministic(self):
         h = triangle_cascade(3)
-        solver = WidthSolver(h, bounds="none")
-        width, d = solver.generalized_hypertree_width()
+        (result,) = solve_many([(h, "ghw")], bounds="none")
+        width, d = result.unwrap()
         assert width == 2
         assert is_ghd(h, d, width=2)
-        stats = solver.last_stats
+        stats = result.stats
         # 3 blocks x (k=1 reject, k=2 accept), nothing to cancel inline.
         assert stats.tasks_run == 6
         assert stats.tasks_cancelled == 0
@@ -318,11 +319,11 @@ class TestSchedulerCounters:
         # bounds="none" so the full k = 1..3 climb runs (the clique
         # lower bound would otherwise prune k < 3).
         h = clique(5)
-        solver = WidthSolver(h, jobs=3, bounds="none")
-        width, d = solver.hypertree_width()
+        (result,) = solve_many([(h, "hw")], jobs=3, bounds="none")
+        width, d = result.unwrap()
         assert width == 3
         assert is_hd(h, d, width=3)
-        stats = solver.last_stats
+        stats = result.stats
         # k = 1..3 all ran; settling may cancel at most one queued
         # speculative future per worker.
         assert stats.tasks_run >= 3
@@ -332,13 +333,13 @@ class TestSchedulerCounters:
         """The E07 scaling instance: widths and check verdicts agree,
         and all witnesses validate."""
         h = triangle_cascade(4)
-        hw_w, hw_d = WidthSolver(h).hypertree_width()
-        ghw_w, ghw_d = WidthSolver(h).generalized_hypertree_width()
+        hw_w, hw_d = hypertree_width(h)
+        ghw_w, ghw_d = generalized_hypertree_width(h)
         assert (hw_w, ghw_w) == (2, 2)
         assert is_hd(h, hw_d, width=hw_w)
         assert is_ghd(h, ghw_d, width=ghw_w)
-        assert WidthSolver(h).hypertree_decomposition(1) is None
-        assert is_hd(h, WidthSolver(h).hypertree_decomposition(2), width=2)
+        assert hypertree_decomposition(h, 1) is None
+        assert is_hd(h, hypertree_decomposition(h, 2), width=2)
 
     def test_no_speculation_above_accepted_k(self):
         """Once some k is accepted, no task above it is ever generated,
@@ -356,11 +357,9 @@ class TestSchedulerCounters:
 
     def test_solver_knob_removed(self):
         with pytest.raises(TypeError, match="solver"):
-            WidthSolver(cycle(4), solver="bb")
+            solve_many([cycle(4)], solver="bb")
 
     def test_batch_counts_deterministic(self):
-        from repro.pipeline import solve_many
-
         results = solve_many([(triangle_cascade(3), "ghw")], bounds="none")
         assert results[0].unwrap()[0] == 2
         stats = results[0].stats

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from repro.algorithms.approx import frac_decomp
 from repro.decomposition import validate
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.generators import grid
+from repro.hypergraph.generators import cycle, grid
 from repro.pipeline import BatchRequest, solve_many
 from repro.pipeline.batch import BatchScheduler
 from repro.store import (
@@ -822,6 +822,48 @@ class TestStoreServing:
             (again,), stats = solve_with_store(store, [BatchRequest(h, "ghw")])
         assert stats.store_instance_hits == 0
         assert again.ok and again.value[0] == 1
+
+    def test_record_failing_revalidation_is_replaced(self, tmp_path, caplog):
+        """A CRC-valid record whose witness fails re-validation is a
+        counted, logged miss whose recomputed verdict replaces it: the
+        next calls hit, and so does a reopened store (the later frame
+        wins on load)."""
+        h = cycle(3)
+        (solved,) = solve_many([(h, "ghw")])
+        width, witness = solved.value
+        assert width == 2
+        key = ("instance", h.canonical_hash(), "ghw", "bb", "{}")
+        with ResultStore(tmp_path) as store:
+            # Forged: the width-2 witness stored as width 1.
+            store.append(key, {"width": 1, "witness": witness.as_dict()})
+            (first,) = solve_many([(h, "ghw")], store=store)
+            assert first.stats.store_instance_hits == 0
+            assert first.stats.store_records_appended >= 1
+            assert key in store
+            assert first.value[0] == 2
+            assert store.stats.records_damaged == 1
+            assert "fails re-validation" in caplog.text
+            for _call in range(2):
+                (again,) = solve_many([(h, "ghw")], store=store)
+                assert again.stats.store_instance_hits == 1
+                assert again.value[0] == 2
+        with ResultStore(tmp_path) as store:
+            (reopened,) = solve_many([(h, "ghw")], store=store)
+            assert reopened.stats.store_instance_hits == 1
+            assert reopened.value[0] == 2
+            assert store.stats.records_damaged == 0
+
+    def test_vertices_sharing_a_string_are_never_stored(self, tmp_path):
+        """``1`` and ``"1"`` map to one stored bag vertex, so no record
+        of such a hypergraph could re-validate: none is written."""
+        h = Hypergraph({"e": [1, "1"], "f": ["1", 2], "g": [2, 1]})
+        with ResultStore(tmp_path) as store:
+            for _call in range(2):
+                (result,) = solve_many([(h, "ghw")], store=store)
+                assert result.value[0] == 2
+                assert result.stats.store_instance_hits == 0
+            assert len(store) == 0
+            assert store.stats.records_damaged == 0
 
     def test_int_vertex_instance_hits_the_store(self, tmp_path):
         """Bags round-trip through the hypergraph's ``{str(v): v}`` table."""

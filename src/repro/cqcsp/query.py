@@ -152,6 +152,12 @@ class ConjunctiveQuery:
 
 
 _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)")
+# _ATOM_RE tried only where a run of word characters starts, past the
+# run's leading digits.  A try from inside a run ends where the run ends,
+# so it succeeds exactly when the try from the run's first letter does:
+# this finds the same atoms, but in linear time, where ``finditer`` over
+# _ATOM_RE rescans the rest of a long run from each of its positions.
+_BODY_ATOM_RE = re.compile(r"(?<![A-Za-z0-9_])[0-9]*" + _ATOM_RE.pattern)
 _VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
 _GAP_RE = re.compile(r"\s*,\s*")
@@ -231,8 +237,8 @@ def _parse_atoms(body_text: str) -> tuple:
     """
     atoms = []
     cursor = 0
-    for match in _ATOM_RE.finditer(body_text):
-        gap = body_text[cursor:match.start()]
+    for match in _BODY_ATOM_RE.finditer(body_text):
+        gap = body_text[cursor:match.start(1)]
         if not atoms:
             if gap.strip():
                 raise ValueError(

@@ -83,11 +83,17 @@ class _Param:
     required: bool = False
     choices: tuple = ()
     minimum: int | None = None
+    maximum: int | None = None
 
 
 _INT, _NUMBER = (int,), (int, float)
-_K = _Param(_INT, required=True, minimum=1)
-_KMAX = _Param(_INT)
+#: The largest width bound a check (``k``) or a search cap (``kmax``)
+#: takes: far above the edge count of any hypergraph solved here (every
+#: check at or above it accepts), and small enough for the engines'
+#: arithmetic on it, which a ``k`` of ``1e308`` or ``10**400`` overflows.
+_K_MAX = 10**9
+_K = _Param(_INT, required=True, minimum=1, maximum=_K_MAX)
+_KMAX = _Param(_INT, maximum=_K_MAX)
 _MAX_SETS = _Param(_INT, 200_000)
 _VERTEX_LIMIT = _Param(_INT, 18)
 _COST = _Param((str,), "fractional", choices=("fractional", "integral"))
@@ -124,7 +130,7 @@ _KIND_TABLE = {
     "check-hd": ("hd", "check-hd", "check", {"k": _K}),
     "check-ghd": ("ghd", "check-ghd", "check", {"k": _K, "method": _METHOD}),
     "check-fhd-bd": ("fhd", "check-fhd-bd", "check", {
-        "k": _Param(_NUMBER, required=True, minimum=1),
+        "k": _Param(_NUMBER, required=True, minimum=1, maximum=_K_MAX),
         "d": _Param(_INT),
         "piece_cap": _Param(_INT, 14),
         "max_sets": _MAX_SETS,
@@ -208,6 +214,10 @@ def _checked(kind: str, name: str, value, param: _Param):
     if param.minimum is not None and value < param.minimum:
         raise ValueError(
             f"{name} must be >= {param.minimum}; got {short_repr(value)}"
+        )
+    if param.maximum is not None and value > param.maximum:
+        raise ValueError(
+            f"{name} must be <= {param.maximum}; got {short_repr(value)}"
         )
     return value
 

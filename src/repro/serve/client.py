@@ -1,10 +1,18 @@
 """Blocking client helper for the ``repro serve`` daemon.
 
-Thin on purpose: one persistent :class:`http.client.HTTPConnection`
-per thread (so one client object is safe to share across threads — the
-concurrency stress tests hammer a single instance), JSON in, JSON out,
-and a :class:`ServeError` carrying the HTTP status and the server's
-error payload on any non-200 answer.
+Thin on purpose: one persistent connection per thread (so one client
+object is safe to share across threads — the concurrency stress tests
+hammer a single instance), JSON in, JSON out, and a :class:`ServeError`
+carrying the HTTP status and the server's error payload on any non-200
+answer.
+
+The client speaks the daemon's own subset of HTTP/1.1 itself: a request
+goes out in one write, and a response is framed by its
+``Content-Length`` alone (:func:`~.protocol.message_framing`, the rule
+the daemon applies to requests), read from one buffered reader that
+lives as long as its connection.  A response with ``Transfer-Encoding``
+or with a missing or ambiguous length is an error, and one from
+HTTP/1.0 or with ``Connection: close`` ends the connection.
 
 A kept-alive connection can be closed by the daemon between two calls
 (idle past its ``read_timeout``, or a restart).  A call on a *reused*
@@ -25,9 +33,14 @@ from collections.abc import Mapping
 from ..cqcsp import ConjunctiveQuery, Relation, relation_to_payload
 from ..hypergraph import Hypergraph
 from ..pipeline.batch import BatchRequest
-from .protocol import request_to_payload
+from .protocol import ProtocolError, message_framing, request_to_payload
 
 __all__ = ["ServeClient", "ServeError"]
+
+#: Longest status or header line, and most header lines, a response
+#: may have (the limits of :mod:`http.client`).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 
 class ServeError(RuntimeError):
@@ -52,10 +65,74 @@ class ServeError(RuntimeError):
 
 
 class _Connection(http.client.HTTPConnection):
-    """A kept-alive connection, closed once its thread or client is gone."""
+    """A kept-alive connection, closed once its thread or client is gone.
+
+    Of :class:`http.client.HTTPConnection` only ``connect()``, ``sock``
+    and ``close()`` are used; requests and responses go through
+    :meth:`send_request` and :meth:`read_response` on ``reader``.
+    """
+
+    reader = None
+
+    def connect(self) -> None:
+        super().connect()
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()
+            self.reader = None
+        super().close()
 
     def __del__(self) -> None:
         self.close()
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("response line")
+        return line
+
+    def send_request(self, request: bytes) -> bytes:
+        """Send ``request`` in one write; returns its response's status
+        line, or raises ``RemoteDisconnected`` if the daemon closed the
+        connection instead."""
+        self.sock.sendall(request)
+        status_line = self._line()
+        if not status_line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response"
+            )
+        return status_line
+
+    def read_response(self, status_line: bytes) -> tuple[int, bytes, bool]:
+        """The rest of the response: ``(status, body, keep_alive)``."""
+        parts = status_line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not (
+            len(parts[1]) == 3 and parts[1].isdigit()
+        ):
+            raise http.client.BadStatusLine(status_line.decode("latin-1"))
+        field_lines = []
+        while (line := self._line()) not in (b"\r\n", b"\n", b""):
+            field_lines.append(line)
+            if len(field_lines) > _MAX_HEADERS:
+                raise http.client.HTTPException(
+                    f"got more than {_MAX_HEADERS} headers"
+                )
+        try:
+            length, keep_alive = message_framing(
+                parts[0].decode("latin-1"), field_lines
+            )
+        except ProtocolError as exc:
+            raise http.client.HTTPException(f"bad response: {exc}") from None
+        if length is None:
+            raise http.client.HTTPException(
+                "bad response: no Content-Length"
+            )
+        body = self.reader.read(length)
+        if len(body) < length:
+            raise http.client.IncompleteRead(body, length - len(body))
+        return int(parts[1]), body, keep_alive
 
 
 class ServeClient:
@@ -79,14 +156,21 @@ class ServeClient:
         self._local = threading.local()
 
     def _connect(self) -> _Connection:
-        self._local.connection = _Connection(
-            self.host, self.port, timeout=self.timeout
-        )
-        return self._local.connection
+        connection = _Connection(self.host, self.port, timeout=self.timeout)
+        connection.connect()
+        self._local.connection = connection
+        return connection
 
     def _call(self, method: str, path: str, body: dict | None = None) -> dict:
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if data else {}
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is None:
+            request = f"{head}\r\n".encode("ascii")
+        else:
+            data = json.dumps(body).encode("utf-8")
+            request = (
+                f"{head}Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            ).encode("ascii") + data
         connection = getattr(self._local, "connection", None)
         reused = connection is not None
         if not reused:
@@ -94,8 +178,7 @@ class ServeClient:
         kept = False
         try:
             try:
-                connection.request(method, path, body=data, headers=headers)
-                response = connection.getresponse()
+                status_line = connection.send_request(request)
             except (BrokenPipeError, ConnectionResetError):
                 # Closed before any status line (RemoteDisconnected is a
                 # reset too): a reused connection resends once, afresh.
@@ -103,16 +186,15 @@ class ServeClient:
                     raise
                 connection.close()
                 connection = self._connect()
-                connection.request(method, path, body=data, headers=headers)
-                response = connection.getresponse()
-            payload = json.loads(response.read().decode("utf-8"))
-            kept = not response.will_close
+                status_line = connection.send_request(request)
+            status, answer, kept = connection.read_response(status_line)
         finally:
             if not kept:
                 connection.close()
                 self._local.connection = None
-        if response.status != 200:
-            raise ServeError(response.status, payload)
+        payload = json.loads(answer.decode("utf-8"))
+        if status != 200:
+            raise ServeError(status, payload)
         return payload
 
     def solve(

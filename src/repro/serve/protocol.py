@@ -36,6 +36,11 @@ and receives ``{"width", "answers": {"attributes", "rows"}, "cost",
 only the *plan* — the query-shape solve — because two queries with
 the same shape but different data must share the decomposition work,
 never the answers.
+
+The bodies travel in HTTP/1.1 messages framed by ``Content-Length``
+alone; :func:`message_framing` is that framing rule, applied by the
+daemon to each request and by :class:`~repro.serve.ServeClient` to each
+response.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from ..store import answer_payload, params_fingerprint
 
 __all__ = [
     "ProtocolError",
+    "message_framing",
     "hypergraph_to_payload",
     "hypergraph_from_payload",
     "request_from_payload",
@@ -65,6 +71,40 @@ __all__ = [
 
 class ProtocolError(ValueError):
     """A malformed request payload (mapped to HTTP 400)."""
+
+
+def message_framing(version: str, field_lines) -> tuple[int | None, bool]:
+    """The body length and keep-alive of one HTTP/1.x message.
+
+    ``version`` is the message's protocol (``"HTTP/1.1"``) and
+    ``field_lines`` its raw header lines.  Returns ``(length,
+    keep_alive)``: ``length`` is the ``Content-Length`` (None when the
+    message has none), and only an HTTP/1.1 message without
+    ``Connection: close`` keeps its connection.
+
+    Raises
+    ------
+    ProtocolError
+        On ``Transfer-Encoding``, or ``Content-Length`` values that
+        disagree or are not decimal.  On a reused connection a body must
+        end where its length says, or its tail would be read as the
+        next message.
+    """
+    fields: dict[str, list[str]] = {}
+    for line in field_lines:
+        name, _, value = line.decode("latin-1").partition(":")
+        # A repeated field is one comma-separated list (RFC 9110 §5.3).
+        fields.setdefault(name.strip().lower(), []).extend(value.split(","))
+    if "transfer-encoding" in fields:
+        raise ProtocolError("Transfer-Encoding is not supported")
+    lengths = {value.strip() for value in fields.get("content-length", ())}
+    if len(lengths) > 1:
+        raise ProtocolError("conflicting Content-Length values")
+    if not all(value.isdecimal() for value in lengths):
+        raise ProtocolError("bad Content-Length")
+    length = int(lengths.pop()) if lengths else None
+    tokens = {value.strip().lower() for value in fields.get("connection", ())}
+    return length, version == "HTTP/1.1" and "close" not in tokens
 
 
 def hypergraph_to_payload(hypergraph: Hypergraph) -> dict:

@@ -73,6 +73,7 @@ from ..pipeline.solve import EXECUTORS
 from ..store import ResultStore, answer_payload
 from .protocol import (
     ProtocolError,
+    message_framing,
     query_answer_payload,
     query_key,
     query_request_from_payload,
@@ -442,45 +443,33 @@ class DecompositionServer:
     ) -> tuple[str, str, bytes, bool]:
         """Parse one request whose first byte is ``first``.
 
-        Returns ``(method, path, body, keep_alive)``; only an HTTP/1.1
-        request without ``Connection: close`` keeps the connection.
+        Returns ``(method, path, body, keep_alive)``, framed by
+        :func:`~.protocol.message_framing`; a request without
+        ``Content-Length`` has no body.
         """
         request_line = first + await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise _BadRequest(400, "malformed request line")
         method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
+        field_lines = []
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
-            name, value = name.strip().lower(), value.strip()
-            # Repeated fields combine into one list (RFC 9110 §5.3).
-            if name in headers:
-                value = f"{headers[name]},{value}"
-            headers[name] = value
-        # On a reused connection the body must end where the client says
-        # it does, or its tail would be read as the next request.
-        if "transfer-encoding" in headers:
-            raise _BadRequest(400, "Transfer-Encoding is not supported")
-        declared = headers.get("content-length", "0").split(",")
-        lengths = {value.strip() for value in declared}
-        if len(lengths) > 1:
-            raise _BadRequest(400, "conflicting Content-Length values")
-        length = lengths.pop()
-        if not length.isdecimal():
-            raise _BadRequest(400, "bad Content-Length")
-        length = int(length)
+            field_lines.append(line)
+        try:
+            length, keep_alive = message_framing(
+                parts[2] if len(parts) > 2 else "", field_lines
+            )
+        except ProtocolError as exc:
+            raise _BadRequest(400, str(exc)) from None
+        length = length or 0
         if length > self.max_body:
             raise _BadRequest(
                 413, f"request body exceeds {self.max_body} bytes"
             )
         body = await reader.readexactly(length) if length > 0 else b""
-        connection = headers.get("connection", "").lower()
-        tokens = {token.strip() for token in connection.split(",")}
-        keep_alive = parts[2:3] == ["HTTP/1.1"] and "close" not in tokens
         return method, path, body, keep_alive
 
     async def _route(self, method: str, path: str, body: bytes):

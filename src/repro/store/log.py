@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 import threading
@@ -180,8 +181,10 @@ def answer_payload(kind: str, value) -> dict:
 def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
     """Decode an :func:`answer_payload`; ``ValueError`` if malformed.
 
-    ``accepted`` must be a JSON boolean and every number an int or float
-    (not a bool).  Witness bags map back through ``hypergraph``'s
+    ``accepted`` must be a JSON boolean and every number an int or a
+    finite float, never a bool.  ``json`` reads ``NaN`` and ``Infinity``,
+    and a NaN width compares false with every bound, so it would pass
+    re-validation.  Witness bags map back through ``hypergraph``'s
     ``{str(v): v}`` table; they are not validated here.
     """
     vertices = {str(v): v for v in hypergraph.vertices}
@@ -189,6 +192,8 @@ def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
     def number(value, nullable=False):
         if type(value) not in (int, float) and not (nullable and value is None):
             raise ValueError(f"{value!r} is not a number")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{value!r} is not finite")
         return value
 
     def witness(key, nullable=False):

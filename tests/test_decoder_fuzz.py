@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import time
 import zlib
 
 import pytest
@@ -145,6 +146,9 @@ BAD_PARAMS = {
     "check-without-k": ("check-hd", {}),
     "k-below-1": ("check-hd", {"k": 0}),
     "non-finite-k": ("check-fhd-bd", {"k": float("inf")}),
+    "huge-k": ("check-fhd-bd", {"k": 1e308}),
+    "huge-int-k": ("check-hd", {"k": 10**400}),
+    "huge-kmax": ("hw", {"kmax": 10**400}),
 }
 
 #: Every name some spec takes, plus task-only and unknown ones.
@@ -226,6 +230,16 @@ class TestHttpDecoders:
         )
         with pytest.raises(ProtocolError):
             query_request_from_payload(json.loads(body))
+
+    def test_query_text_parses_in_linear_time(self):
+        # A run of identifier characters with no "(" holds no atom.
+        # Trying the atom pattern from each of its positions would take
+        # quadratic time on the event loop (minutes at this length).
+        body = {"query": "q(x) :- r(x, y), " + "a" * 100_000, "relations": {}}
+        began = time.perf_counter()
+        with pytest.raises(ProtocolError, match="cannot parse"):
+            query_request_from_payload(body)
+        assert time.perf_counter() - began < 0.1
 
 
 TRIANGLE = {"edges": {"r": ["x", "y"], "s": ["y", "z"], "t": ["z", "x"]}}

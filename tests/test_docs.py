@@ -282,6 +282,8 @@ def _params_cell(spec) -> str:
             shape = types[param.types]
         if param.minimum is not None:
             shape += f" ≥ {param.minimum}"
+        if param.maximum is not None:
+            shape += f", ≤ {param.maximum}"
         tail = (
             "required" if param.required
             else f"default `{literal(param.default)}`"

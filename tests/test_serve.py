@@ -299,6 +299,16 @@ class TestEndpoints:
             assert excinfo.value.status == 400
             assert h.server.stats.solves == 0
 
+    def test_huge_k_is_400(self, harness):
+        """A finite ``k`` too large for the engines' float arithmetic is
+        refused by the params spec, not failed inside the task (422)."""
+        h, client = harness()
+        with pytest.raises(ServeError) as excinfo:
+            client.solve(cycle(4), "check-fhd-bd", {"k": 1e308})
+        assert excinfo.value.status == 400
+        assert "k must be <=" in excinfo.value.payload["error"]
+        assert h.server.stats.solves == 0
+
     def test_deeply_nested_json_is_400(self, harness):
         """JSON nested past the parser's recursion limit gets 400 on
         both endpoints (it used to drop the connection unanswered)."""
@@ -555,6 +565,185 @@ class TestKeepAlive:
         with pytest.raises(http.client.RemoteDisconnected):
             client.solve(triangle(), "ghw")
         assert h.server.stats.requests == 1
+
+
+# ----------------------------------------------------------------------
+# The client's own HTTP/1.1, against a scripted raw-socket server
+# ----------------------------------------------------------------------
+class StubServer:
+    """Answers requests with scripted bytes, one connection at a time.
+
+    Each script entry is ``(segments, close)``: the segments are sent
+    apart (so the client sees them arrive split), then the connection
+    closes if ``close``.  ``requests`` holds every request read, as
+    raw bytes.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while self.script:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:  # closed by close()
+                return
+            with conn:
+                while self.script:
+                    request = self._read(conn)
+                    if request is None:
+                        break
+                    self.requests.append(request)
+                    segments, close = self.script.pop(0)
+                    for segment in segments:
+                        conn.sendall(segment)
+                        time.sleep(0.02)
+                    if close:
+                        break
+
+    @staticmethod
+    def _read(conn):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            if not (chunk := conn.recv(65536)):
+                return None
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        fields = dict(
+            line.lower().split(b": ", 1) for line in head.split(b"\r\n")[1:]
+        )
+        while len(body) < int(fields.get(b"content-length", 0)):
+            if not (chunk := conn.recv(65536)):
+                return None
+            body += chunk
+        return head + b"\r\n\r\n" + body
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+        self.thread.join(timeout=15)
+
+
+@pytest.fixture
+def stub():
+    """Factory for scripted servers and a client of each."""
+    made = []
+
+    def make(*script):
+        server = StubServer(script)
+        made.append(server)
+        return server, ServeClient("127.0.0.1", server.port, timeout=15.0)
+
+    yield make
+    for server in made:
+        server.close()
+
+
+def response(payload, fields="", version="HTTP/1.1") -> bytes:
+    """A 200 answer carrying ``payload``, with extra header ``fields``."""
+    body = json.dumps(payload).encode()
+    head = (
+        f"{version} 200 OK\r\nContent-Length: {len(body)}\r\n{fields}\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+class TestClientWire:
+    def test_one_write_per_request(self, stub, monkeypatch):
+        writes = []
+        for name in ("send", "sendall"):
+            original = getattr(socket.socket, name)
+
+            def spy(sock, data, *args, _name=name, _original=original):
+                writes.append((sock, _name, bytes(data)))
+                return _original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, spy)
+        server, client = stub(([response({"ok": True})], False))
+        assert client.solve(triangle(), "ghw") == {"ok": True}
+        sock = client._local.connection.sock
+        [request] = server.requests
+        # Head and body go out together, in one write.
+        assert [(name, data) for s, name, data in writes if s is sock] == [
+            ("sendall", request)
+        ]
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /solve HTTP/1.1\r\n")
+        assert json.loads(body) == request_to_payload(
+            BatchRequest(triangle())
+        )
+
+    def test_response_split_across_segments_is_read_whole(self, stub):
+        payload = {"ok": True, "pad": "x" * 20_000}
+        raw = response(payload)
+        cuts = [0, 7, 20, 40, 9_000, 17_000, len(raw)]
+        server, client = stub(
+            ([raw[a:b] for a, b in zip(cuts, cuts[1:])], False),
+            ([response({"ok": True})], False),
+        )
+        assert client.health() == payload
+        # Nothing of the first answer is left to misframe the second.
+        assert client.health() == {"ok": True}
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            response({"ok": True}, version="HTTP/1.0"),
+            response({"ok": True}, fields="Connection: close\r\n"),
+        ],
+        ids=["http10", "connection-close"],
+    )
+    def test_closing_answer_drops_the_connection(
+        self, stub, connects, answer
+    ):
+        server, client = stub(([answer], True), ([response({})], False))
+        assert client.health() == {"ok": True}
+        assert client._local.connection is None
+        assert client.health() == {}
+        assert len(connects) == 2
+
+    def test_body_cut_short_is_incomplete_and_not_resent(
+        self, stub, connects
+    ):
+        cut = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\""
+        server, client = stub(
+            ([response({"ok": True})], False), ([cut], True)
+        )
+        assert client.health() == {"ok": True}
+        # Cut short on a reused connection, after its status line: the
+        # daemon may have run the call, so it is not sent again.
+        with pytest.raises(http.client.IncompleteRead):
+            client.solve(triangle(), "ghw")
+        assert client._local.connection is None
+        assert len(server.requests) == 2 and len(connects) == 1
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+            b"Content-Length: 12\r\n\r\n{\"ok\": true}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 0x2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\n\r\n{}",
+        ],
+        ids=["chunked", "conflicting-lengths", "hex-length", "no-length"],
+    )
+    def test_unframed_answer_is_an_error(self, stub, connects, answer):
+        # The stub keeps its end open: had the client kept its end too,
+        # its next call would read this answer's body as a response.
+        server, client = stub(([answer], False), ([response({})], False))
+        with pytest.raises(http.client.HTTPException, match="bad response"):
+            client.health()
+        assert client._local.connection is None
+        assert client.health() == {}
+        assert len(connects) == 2
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ This is the proof obligation of ``repro.store``:
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -852,6 +853,24 @@ class TestStoreServing:
             assert reopened.stats.store_instance_hits == 1
             assert reopened.value[0] == 2
             assert store.stats.records_damaged == 0
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_stored_width_is_recomputed(self, tmp_path, width):
+        """``json`` reads ``NaN`` and ``Infinity``; a stored width that
+        is one is a counted miss, never an answer (a NaN compares false
+        with every bound, so it would pass the width checks)."""
+        h = cycle(3)
+        (solved,) = solve_many([(h, "fhw")])
+        assert solved.value[0] == 1.5
+        key = ("instance", h.canonical_hash(), "fhw", "bb", "{}")
+        with ResultStore(tmp_path) as store:
+            store.append(
+                key, {"width": width, "witness": solved.value[1].as_dict()}
+            )
+            (result,) = solve_many([(h, "fhw")], store=store)
+            assert result.stats.store_instance_hits == 0
+            assert result.value[0] == 1.5
+            assert store.stats.records_damaged == 1
 
     def test_vertices_sharing_a_string_are_never_stored(self, tmp_path):
         """``1`` and ``"1"`` map to one stored bag vertex, so no record

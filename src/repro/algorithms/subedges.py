@@ -236,6 +236,8 @@ def bmip_subedges(
             level = next_level
             if len(local) + len(reached) > max_sets:
                 raise RuntimeError("bmip subedge enumeration exceeded max_sets")
+            if not level:
+                break  # no new set at this depth, so none at any deeper
         # Truncation powerset.
         for t in local:
             if len(t) > max_subset_size:

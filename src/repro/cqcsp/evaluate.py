@@ -61,7 +61,7 @@ def atom_relation(database: Mapping[str, Relation], atom: Atom) -> Relation:
     attrs = tuple(atom.variables[i] for i in keep_positions)
     if not constants and len(keep_positions) == len(atom.variables):
         # Distinct variables only: the base rows, renamed.
-        return Relation(str(atom), attrs, base.tuples)
+        return base.rename(dict(zip(base.attributes, attrs)), str(atom))
     variable_positions = [
         (i, first_position[term])
         for i, term in enumerate(atom.variables)

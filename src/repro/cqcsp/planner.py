@@ -149,10 +149,7 @@ class QueryPlan:
         """
         if query == self.query:
             return self
-        if (
-            query.hypergraph().canonical_hash()
-            != self.hypergraph.canonical_hash()
-        ):
+        if plan_key(query) != self.key:
             raise ValueError(
                 "query does not share this plan's hypergraph shape"
             )

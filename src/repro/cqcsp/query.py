@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import short_repr
@@ -133,8 +134,14 @@ class ConjunctiveQuery:
         Atom occurrences are disambiguated by position (``#i`` suffix), so
         self-joins yield distinct edges as the paper requires ("for every
         atom in Q, E(H) contains a hyperedge").  Constants contribute no
-        vertices — only the variables of an atom form its edge.
+        vertices — only the variables of an atom form its edge.  Built
+        once per query (both are immutable), so its canonical hash is
+        computed once too.
         """
+        return self._hypergraph
+
+    @cached_property
+    def _hypergraph(self) -> Hypergraph:
         edges = {
             f"{atom.relation}#{i}": frozenset(atom.variable_names)
             for i, atom in enumerate(self.atoms)
@@ -172,6 +179,8 @@ def _split_terms(text: str, context: str) -> list:
     is no escape syntax — an unbalanced quote is a loud error, not a
     truncated constant.
     """
+    if "'" not in text and '"' not in text:
+        return text.split(",")  # what the loop below does without quotes
     parts: list[str] = []
     buffer: list[str] = []
     quote = None

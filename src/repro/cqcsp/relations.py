@@ -61,11 +61,13 @@ def _keys(rows, indices: Sequence[int]):
 
 
 def _groups(
-    relation: "Relation", key_idx: Sequence[int], idx: Sequence[int]
+    relation: "Relation", key_idx: Sequence[int], idx: Sequence[int],
+    parts=_columns,
 ) -> dict:
-    """Key -> the distinct ``idx`` sub-tuples of the rows with that key."""
+    """Key -> the distinct ``parts(rows, idx)`` of the rows with that key:
+    ``idx`` sub-tuples, or bare values with ``parts=_keys``."""
     rows = relation.tuples
-    pairs = zip(_keys(rows, key_idx), _columns(rows, idx))
+    pairs = zip(_keys(rows, key_idx), parts(rows, idx))
     if len(set(key_idx).union(idx)) < len(relation.attributes):
         # Dropped columns can make pairs repeat; whole rows never do.
         pairs = set(pairs)
@@ -84,10 +86,7 @@ class Relation:
     tuples: frozenset
 
     def __post_init__(self) -> None:
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError(
-                f"duplicate attributes in {short_repr(self.attributes)}"
-            )
+        self._check_attributes()
         arity = len(self.attributes)
         if set(map(len, self.tuples)) - {arity}:
             row = next(r for r in self.tuples if len(r) != arity)
@@ -95,13 +94,33 @@ class Relation:
                 f"row {row} does not match attributes {self.attributes}"
             )
 
+    def _check_attributes(self) -> None:
+        if len(set(self.attributes)) != len(self.attributes):
+            raise ValueError(
+                f"duplicate attributes in {short_repr(self.attributes)}"
+            )
+
+    @classmethod
+    def _derived(
+        cls, name: str, attributes: tuple, tuples: frozenset
+    ) -> "Relation":
+        """A relation whose rows are known to have ``attributes``' arity
+        (an operator's result over checked relations, or rows checked in
+        bulk): only the attributes are checked, with no pass over rows."""
+        relation = cls.__new__(cls)
+        object.__setattr__(relation, "name", name)
+        object.__setattr__(relation, "attributes", attributes)
+        object.__setattr__(relation, "tuples", tuples)
+        relation._check_attributes()
+        return relation
+
     @classmethod
     def from_rows(
         cls, name: str, attributes: Sequence[str], rows: Iterable[Sequence]
     ) -> "Relation":
         """Build a relation from any iterable of row sequences."""
         return cls(
-            name, tuple(attributes), frozenset(tuple(r) for r in rows)
+            name, tuple(attributes), frozenset(map(tuple, rows))
         )
 
     def __len__(self) -> int:
@@ -114,7 +133,7 @@ class Relation:
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """Rename attributes (identity for unmentioned ones)."""
         attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        return Relation(name or self.name, attrs, self.tuples)
+        return Relation._derived(name or self.name, attrs, self.tuples)
 
     def project(self, attributes: Sequence[str]) -> "Relation":
         """π: keep the listed attributes (deduplicating rows)."""
@@ -126,12 +145,12 @@ class Relation:
             return self
         idx = [self.attributes.index(a) for a in attributes]
         rows = frozenset(_columns(self.tuples, idx))
-        return Relation(self.name, attributes, rows)
+        return Relation._derived(self.name, attributes, rows)
 
     def select_equal(self, attribute: str, value) -> "Relation":
         """σ: rows whose ``attribute`` equals ``value``."""
         i = self.attributes.index(attribute)
-        return Relation(
+        return Relation._derived(
             self.name,
             self.attributes,
             frozenset(row for row in self.tuples if row[i] == value),
@@ -154,7 +173,8 @@ class Relation:
         ]
         name = f"({self.name}⋈{other.name})"
         if not extra:
-            return Relation(name, self.attributes, self.semijoin(other).tuples)
+            rows = self.semijoin(other).tuples
+            return Relation._derived(name, self.attributes, rows)
         buckets: dict = {}
         for key, tail in zip(
             _keys(other.tuples, their_idx), _columns(other.tuples, extra)
@@ -166,7 +186,7 @@ class Relation:
             for tail in buckets.get(key, ())
         )
         attrs = self.attributes + tuple(other.attributes[i] for i in extra)
-        return Relation(name, attrs, rows)
+        return Relation._derived(name, attrs, rows)
 
     def join_project(
         self, other: "Relation", keep: Collection[str]
@@ -198,33 +218,32 @@ class Relation:
         if not theirs:
             # ``other`` only filters: semijoin, then project.
             hits = list(map(counts.get, _keys(self.tuples, my_idx), repeat(0)))
-            rows = list(compress(self.tuples, hits))
-            return (
-                Relation(name, attrs, frozenset(_columns(rows, mine))),
-                sum(hits),
-            )
+            rows = frozenset(_columns(list(compress(self.tuples, hits)), mine))
+            return Relation._derived(name, attrs, rows), sum(hits)
         my_counts = Counter(_keys(self.tuples, my_idx))
         shared = my_counts.keys() & counts.keys()
-        left = _groups(self, my_idx, mine)
-        right = _groups(other, their_idx, theirs)
-        rows = frozenset(
-            chain.from_iterable(
-                starmap(add, product(left[key], right[key]))
-                for key in shared
-            )
-        )
+        # With one kept column per side, ``product`` over bare values
+        # yields the result rows as they are.
+        bare = len(mine) == len(theirs) == 1
+        parts = _keys if bare else _columns
+        left = _groups(self, my_idx, mine, parts)
+        right = _groups(other, their_idx, theirs, parts)
+        pairs = (product(left[key], right[key]) for key in shared)
+        if not bare:
+            pairs = (starmap(add, pair) for pair in pairs)
+        rows = frozenset(chain.from_iterable(pairs))
         size = sum(my_counts[key] * counts[key] for key in shared)
-        return Relation(name, attrs, rows), size
+        return Relation._derived(name, attrs, rows), size
 
     def semijoin(self, other: "Relation") -> "Relation":
         """⋉: rows of self with a join partner in other."""
         my_idx, their_idx = self._key_indices(other)
         keys = set(_keys(other.tuples, their_idx))
+        if keys.issuperset(_keys(self.tuples, my_idx)):
+            return self
         hits = map(keys.__contains__, _keys(self.tuples, my_idx))
         rows = frozenset(compress(self.tuples, hits))
-        if len(rows) == len(self.tuples):
-            return self
-        return Relation(self.name, self.attributes, rows)
+        return Relation._derived(self.name, self.attributes, rows)
 
     def is_empty(self) -> bool:
         """True iff the relation holds no tuples."""
@@ -234,15 +253,30 @@ class Relation:
 def relation_to_payload(relation: Relation) -> dict:
     """Encode a relation as the plain-JSON shape used on disk and wire.
 
-    ``{"attributes": [...], "rows": [[...], ...]}`` with rows sorted
-    deterministically (by their repr — rows may mix value types), so
-    two equal relations always encode byte-identically.
+    ``{"attributes": [...], "rows": [[...], ...]}`` with rows in
+    ascending order, column by column: by value, and with numbers
+    before strings in a column that holds both.  Rows are distinct, so
+    the order is total and two equal relations always encode
+    byte-identically, whatever order their sets iterate in.  Values are
+    strings and finite numbers, as :func:`relation_from_payload` takes.
     """
+    rows = relation.tuples
+    kinds = set(map(type, chain.from_iterable(rows)))
+    mixed = str in kinds and len(kinds) > 1 and {
+        i  # the columns holding strings and numbers
+        for i in range(len(relation.attributes))
+        if len(set(map(str.__instancecheck__, _keys(rows, [i])))) > 1
+    }
+    if mixed:
+        ordered = sorted(rows, key=lambda row: tuple(
+            (isinstance(v, str), v) if i in mixed else v
+            for i, v in enumerate(row)
+        ))
+    else:
+        ordered = sorted(rows)
     return {
         "attributes": list(relation.attributes),
-        "rows": sorted(
-            (list(row) for row in relation.tuples), key=repr
-        ),
+        "rows": list(map(list, ordered)),
     }
 
 
@@ -273,15 +307,40 @@ def relation_from_payload(name: str, obj) -> Relation:
     rows = obj.get("rows", [])
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"relation {short_repr(name)} needs a 'rows' list")
+    # Whole-list passes in C; the row loop runs only to name a bad row.
+    arity = len(attributes)
+    if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {arity}:
+        _check_rows(name, rows, arity)
+    values = list(chain.from_iterable(rows))
+    kinds = set(map(type, values))
+    if kinds - set(_SCALARS) or float in kinds and not all(
+        map(math.isfinite, filter(float.__instancecheck__, values))
+    ):
+        _check_rows(name, rows, arity)
+    try:
+        return Relation._derived(
+            name, tuple(attributes), frozenset(map(tuple, rows))
+        )
+    except ValueError as exc:
+        raise ValueError(f"relation {short_repr(name)}: {exc}") from exc
+
+
+def _check_rows(name: str, rows: Sequence, arity: int) -> None:
+    """Raise ``ValueError`` naming the first row that is not a list of
+    ``arity`` strings and finite non-bool numbers.
+
+    Row by row, so only for rows the bulk checks of
+    :func:`relation_from_payload` did not pass.
+    """
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise ValueError(
                 f"relation {short_repr(name)} row {i} must be a list"
             )
-        if len(row) != len(attributes):
+        if len(row) != arity:
             raise ValueError(
                 f"relation {short_repr(name)} row {i} has {len(row)} "
-                f"values but {len(attributes)} attributes"
+                f"values but {arity} attributes"
             )
         for value in row:
             if isinstance(value, bool) or not isinstance(value, _SCALARS):
@@ -294,10 +353,6 @@ def relation_from_payload(name: str, obj) -> Relation:
                     f"relation {short_repr(name)} row {i} holds non-finite "
                     f"number {value!r}"
                 )
-    try:
-        return Relation.from_rows(name, attributes, rows)
-    except ValueError as exc:
-        raise ValueError(f"relation {short_repr(name)}: {exc}") from exc
 
 
 def join_all(relations: Sequence[Relation]) -> tuple[Relation, int]:

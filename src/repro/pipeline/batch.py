@@ -91,6 +91,8 @@ _INT, _NUMBER = (int,), (int, float)
 #: takes: far above the edge count of any hypergraph solved here (every
 #: check at or above it accepts), and small enough for the engines'
 #: arithmetic on it, which a ``k`` of ``1e308`` or ``10**400`` overflows.
+#: It also caps the bmip depth ``c``, whose enumeration stops at the
+#: first depth that adds no set, long before any such bound.
 _K_MAX = 10**9
 _K = _Param(_INT, required=True, minimum=1, maximum=_K_MAX)
 _KMAX = _Param(_INT, maximum=_K_MAX)
@@ -103,7 +105,7 @@ _COST = _Param((str,), "fractional", choices=("fractional", "integral"))
 GHD_CAPS = {
     "fixpoint": {"max_sets": _MAX_SETS},
     "bip": {"max_intersection": _Param(_INT, 20)},
-    "bmip": {"c": _Param(_INT, required=True, minimum=2),
+    "bmip": {"c": _Param(_INT, required=True, minimum=2, maximum=_K_MAX),
              "max_subset_size": _Param(_INT, 18), "max_sets": _MAX_SETS},
     "limit": {"max_edge_size": _Param(_INT, 16)},
 }

@@ -33,14 +33,18 @@ from collections.abc import Mapping
 from ..cqcsp import ConjunctiveQuery, Relation, relation_to_payload
 from ..hypergraph import Hypergraph
 from ..pipeline.batch import BatchRequest
-from .protocol import ProtocolError, message_framing, request_to_payload
+from .protocol import (
+    MAX_HEADER_LINES,
+    ProtocolError,
+    message_framing,
+    request_to_payload,
+)
 
 __all__ = ["ServeClient", "ServeError"]
 
-#: Longest status or header line, and most header lines, a response
-#: may have (the limits of :mod:`http.client`).
+#: Longest status or header line a response may have (the limit of
+#: :mod:`http.client`).
 _MAX_LINE = 65536
-_MAX_HEADERS = 100
 
 
 class ServeError(RuntimeError):
@@ -115,9 +119,9 @@ class _Connection(http.client.HTTPConnection):
         field_lines = []
         while (line := self._line()) not in (b"\r\n", b"\n", b""):
             field_lines.append(line)
-            if len(field_lines) > _MAX_HEADERS:
+            if len(field_lines) > MAX_HEADER_LINES:
                 raise http.client.HTTPException(
-                    f"got more than {_MAX_HEADERS} headers"
+                    f"got more than {MAX_HEADER_LINES} headers"
                 )
         try:
             length, keep_alive = message_framing(

@@ -54,6 +54,7 @@ from ..pipeline.batch import BATCH_KINDS, BatchRequest, request_params
 from ..store import answer_payload, params_fingerprint
 
 __all__ = [
+    "MAX_HEADER_LINES",
     "ProtocolError",
     "message_framing",
     "hypergraph_to_payload",
@@ -67,6 +68,12 @@ __all__ = [
     "query_key",
     "query_answer_payload",
 ]
+
+
+#: Most header lines one HTTP message may have, on either side (the
+#: limit of :mod:`http.client`): the daemon refuses a longer request
+#: head with 431 and the client a longer response head.
+MAX_HEADER_LINES = 100
 
 
 class ProtocolError(ValueError):

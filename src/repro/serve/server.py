@@ -72,6 +72,7 @@ from ..pipeline.batch import solve_many, stored_answer
 from ..pipeline.solve import EXECUTORS
 from ..store import ResultStore, answer_payload
 from .protocol import (
+    MAX_HEADER_LINES,
     ProtocolError,
     message_framing,
     query_answer_payload,
@@ -92,6 +93,7 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -379,7 +381,9 @@ class DecompositionServer:
                     break
                 status, payload, keep_alive = answer
                 keep_alive = keep_alive and not self._draining
-                body = json.dumps(payload).encode("utf-8")
+                # The daemon builds every payload itself, so none holds a
+                # cycle: skip the encoder's per-list cycle bookkeeping.
+                body = json.dumps(payload, check_circular=False).encode()
                 reason = _STATUS_TEXT.get(status, "Unknown")
                 head = (
                     f"HTTP/1.1 {status} {reason}\r\n"
@@ -458,6 +462,10 @@ class DecompositionServer:
             if line in (b"\r\n", b"\n", b""):
                 break
             field_lines.append(line)
+            if len(field_lines) > MAX_HEADER_LINES:
+                raise _BadRequest(
+                    431, f"more than {MAX_HEADER_LINES} header lines"
+                )
         try:
             length, keep_alive = message_framing(
                 parts[2] if len(parts) > 2 else "", field_lines

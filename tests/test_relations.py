@@ -1,9 +1,16 @@
 """Tests for the relational algebra substrate."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cqcsp import (
     Relation,
     join_all,
@@ -262,3 +269,58 @@ class TestPayloadDecoding:
             relation_from_payload(
                 "r", {"attributes": ["x", "y"], "rows": [[value, 1]]}
             )
+
+    def test_first_bad_row_is_named(self):
+        # Row 1 holds NaN and row 2 has the wrong arity: the message
+        # names row 1, as a row-by-row check would.
+        rows = [[1, 2], [float("nan"), 3], [4]]
+        with pytest.raises(ValueError, match="row 1 holds non-finite"):
+            relation_from_payload(
+                "r", {"attributes": ["x", "y"], "rows": rows}
+            )
+        with pytest.raises(ValueError, match="row 0 must be a list"):
+            relation_from_payload("r", {"attributes": ["x"], "rows": [7, [1]]})
+
+
+#: Encodes a relation of string values with one column mixing strings
+#: and ints, as a ``/query`` answer; run under two hash seeds.
+_ENCODE = """
+import json, sys
+from repro.cqcsp import Relation, answer_query, parse_cq
+from repro.serve.protocol import query_answer_payload
+rows = [(f"v{i % 7}", i if i % 3 else f"s{i}", f"w{i}") for i in range(60)]
+database = {"r": Relation.from_rows("r", ("a", "b", "c"), rows)}
+result = answer_query(parse_cq("q(x, y, z) :- r(x, y, z)."), database)
+sys.stdout.write(json.dumps(query_answer_payload(result)))
+"""
+
+
+class TestPayloadEncoding:
+    def test_rows_ascend_by_value(self):
+        r = rel("r", ["a", "b"], [(10, "x"), (9, "y"), (9, "x"), (2.5, "z")])
+        assert relation_to_payload(r)["rows"] == [
+            [2.5, "z"], [9, "x"], [9, "y"], [10, "x"],
+        ]
+
+    def test_numbers_before_strings_in_a_mixed_column(self):
+        r = rel("r", ["a", "b"], [("b", 1), (3, 2), ("a", 3), (-1, 4)])
+        assert relation_to_payload(r)["rows"] == [
+            [-1, 4], [3, 2], ["a", 3], ["b", 1],
+        ]
+
+    def test_answer_bytes_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _ENCODE],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, check=True, timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        rows = json.loads(outputs[0])["answers"]["rows"]
+        assert len(rows) == 60
+        assert rows == sorted(rows, key=lambda row: (
+            row[0], isinstance(row[1], str), row[1], row[2]
+        ))

@@ -444,6 +444,57 @@ class TestReadLimits:
         assert headers["Connection"] == "close"
 
 
+    def test_header_lines_are_bounded(self, harness):
+        h, client = harness()
+
+        def head(lines: int) -> bytes:
+            return (
+                b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * (lines - 1)
+                + b"Connection: close\r\n\r\n"
+            )
+
+        [(status, _, payload)] = parse_responses(
+            self._raw(h.server, head(100))
+        )
+        assert status == 200 and payload["ok"]
+        [(status, headers, payload)] = parse_responses(
+            self._raw(h.server, head(101))
+        )
+        assert status == 431 and headers["Connection"] == "close"
+        assert "more than 100 header lines" in payload["error"]
+        # A 2,000,000-line head is refused at line 101, so the daemon
+        # stops reading: the sender is cut off long before its end.
+        chunk, chunks = b"X-Pad: 1\r\n" * 10_000, 200
+        sent = []
+        with socket.create_connection(
+            (h.server.host, h.server.port), timeout=15
+        ) as sock:
+
+            def send():
+                try:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                    for _ in range(chunks):
+                        sock.sendall(chunk)
+                        sent.append(len(chunk))
+                    sock.sendall(b"\r\n")
+                except OSError:  # the daemon closed the connection
+                    pass
+
+            sender = threading.Thread(target=send)
+            sender.start()
+            data = b""
+            try:
+                while piece := sock.recv(65536):
+                    data += piece
+            except ConnectionResetError:  # unread lines reset the socket
+                pass
+            sender.join(timeout=15)
+        [(status, headers, _)] = parse_responses(data)
+        assert status == 431 and headers["Connection"] == "close"
+        assert len(sent) < chunks
+        assert client.health()["ok"]
+
+
 # ----------------------------------------------------------------------
 # Persistent connections: reuse, idle limit, drain, client retry
 # ----------------------------------------------------------------------
@@ -1198,6 +1249,23 @@ class TestQueryServing:
         assert warm["answers"] == cold["answers"]
         assert h.server.stats.plans_computed == 1
         assert h.server.stats.query_answers == 2
+
+    def test_one_plan_key_hash_per_query(self, harness, monkeypatch):
+        """A query builds its hypergraph once, so one request hashes one
+        hypergraph: a cold plan and a plan-LRU hit alike."""
+        h, client = harness()
+        hashed = []
+        canonical_hash = Hypergraph.canonical_hash
+
+        def counting(hypergraph):
+            hashed.append(hypergraph)
+            return canonical_hash(hypergraph)
+
+        monkeypatch.setattr(Hypergraph, "canonical_hash", counting)
+        for cached in (False, True):
+            hashed.clear()
+            assert client.query(_CHAIN, _DB)["plan_cached"] is cached
+            assert len({id(hypergraph) for hypergraph in hashed}) == 1
 
     def test_query_protocol_errors_are_400(self, harness):
         h, client = harness()

@@ -1,6 +1,8 @@
 """Tests for the subedge generators, the ⋃⋂-tree and the intersection
 forest (Algorithms 1 and 2)."""
 
+import time
+
 import pytest
 
 from repro.algorithms import (
@@ -210,3 +212,30 @@ class TestBMIPGenerator:
         from repro.paper_artifacts import example_4_3_hypergraph
 
         assert check_ghd(example_4_3_hypergraph(), 2, method="bmip", c=3)
+
+    def test_depth_past_saturation_is_free_and_c_is_bounded(self):
+        """The enumeration stops at the first depth that adds no set, so
+        a huge ``c`` answers like ``c = 3`` at once; a ``c`` beyond the
+        params bound is refused (HTTP 400) before anything runs."""
+        from repro.pipeline import BatchRequest, solve_many
+        from repro.serve.protocol import ProtocolError, request_from_payload
+        from repro.store import answer_payload
+
+        def check(c):
+            params = {"k": 2, "method": "bmip", "c": c}
+            request = BatchRequest(cycle(4), "check-ghd", params)
+            (result,) = solve_many([request])
+            return result
+
+        expected = answer_payload("check-ghd", check(3).unwrap())
+        began = time.perf_counter()
+        result = check(10**6)
+        assert time.perf_counter() - began < 0.1
+        assert answer_payload("check-ghd", result.unwrap()) == expected
+        assert type(check(10**400).error) is ValueError
+        with pytest.raises(ProtocolError, match="c must be <= "):
+            request_from_payload({
+                "hypergraph": {"edges": {"ab": ["a", "b"]}},
+                "kind": "check-ghd",
+                "params": {"k": 2, "method": "bmip", "c": 10**400},
+            })

@@ -271,13 +271,12 @@ def emit_report(requests, sequential, batched, jobs):
     )
     emit(
         "E19b / batch scheduler counters",
-        ["requests", "blocks", "tasks", "speculative", "cancelled", "failures"],
+        ["requests", "blocks", "tasks", "cancelled", "failures"],
         [
             (
                 batch_stats.requests,
                 batch_stats.blocks,
                 batch_stats.tasks_run,
-                batch_stats.speculative_checks,
                 batch_stats.tasks_cancelled,
                 batch_stats.failures,
             )

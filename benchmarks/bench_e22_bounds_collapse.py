@@ -6,7 +6,7 @@ near-linear ordering portfolio (upper bound + witness) and the
 Lemma 2.8 clique cover (lower bound) before the first exact task is
 generated.  Blocks whose bounds meet are answered by the re-validated
 heuristic witness and never reach an exact engine; the rest start
-their k-climb at the lower bound and stop speculating above the upper.
+their k-climb at the lower bound and stop at the upper at the latest.
 
 This ablation counts the exact Check tasks with and without the
 pre-pass over the E15 HyperBench-style corpus plus the E21 dense

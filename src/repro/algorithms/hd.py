@@ -101,8 +101,7 @@ def hypertree_width(
     single node with all edges is an HD).  Raises if no width within the
     cap is found.  Each connected component is reduced and solved
     separately through the pipeline (``preprocess="none"`` solves one
-    unreduced block; ``jobs=N`` parallelizes across components and
-    candidate widths).
+    unreduced block; ``jobs=N`` parallelizes across components).
     """
     return solve_many(
         [(hypergraph, "hw", {"kmax": kmax})],

@@ -24,7 +24,7 @@ prints LP-solve counts and cache hit rates after the command.  Each
 command also takes the pipeline options it honours: ``--preprocess``
 selects the reduce/split stages (default ``full``; ``none`` solves the
 instance as one unreduced block), ``--jobs`` parallelizes across
-biconnected blocks and candidate widths, ``--bounds`` controls the
+biconnected blocks and requests, ``--bounds`` controls the
 heuristic bounds pre-pass that seeds the k-search (``portfolio``
 orderings + clique/minor-width lower bound by default; ``clique`` /
 ``none``), and ``--pipeline-stats`` prints the
@@ -684,7 +684,7 @@ _PIPELINE_OPTIONS = {
         type=int,
         default=None,
         metavar="N",
-        help="parallel workers across blocks and candidate widths",
+        help="parallel workers across blocks and requests",
     ),
     "--bounds": dict(
         # Single source of truth for the bounds modes; docs/api.md and
@@ -763,7 +763,6 @@ def _print_pipeline_stats(args: argparse.Namespace, stats: BatchStats) -> None:
         "store_blocks_seeded",
         "store_records_appended",
         "tasks_run",
-        "speculative_checks",
         "tasks_cancelled",
         "lp_solves",
         "cache_hits",

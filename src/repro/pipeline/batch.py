@@ -114,11 +114,10 @@ _METHOD = _Param((str,), "fixpoint", choices=tuple(GHD_CAPS))
 #: kind -> (decomposition kind, per-block solver, store record family,
 #: params spec).  The family fixes each block's rung ladder
 #: (:class:`~.solve.BlockState`): ``"block"`` kinds search k = 1, 2,
-#: ..., cap (speculatively above the frontier when workers are idle)
-#: and persist the settled width; ``"check"`` kinds ask the one rung k,
-#: persist every verdict, and are answered None by the first rejecting
-#: block; ``"block-exact"`` and the heuristics (None: no per-block
-#: records) ask the one rung None.  The spec names every param a
+#: ..., cap one rung at a time and persist the settled width;
+#: ``"check"`` kinds ask the one rung k, persist every verdict, and are
+#: answered None by the first rejecting block; ``"block-exact"`` and the
+#: heuristics (None: no per-block records) ask the one rung None.  The spec names every param a
 #: request takes (a ``method`` adds its caps); ``kmax`` and ``k`` set
 #: the ladder, the rest go to the solver.
 _KIND_TABLE = {
@@ -402,8 +401,6 @@ class BatchStats:
         ``(|V|, |E|)`` of every block, request by request.
     tasks_run : int
         Per-block tasks actually executed.
-    speculative_checks : int
-        Tasks submitted above a block's confirmed-k frontier.
     tasks_cancelled : int
         Tasks avoided by early rejection or settling: pool futures
         cancelled before starting, and check-mode blocks never
@@ -472,7 +469,6 @@ class BatchStats:
     blocks: int = 0
     block_sizes: list = field(default_factory=list)
     tasks_run: int = 0
-    speculative_checks: int = 0
     tasks_cancelled: int = 0
     tasks_remote: int = 0
     tasks_local_fallback: int = 0
@@ -585,7 +581,7 @@ class _Instance:
         self.request = request
         self.result = BatchResult(index, request)
         self.blocks = None
-        self.in_flight = set()
+        self.in_flight = set()  # blocks with a task in the pool
         self.finalized = False
         self.bounds_seconds = 0.0
         self.bounds_ks_pruned = 0
@@ -667,20 +663,17 @@ class _Instance:
         self._seed_from_bounds(bounds)
 
     # -- facts -----------------------------------------------------------
-    def record(self, b: int, k, verdict, persist: bool = True) -> bool:
+    def record(self, b: int, k, verdict, persist: bool = True) -> None:
         """Fold one ``(k, verdict)`` fact into block ``b``'s state.
 
         Store hits, the bounds pre-pass and finished tasks all come in
-        here.  Returns True when the fact decides the block (settles or
-        exhausts it); with ``persist`` that verdict is then written to
-        the result store at once, so a crash later in the batch still
+        here.  When the fact decides the block (settles or exhausts
+        it) and ``persist`` is set, that verdict is written to the
+        result store at once, so a crash later in the batch still
         keeps every verdict paid for so far.
         """
-        if not self.states[b].record(k, verdict):
-            return False
-        if persist:
+        if self.states[b].record(k, verdict) and persist:
             self._persist_block(b)
-        return True
 
     def _seed_from_store(self) -> None:
         """Record persisted block verdicts as facts.
@@ -729,7 +722,7 @@ class _Instance:
         Rungs below a block's lower bound are rejected and its
         validated witness is accepted at the first rung it fits under
         (:meth:`~.bounds.BlockBounds.facts`): a search starts at the
-        lower bound, never speculates above the witness and settles at
+        lower bound, stops at the witness at the latest and settles at
         once when the bounds meet; an exact oracle skips a decided
         block and caps the DP of an open one.  A check kind takes a
         witness only for a complete hd/ghd check (no enumeration caps)
@@ -864,24 +857,16 @@ class _Instance:
             return {**self.params, "upper": self.dp_caps[b]}
         return dict(self.params)
 
-    def next_tasks(self, budget: int) -> list[tuple[int, int, object]]:
-        """Up to ``budget`` useful (priority, block, k) task keys.
-
-        Priority 0 tasks are required; higher priorities are
-        speculative cross-k checks (distance above the block's
-        frontier).
-        """
-        if not self.active or self.blocks is None or budget <= 0:
+    def next_tasks(self, budget: int) -> list[tuple[int, object]]:
+        """Up to ``budget`` ``(block, rung)`` task keys, in block order:
+        the next rung of every open block with no task in flight."""
+        if not self.active or self.blocks is None or self.solved:
             return []
-        out: list[tuple[int, int, object]] = []
-        for b, state in enumerate(self.states):
-            for prio, k in state.open_rungs():
-                if len(out) >= budget:
-                    break
-                if (b, k) not in self.in_flight:
-                    out.append((prio, b, k))
-        out.sort()
-        return out[:budget]
+        return [
+            (b, state.next_rung)
+            for b, state in enumerate(self.states)
+            if not state.done and b not in self.in_flight
+        ][:budget]
 
     def unsubmitted_blocks(self) -> int:
         """Open blocks never handed to the pool.
@@ -892,11 +877,10 @@ class _Instance:
         """
         if self.family == "block":
             return 0
-        busy = {b for b, _k in self.in_flight}
         return sum(
             1
             for b, state in enumerate(self.states)
-            if not state.done and b not in busy
+            if not state.done and b not in self.in_flight
         )
 
     @property
@@ -997,8 +981,8 @@ class BatchScheduler:
     Collects requests via :meth:`submit`, then :meth:`run` drives them
     to completion: all reduce/split work happens up front, after which
     one worker pool interleaves per-block tasks from every instance —
-    cross-instance, cross-block, and (for width searches) speculative
-    cross-k.  Results land in the :class:`BatchResult` handles returned
+    cross-request and cross-block parallelism, one rung per open block
+    at a time.  Results land in the :class:`BatchResult` handles returned
     by :meth:`submit`; a failing request resolves with its error and
     never cancels sibling requests.
 
@@ -1023,7 +1007,7 @@ class BatchScheduler:
         :data:`~repro.pipeline.bounds.BOUNDS_MODES` (default
         ``"portfolio"``).  Every instance's blocks are bounded during
         the prepare stage; the seeds start each k-search at the block
-        lower bound, cap speculation at the portfolio witness, and skip
+        lower bound, stop it at the portfolio witness, and skip
         the exact engine outright for decided blocks.  Answers are
         identical in every mode but one case: a valid cap that runs
         out (``vertex_limit``, ``max_sets``) can only fail inside a
@@ -1097,16 +1081,12 @@ class BatchScheduler:
         return instance.result
 
     # ------------------------------------------------------------------
-    def _cancel(self, instance, in_flight, stats, block=None) -> None:
-        """Cancel an instance's pending pool work; count what it saved.
-
-        With ``block``, only that decided block's speculative higher-k
-        checks; otherwise everything, never-submitted blocks included.
-        """
-        if block is None:
-            stats.tasks_cancelled += instance.unsubmitted_blocks()
-        for future, (i, b, _k) in in_flight.items():
-            if i == instance.index and block in (None, b) and future.cancel():
+    def _cancel(self, instance, in_flight, stats) -> None:
+        """Cancel an answered instance's pending pool work and count
+        what it saved, never-submitted blocks included."""
+        stats.tasks_cancelled += instance.unsubmitted_blocks()
+        for future, (i, _b, _k) in in_flight.items():
+            if i == instance.index and future.cancel():
                 stats.tasks_cancelled += 1
 
     def _finalize_ready(self, stats) -> None:
@@ -1130,17 +1110,14 @@ class BatchScheduler:
             return
         if not inst.active:
             return
-        # Cancel only on a block's *transition* to decided, so each
-        # avoided task is counted exactly once: its speculative rungs
-        # are moot, and a request answered with blocks still open (a
-        # rejected check, an exhausted search) drops every task it has
-        # left.
+        # Cancel only on the request's *transition* to answered, so
+        # each avoided task is counted exactly once: a request answered
+        # with blocks still open (a rejected check, an exhausted search)
+        # drops every task it has left.
         solved = inst.solved
-        if inst.record(b, k, value):
-            if inst.solved and not solved:
-                self._cancel(inst, in_flight, stats)
-            else:
-                self._cancel(inst, in_flight, stats, b)
+        inst.record(b, k, value)
+        if inst.solved and not solved:
+            self._cancel(inst, in_flight, stats)
 
     def _drive(self, stats: BatchStats) -> None:
         with make_pool(self.executor, self.jobs) as pool:
@@ -1148,25 +1125,20 @@ class BatchScheduler:
             while any(inst.active for inst in self.instances):
                 free = self.jobs - len(in_flight)
                 if free > 0:
-                    candidates = []
-                    for inst in self.instances:
-                        if not inst.active or inst.solved:
-                            continue
-                        for prio, b, k in inst.next_tasks(free):
-                            candidates.append((prio, inst.index, b, k))
-                    candidates.sort()
-                    for prio, i, b, k in candidates[:free]:
-                        inst = self.instances[i]
-                        inst.in_flight.add((b, k))
-                        if prio > 0:
-                            stats.speculative_checks += 1
+                    candidates = [
+                        (inst, b, k)
+                        for inst in self.instances
+                        for b, k in inst.next_tasks(free)
+                    ]
+                    for inst, b, k in candidates[:free]:
+                        inst.in_flight.add(b)
                         future = pool.submit(
                             run_block_task,
                             inst.solver,
                             inst.blocks[b].hypergraph,
                             inst.task_params(b, k),
                         )
-                        in_flight[future] = (i, b, k)
+                        in_flight[future] = (inst.index, b, k)
                 if not in_flight:
                     # Nothing running and nothing submittable: every
                     # open request is solved; stitch them.
@@ -1185,7 +1157,7 @@ class BatchScheduler:
                     # Released only now: while the rest of a failed
                     # request is cancelled, the block whose task just
                     # failed still counts as submitted.
-                    inst.in_flight.discard((b, k))
+                    inst.in_flight.discard(b)
                 self._finalize_ready(stats)
             collect = getattr(pool, "remote_stats", None)
             if collect is not None:  # executor="remote": fold in fleet counters

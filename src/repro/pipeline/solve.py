@@ -13,7 +13,7 @@ query goes through (each :mod:`repro.algorithms` width function is a
 one-request :func:`~repro.pipeline.batch.solve_many` call).
 
 ``jobs=1`` with the thread executor runs each task inline on the
-calling thread.  ``jobs=N`` adds cross-block and speculative cross-k
+calling thread.  ``jobs=N`` adds cross-block and cross-request
 parallelism: ``executor="thread"`` (default) shares the in-process
 engine caches; ``executor="process"`` sidesteps the GIL for CPU-bound
 searches at the cost of per-task pickling and cold per-process caches
@@ -251,20 +251,10 @@ class BlockState:
         """The accepted verdict at the settled rung, or None."""
         return self.results[self.rung] if self.settled else None
 
-    def open_rungs(self):
-        """Yield ``(priority, rung)`` for every rung still worth a task.
-
-        They run from the frontier up to one below the lowest accepted
-        rung (no check above an accepted k is ever useful), skipping
-        rungs with a verdict; the priority is the distance above the
-        frontier, 0 for the one rung the answer needs next.
-        """
-        start = self.frontier
-        stop = min(
-            (self.ladder.index(r) for r, v in self.results.items()
-             if v is not None),
-            default=len(self.ladder),
-        )
-        for i in range(start, stop):
-            if self.ladder[i] not in self.results:
-                yield i - start, self.ladder[i]
+    @property
+    def next_rung(self):
+        """The rung the block asks next while it is not :attr:`done`:
+        its frontier, which has no verdict yet.  By monotonicity the
+        block settles at the first rung of this climb that accepts, so
+        no rung above it is needed before its verdict."""
+        return self.ladder[self.frontier]

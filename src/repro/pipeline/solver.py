@@ -13,7 +13,7 @@ one unreduced block (the bounds pre-pass stays on unless
 2. **split** — biconnected blocks of the primal graph for ghw/fhw,
    connected components for hw (:mod:`repro.pipeline.split`);
 3. **solve** — any registered per-block algorithm, inline or on a
-   thread/process pool with cross-block and cross-k speculation
+   thread/process pool with cross-block and cross-request parallelism
    (:mod:`repro.pipeline.solve`);
 4. **stitch** — per-block witnesses joined along the block-cut forest
    and reduction undos replayed (:mod:`repro.decomposition.stitch`),

@@ -307,23 +307,22 @@ class TestSchedulerBehaviour:
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_run + stats.tasks_cancelled <= stats.blocks
 
-    def test_no_speculation_above_accepted_k(self):
-        # Regression: speculative checks used to keep climbing to the
-        # cap (|E| = 15 for K6) even after some k was accepted, although
+    def test_ghw_search_stops_at_accepted_k(self):
+        # Regression: checks above the frontier used to climb to the cap
+        # (|E| = 15 for K6) even after some k was accepted, although
         # monotonicity makes every check above an accepted k useless.
+        # bounds="none" so the climb starts at k = 1.
         h = clique(6)  # single block, ghw = 3
-        (result,) = solve_many([(h, "ghw")], jobs=3)
+        (result,) = solve_many([(h, "ghw")], jobs=3, bounds="none")
         assert result.ok and result.value[0] == 3
-        stats = result.stats
-        # k = 1..3 are required; a few in-flight speculations may slip
-        # through before the acceptance lands, but never the full climb.
-        assert stats.tasks_run <= 3 + 3
+        # Exactly k = 1..3, however many workers are idle.
+        assert result.stats.tasks_run == 3
 
-    def test_hw_speculation_also_bounded(self):
-        (result,) = solve_many([(clique(6), "hw")], jobs=3)
+    def test_hw_search_stops_at_accepted_k(self):
+        (result,) = solve_many([(clique(6), "hw")], jobs=3, bounds="none")
         width, _d = result.unwrap()
         assert width == 3
-        assert result.stats.tasks_run <= 3 + 3
+        assert result.stats.tasks_run == 3
 
     def test_check_rejection_cancels_siblings(self):
         # triangles(3) splits into 3 blocks, each of hw 2: a k=1 check

@@ -99,7 +99,7 @@ class TestSeededBlockState:
     def test_none_bounds_gives_fresh_state(self):
         state = seeded_block_state(BlockBounds(kind="ghd"), cap=5)
         assert state.frontier == 0 and not state.settled
-        assert next(state.open_rungs()) == (0, 1)
+        assert state.next_rung == 1
 
     def test_lower_bound_seeds_rejections(self):
         b = BlockBounds(kind="ghd", lower=3.0)

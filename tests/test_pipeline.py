@@ -242,16 +242,6 @@ class TestOneRequestRuns:
         assert width == pytest.approx(1.5)
         assert is_fhd(h, d, width=width + EPS)
 
-    def test_speculative_cross_k(self):
-        """With one block and several jobs, checks above the frontier
-        run speculatively; the answer is still the minimum k."""
-        h = clique(5)
-        (result,) = solve_many([(h, "hw")], jobs=3)
-        width, d = result.unwrap()
-        assert width == 3
-        assert is_hd(h, d, width=3)
-        assert result.stats.speculative_checks >= 1
-
     def test_preprocess_none_is_single_block(self):
         h = triangle_cascade(2)
         (result,) = solve_many([(h, "ghw")], preprocess="none")
@@ -301,8 +291,8 @@ class TestOneRequestRuns:
 
 
 class TestSchedulerCounters:
-    """One exact engine per task: deterministic counters, no speculation
-    above an accepted k."""
+    """One exact engine per task and one rung per open block:
+    deterministic counters, no check above a block's frontier."""
 
     def test_serial_counts_deterministic(self):
         h = triangle_cascade(3)
@@ -315,7 +305,7 @@ class TestSchedulerCounters:
         assert stats.tasks_run == 6
         assert stats.tasks_cancelled == 0
 
-    def test_parallel_speculation_settles(self):
+    def test_parallel_search_settles(self):
         # bounds="none" so the full k = 1..3 climb runs (the clique
         # lower bound would otherwise prune k < 3).
         h = clique(5)
@@ -324,10 +314,9 @@ class TestSchedulerCounters:
         assert width == 3
         assert is_hd(h, d, width=3)
         stats = result.stats
-        # k = 1..3 all ran; settling may cancel at most one queued
-        # speculative future per worker.
-        assert stats.tasks_run >= 3
-        assert stats.tasks_cancelled <= 3
+        # One block asks one rung at a time: idle workers add nothing.
+        assert stats.tasks_run == 3
+        assert stats.tasks_cancelled == 0
 
     def test_check_verdicts_match_widths_e07(self):
         """The E07 scaling instance: widths and check verdicts agree,
@@ -353,7 +342,45 @@ class TestSchedulerCounters:
         instance.record(0, 3, object())  # accepted at k=3, k<3 unknown
         tasks = instance.next_tasks(100)
         assert tasks, "k < 3 still needs checking"
-        assert all(k < 3 for _prio, _b, k in tasks)
+        assert all(k < 3 for _b, k in tasks)
+
+    def test_busy_block_does_not_starve_the_next(self):
+        """Each open block asks its frontier rung only, so with block
+        0's frontier in flight a budget of one goes to block 1's
+        frontier, not to a higher rung of block 0."""
+        from repro.pipeline.batch import BatchRequest, BatchScheduler
+
+        scheduler = BatchScheduler(bounds="none")
+        scheduler.submit(BatchRequest(triangle_cascade(3), "ghw"))
+        instance = scheduler.instances[0]
+        instance.prepare("full", "none")
+        assert instance.next_tasks(2) == [(0, 1), (1, 1)]
+        instance.in_flight.add(0)
+        assert instance.next_tasks(1) == [(1, 1)]
+
+    @pytest.mark.parametrize(
+        "h, kind",
+        [
+            (triangle_cascade(6), "ghw"),
+            (triangle_cascade(6), "hw"),
+            (clique(6), "hw"),
+            (grid(4, 4), "ghw"),
+        ],
+        ids=["triangles(6)-ghw", "triangles(6)-hw", "K6-hw", "grid(4,4)-ghw"],
+    )
+    def test_search_counters_independent_of_jobs(self, h, kind):
+        """A search that settles every block runs each block's climb
+        from k = 1 to its width and nothing else, on any pool."""
+        observed = set()
+        for jobs, executor in ((1, "thread"), (2, "thread"), (2, "process")):
+            (result,) = solve_many(
+                [(h, kind)], jobs=jobs, executor=executor, bounds="none"
+            )
+            stats = result.stats
+            observed.add(
+                (result.unwrap()[0], stats.tasks_run, stats.tasks_cancelled)
+            )
+        assert len(observed) == 1, observed
 
     def test_solver_knob_removed(self):
         with pytest.raises(TypeError, match="solver"):

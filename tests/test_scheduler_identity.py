@@ -7,7 +7,7 @@ the cold run's per-block records (its instance records stripped, so the
 per-block seeding path answers).  Each phase pins:
 
 * the digest of the answer in the store's answer schema, or the error;
-* ``tasks_run``, ``speculative_checks`` and ``tasks_cancelled``;
+* ``tasks_run`` and ``tasks_cancelled``;
 * the ``bounds_*`` counters and ``anytime_answers``;
 * ``store_blocks_seeded`` and ``store_records_appended``.
 
@@ -121,7 +121,6 @@ CASES.update(
 
 COUNTERS = (
     "tasks_run",
-    "speculative_checks",
     "tasks_cancelled",
     "bounds_ks_pruned",
     "bounds_checks_avoided",

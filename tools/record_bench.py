@@ -116,7 +116,6 @@ def record_e19b(jobs: int = 2, remote_jobs: int = 4, workers: int = 2) -> dict:
             "kinds": sorted({r.kind for r in requests}),
             "blocks": stats.blocks,
             "tasks_run": stats.tasks_run,
-            "speculative_checks": stats.speculative_checks,
             "tasks_cancelled": stats.tasks_cancelled,
             "failures": stats.failures,
             "batched_lp_solves": stats.lp_solves,

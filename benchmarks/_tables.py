@@ -49,7 +49,7 @@ def measure_engine(work, cache_size: int | None = None) -> dict:
 
     Clears the shared context registry (so no caches are pre-warmed),
     optionally pins the cover-oracle cache size (0 disables caching),
-    runs the thunk, and returns the aggregate engine statistics —
+    runs the thunk, and returns the engine statistics of that run —
     lp_solves, set_cover_solves, cache_hits/misses and hit_rate — for
     benchmark tables.  The previous cache size is restored afterwards.
     """
@@ -59,14 +59,13 @@ def measure_engine(work, cache_size: int | None = None) -> dict:
     engine.clear_context_registry()
     if cache_size is not None:
         engine.configure(cache_size=cache_size)
-    engine.reset_stats()
     try:
-        work()
-        return engine.stats()
+        with engine.counting() as counts:
+            work()
+        return counts.as_dict()
     finally:
         engine.configure(cache_size=previous)
         engine.clear_context_registry()
-        engine.reset_stats()
 
 
 def emit_pipeline_stats(title: str, stats_by_label: dict) -> None:

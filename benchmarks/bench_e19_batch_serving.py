@@ -77,21 +77,14 @@ def solve_one(request: BatchRequest):
 
 def run_sequential(requests) -> tuple[list, float, dict]:
     """One-at-a-time serving: cold caches per call, like isolated calls."""
-    baseline = engine.stats()
     results = []
     start = time.perf_counter()
-    for request in requests:
-        engine.clear_context_registry()
-        results.append(solve_one(request))
+    with engine.counting() as counts:
+        for request in requests:
+            engine.clear_context_registry()
+            results.append(solve_one(request))
     elapsed = time.perf_counter() - start
-    current = engine.stats()
-    delta = {
-        key: current[key] - baseline[key]
-        for key in ("lp_solves", "cache_hits", "cache_misses")
-    }
-    lookups = delta["cache_hits"] + delta["cache_misses"]
-    delta["hit_rate"] = delta["cache_hits"] / lookups if lookups else 0.0
-    return results, elapsed, delta
+    return results, elapsed, counts.as_dict()
 
 
 def run_batched(requests, jobs: int, executor: str = "thread"):

@@ -774,25 +774,12 @@ def _print_pipeline_stats(args: argparse.Namespace, stats: BatchStats) -> None:
         print(f"  {stage + '_seconds':>22}: {summary[stage + '_seconds']:.4f}")
 
 
-def _print_engine_stats(args: argparse.Namespace, baseline: dict) -> None:
-    """Print this invocation's engine counters as a delta from baseline.
-
-    The global counters are never reset, so in-process callers (tests,
-    notebooks) keep whatever they were accumulating around main().
-    """
+def _print_engine_stats(args: argparse.Namespace, counts) -> None:
+    """Print this invocation's engine counters (``--cache-stats``)."""
     if not getattr(args, "cache_stats", False):
         return
-    current = engine.stats()
-    delta = {
-        key: current[key] - baseline.get(key, 0)
-        for key in ("lp_solves", "set_cover_solves", "cache_hits", "cache_misses")
-    }
-    lookups = delta["cache_hits"] + delta["cache_misses"]
-    delta["hit_rate"] = (
-        round(delta["cache_hits"] / lookups, 4) if lookups else 0.0
-    )
     print("engine cache stats:")
-    for key, value in delta.items():
+    for key, value in counts.as_dict().items():
         print(f"  {key:>16}: {value}")
 
 
@@ -1118,11 +1105,11 @@ def main(argv: list[str] | None = None) -> int:
     # are not left running on whatever backend the last command selected.
     config = engine.engine_config()
     previous = (config.backend, config.cache_size)
-    baseline = engine.stats()
     _apply_engine_options(args)
     try:
-        code = args.func(args)
-        _print_engine_stats(args, baseline)
+        with engine.counting() as counts:
+            code = args.func(args)
+        _print_engine_stats(args, counts)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -14,7 +14,8 @@ Placement and failure semantics:
   :meth:`WorkerRegistry.dispatch <repro.dist.registry.WorkerRegistry>`
   (least-loaded worker with a free slot) as capacity allows; anything
   else — or a task that cannot travel as JSON — runs on a local thread
-  pool.  A result frame that does not decode fails its task's future.
+  pool.  A result frame whose value or engine counts do not decode
+  fails its task's future; nothing of it is counted.
 * A remote future never enters RUNNING — it resolves straight from
   PENDING — so ``Future.cancel()`` always succeeds before completion,
   exactly like cancelling a queued pool task.  The cancellation is
@@ -46,6 +47,7 @@ from ..pipeline.solve import run_block_task
 from ..serve.protocol import (
     ProtocolError,
     answer_from_payload,
+    counts_from_payload,
     hypergraph_to_payload,
 )
 
@@ -147,9 +149,9 @@ class RemoteExecutor(Executor):
     def submit(self, fn, /, *args, **kwargs) -> Future:
         """Schedule a call; ``run_block_task`` payloads go to the fleet.
 
-        Anything else runs on the local fallback pool (the drive loop
+        Anything else runs on the local fallback pool: the drive loop
         only ever submits ``run_block_task`` here, but the Executor
-        contract stays total).
+        contract stays total.
         """
         future: Future = Future()
         with self._lock:
@@ -183,9 +185,6 @@ class RemoteExecutor(Executor):
             future.add_done_callback(_watch_cancel)
             self._pump()
         else:
-            # Not a block-task payload: run it on the local pool (the
-            # drive loop only ever submits run_block_task here, but the
-            # Executor contract stays total).
             self._run_local(_RemoteTask("", future, args), fn, kwargs)
         return future
 
@@ -343,8 +342,9 @@ class RemoteExecutor(Executor):
     # ------------------------------------------------------------------
     # Registry callbacks
     # ------------------------------------------------------------------
-    def _deliver(self, task_id: str, kind: str, payload) -> None:
-        """A worker answered ``task_id`` (result / error / cancelled)."""
+    def _deliver(self, task_id: str, kind: str, message: dict) -> None:
+        """A worker answered ``task_id`` (result / error / cancelled); a
+        result resolves to ``(value, counts)``, like a local task."""
         with self._lock:
             task = self._tasks.pop(task_id, None)
         if task is None:
@@ -356,13 +356,17 @@ class RemoteExecutor(Executor):
             if kind == "result":
                 solver, hypergraph, _params = task.args
                 try:
-                    value = answer_from_payload(solver, payload, hypergraph)
-                    future.set_result(value)
+                    value = answer_from_payload(
+                        solver, message.get("value"), hypergraph
+                    )
+                    counts = counts_from_payload(message.get("counts"))
                 except ProtocolError as exc:
                     future.set_exception(exc)
+                else:
+                    future.set_result((value, counts))
             elif kind == "error":
-                future.set_exception(_remote_error(payload))
-            elif kind == "cancelled" and not future.cancelled():
+                future.set_exception(_remote_error(message.get("error")))
+            elif kind == "cancelled":
                 # The cancel normally originates here (the future is
                 # already cancelled); resolve it if it somehow is not.
                 future.cancel()

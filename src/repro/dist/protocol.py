@@ -14,9 +14,10 @@ sends to the driver:
   frame on the connection;
 * ``{"type": "heartbeat", "in_flight": N, "executed": N}`` — liveness
   (periodic, and in reply to every ``ping``);
-* ``{"type": "result", "task": id, "value": {...}}`` — a finished
-  task, its value in the store's answer schema
-  (:func:`repro.store.answer_payload` keyed by the solver);
+* ``{"type": "result", "task": id, "value": {...}, "counts": {...}}``
+  — a finished task, its value in the store's answer schema
+  (:func:`repro.store.answer_payload` keyed by the solver) and the
+  engine work it did (:func:`repro.serve.protocol.counts_payload`);
 * ``{"type": "error", "task": id, "error": {"type", "message"}}`` — a
   failed one, named by its exception class;
 * ``{"type": "cancelled", "task": id}`` — a task dequeued before it

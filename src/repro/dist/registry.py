@@ -281,12 +281,7 @@ class WorkerRegistry:
                         route = self._routes.pop(task_id, None)
                         conn.in_flight.discard(task_id)
                     if route is not None:
-                        payload = (
-                            message.get("value")
-                            if kind == "result"
-                            else message.get("error")
-                        )
-                        route[0]._deliver(task_id, kind, payload)
+                        route[0]._deliver(task_id, kind, message)
                     self._notify_capacity()  # a slot just freed
                 elif kind == "heartbeat":
                     conn.executed = message.get("executed", conn.executed)

@@ -40,7 +40,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..pipeline.solve import run_block_task
-from ..serve.protocol import hypergraph_from_payload
+from ..serve.protocol import counts_payload, hypergraph_from_payload
 from ..store import answer_payload
 from .protocol import ProtocolError, recv_message, send_message
 
@@ -79,8 +79,8 @@ class WorkerClient:
         launch order irrelevant.
     runner : callable, optional
         The task entry point, ``runner(solver, hypergraph, params)``
-        (default :func:`~repro.pipeline.solve.run_block_task`); tests
-        substitute instrumented runners here.
+        returning ``(value, counts)`` (default :func:`run_block_task`);
+        tests substitute instrumented runners here.
     """
 
     def __init__(
@@ -132,11 +132,12 @@ class WorkerClient:
     # ------------------------------------------------------------------
     def _execute(self, task_id: str, solver: str, hypergraph, params: dict):
         try:
-            value = self._runner(solver, hypergraph, params)
+            value, counts = self._runner(solver, hypergraph, params)
             reply = {
                 "type": "result",
                 "task": task_id,
                 "value": answer_payload(solver, value),
+                "counts": counts_payload(counts),
             }
         except BaseException as exc:  # one reply per task, whatever happens
             reply = _error_reply(task_id, exc)

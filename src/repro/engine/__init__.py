@@ -15,8 +15,10 @@ Shared infrastructure for every width-search algorithm in the library:
 
 Engine-wide configuration (LP backend, cache size) is process-global and
 set via :func:`configure`; the CLI exposes it as ``--backend`` and
-``--cache-size``.  Aggregate LP/cache statistics are read via
-:func:`stats` and zeroed via :func:`reset_stats` (CLI ``--cache-stats``).
+``--cache-size``.  There are no process-global counters: the engine
+counts LP solves and cache hits into the set of the work in progress,
+which :func:`counting` installs (every scheduler run and the CLI's
+``--cache-stats`` are one such scope).
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .backends import (
 from .context import SearchContext, clear_context_registry, get_context
 from .oracle import (
     DEFAULT_CACHE_SIZE,
-    GLOBAL_STATS,
     CoverOracle,
     OracleStats,
+    counted,
+    counting,
     oracle_for,
 )
 from .search import CheckSearch
@@ -49,6 +52,8 @@ __all__ = [
     "clear_context_registry",
     "CoverOracle",
     "OracleStats",
+    "counting",
+    "counted",
     "oracle_for",
     "DEFAULT_CACHE_SIZE",
     "CheckSearch",
@@ -63,8 +68,6 @@ __all__ = [
     "EngineConfig",
     "engine_config",
     "configure",
-    "stats",
-    "reset_stats",
 ]
 
 
@@ -112,13 +115,3 @@ def configure(
     if cache_size is not None:
         _CONFIG.cache_size = max(0, int(cache_size))
     return _CONFIG
-
-
-def stats() -> dict:
-    """Aggregate LP-solve and cache statistics across all oracles."""
-    return GLOBAL_STATS.as_dict()
-
-
-def reset_stats() -> None:
-    """Zero the aggregate statistics (per-oracle counters are untouched)."""
-    GLOBAL_STATS.reset()

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from ..covers import EPS, FractionalCover
 from ..covers.fractional import solve_fractional_cover
@@ -35,6 +37,8 @@ from .context import SearchContext, get_context
 __all__ = [
     "CoverOracle",
     "OracleStats",
+    "counting",
+    "counted",
     "oracle_for",
     "DEFAULT_CACHE_SIZE",
 ]
@@ -49,19 +53,23 @@ CAP_BELOW_ONE = 1.0 - 1e-6
 
 
 class OracleStats:
-    """Mutable counters; also aggregated globally via ``engine.stats()``."""
+    """LP-solve and cover-cache counters: of one oracle
+    (``oracle.stats``) or of the work in progress (:func:`counting`)."""
 
     __slots__ = ("lp_solves", "set_cover_solves", "hits", "misses")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter."""
         self.lp_solves = 0
         self.set_cover_solves = 0
         self.hits = 0
         self.misses = 0
+
+    def add(self, other: "OracleStats") -> None:
+        """Add ``other``'s counters into these."""
+        self.lp_solves += other.lp_solves
+        self.set_cover_solves += other.set_cover_solves
+        self.hits += other.hits
+        self.misses += other.misses
 
     @property
     def hit_rate(self) -> float:
@@ -80,8 +88,38 @@ class OracleStats:
         }
 
 
-#: Library-wide aggregate, reset/read via repro.engine.stats helpers.
-GLOBAL_STATS = OracleStats()
+#: The counter set of the work in progress; None outside any scope.
+_CURRENT: ContextVar[OracleStats | None] = ContextVar(
+    "repro_engine_counts", default=None
+)
+
+
+@contextmanager
+def counting():
+    """Count the engine work of a ``with`` block in a fresh set, which
+    it yields; on exit the set is added into the one it replaced, so
+    nested scopes add up.  Work handed to another thread or process
+    counts only through :func:`counted`."""
+    counts = OracleStats()
+    token = _CURRENT.set(counts)
+    try:
+        yield counts
+    finally:
+        _CURRENT.reset(token)
+        if (outer := _CURRENT.get()) is not None:
+            outer.add(counts)
+
+
+def counted(fn, /, *args, **kwargs) -> tuple:
+    """``(fn(*args, **kwargs), counts)``: a call and its engine work,
+    counted in a fresh set that is *not* added into the caller's, so
+    whoever collects the value adds the counts once, wherever it ran."""
+    counts = OracleStats()
+    token = _CURRENT.set(counts)
+    try:
+        return fn(*args, **kwargs), counts
+    finally:
+        _CURRENT.reset(token)
 
 
 class CoverOracle:
@@ -128,12 +166,14 @@ class CoverOracle:
             # block solver; the value we already read stays valid.
             pass
         self.stats.hits += 1
-        GLOBAL_STATS.hits += 1
+        if (counts := _CURRENT.get()) is not None:
+            counts.hits += 1
         return hit
 
     def _store(self, key, value):
         self.stats.misses += 1
-        GLOBAL_STATS.misses += 1
+        if (counts := _CURRENT.get()) is not None:
+            counts.misses += 1
         if self.cache_size:
             self._cache[key] = value
             while len(self._cache) > self.cache_size:
@@ -224,7 +264,8 @@ class CoverOracle:
         cap: float | None = None,
     ) -> FractionalCover | None:
         self.stats.lp_solves += 1
-        GLOBAL_STATS.lp_solves += 1
+        if (counts := _CURRENT.get()) is not None:
+            counts.lp_solves += 1
         # One shared pipeline with the covers layer — only the solver
         # (this oracle's backend) differs from fractional_cover_of.
         return solve_fractional_cover(
@@ -244,29 +285,30 @@ class CoverOracle:
         limit: int | None = None,
     ) -> FractionalCover | None:
         """A minimum integral edge cover (λ) of the bag, as a 0/1 cover."""
-        bag, _ = self._normalize(vertex_set, None)
-        key = self._key(f"int:{limit}", bag, None)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached[0]
-        self.stats.set_cover_solves += 1
-        GLOBAL_STATS.set_cover_solves += 1
-        cover = edge_cover_of(self.hypergraph, bag, limit=limit)
-        return self._store(key, (cover,))[0]
+        return self._set_cover(
+            f"int:{limit}", vertex_set,
+            lambda bag: edge_cover_of(self.hypergraph, bag, limit=limit),
+        )
 
     def greedy_cover(
         self, vertex_set: Iterable[Vertex]
     ) -> FractionalCover | None:
         """A greedy (ln-approximate) integral cover of the bag."""
+        return self._set_cover(
+            "greedy", vertex_set,
+            lambda bag: greedy_edge_cover_of(self.hypergraph, bag),
+        )
+
+    def _set_cover(self, kind: str, vertex_set, solve):
         bag, _ = self._normalize(vertex_set, None)
-        key = self._key("greedy", bag, None)
+        key = self._key(kind, bag, None)
         cached = self._lookup(key)
         if cached is not None:
             return cached[0]
         self.stats.set_cover_solves += 1
-        GLOBAL_STATS.set_cover_solves += 1
-        cover = greedy_edge_cover_of(self.hypergraph, bag)
-        return self._store(key, (cover,))[0]
+        if (counts := _CURRENT.get()) is not None:
+            counts.set_cover_solves += 1
+        return self._store(key, (solve(bag),))[0]
 
 
 class _Miss:

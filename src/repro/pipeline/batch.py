@@ -47,6 +47,7 @@ from collections.abc import Callable, Mapping
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import asdict, dataclass, field
 
+from ..engine.oracle import counting
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import short_repr
 from ..store import ResultStore
@@ -441,7 +442,8 @@ class BatchStats:
         Blocks whose verdict was seeded from the store, skipping both
         the bounds pre-pass and the exact engine for them.
     store_records_appended : int
-        Records the batch wrote back to the store during this run.
+        Records this run wrote back to the store (not those of other
+        runs sharing the store).
     store_write_errors : int
         Store write-backs that failed with ``OSError`` (each one is
         logged; the answer is still served, only its persistence is
@@ -452,9 +454,10 @@ class BatchStats:
         (stitching happens inside it on the driver thread and is also
         tracked separately), ``total_seconds`` covers the whole run.
     lp_solves, set_cover_solves, cache_hits, cache_misses : int
-        Engine activity during the batch (delta of
-        :func:`repro.engine.stats`; near zero for workers of a process
-        pool, which keep their own cache domains).
+        This run's own engine work (its :func:`~repro.engine.counting`
+        scope plus each task's counts, returned by every executor), so
+        concurrent runs never count each other's; a task that raises
+        reports none.
     """
 
     requests: int = 0
@@ -572,6 +575,7 @@ class _Instance:
         "store",
         "store_hit",
         "store_seeded",
+        "store_appended",
         "store_write_errors",
         "dp_caps",
     )
@@ -590,6 +594,7 @@ class _Instance:
         self.store = None
         self.store_hit = False
         self.store_seeded = set()
+        self.store_appended = 0
         self.store_write_errors = 0
         self.dp_caps = {}  # exact-oracle block -> portfolio witness width
 
@@ -816,7 +821,7 @@ class _Instance:
         state = self.states[b]
         try:
             if self.family == "check":
-                store.put_check(
+                self.store_appended += store.put_check(
                     block_h, self.dkind, self.k, self.params, state.value
                 )
             elif state.settled:
@@ -824,8 +829,10 @@ class _Instance:
                     store.put_block if self.family == "block"
                     else store.put_block_exact
                 )
-                put(block_h, self.dkind, self.params,
-                    *self._width_witness(state))
+                self.store_appended += put(
+                    block_h, self.dkind, self.params,
+                    *self._width_witness(state)
+                )
         except OSError as exc:
             self._write_failed(f"block {b}", exc)
 
@@ -836,7 +843,7 @@ class _Instance:
             return
         request = self.request
         try:
-            store.put_instance(
+            self.store_appended += store.put_instance(
                 request.hypergraph, request.kind, request.params, value
             )
         except OSError as exc:
@@ -1096,18 +1103,20 @@ class BatchScheduler:
                 instance.finalize()
                 stats.stitch_seconds += time.perf_counter() - t0
 
-    def _collect(self, inst, b, k, future, in_flight, stats) -> None:
-        """Fold one finished task of block ``b`` into its request."""
+    def _collect(self, inst, b, k, future, in_flight, stats, counts) -> None:
+        """Fold one finished task of block ``b`` into its request, and
+        its engine work into the run's ``counts``."""
         if future.cancelled():
             return
         stats.tasks_run += 1
         try:
-            value = future.result()
+            value, task_counts = future.result()
         except Exception as exc:
             if inst.active:
                 inst.fail(exc)
                 self._cancel(inst, in_flight, stats)
             return
+        counts.add(task_counts)
         if not inst.active:
             return
         # Cancel only on the request's *transition* to answered, so
@@ -1119,7 +1128,7 @@ class BatchScheduler:
         if inst.solved and not solved:
             self._cancel(inst, in_flight, stats)
 
-    def _drive(self, stats: BatchStats) -> None:
+    def _drive(self, stats: BatchStats, counts) -> None:
         with make_pool(self.executor, self.jobs) as pool:
             in_flight: dict = {}  # future -> (instance, block, k)
             while any(inst.active for inst in self.instances):
@@ -1153,7 +1162,9 @@ class BatchScheduler:
                 for future in done:
                     i, b, k = in_flight.pop(future)
                     inst = self.instances[i]
-                    self._collect(inst, b, k, future, in_flight, stats)
+                    self._collect(
+                        inst, b, k, future, in_flight, stats, counts
+                    )
                     # Released only now: while the rest of a failed
                     # request is cancelled, the block whose task just
                     # failed still counts as submitted.
@@ -1178,8 +1189,6 @@ class BatchScheduler:
             :class:`BatchResult` handle from :meth:`submit`, next to
             that request's outcome.
         """
-        from .. import engine  # lazy: keeps the pipeline package cycle-free
-
         stats = BatchStats(
             requests=len(self.instances),
             jobs=self.jobs,
@@ -1187,12 +1196,17 @@ class BatchScheduler:
             preprocess=self.preprocess,
             bounds=self.bounds,
         )
-        baseline = engine.stats()
-        store_baseline = (
-            self.store.stats.records_appended
-            if self.store is not None
-            else 0
-        )
+        with counting() as counts:
+            self._run(stats, counts)
+        stats.lp_solves = counts.lp_solves
+        stats.set_cover_solves = counts.set_cover_solves
+        stats.cache_hits = counts.hits
+        stats.cache_misses = counts.misses
+        for instance in self.instances:
+            instance.result.stats = stats
+        return stats
+
+    def _run(self, stats: BatchStats, counts) -> None:
         t_start = time.perf_counter()
         for instance in self.instances:
             if not instance.active:
@@ -1225,28 +1239,16 @@ class BatchScheduler:
             stats.store_blocks_seeded += len(inst.store_seeded)
         stats.prepare_seconds = time.perf_counter() - t_start
         t_solve = time.perf_counter()
-        self._drive(stats)
+        self._drive(stats, counts)
         stats.solve_seconds = time.perf_counter() - t_solve
         stats.total_seconds = time.perf_counter() - t_start
         stats.failures = sum(1 for inst in self.instances if inst.failed)
         stats.store_write_errors = sum(
             inst.store_write_errors for inst in self.instances
         )
-        if self.store is not None:
-            stats.store_records_appended = (
-                self.store.stats.records_appended - store_baseline
-            )
-        current = engine.stats()
-        for key, attr in (
-            ("lp_solves", "lp_solves"),
-            ("set_cover_solves", "set_cover_solves"),
-            ("cache_hits", "cache_hits"),
-            ("cache_misses", "cache_misses"),
-        ):
-            setattr(stats, attr, current[key] - baseline.get(key, 0))
-        for instance in self.instances:
-            instance.result.stats = stats
-        return stats
+        stats.store_records_appended = sum(
+            inst.store_appended for inst in self.instances
+        )
 
 
 def solve_many(

@@ -39,6 +39,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from importlib import import_module
 
+from ..engine.oracle import counted
 from ..hypergraph import Hypergraph
 
 __all__ = [
@@ -162,10 +163,11 @@ def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
 
     Returns
     -------
-    object
-        Whatever the registered solver returns (a Decomposition or
-        None for checks, ``(width, decomposition)`` tuples for oracles,
-        bound triples for heuristics).
+    tuple
+        ``(value, counts)``: whatever the registered solver returns (a
+        Decomposition or None for checks, ``(width, decomposition)``
+        tuples for oracles, bound triples for heuristics), and the
+        engine work of this solve alone (:func:`~repro.engine.counted`).
 
     Raises
     ------
@@ -174,7 +176,7 @@ def run_block_task(solver: str, hypergraph: Hypergraph, params: dict):
     """
     module, core = SOLVERS[solver]
     algorithms = import_module(f"..algorithms.{module}", __package__)
-    return getattr(algorithms, core)(hypergraph, **params)
+    return counted(getattr(algorithms, core), hypergraph, **params)
 
 
 #: ``perfbench/tracer.py`` still patches this name; an alias keeps its

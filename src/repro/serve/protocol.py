@@ -18,7 +18,8 @@ width and witness, a check verdict and witness, or bounds and witness)
 :func:`repro.store.checked_witness` if desired.  A worker's block-task
 result uses the same schema, keyed by its solver name, and decodes
 through the store's decoder (:func:`answer_from_payload` here re-raises
-its errors as :class:`ProtocolError`).
+its errors as :class:`ProtocolError`), and the task's engine counts
+travel next to it (:func:`counts_payload`, :func:`counts_from_payload`).
 
 :func:`request_key` is the coalescing identity: two requests with the
 same canonical hypergraph hash, kind and parameter fingerprint are *the same computation* and share one
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from .. import store
 from ..cqcsp import parse_cq, relation_from_payload
+from ..engine.oracle import OracleStats
 from ..cqcsp.planner import plan_key
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import short_repr
@@ -64,6 +66,8 @@ __all__ = [
     "request_key",
     "answer_payload",
     "answer_from_payload",
+    "counts_payload",
+    "counts_from_payload",
     "query_request_from_payload",
     "query_key",
     "query_answer_payload",
@@ -302,3 +306,29 @@ def answer_from_payload(kind: str, payload, hypergraph: Hypergraph):
         return store.answer_from_payload(kind, payload, hypergraph)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
+
+
+#: The largest count a worker may report: the largest integer every
+#: JSON reader holds exactly, far above what one block task can do.
+_MAX_COUNT = 2**53
+
+
+def counts_payload(counts: OracleStats) -> dict:
+    """A task's engine counts as a JSON object, one int per counter."""
+    return {name: getattr(counts, name) for name in OracleStats.__slots__}
+
+
+def counts_from_payload(payload) -> OracleStats:
+    """Decode :func:`counts_payload`'s object, raising
+    :class:`ProtocolError` unless it holds exactly the counters, each
+    an int (never a bool) in ``[0, 2**53]``."""
+    counts = OracleStats()
+    if not isinstance(payload, dict) or payload.keys() != set(
+        OracleStats.__slots__
+    ) or not all(
+        type(v) is int and 0 <= v <= _MAX_COUNT for v in payload.values()
+    ):
+        raise ProtocolError(f"malformed task counts: {short_repr(payload)}")
+    for name, value in payload.items():
+        setattr(counts, name, value)
+    return counts

@@ -153,7 +153,9 @@ class ServerStats:
     lp_solves, tasks_run : int
         Engine LP solves and exact check tasks summed over all runs —
         solve requests and plan solves alike; both stay at 0 when a
-        warm store answers everything (E23 / E24).
+        warm store answers everything (E23 / E24).  Each run counts
+        only its own work, so the sum stays exact with up to
+        ``max_in_flight`` runs at once.
     queries : int
         Query requests received on ``POST /query`` (including
         rejected ones).

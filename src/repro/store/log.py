@@ -493,12 +493,13 @@ class ResultStore:
         fp = params_fingerprint(params)
         return (tag, hypergraph.canonical_hash(), *dims, "bb", fp)
 
-    def _put(self, key: tuple, hypergraph: Hypergraph, value: dict) -> None:
+    def _put(self, key: tuple, hypergraph: Hypergraph, value: dict) -> bool:
         """Append one typed record, unless two vertices of ``hypergraph``
         share a string (``1`` and ``"1"``): stored bags could not map
-        back, so the record would fail re-validation on every read."""
-        if len(set(map(str, hypergraph.vertices))) == hypergraph.num_vertices:
-            self.append(key, value)
+        back, so the record would fail re-validation on every read.
+        Every ``put_*`` returns whether it appended a record."""
+        names = set(map(str, hypergraph.vertices))
+        return len(names) == hypergraph.num_vertices and self.append(key, value)
 
     def _answer(
         self, key: tuple, hypergraph: Hypergraph, kind: str, dkind: str, k=None
@@ -544,10 +545,10 @@ class ResultStore:
         params: dict | None,
         width: int,
         witness: Decomposition,
-    ) -> None:
+    ) -> bool:
         """Persist a settled width-search block: its width and witness."""
         key = self._key("block", hypergraph, kind, params=params)
-        self._put(
+        return self._put(
             key, hypergraph, answer_payload("block", (int(width), witness))
         )
 
@@ -569,10 +570,10 @@ class ResultStore:
         params: dict | None,
         width: float,
         witness: Decomposition,
-    ) -> None:
+    ) -> bool:
         """Persist an exact-oracle block result."""
         key = self._key("block-exact", hypergraph, kind, params=params)
-        self._put(
+        return self._put(
             key,
             hypergraph,
             answer_payload("block-exact", (float(width), witness)),
@@ -596,11 +597,11 @@ class ResultStore:
         k,
         params: dict | None,
         witness: Decomposition | None,
-    ) -> None:
+    ) -> bool:
         """Persist one Check(X, k) verdict (None witness = rejected)."""
         k = round(float(k), 9)
         key = self._key("check", hypergraph, kind, k, params=params)
-        self._put(key, hypergraph, answer_payload("check", witness))
+        return self._put(key, hypergraph, answer_payload("check", witness))
 
     def get_check(
         self,
@@ -626,12 +627,12 @@ class ResultStore:
         request_kind: str,
         params: dict | None,
         value,
-    ) -> None:
+    ) -> bool:
         """Persist a request's resolved value (the serve layer's fast path)."""
         key = self._key(
             "instance", hypergraph, request_kind, params=params
         )
-        self._put(key, hypergraph, answer_payload(request_kind, value))
+        return self._put(key, hypergraph, answer_payload(request_kind, value))
 
     def get_instance(
         self,

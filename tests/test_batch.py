@@ -429,3 +429,72 @@ class TestInlineSerial:
         assert len(threads) > threads_before
         assert set(threads) == {threading.get_ident()}
         assert pools == []
+
+
+class TestRunCounters:
+    """Each run counts its own work, however many runs share the process."""
+
+    #: Two disjoint fhw workloads, bounds off, so every block is solved
+    #: by exact tasks: a short run that overlaps the start of a long one.
+    WORKLOADS = (
+        [(cycle(n), "fhw") for n in range(5, 11)],
+        [(cycle(n), "fhw") for n in range(11, 15)],
+    )
+
+    def _concurrently(self, **options):
+        """Both workloads at once, one thread each; their BatchStats."""
+        import threading
+
+        barrier = threading.Barrier(2)
+        stats = [None, None]
+
+        def run(i):
+            barrier.wait()
+            results = solve_many(self.WORKLOADS[i], bounds="none", **options)
+            stats[i] = results[0].stats
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        return stats
+
+    def test_concurrent_runs_count_their_own_lp_solves(self, monkeypatch):
+        import itertools
+
+        from repro.engine import CoverOracle, clear_context_registry
+
+        def counters(stats):
+            return stats.lp_solves, stats.cache_hits, stats.cache_misses
+
+        alone = []
+        for workload in self.WORKLOADS:
+            clear_context_registry()
+            alone.append(counters(solve_many(workload, bounds="none")[0].stats))
+        solves = itertools.count()
+        original = CoverOracle._solve_fractional
+
+        def spy(self, *args, **kwargs):
+            next(solves)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoverOracle, "_solve_fractional", spy)
+        clear_context_registry()
+        together = [counters(s) for s in self._concurrently()]
+        assert together == alone
+        assert together[0][0] + together[1][0] == next(solves) > 0
+
+    def test_concurrent_runs_count_their_own_appends(self, tmp_path):
+        from repro.engine import clear_context_registry
+        from repro.store import ResultStore
+
+        clear_context_registry()
+        with ResultStore(tmp_path) as store:
+            stats = self._concurrently(store=store)
+            grown = store.stats.records_appended
+        appended = [s.store_records_appended for s in stats]
+        assert all(appended) and sum(appended) == grown

@@ -171,20 +171,28 @@ class TestGenerate:
 
 
 class TestEngineOptions:
-    def test_cache_stats_printed_without_resetting_globals(self, c6_file, capsys):
-        from repro import engine
+    def test_cache_stats_count_tasks_on_every_executor(
+        self, c6_file, tmp_path, capsys
+    ):
+        # The printed counters are the invocation's own, tasks included
+        # wherever they ran: a process pool's tasks count the same LP
+        # solves and cache lookups as inline ones, never 0.
+        from repro.engine import clear_context_registry
 
-        before = engine.stats()
-        assert main(["width", c6_file, "--kind", "fhw", "--cache-stats"]) == 0
-        out = capsys.readouterr().out
-        assert "engine cache stats:" in out
-        assert "lp_solves" in out
-        assert "hit_rate" in out
-        # The printed numbers are a per-invocation delta; the process
-        # globals keep accumulating for in-process callers.
-        after = engine.stats()
-        assert after["lp_solves"] >= before["lp_solves"]
-        assert after["cache_misses"] >= before["cache_misses"]
+        manifest = tmp_path / "c6.json"
+        manifest.write_text(json.dumps([{"file": "c6.hg", "kind": "fhw"}]))
+        printed = []
+        for options in ([], ["--jobs", "2", "--executor", "process"]):
+            clear_context_registry()
+            assert main(
+                ["batch", str(manifest), "--bounds", "none", "--cache-stats",
+                 *options]
+            ) == 0
+            out = capsys.readouterr().out
+            printed.append(out[out.index("engine cache stats:"):])
+        assert printed[0] == printed[1]
+        assert "hit_rate" in printed[0]
+        assert "lp_solves: 0" not in printed[0]
 
     def test_backend_selection_does_not_leak_config(self, c6_file, capsys):
         from repro import engine

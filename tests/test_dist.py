@@ -44,6 +44,7 @@ from repro.hypergraph.generators import clique, cycle, grid, triangle_cascade
 from repro.pipeline import EXECUTORS, solve_many
 from repro.pipeline.solve import run_block_task
 from repro.serve.protocol import (
+    ProtocolError as AnswerError,
     answer_from_payload,
     answer_payload,
     hypergraph_to_payload,
@@ -363,7 +364,7 @@ class TestJsonWire:
     )
     def test_every_solver_answer_round_trips(self, solver, params):
         h = self.INT_TRIANGLE
-        value = run_block_task(solver, h, params)
+        value, _counts = run_block_task(solver, h, params)
         wire = json.loads(json.dumps(answer_payload(solver, value)))
         back = answer_from_payload(solver, wire, h)
         assert answer_payload(solver, back) == answer_payload(solver, value)
@@ -454,6 +455,66 @@ class TestJsonWire:
             executor.shutdown(wait=False)
             sock.close()
 
+    GOOD_COUNTS = {"lp_solves": 3, "set_cover_solves": 0, "hits": 1,
+                   "misses": 3}
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            GOOD_COUNTS,
+            None,  # no counts at all
+            [3, 0, 1, 3],
+            {**GOOD_COUNTS, "lp_solves": -1},
+            {**GOOD_COUNTS, "hits": True},
+            {**GOOD_COUNTS, "misses": "3"},
+            {**GOOD_COUNTS, "misses": 3.0},
+            {**GOOD_COUNTS, "lp_solves": 2**53 + 1},
+            {**GOOD_COUNTS, "lp_solves": 10**400},
+            {**GOOD_COUNTS, "extra": 0},
+            {k: v for k, v in GOOD_COUNTS.items() if k != "hits"},
+        ],
+    )
+    def test_result_frame_counts_are_checked(self, empty_registry, counts):
+        """A result frame's counts are untrusted: a malformed set fails
+        the task (never added to the run), like a malformed value."""
+        value, _counts = run_block_task("ghw-exact", cycle(4), {})
+        future = self._answer_one_task(
+            empty_registry, answer_payload("ghw-exact", value), counts
+        )
+        if counts is self.GOOD_COUNTS:
+            answer, counted = future.result(timeout=10.0)
+            assert answer[0] == value[0]
+            assert counted.as_dict()["cache_misses"] == 3
+        else:
+            with pytest.raises(AnswerError, match="malformed task"):
+                future.result(timeout=10.0)
+
+    @staticmethod
+    def _answer_one_task(registry, value, counts):
+        """Submit one ghw-exact task and answer it from a raw socket."""
+        sock = socket.create_connection((registry.host, registry.port))
+        executor = RemoteExecutor(registry, jobs=1)
+        try:
+            send_message(sock, {"type": "hello", "jobs": 1, "pid": 0})
+            assert registry.wait_for_workers(1, timeout=10.0)
+            future = executor.submit(
+                run_block_task, "ghw-exact", cycle(4), {}
+            )
+            task = _next_reply(sock)
+            reply = {"type": "result", "task": task["task"], "value": value}
+            if counts is not None:
+                reply["counts"] = counts
+            send_message(sock, reply)
+            cf_wait([future], timeout=10.0)
+            return future
+        finally:
+            executor.shutdown(wait=False)
+            sock.close()
+            deadline = time.monotonic() + 10.0
+            while registry.worker_count():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
     def test_no_pickle_in_dist(self):
         import pathlib
 
@@ -489,6 +550,47 @@ raise SystemExit(
                  heartbeat_interval=0.3, runner=slow).run()
 )
 """
+
+
+class TestRunCountsAcrossExecutors:
+    """A run counts its tasks' engine work wherever they ran."""
+
+    REQUESTS = [
+        (cycle(6), "fhw"),
+        (triangle_cascade(3), "ghw"),
+        (grid(2, 3), "hw"),
+    ]
+
+    def _run(self, executor):
+        from repro.engine import clear_context_registry
+
+        clear_context_registry()
+        (first, *_rest) = solve_many(
+            self.REQUESTS, jobs=1, executor=executor, bounds="none"
+        )
+        return first.stats
+
+    @staticmethod
+    def _counts(stats):
+        return stats.lp_solves, stats.cache_hits, stats.cache_misses
+
+    def test_process_and_remote_count_what_inline_counts(self):
+        inline = self._counts(self._run("thread"))
+        assert inline[0] > 0
+        assert self._counts(self._run("process")) == inline
+        registry = WorkerRegistry(ping_interval=0.5, worker_timeout=10.0)
+        previous = set_registry(registry)
+        worker = spawn_worker(registry.address, jobs=1, idle_timeout=60)
+        try:
+            assert registry.wait_for_workers(1, timeout=20.0)
+            remote = self._run("remote")
+        finally:
+            close_registry()
+            set_registry(previous)
+            worker.kill()
+            worker.wait(timeout=10.0)
+        assert remote.tasks_remote == remote.tasks_run > 0
+        assert self._counts(remote) == inline
 
 
 class TestWorkerFaults:

@@ -24,13 +24,13 @@ from repro.engine import (
     available_backends,
     clear_context_registry,
     configure,
+    counted,
+    counting,
     default_backend_name,
     engine_config,
     get_backend,
     get_context,
     oracle_for,
-    reset_stats,
-    stats,
 )
 from repro.hypergraph import Hypergraph, components
 from repro.hypergraph.generators import clique, cycle, grid
@@ -383,17 +383,39 @@ class TestConfiguration:
         finally:
             configure(backend="auto", cache_size=original)
 
-    def test_global_stats_accumulate(self, k4):
+
+class TestCounting:
+    """The engine counts into the scope of the work in progress."""
+
+    def test_nested_scopes_add_up(self, k4):
         clear_context_registry()
-        reset_stats()
         oracle = oracle_for(k4)
-        bag = frozenset(list(k4.vertices)[:3])
-        oracle.fractional_cover(bag)
-        oracle.fractional_cover(bag)
-        snapshot = stats()
-        assert snapshot["lp_solves"] >= 1
-        assert snapshot["cache_hits"] >= 1
-        assert 0.0 <= snapshot["hit_rate"] <= 1.0
+        a, b, c, d = (
+            frozenset(bag)
+            for bag in combinations(sorted(k4.vertices, key=str), 3)
+        )
+        with counting() as outer:
+            oracle.fractional_cover(a)
+            with counting() as inner:
+                oracle.fractional_cover(a)  # a hit
+                oracle.fractional_cover(b)  # a miss: one LP
+            oracle.integral_cover(c)  # a miss: one set cover
+            _value, task = counted(oracle.fractional_cover, d)
+        assert (inner.lp_solves, inner.hits, inner.misses) == (1, 1, 1)
+        assert outer.as_dict() == {
+            "lp_solves": 2,
+            "set_cover_solves": 1,
+            "cache_hits": 1,
+            "cache_misses": 3,
+            "hit_rate": 0.25,
+        }
+        # counted() hands its counts to the caller instead of adding
+        # them to the scope around it.
+        assert (task.lp_solves, task.misses) == (1, 1)
+        assert oracle.stats.lp_solves == 3
+        # Outside every scope only the oracle's own counters move.
+        oracle.fractional_cover(frozenset(k4.vertices))
+        assert oracle.stats.lp_solves == 4 and outer.lp_solves == 2
 
 
 class TestWidthsUnchangedAfterRefactor:

@@ -944,6 +944,45 @@ class TestCoalescing:
 # ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
+class TestStatsUnderConcurrency:
+    def test_concurrent_solves_count_only_their_own_lp_solves(
+        self, harness
+    ):
+        """``/stats`` ``lp_solves`` is exact with runs in parallel: the
+        daemon's concurrent scheduler runs each count their own work."""
+        from repro.engine import clear_context_registry
+
+        instances = [cycle(n) for n in (9, 10, 11, 12)]
+        clear_context_registry()
+        h, client = harness(max_in_flight=len(instances), bounds="none")
+        gate = h.gate()
+        results = None
+
+        def workload():
+            nonlocal results
+            results = fire(
+                [lambda inst=inst: client.solve(inst, "fhw")
+                 for inst in instances]
+            )
+
+        worker = threading.Thread(target=workload, daemon=True)
+        worker.start()
+        # Hold every run until all are admitted, so they run at once.
+        wait_until(lambda: gate.entered == len(instances))
+        gate.release.set()
+        worker.join(timeout=120)
+        assert all(r["ok"] for r in results), results
+        concurrent = client.stats()["server"]["lp_solves"]
+        h.shutdown()
+
+        clear_context_registry()
+        _h, client = harness(bounds="none")
+        for inst in instances:
+            assert client.solve(inst, "fhw")["ok"]
+        alone = client.stats()["server"]["lp_solves"]
+        assert concurrent == alone > 0
+
+
 class TestAdmission:
     def test_busy_server_rejects_with_429(self, harness):
         h, client = harness(max_in_flight=1, max_queue=0)

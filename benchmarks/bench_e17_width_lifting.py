@@ -109,10 +109,10 @@ def test_e17_rational_lift(benchmark):
 def engine_cache_stats() -> dict[str, dict]:
     """LP-solve counts for the E17 integral-lift workload, cached vs not.
 
-    The elimination DP memoizes bag costs per run regardless, so the
+    The elimination search memoizes bag costs per run regardless, so the
     engine cache's contribution here is the *cross-phase* sharing: the
     witness-rebuild covers and the fhw-vs-ghw passes re-read bags the
-    DP already solved.  (The headline >= 2x cache reduction lives in
+    search already solved.  (The headline >= 2x cache reduction lives in
     bench_e12's Algorithm 4 workload, where repeated Check probes on
     one hypergraph share a single oracle.)
     """

@@ -1,6 +1,6 @@
 """E18 (ablation) — heuristic width bounds vs the exact oracle.
 
-DESIGN.md calls out the exact-DP range limit (~18 vertices) as the
+DESIGN.md calls out the exact-oracle range limit (18 vertices by default) as the
 library's main scalability trade-off; practical systems pair exact
 methods with elimination heuristics.  This ablation quantifies the
 sandwich quality: clique lower bound <= exact fhw <= heuristic upper
@@ -70,7 +70,7 @@ def test_e18_sandwich_quality(benchmark):
 
 
 def test_e18_beyond_exact_range(benchmark):
-    """grid(5,5) has 25 vertices — out of 2^n range; heuristics answer."""
+    """grid(5,5): 25 vertices, past the default vertex limit; heuristics answer."""
 
     def big():
         h = grid(5, 5)
@@ -80,7 +80,7 @@ def test_e18_beyond_exact_range(benchmark):
     lower, upper, n = benchmark(big)
     assert n == 25 and lower <= upper
     emit(
-        "E18 supplement: past the exact-DP limit",
+        "E18 supplement: past the exact-oracle limit",
         ["instance", "|V|", "fhw lower", "fhw upper"],
         [("grid(5,5)", n, round(lower, 3), round(upper, 3))],
     )
@@ -139,7 +139,7 @@ def test_e18_bounds_pruning(benchmark):
 
 def test_e18_engine_stats_on_sandwich(benchmark):
     """The exact-vs-heuristic sandwich shares one CoverOracle per
-    instance, so the heuristic pass re-reads bags the exact DP already
+    instance, so the heuristic pass re-reads bags the exact search already
     solved — the nonzero cross-algorithm hit count on the combined
     workload is the sharing the engine exists for."""
     stats = benchmark(lambda: measure_engine(sandwich_rows))

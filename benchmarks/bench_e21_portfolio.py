@@ -6,7 +6,7 @@ it with the bounds pre-pass pinned off, so every k of every block is an
 exact Check task (the pre-pass would decide most of this corpus
 without one — that effect is E22's subject,
 bench_e22_bounds_collapse.py).  Every width is checked against the
-elimination DP (:func:`repro.generalized_hypertree_width_exact`), an
+elimination search (:func:`repro.generalized_hypertree_width_exact`), an
 independent exact procedure.
 
 Corpora:
@@ -80,17 +80,17 @@ def run_engine(requests, jobs: int):
 
 
 def measure(jobs: int = 1, corpus: str = "dense") -> dict:
-    """Time the engine over one corpus and check it against the DP.
+    """Time the engine over one corpus and check it against the exact search.
 
     Returns a ``{"metrics": ..., "timings": ...}`` report (the shape
     ``tools/record_bench.py`` records as ``BENCH_E21.json``) after
-    asserting that every width equals the elimination DP's.
+    asserting that every width equals the elimination search's.
     """
     requests = build_requests(corpus)
     widths, seconds, stats = run_engine(requests, jobs)
     for request, width in zip(requests, widths):
         exact, _witness = generalized_hypertree_width_exact(request.hypergraph)
-        assert width == exact, f"{request.label}: engine {width} vs DP {exact}"
+        assert width == exact, f"{request.label}: engine {width} vs exact {exact}"
     return {
         "metrics": {
             "corpus": corpus,
@@ -130,7 +130,7 @@ def emit_report(report: dict) -> None:
         ],
     )
     emit(
-        "E21 / per-instance widths (equal to the elimination DP's)",
+        "E21 / per-instance widths (equal to the elimination search's)",
         ["instance", "n", "m", "ghw"],
         [
             (row["instance"], row["vertices"], row["edges"], row["ghw"])
@@ -155,4 +155,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     report = measure(jobs=args.jobs, corpus=args.corpus)
     emit_report(report)
-    print("\nOK: every width equals the elimination DP's")
+    print("\nOK: every width equals the elimination search's")

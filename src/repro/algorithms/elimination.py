@@ -10,10 +10,12 @@ elimination orderings.  Hence
     f-width(H) = min over orderings π of  max_v  f(bag_π(v)),
 
 where ``bag_π(v)`` is v plus its neighbours among later vertices in the
-fill-in graph.  The minimum is computed by the Bodlaender-style dynamic
-program over vertex subsets — exponential in |V(H)|, as any exact method
-must be by the paper's Theorem 3.2, but exact.  These oracles
-cross-validate every polynomial special-case algorithm in this library.
+fill-in graph.  The minimum is found by a best-first search over the
+sets of vertices eliminated so far — exponential in |V(H)| in the worst
+case, as any exact method must be by the paper's Theorem 3.2, but exact,
+and it expands only the sets that cost at most the width.  These
+oracles cross-validate every polynomial special-case algorithm in this
+library.
 
 Condition (1) of Definition 2.4 holds automatically: each hyperedge is a
 clique of the primal graph, so by the Helly property of subtrees some bag
@@ -22,15 +24,15 @@ contains it (Lemma 2.8).
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from collections.abc import Callable
 
 from ..covers import EPS, FractionalCover
 from ..decomposition import Decomposition, validate
 from ..engine import oracle_for
 from ..hypergraph import Hypergraph, Vertex
-from ..pipeline.batch import solve_many
+from ..pipeline.batch import DEFAULT_VERTEX_LIMIT, solve_many
 
 __all__ = [
     "width_by_elimination",
@@ -40,34 +42,35 @@ __all__ = [
     "treewidth_exact",
 ]
 
-#: Safety cap: 2^18 subsets is the largest DP we allow by default.
-DEFAULT_VERTEX_LIMIT = 18
 
+def _bag_routine(
+    hypergraph: Hypergraph,
+) -> tuple[list[Vertex], dict[Vertex, int], Callable[[int, int], int]]:
+    """``(vertices, bit, bag)``: elimination over vertex masks.
 
-def _reachable_bag(
-    adjacency: dict[Vertex, frozenset],
-    eliminated: frozenset,
-    vertex: Vertex,
-) -> frozenset:
-    """``{v} ∪ {u ∉ eliminated : path v→u with interior ⊆ eliminated}``.
-
-    This is the bag created when ``vertex`` is eliminated after the set
-    ``eliminated`` (its neighbourhood in the fill-in graph).
+    ``vertices`` is ``V(H)`` sorted by name and ``bit[v]`` the one-bit
+    mask of ``v`` (bit i for ``vertices[i]``).  ``bag(eliminated, b)``
+    is the mask of the bag created when the vertex of bit ``b`` is
+    eliminated after the mask ``eliminated``: that vertex plus every
+    vertex outside ``eliminated`` that a path through ``eliminated``
+    reaches from it (its neighbourhood in the fill-in graph).
     """
-    bag = {vertex}
-    seen = {vertex}
-    queue = deque([vertex])
-    while queue:
-        cur = queue.popleft()
-        for nbr in adjacency[cur]:
-            if nbr in seen:
-                continue
-            seen.add(nbr)
-            if nbr in eliminated:
-                queue.append(nbr)
-            else:
-                bag.add(nbr)
-    return frozenset(bag)
+    vertices = sorted(hypergraph.vertices, key=str)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    adjacency = hypergraph.primal_graph()
+    neighbours = [sum(bit[u] for u in adjacency[v]) for v in vertices]
+
+    def bag(eliminated: int, b: int) -> int:
+        reached = frontier = b
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & ~reached
+            reached |= new
+            frontier |= new & eliminated
+        return reached & ~eliminated
+
+    return vertices, bit, bag
 
 
 def width_by_elimination(
@@ -80,17 +83,18 @@ def width_by_elimination(
 
     ``bag_cost`` maps a bag (frozenset of vertices) to its cost; it must
     be monotone under set inclusion for the result to be the true width.
-    Raises for hypergraphs above ``vertex_limit`` vertices (2^n DP).
+    Raises for hypergraphs above ``vertex_limit`` vertices: the search
+    may visit all 2^n vertex sets.
 
     ``upper`` — a known achievable width, e.g. a validated heuristic
-    witness — caps the DP: a prefix costing more than ``upper`` is
+    witness — caps the search: a prefix costing more than ``upper`` is
     dropped, and so is a bag B with ``|B| > upper · max_e |e ∩ B|``
     without calling ``bag_cost`` (no edge cover of B weighs less than
     ``|B| / max_e |e ∩ B|``, so ``upper`` requires ``bag_cost`` to be an
     edge cover weight: ρ or ρ*).  Every prefix of an optimal ordering
     stays within the cap, so the width and ordering are those of the
-    uncapped DP; when the cap is below the width (nothing survives),
-    the DP reruns uncapped.
+    uncapped search; when the cap is below the width (nothing survives),
+    the search reruns uncapped.
     """
     n = hypergraph.num_vertices
     if n == 0:
@@ -112,74 +116,65 @@ def _eliminate_all(
     bag_cost: Callable[[frozenset], float],
     cap: float,
 ) -> tuple[float, list[Vertex]]:
-    """The subset DP of :func:`width_by_elimination`, costs above ``cap``
-    counted as infinite (``math.inf``: uncapped)."""
-    vertices = sorted(hypergraph.vertices, key=str)
-    n = len(vertices)
-    adjacency = hypergraph.primal_graph()
-    edges = list(hypergraph.edges.values())
+    """The search of :func:`width_by_elimination`, costs above ``cap``
+    counted as infinite (``math.inf``: uncapped).
 
-    # Per-run memo: the DP revisits the same bag across many masks, and
-    # bag_cost may be arbitrarily expensive (an LP or set-cover solve).
+    A state is the mask of the vertices eliminated so far; eliminating
+    one more vertex costs max(the state's cost, the new bag's cost).
+    The cost never falls along a path, so popping states cheapest first
+    (Dijkstra on bottleneck costs; Dow and Korf, "Best-First Search for
+    Treewidth", AAAI 2007) reaches the full mask first at the width.
+    Among equal costs the deeper state pops first, so a plateau is
+    walked down to the full mask instead of across.
+    """
+    vertices, bit, bag_of = _bag_routine(hypergraph)
+    full = (1 << len(vertices)) - 1
+    edges = [sum(bit[v] for v in e) for e in hypergraph.edges.values()]
+
+    # Per-run memo: many states create the same bag, and bag_cost may
+    # be arbitrarily expensive (an LP or set-cover solve).
     # Oracle-backed callers additionally share results across runs and
     # algorithms, but correctness of this guarantee must not depend on
     # the engine cache being enabled.
-    cost_cache: dict[frozenset, float] = {}
+    cost_cache: dict[int, float] = {}
 
-    def cached_cost(bag: frozenset) -> float:
+    def cached_cost(bag: int) -> float:
         if bag not in cost_cache:
-            if cap < math.inf and len(bag) > cap * max(
-                len(e & bag) for e in edges
+            if cap < math.inf and bag.bit_count() > cap * max(
+                (e & bag).bit_count() for e in edges
             ):
                 cost_cache[bag] = math.inf
             else:
-                cost_cache[bag] = bag_cost(bag)
+                cost_cache[bag] = bag_cost(
+                    frozenset(v for v in vertices if bit[v] & bag)
+                )
         return cost_cache[bag]
 
-    # best[mask] = minimal possible max-bag-cost of eliminating exactly the
-    # vertex set `mask` first (as a prefix of the ordering).
-    best: dict[int, float] = {0: 0.0}
-    choice: dict[int, int] = {}
-    full = (1 << n) - 1
-
-    # Iterate masks in increasing popcount order so predecessors exist.
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            best_cost = math.inf
-            best_vertex = -1
-            for vi in range(n):
-                bit = 1 << vi
-                if not mask & bit:
-                    continue
-                prev = mask & ~bit
-                prev_cost = best.get(prev, math.inf)
-                if prev_cost >= best_cost:
-                    continue
-                eliminated = frozenset(
-                    vertices[j] for j in range(n) if prev & (1 << j)
-                )
-                bag = _reachable_bag(adjacency, eliminated, vertices[vi])
-                total = max(prev_cost, cached_cost(bag))
-                if total < best_cost - EPS and total <= cap:
-                    best_cost = total
-                    best_vertex = vi
-            best[mask] = best_cost
-            choice[mask] = best_vertex
-
-    if best[full] == math.inf:
-        return math.inf, []
-    ordering: list[Vertex] = []
-    mask = full
-    while mask:
-        vi = choice[mask]
-        ordering.append(vertices[vi])
-        mask &= ~(1 << vi)
-    ordering.reverse()
-    return best[full], ordering
+    # best[mask]: the cheapest known cost of eliminating exactly mask
+    # first; last[mask]: the vertex eliminated last on that path.
+    best = {0: 0.0}
+    last: dict[int, Vertex] = {}
+    heap = [(0.0, 0, 0)]
+    while heap:
+        cost, _depth, mask = heapq.heappop(heap)
+        if mask == full:
+            ordering: list[Vertex] = []
+            while mask:
+                ordering.append(last[mask])
+                mask ^= bit[last[mask]]
+            return cost, ordering[::-1]
+        if cost > best[mask]:
+            continue  # superseded by a cheaper push
+        for v in vertices:
+            if mask & bit[v]:
+                continue
+            total = max(cost, cached_cost(bag_of(mask, bit[v])))
+            nxt = mask | bit[v]
+            if total <= cap and total < best.get(nxt, math.inf):
+                best[nxt] = total
+                last[nxt] = v
+                heapq.heappush(heap, (total, -nxt.bit_count(), nxt))
+    return math.inf, []
 
 
 def decomposition_from_ordering(
@@ -195,12 +190,14 @@ def decomposition_from_ordering(
     """
     if set(ordering) != set(hypergraph.vertices):
         raise ValueError("ordering must enumerate exactly V(H)")
-    adjacency = hypergraph.primal_graph()
+    vertices, bit, bag_of = _bag_routine(hypergraph)
     position = {v: i for i, v in enumerate(ordering)}
     bags: list[frozenset] = []
-    for i, v in enumerate(ordering):
-        eliminated = frozenset(ordering[:i])
-        bags.append(_reachable_bag(adjacency, eliminated, v))
+    eliminated = 0
+    for v in ordering:
+        bag = bag_of(eliminated, bit[v])
+        bags.append(frozenset(u for u in vertices if bit[u] & bag))
+        eliminated |= bit[v]
 
     nodes = []
     parent: dict[str, str] = {}
@@ -217,6 +214,27 @@ def decomposition_from_ordering(
     return Decomposition(nodes, parent=parent, root=f"n{len(bags) - 1}")
 
 
+def _width_by_covers(
+    hypergraph: Hypergraph,
+    cover_of: Callable[[frozenset], FractionalCover | None],
+    vertex_limit: int,
+    upper: float | None,
+) -> tuple[float, Decomposition]:
+    """The width and witness of the bag costs ``cover_of(bag).weight``."""
+
+    def cover_for_bag(bag: frozenset) -> FractionalCover:
+        cover = cover_of(bag)
+        assert cover is not None  # bags consist of non-isolated vertices
+        return cover
+
+    width, ordering = width_by_elimination(
+        hypergraph, lambda bag: cover_for_bag(bag).weight, vertex_limit, upper
+    )
+    return width, decomposition_from_ordering(
+        hypergraph, ordering, cover_for_bag
+    )
+
+
 def _generalized_hypertree_width_exact_direct(
     hypergraph: Hypergraph,
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
@@ -224,27 +242,11 @@ def _generalized_hypertree_width_exact_direct(
 ) -> tuple[int, Decomposition]:
     """Exact ghw on one block: the pipeline's ``ghw-exact`` core.
 
-    ``upper`` (a known achievable ghw) caps the DP; see
+    ``upper`` (a known achievable ghw) caps the search; see
     :func:`width_by_elimination`.
     """
-    oracle = oracle_for(hypergraph)
-
-    def cost(bag: frozenset) -> float:
-        cover = oracle.integral_cover(bag)
-        assert cover is not None  # bags consist of non-isolated vertices
-        return cover.weight
-
-    width, ordering = width_by_elimination(
-        hypergraph, cost, vertex_limit, upper
-    )
-
-    def cover_for_bag(bag: frozenset) -> FractionalCover:
-        cover = oracle.integral_cover(bag)
-        assert cover is not None
-        return cover
-
-    decomposition = decomposition_from_ordering(
-        hypergraph, ordering, cover_for_bag
+    width, decomposition = _width_by_covers(
+        hypergraph, oracle_for(hypergraph).integral_cover, vertex_limit, upper
     )
     validate(hypergraph, decomposition, kind="ghd", width=width)
     return int(round(width)), decomposition
@@ -260,9 +262,9 @@ def generalized_hypertree_width_exact(
     """Exact ``ghw(H)`` with a witness GHD (exponential-time oracle).
 
     Under the pipeline (default) the reduction rules shrink the instance
-    and the 2^n elimination DP runs per biconnected block, so
+    and the elimination search runs per biconnected block, so
     ``vertex_limit`` bounds the largest *block*, not the whole
-    hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
+    hypergraph.  ``preprocess="none"`` searches one unreduced block.
     """
     return solve_many(
         [(hypergraph, "ghw-exact", {"vertex_limit": vertex_limit})],
@@ -277,27 +279,12 @@ def _fractional_hypertree_width_exact_direct(
 ) -> tuple[float, Decomposition]:
     """Exact fhw on one block: the pipeline's ``fhw-exact`` core.
 
-    ``upper`` (a known achievable fhw) caps the DP; see
+    ``upper`` (a known achievable fhw) caps the search; see
     :func:`width_by_elimination`.
     """
-    oracle = oracle_for(hypergraph)
-
-    def cost(bag: frozenset) -> float:
-        cover = oracle.fractional_cover(bag)
-        assert cover is not None
-        return cover.weight
-
-    width, ordering = width_by_elimination(
-        hypergraph, cost, vertex_limit, upper
-    )
-
-    def cover_for_bag(bag: frozenset) -> FractionalCover:
-        cover = oracle.fractional_cover(bag)
-        assert cover is not None
-        return cover
-
-    decomposition = decomposition_from_ordering(
-        hypergraph, ordering, cover_for_bag
+    width, decomposition = _width_by_covers(
+        hypergraph, oracle_for(hypergraph).fractional_cover, vertex_limit,
+        upper,
     )
     validate(hypergraph, decomposition, kind="fhd", width=width + EPS)
     return width, decomposition
@@ -313,9 +300,9 @@ def fractional_hypertree_width_exact(
     """Exact ``fhw(H)`` with a witness FHD (exponential-time oracle).
 
     Under the pipeline (default) the reduction rules shrink the instance
-    and the 2^n elimination DP runs per biconnected block, so
+    and the elimination search runs per biconnected block, so
     ``vertex_limit`` bounds the largest *block*, not the whole
-    hypergraph.  ``preprocess="none"`` runs the DP on one unreduced block.
+    hypergraph.  ``preprocess="none"`` searches one unreduced block.
     """
     return solve_many(
         [(hypergraph, "fhw", {"vertex_limit": vertex_limit})],

@@ -24,7 +24,7 @@ from ..covers import EPS
 from ..decomposition import Decomposition, project_to_original, validate
 from ..engine import oracle_for
 from ..hypergraph import Hypergraph, degree as degree_of
-from ..pipeline.batch import solve_many
+from ..pipeline.batch import DEFAULT_VERTEX_LIMIT, solve_many
 from .elimination import fractional_hypertree_width_exact
 from .hd import HDSearch
 from .subedges import fhd_subedges
@@ -162,14 +162,16 @@ def check_fhd(hypergraph: Hypergraph, k: float, **options) -> bool:
 
 
 def fractional_hypertree_width(
-    hypergraph: Hypergraph, vertex_limit: int = 18, **options
+    hypergraph: Hypergraph,
+    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+    **options,
 ) -> tuple[float, Decomposition]:
     """``fhw(H)`` with a witness FHD.
 
     Delegates to the exact elimination oracle — the general problem is
     NP-hard even for fixed k = 2 (Theorem 3.2, Main Result 1), so exact
     computation is exponential by necessity (though the pipeline applies
-    the 2^n limit per biconnected block).  Use
+    ``vertex_limit`` per biconnected block).  Use
     :func:`fractional_hypertree_decomposition_bounded_degree` for the
     polynomial bounded-degree special case.
     """

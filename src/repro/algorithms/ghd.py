@@ -135,7 +135,7 @@ def generalized_hypertree_width(
     For k = 1 this is hypergraph acyclicity (ghw(H) = 1 iff H is acyclic),
     handled by the same machinery since hw = ghw = 1 coincide.  The
     pipeline reduces the instance and iterates k per biconnected block
-    (``jobs=N`` adds cross-block and cross-k parallelism;
+    (``jobs=N`` solves blocks in parallel;
     ``preprocess="none"`` iterates on one unreduced block).
     """
     return solve_many(

@@ -1,7 +1,7 @@
-"""Heuristic width bounds for hypergraphs beyond the exact-DP range.
+"""Heuristic width bounds for hypergraphs beyond the exact oracles' range.
 
-The exact elimination DP of :mod:`repro.algorithms.elimination` is
-limited to ~18 vertices ([42]-style exactness costs 2^n).  Real CQ/CSP
+The exact elimination search of :mod:`repro.algorithms.elimination` is
+limited to 18 vertices by default ([42]-style exactness may cost 2^n).  Real CQ/CSP
 workloads are larger, so practical systems (detkdecomp, BalancedGo, the
 paper's own experiments in [23]) pair exact methods with elimination
 *heuristics*.  This module provides:

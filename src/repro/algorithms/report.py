@@ -1,7 +1,7 @@
 """One-call width reports: every width, bound and property of a hypergraph.
 
 ``width_report(H)`` routes to the right engine per measure and instance
-size: exact oracles inside the 2^n range, heuristic sandwiches beyond it,
+size: exact oracles on small instances, heuristic sandwiches beyond them,
 the GYO fast path for acyclicity — and returns a plain dataclass that the
 CLI, the experiments and downstream users can render or serialize.
 """
@@ -29,7 +29,7 @@ from .separators import ghw_balance_lower_bound
 
 __all__ = ["WidthReport", "width_report"]
 
-#: Above this many vertices, exact 2^n oracles give way to bounds.
+#: Above this many vertices, the exponential exact oracles give way to bounds.
 EXACT_LIMIT = 14
 
 

@@ -17,7 +17,7 @@ representation of the exact engine:
 Searches convert at the :class:`~repro.hypergraph.Hypergraph` boundary
 only: :meth:`mask` in, :meth:`vertices_in` / :meth:`edges_in` out.  The
 bit tables are built on first use, so a context fetched only to reach its
-cover oracle (the bounds pre-pass, the elimination DP) never pays for
+cover oracle (the bounds pre-pass, the elimination search) never pays for
 them.  The memo tables (incident-edge unions per component, component
 splits per region) are shared *across* searches: the HD search warms the
 tables the GHD and FHD searches then hit.

@@ -13,8 +13,8 @@ Every width query in the library runs through this package by default:
   anytime answer before the first exact check;
 * :mod:`repro.pipeline.solve` — per-block solver registry (one exact
   engine per measure: CheckSearch branch-and-bound for the checks, the
-  elimination DP for the exact oracles) and the worker pools (inline for ``jobs=1``, cross-block and cross-k
-  parallelism for ``jobs=N``);
+  best-first elimination search for the exact oracles) and the worker
+  pools (inline for ``jobs=1``, cross-block parallelism for ``jobs=N``);
 * :mod:`repro.pipeline.batch` — the one drive loop:
   :func:`solve_many` / :class:`BatchScheduler` interleave per-block
   tasks of a whole request workload on one shared pool with one warm

@@ -98,7 +98,10 @@ _K_MAX = 10**9
 _K = _Param(_INT, required=True, minimum=1, maximum=_K_MAX)
 _KMAX = _Param(_INT, maximum=_K_MAX)
 _MAX_SETS = _Param(_INT, 200_000)
-_VERTEX_LIMIT = _Param(_INT, 18)
+#: The exact oracles' default size cap (``vertex_limit``): their search
+#: may visit all 2^n vertex sets of a block, so larger blocks are refused.
+DEFAULT_VERTEX_LIMIT = 18
+_VERTEX_LIMIT = _Param(_INT, DEFAULT_VERTEX_LIMIT)
 _COST = _Param((str,), "fractional", choices=("fractional", "integral"))
 
 #: The subedge generator caps each Check(GHD, k) ``method`` takes
@@ -577,7 +580,7 @@ class _Instance:
         "store_seeded",
         "store_appended",
         "store_write_errors",
-        "dp_caps",
+        "exact_caps",
     )
 
     def __init__(self, index: int, request: BatchRequest) -> None:
@@ -596,7 +599,7 @@ class _Instance:
         self.store_seeded = set()
         self.store_appended = 0
         self.store_write_errors = 0
-        self.dp_caps = {}  # exact-oracle block -> portfolio witness width
+        self.exact_caps = {}  # exact-oracle block -> portfolio witness width
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -729,7 +732,7 @@ class _Instance:
         (:meth:`~.bounds.BlockBounds.facts`): a search starts at the
         lower bound, stops at the witness at the latest and settles at
         once when the bounds meet; an exact oracle skips a decided
-        block and caps the DP of an open one.  A check kind takes a
+        block and caps the search of an open one.  A check kind takes a
         witness only for a complete hd/ghd check (no enumeration caps)
         and is answered None by any block whose lower bound exceeds k.
         The heuristic kinds (no record family) skip the pass: they
@@ -790,10 +793,10 @@ class _Instance:
                 )
             self.bounds_blocks_decided += state.settled
             if self.family == "block-exact" and not state.settled:
-                # The witness width caps the exact DP; it travels in the
+                # The witness width caps the exact search; it travels in the
                 # task params only, so store keys never see it.
                 if bounds_map[b].upper < math.inf:
-                    self.dp_caps[b] = bounds_map[b].upper
+                    self.exact_caps[b] = bounds_map[b].upper
 
     def _width_witness(self, state) -> tuple:
         """``(width, witness)`` of a block's verdict (inf while open)."""
@@ -860,8 +863,8 @@ class _Instance:
     def task_params(self, b: int, k) -> dict:
         if k is not None:
             return {"k": k, **self.params}
-        if b in self.dp_caps:
-            return {**self.params, "upper": self.dp_caps[b]}
+        if b in self.exact_caps:
+            return {**self.params, "upper": self.exact_caps[b]}
         return dict(self.params)
 
     def next_tasks(self, budget: int) -> list[tuple[int, object]]:

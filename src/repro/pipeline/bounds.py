@@ -25,7 +25,7 @@ skipping the exact engine entirely.  The witness doubles as an
 **anytime answer**: a valid decomposition is in hand before the first
 exact check runs.  The exact oracles (ghw-exact, fhw) take a witness
 only when the bounds meet, and pass an open block's witness width to
-the elimination DP as its ``upper`` cap
+the elimination search as its ``upper`` cap
 (:func:`repro.algorithms.elimination.width_by_elimination`).
 
 Soundness: every portfolio witness is re-validated for the query's

@@ -6,7 +6,7 @@ schedule of those checks shares: the solver registry behind the single
 task payload :func:`run_block_task`, the per-block verdict state
 :class:`BlockState`, and :func:`make_pool`.  Each measure has one
 exact engine: the CheckSearch branch-and-bound for Check(HD/GHD/FHD, k)
-and the elimination DP for the exact oracles.
+and the best-first elimination search for the exact oracles.
 The one drive loop over them is
 :meth:`repro.pipeline.batch.BatchScheduler.run`, which every width
 query goes through (each :mod:`repro.algorithms` width function is a

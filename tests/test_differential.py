@@ -5,9 +5,10 @@ each against a second decision procedure of independent design:
 
 * hw — the CheckSearch k-search against the memoised k-decomp oracle
   of :mod:`tests.reference_hw` (Gottlob–Leone–Scarcello normal form);
-* ghw — the CheckSearch k-search against the elimination DP
-  (:func:`generalized_hypertree_width_exact`);
-* fhw — the elimination DP against the bounded-degree Check(FHD, k)
+* ghw — the CheckSearch k-search against the best-first elimination
+  search (:func:`generalized_hypertree_width_exact`), also on 14-20
+  vertex blocks;
+* fhw — the elimination search against the bounded-degree Check(FHD, k)
   search of Theorem 5.2 (``check-fhd-bd``).
 
 Each pair is compared on both sides of the threshold (accept at the
@@ -18,6 +19,8 @@ paper definitions.  Because every engine is exact, any disagreement is
 a bug by construction — there is no tolerance to hide behind (fhw alone
 uses the engine-wide LP epsilon).
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +35,11 @@ from repro.algorithms import (
 from repro.covers import EPS
 from repro.decomposition import is_fhd, is_ghd, is_hd
 from repro.hypergraph import Hypergraph, degree
-from repro.hypergraph.generators import hyperbench_like_suite
+from repro.hypergraph.generators import (
+    grid,
+    hyperbench_like_suite,
+    random_csp_hypergraph,
+)
 from repro.paper_artifacts import example_4_3_hypergraph
 
 from .reference_hw import hw_at_most, reference_hypertree_width
@@ -119,7 +126,7 @@ def test_corpus_parity(kind):
             exact = generalized_hypertree_width_exact(
                 h, preprocess="none", bounds="none"
             )[0]
-            assert width == exact, f"ghw of {h.name}: {width} vs DP {exact}"
+            assert width == exact, f"ghw of {h.name}: {width} vs exact {exact}"
 
 
 def test_corpus_reject_side_parity():
@@ -130,3 +137,28 @@ def test_corpus_reject_side_parity():
         if width <= 1:
             continue
         assert not hw_at_most(h, width - 1)
+
+
+# ----------------------------------------------------------------------
+# Past the old DP's reach: 14-20 vertices, one unreduced block each.
+# ----------------------------------------------------------------------
+_LARGE = {h.name: h for h in (grid(4, 4), grid(3, 6), grid(4, 5))} | {
+    f"csp-seed{s}": random_csp_hypergraph(
+        15 + s % 6, int(0.9 * (15 + s % 6)), 3, rng=random.Random(s)
+    )
+    for s in range(12)
+}
+
+
+@pytest.mark.parametrize("name", list(_LARGE))
+def test_ghw_search_vs_elimination_search_beyond_dp_limit(name):
+    """Check(GHD, k) and the best-first elimination search agree where
+    the 2^n subset DP could not run."""
+    h = _LARGE[name]
+    width, witness = generalized_hypertree_width(h)
+    exact, exact_witness = generalized_hypertree_width_exact(
+        h, vertex_limit=25, preprocess="none", bounds="none"
+    )
+    assert width == exact
+    assert is_ghd(h, witness, width=width)
+    assert is_ghd(h, exact_witness, width=exact)

@@ -1,5 +1,7 @@
 """Tests for the exact elimination-ordering oracles."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,6 +19,7 @@ from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import clique, cycle, grid, unbounded_support_family
 from repro.paper_artifacts import example_4_3_hypergraph
 
+from .reference_elimination import reachable_bag, reference_width
 from .strategies import hypergraphs
 
 
@@ -103,7 +106,7 @@ def _cover_costs(h: Hypergraph):
 
 
 class TestCappedElimination:
-    """``upper`` prunes the DP but never changes its answer."""
+    """``upper`` prunes the search but never changes its answer."""
 
     def test_cap_skips_bag_costs(self):
         calls = []
@@ -140,6 +143,46 @@ def test_capped_dp_matches_uncapped(h: Hypergraph):
         width, order = width_by_elimination(h, cost)
         for upper in (width, width + 0.5, width + 3, width - 0.5, 0.5):
             assert width_by_elimination(h, cost, upper=upper) == (width, order)
+
+
+def _ordering_width(h: Hypergraph, ordering, cost) -> float:
+    """The largest bag cost of ``ordering``, bags by the reference BFS."""
+    adjacency = h.primal_graph()
+    return max(
+        cost(reachable_bag(adjacency, frozenset(ordering[:i]), v))
+        for i, v in enumerate(ordering)
+    )
+
+
+@given(hypergraphs(max_vertices=12, max_edges=10, max_edge_size=4,
+                   min_edge_size=2))
+@settings(max_examples=30, deadline=None)
+def test_search_matches_reference_dp(h: Hypergraph):
+    """The best-first search against the 2^n subset DP of
+    :mod:`tests.reference_elimination`, for ρ*, ρ and |B| bag costs:
+    equal widths, an ordering that attains its width, and caps at,
+    above and below the width that change nothing."""
+    for cost in (*_cover_costs(h), lambda bag: float(len(bag))):
+        width, order = width_by_elimination(h, cost)
+        assert width == pytest.approx(reference_width(h, cost), abs=EPS)
+        assert _ordering_width(h, order, cost) == width
+        for upper in (width, width + 1, width - 0.5):
+            assert width_by_elimination(h, cost, upper=upper) == (width, order)
+
+
+class TestBeyondTheOldLimit:
+    """Grids past the default vertex limit, answered within seconds."""
+
+    @pytest.mark.parametrize("exact, rows, cols", [
+        (fractional_hypertree_width_exact, 5, 5),
+        (generalized_hypertree_width_exact, 4, 5),
+    ], ids=["fhw-5x5", "ghw-exact-4x5"])
+    def test_grid_width_is_3(self, exact, rows, cols):
+        start = time.perf_counter()
+        width, _d = exact(grid(rows, cols), vertex_limit=25,
+                          preprocess="none", bounds="none")
+        assert width == pytest.approx(3.0)
+        assert time.perf_counter() - start < 10.0
 
 
 @given(hypergraphs(max_vertices=7, max_edges=6))

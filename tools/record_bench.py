@@ -12,7 +12,7 @@ benchmark workloads in-process and writes one JSON file per benchmark:
   (E19r) comparing ``executor="remote"`` (a two-worker loopback TCP
   fleet) against the local executors;
 * ``BENCH_E21.json``  — the exact engine alone with the bounds
-  pre-pass off (widths equal to the elimination DP's, Check task
+  pre-pass off (widths equal to the elimination search's, Check task
   counts, wall clock), when ``--only e21`` is requested (not in the
   default set);
 * ``BENCH_E22.json``  — the bounds pre-pass collapse (exact Check
@@ -155,7 +155,7 @@ def record_e19b(jobs: int = 2, remote_jobs: int = 4, workers: int = 2) -> dict:
 
 
 def record_e21() -> dict:
-    """The E21 exact engine alone: task counts, timing, DP parity."""
+    """The E21 exact engine alone: task counts, timing, exact parity."""
     from bench_e21_portfolio import measure
 
     report = measure()
